@@ -3,7 +3,16 @@
     For every location, the sorted sequence of (event index, read/write)
     accesses.  This is the substrate of the liveness side of the ACL
     table: a corrupted location is *alive* at time [t] if it will be
-    read again after [t] before being overwritten. *)
+    read again after [t] before being overwritten.
+
+    Layout: every access is one packed int, [index lsl 1 lor is_write],
+    so within an event a read sorts before a write, as the trace lists
+    them.  Building appends each access, tagged with its location's id
+    in the high bits, to one flat buffer in trace order; a stable
+    counting sort then lays each location's accesses out contiguously
+    in [data]: location [id] owns [data.(off.(id)) .. data.(off.(id + 1)
+    - 1)].  Location ids come from a dense {!Loc_store}.  Nothing is
+    allocated per access: only the buffers, which double as needed. *)
 
 type kind = Read | Write
 
@@ -12,98 +21,149 @@ type fate =
   | `Overwritten_at of int
   | `Never_used ]
 
-type t = { tbl : (int * kind) array Loc.Tbl.t }
+type t = {
+  ids : int Loc_store.t;  (** location -> id, -1 for untouched ones *)
+  off : int array;  (** [nlocs + 1] offsets into [data] *)
+  data : int array;  (** packed accesses, grouped by location id *)
+}
 
-let build_seq (events : Trace.event Seq.t) : t =
-  let tmp : (int * kind) list ref Loc.Tbl.t = Loc.Tbl.create 4096 in
-  let add loc entry =
-    match Loc.Tbl.find_opt tmp loc with
-    | Some l -> l := entry :: !l
-    | None -> Loc.Tbl.add tmp loc (ref [ entry ])
+(* the index of the events [iter] feeds, in order *)
+let index (iter : (Trace.event -> unit) -> unit) : t =
+  let ids = Loc_store.create (-1) in
+  let nlocs = ref 0 in
+  (* every access as [id lsl 32 lor packed], in trace order *)
+  let pairs = ref (Array.make 8192 0) in
+  let len = ref 0 in
+  let add loc packed =
+    let id =
+      match Loc_store.get ids loc with
+      | -1 ->
+          let id = !nlocs in
+          Loc_store.set ids loc id;
+          incr nlocs;
+          id
+      | id -> id
+    in
+    if !len = Array.length !pairs then begin
+      let b = Array.make (2 * !len) 0 in
+      Array.blit !pairs 0 b 0 !len;
+      pairs := b
+    end;
+    Array.unsafe_set !pairs !len ((id lsl 32) lor packed);
+    incr len
   in
   let i = ref 0 in
-  Seq.iter
-    (fun (e : Trace.event) ->
-      Array.iter (fun (loc, _) -> add loc (!i, Read)) e.reads;
-      Array.iter (fun (loc, _) -> add loc (!i, Write)) e.writes;
-      incr i)
-    events;
-  let tbl = Loc.Tbl.create (Loc.Tbl.length tmp) in
-  Loc.Tbl.iter
-    (fun loc l -> Loc.Tbl.add tbl loc (Array.of_list (List.rev !l)))
-    tmp;
-  { tbl }
+  iter (fun (e : Trace.event) ->
+      if !i >= 1 lsl 31 then invalid_arg "Access: more than 2^31 events";
+      let r = !i lsl 1 in
+      for k = 0 to Array.length e.reads - 1 do
+        add (fst (Array.unsafe_get e.reads k)) r
+      done;
+      for k = 0 to Array.length e.writes - 1 do
+        add (fst (Array.unsafe_get e.writes k)) (r lor 1)
+      done;
+      incr i);
+  let pairs = !pairs and len = !len and nlocs = !nlocs in
+  let mask = (1 lsl 32) - 1 in
+  (* counting sort by id; stable, so each slice stays in trace order *)
+  let off = Array.make (nlocs + 1) 0 in
+  for k = 0 to len - 1 do
+    let id = Array.unsafe_get pairs k lsr 32 in
+    Array.unsafe_set off (id + 1) (Array.unsafe_get off (id + 1) + 1)
+  done;
+  for id = 1 to nlocs do
+    off.(id) <- off.(id) + off.(id - 1)
+  done;
+  let data = Array.make len 0 in
+  let fill = Array.sub off 0 nlocs in
+  for k = 0 to len - 1 do
+    let p = Array.unsafe_get pairs k in
+    let id = p lsr 32 in
+    let at = Array.unsafe_get fill id in
+    Array.unsafe_set data at (p land mask);
+    Array.unsafe_set fill id (at + 1)
+  done;
+  { ids; off; data }
 
-let build (tr : Trace.t) : t = build_seq (Trace.to_seq tr)
+let build (tr : Trace.t) : t = index (fun f -> Trace.iter f tr)
+let build_seq (events : Trace.event Seq.t) : t = index (fun f -> Seq.iter f events)
+
+(* [loc]'s accesses are [t.data.(lo t id) .. t.data.(hi t id - 1)], where
+   [id = slot t loc]; both bounds are 0 for an untouched location *)
+let slot (t : t) (loc : Loc.t) : int = Loc_store.get t.ids loc
+let lo (t : t) (id : int) = if id < 0 then 0 else Array.unsafe_get t.off id
+let hi (t : t) (id : int) = if id < 0 then 0 else Array.unsafe_get t.off (id + 1)
 
 let accesses (t : t) (loc : Loc.t) : (int * kind) array =
-  match Loc.Tbl.find_opt t.tbl loc with Some a -> a | None -> [||]
+  let id = slot t loc in
+  let a = lo t id in
+  Array.init (hi t id - a) (fun k ->
+      let p = t.data.(a + k) in
+      (p lsr 1, if p land 1 = 1 then Write else Read))
 
-(* first access index in [a] with event index strictly greater than [i] *)
-let first_after (a : (int * kind) array) (i : int) : int =
-  let n = Array.length a in
-  let rec bs lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fst a.(mid) <= i then bs (mid + 1) hi else bs lo mid
-  in
-  bs 0 n
+(* first position in [a, b) whose event index is strictly greater than
+   [i], i.e. whose packed value exceeds [2i + 1] *)
+let first_after (data : int array) (a : int) (b : int) (i : int) : int =
+  if i < 0 then a
+  else if i >= max_int lsr 1 then b
+  else
+    let key = (i lsl 1) lor 1 in
+    let rec bs a b =
+      if a >= b then a
+      else
+        let mid = (a + b) lsr 1 in
+        if Array.unsafe_get data mid <= key then bs (mid + 1) b else bs a mid
+    in
+    bs a b
 
 (** The fate of a location's current value established at event [t]:
     scanning forward, reads keep it alive; the first write ends it.
-    Returns [`Dies_at r] where [r] is the event index of the *last read*
-    before the next write (the value is referenced up to [r], dead
-    after), [`Overwritten_at w] if a write at [w] comes before any read,
-    or [`Never_used] if there are no further accesses at all. *)
-let fate (t : t) (loc : Loc.t) ~(after : int) :
-    [ `Dies_after_read of int * int option
-      (** last read, then index of following write if any *)
-    | `Overwritten_at of int
-    | `Never_used ] =
-  let a = accesses t loc in
-  let n = Array.length a in
-  let start = first_after a after in
-  if start >= n then `Never_used
-  else
-    let rec scan i last_read =
-      if i >= n then
-        match last_read with
-        | Some r -> `Dies_after_read (r, None)
-        | None -> `Never_used
-      else
-        match snd a.(i) with
-        | Read -> scan (i + 1) (Some (fst a.(i)))
-        | Write -> (
-            match last_read with
-            | Some r -> `Dies_after_read (r, Some (fst a.(i)))
-            | None -> `Overwritten_at (fst a.(i)))
-    in
-    scan start None
+    Returns [`Dies_after_read (r, next_write)] where [r] is the event
+    index of the *last read* before the next write (the value is
+    referenced up to [r], dead after) and [next_write] the index of that
+    write, if one follows; [`Overwritten_at w] if a write at [w] comes
+    before any read; or [`Never_used] if there are no further accesses
+    at all. *)
+let fate (t : t) (loc : Loc.t) ~(after : int) : fate =
+  let id = slot t loc in
+  let b = hi t id in
+  let data = t.data in
+  let rec scan k last_read =
+    if k >= b then
+      if last_read >= 0 then `Dies_after_read (last_read, None) else `Never_used
+    else
+      let p = Array.unsafe_get data k in
+      if p land 1 = 0 then scan (k + 1) (p lsr 1)
+      else if last_read >= 0 then `Dies_after_read (last_read, Some (p lsr 1))
+      else `Overwritten_at (p lsr 1)
+  in
+  scan (first_after data (lo t id) b after) (-1)
 
 (** Is the value in [loc] established at event [after] referenced again
     before being overwritten? *)
 let alive (t : t) (loc : Loc.t) ~(after : int) : bool =
-  match fate t loc ~after with
-  | `Dies_after_read _ -> true
-  | `Overwritten_at _ | `Never_used -> false
+  let id = slot t loc in
+  let b = hi t id in
+  let k = first_after t.data (lo t id) b after in
+  k < b && t.data.(k) land 1 = 0
+
+(* is there an access of parity [w] to [loc] in events [lo_i, hi_i)? *)
+let accessed_in (t : t) (loc : Loc.t) ~(w : int) ~(lo_i : int) ~(hi_i : int)
+    : bool =
+  let id = slot t loc in
+  let b = hi t id in
+  let data = t.data in
+  let rec scan k =
+    k < b
+    && (let p = Array.unsafe_get data k in
+        p lsr 1 < hi_i && (p land 1 = w || scan (k + 1)))
+  in
+  scan (first_after data (lo t id) b (lo_i - 1))
 
 (** Is [loc] read anywhere in the event interval [lo, hi)? *)
 let read_in (t : t) (loc : Loc.t) ~(lo : int) ~(hi : int) : bool =
-  let a = accesses t loc in
-  let n = Array.length a in
-  let rec scan i =
-    if i >= n || fst a.(i) >= hi then false
-    else match snd a.(i) with Read -> true | Write -> scan (i + 1)
-  in
-  scan (first_after a (lo - 1))
+  accessed_in t loc ~w:0 ~lo_i:lo ~hi_i:hi
 
 (** Is [loc] written anywhere in the event interval [lo, hi)? *)
 let written_in (t : t) (loc : Loc.t) ~(lo : int) ~(hi : int) : bool =
-  let a = accesses t loc in
-  let n = Array.length a in
-  let rec scan i =
-    if i >= n || fst a.(i) >= hi then false
-    else match snd a.(i) with Write -> true | Read -> scan (i + 1)
-  in
-  scan (first_after a (lo - 1))
+  accessed_in t loc ~w:1 ~lo_i:lo ~hi_i:hi

@@ -65,8 +65,21 @@ type result = {
   final : int;   (** ACL count when alignment ended *)
 }
 
-(* Status of a corrupted location in the ACL bookkeeping. *)
-type status = { mutable alive : bool; mutable sched : int (* death index *) }
+(* Status of a corrupted location in the ACL bookkeeping: liveness,
+   scheduled death index, and error magnitude as of its latest
+   corrupting write. *)
+type status = { mutable alive : bool; mutable sched : int; mutable mag : float }
+
+(* the empty slot of the status store, compared physically *)
+let no_status = { alive = false; sched = -1; mag = 0.0 }
+
+(* death schedule keyed by event index; indices hash to themselves *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
 
 let mask_kind_to_string = function
   | Shift_mask -> "shift"
@@ -83,10 +96,9 @@ let mask_kind_to_string = function
    a pre-resolved answer table. *)
 let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
     result =
-  let statuses : status Loc.Tbl.t = Loc.Tbl.create 64 in
-  let scheduled : (int, (Loc.t * bool) list) Hashtbl.t = Hashtbl.create 64 in
-  let mags : float Loc.Tbl.t = Loc.Tbl.create 64 in
-  let last_writer : Trace.opclass Loc.Tbl.t = Loc.Tbl.create 4096 in
+  let statuses : status Loc_store.t = Loc_store.create no_status in
+  let nstatuses = ref 0 in
+  let scheduled : (Loc.t * bool) list Itbl.t = Itbl.create 64 in
   let count = ref 0 in
   let peak = ref 0 in
   let series = ref [] in
@@ -100,17 +112,20 @@ let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
         if !count > !peak then peak := !count)
   in
   let schedule idx loc ~has_write =
-    Hashtbl.replace scheduled idx
-      ((loc, has_write) :: (try Hashtbl.find scheduled idx with Not_found -> []))
+    Itbl.replace scheduled idx
+      ((loc, has_write) :: (try Itbl.find scheduled idx with Not_found -> []))
   in
-  let make_alive idx loc =
+  let make_alive idx loc ~mag =
     (* the location is corrupted as of event [idx]; decide liveness *)
     let st =
-      match Loc.Tbl.find_opt statuses loc with
-      | Some st -> st
-      | None ->
-          let st = { alive = false; sched = -1 } in
-          Loc.Tbl.add statuses loc st;
+      match Loc_store.get statuses loc with
+      | st when st != no_status ->
+          st.mag <- mag;
+          st
+      | _ ->
+          let st = { alive = false; sched = -1; mag } in
+          Loc_store.set statuses loc st;
+          incr nstatuses;
           st
     in
     match fate loc ~after:idx with
@@ -137,14 +152,15 @@ let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
         st.sched <- -1
   in
   let kill idx loc ~cause ~(ev : Trace.event) =
-    match Loc.Tbl.find_opt statuses loc with
-    | None -> ()
-    | Some st ->
+    match Loc_store.get statuses loc with
+    | st when st == no_status -> ()
+    | st ->
         if st.alive then begin
           st.alive <- false;
           decr count
         end;
-        Loc.Tbl.remove statuses loc;
+        Loc_store.set statuses loc no_status;
+        decr nstatuses;
         let fed =
           (* it was read while corrupted iff its fate from its corruption
              point included a read; approximated by: it was alive at some
@@ -162,6 +178,126 @@ let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
           }
           :: !deaths
   in
+  (* 1. scheduled deaths: locations whose last read has passed *)
+  let scheduled_deaths index (faulty_ev : Trace.event) =
+    match Itbl.find_opt scheduled index with
+    | None -> ()
+    | Some locs ->
+        Itbl.remove scheduled index;
+        List.iter
+          (fun (loc, has_write) ->
+            match Loc_store.get statuses loc with
+            | st when st.alive && st.sched = index ->
+                if Align.is_corrupted w loc then
+                  if has_write then begin
+                    (* the value's last use has passed but a write
+                       follows: it stops being alive now, and the
+                       overwrite event decides the death cause *)
+                    st.alive <- false;
+                    decr count
+                  end
+                  else kill index loc ~cause:Dead ~ev:faulty_ev
+            | _ -> ())
+          locs
+  in
+  let is_corrupted_status loc =
+    Loc_store.get statuses loc != no_status && Align.is_corrupted w loc
+  in
+  let read_corrupted (loc, _) = is_corrupted_status loc in
+  (* 2. masking detection on reads of corrupted locations *)
+  let detect_masking index (clean_ev : Trace.event) (faulty_ev : Trace.event)
+      =
+    let corrupted_reads =
+      Array.to_list faulty_ev.reads |> List.filter read_corrupted
+    in
+    let outputs_clean =
+      Array.length faulty_ev.writes > 0
+      && Array.for_all
+           (fun (loc, _) -> not (Align.is_corrupted w loc))
+           faulty_ev.writes
+    in
+    let emit kind loc =
+      maskings :=
+        {
+          m_index = index;
+          m_loc = loc;
+          m_kind = kind;
+          m_line = faulty_ev.line;
+          m_region = faulty_ev.region;
+          m_instance = faulty_ev.instance;
+        }
+        :: !maskings
+    in
+    match (faulty_ev.op, clean_ev.op) with
+    | Trace.OBr tf, Trace.OBr tc ->
+        if Bool.equal tf tc then
+          List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
+    | Trace.OIntr s, _ when String.length s > 6
+                            && String.equal (String.sub s 0 6) "print:" ->
+        let fmt = String.sub s 6 (String.length s - 6) in
+        let faulty_args = Array.to_list faulty_ev.reads |> List.map snd in
+        let clean_args = Array.to_list clean_ev.reads |> List.map snd in
+        let rendered_f = Machine.format_output fmt faulty_args in
+        let rendered_c = Machine.format_output fmt clean_args in
+        if String.equal rendered_f rendered_c then
+          List.iter (fun (loc, _) -> emit Print_mask loc) corrupted_reads
+    | Trace.OBin op, _ when outputs_clean && Op.bin_is_shift op ->
+        List.iter (fun (loc, _) -> emit Shift_mask loc) corrupted_reads
+    | Trace.OBin op, _ when outputs_clean && Op.bin_is_compare op ->
+        (* a compare with a corrupted operand that still resolves to the
+           fault-free boolean: the Conditional Statement pattern at its
+           decision site *)
+        List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
+    | Trace.OUn op, _ when outputs_clean && Op.un_is_truncation op ->
+        List.iter (fun (loc, _) -> emit Trunc_mask loc) corrupted_reads
+    | (Trace.OBin _ | Trace.OUn _ | Trace.OConst | Trace.OLoad
+      | Trace.OStore | Trace.OIntr _ | Trace.OCall | Trace.ORet
+      | Trace.OJmp | Trace.OMark _ | Trace.OBr _), _ ->
+        if outputs_clean then
+          List.iter (fun (loc, _) -> emit Other_mask loc) corrupted_reads
+  in
+  (* 3. corruption status update for one written location *)
+  let update_written index (faulty_ev : Trace.event) loc =
+    let st = Loc_store.get statuses loc in
+    let was = st != no_status in
+    if Align.is_corrupted w loc then begin
+      (* repeated-addition check before refreshing the magnitude *)
+      let new_mag =
+        match Align.magnitude w loc with Some m -> m | None -> 0.0
+      in
+      (match faulty_ev.op with
+      | Trace.OStore when was && Array.length faulty_ev.reads > 0 ->
+          let old_mag = st.mag in
+          let is_add =
+            match Align.last_writer w (fst faulty_ev.reads.(0)) with
+            | Some (Trace.OBin (Op.Fadd | Op.Fsub)) -> true
+            | Some _ | None -> false
+          in
+          if
+            is_add && Float.is_finite old_mag && Float.is_finite new_mag
+            && new_mag < old_mag
+          then
+            maskings :=
+              {
+                m_index = index;
+                m_loc = loc;
+                m_kind = Repeated_add { before = old_mag; after = new_mag };
+                m_line = faulty_ev.line;
+                m_region = faulty_ev.region;
+                m_instance = faulty_ev.instance;
+              }
+              :: !maskings
+      | _ -> ());
+      make_alive index loc ~mag:new_mag
+    end
+    else if was then kill index loc ~cause:Overwritten ~ev:faulty_ev
+  in
+  let rec update_all index faulty_ev = function
+    | [] -> ()
+    | loc :: rest ->
+        update_written index faulty_ev loc;
+        update_all index faulty_ev rest
+  in
   let divergence = ref None in
   let finished = ref false in
   while not !finished do
@@ -171,127 +307,13 @@ let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
         divergence := Some i;
         finished := true
     | Align.Step { index; clean_ev; faulty_ev; changed } ->
-        (* 1. scheduled deaths: locations whose last read has passed *)
-        (match Hashtbl.find_opt scheduled index with
-        | None -> ()
-        | Some locs ->
-            Hashtbl.remove scheduled index;
-            List.iter
-              (fun (loc, has_write) ->
-                match Loc.Tbl.find_opt statuses loc with
-                | Some st when st.alive && st.sched = index ->
-                    if Align.is_corrupted w loc then
-                      if has_write then begin
-                        (* the value's last use has passed but a write
-                           follows: it stops being alive now, and the
-                           overwrite event decides the death cause *)
-                        st.alive <- false;
-                        decr count
-                      end
-                      else kill index loc ~cause:Dead ~ev:faulty_ev
-                | Some _ | None -> ())
-              locs);
-        (* 2. masking detection on reads of corrupted locations *)
-        let corrupted_reads =
-          Array.to_list faulty_ev.reads
-          |> List.filter (fun (loc, _) ->
-                 Loc.Tbl.mem statuses loc && Align.is_corrupted w loc)
-        in
-        if corrupted_reads <> [] then begin
-          let outputs_clean =
-            Array.length faulty_ev.writes > 0
-            && Array.for_all
-                 (fun (loc, _) -> not (Align.is_corrupted w loc))
-                 faulty_ev.writes
-          in
-          let emit kind loc =
-            maskings :=
-              {
-                m_index = index;
-                m_loc = loc;
-                m_kind = kind;
-                m_line = faulty_ev.line;
-                m_region = faulty_ev.region;
-                m_instance = faulty_ev.instance;
-              }
-              :: !maskings
-          in
-          (match (faulty_ev.op, clean_ev.op) with
-          | Trace.OBr tf, Trace.OBr tc ->
-              if Bool.equal tf tc then
-                List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
-          | Trace.OIntr s, _ when String.length s > 6
-                                  && String.equal (String.sub s 0 6) "print:" ->
-              let fmt = String.sub s 6 (String.length s - 6) in
-              let faulty_args = Array.to_list faulty_ev.reads |> List.map snd in
-              let clean_args =
-                Array.to_list clean_ev.reads |> List.map snd
-              in
-              let rendered_f = Machine.format_output fmt faulty_args in
-              let rendered_c = Machine.format_output fmt clean_args in
-              if String.equal rendered_f rendered_c then
-                List.iter (fun (loc, _) -> emit Print_mask loc) corrupted_reads
-          | Trace.OBin op, _ when outputs_clean && Op.bin_is_shift op ->
-              List.iter (fun (loc, _) -> emit Shift_mask loc) corrupted_reads
-          | Trace.OBin op, _ when outputs_clean && Op.bin_is_compare op ->
-              (* a compare with a corrupted operand that still resolves
-                 to the fault-free boolean: the Conditional Statement
-                 pattern at its decision site *)
-              List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
-          | Trace.OUn op, _ when outputs_clean && Op.un_is_truncation op ->
-              List.iter (fun (loc, _) -> emit Trunc_mask loc) corrupted_reads
-          | (Trace.OBin _ | Trace.OUn _ | Trace.OConst | Trace.OLoad
-            | Trace.OStore | Trace.OIntr _ | Trace.OCall | Trace.ORet
-            | Trace.OJmp | Trace.OMark _ | Trace.OBr _), _ ->
-              if outputs_clean then
-                List.iter (fun (loc, _) -> emit Other_mask loc) corrupted_reads)
-        end;
-        (* 3. corruption status updates for written locations *)
-        List.iter
-          (fun loc ->
-            let was = Loc.Tbl.mem statuses loc in
-            if Align.is_corrupted w loc then begin
-              (* repeated-addition check before refreshing the magnitude *)
-              let new_mag =
-                match Align.magnitude w loc with Some m -> m | None -> 0.0
-              in
-              (match (Loc.Tbl.find_opt mags loc, faulty_ev.op) with
-              | Some old_mag, Trace.OStore
-                when was && Array.length faulty_ev.reads > 0 ->
-                  let src_loc = fst faulty_ev.reads.(0) in
-                  let src_op = Loc.Tbl.find_opt last_writer src_loc in
-                  let is_add =
-                    match src_op with
-                    | Some (Trace.OBin (Op.Fadd | Op.Fsub)) -> true
-                    | Some _ | None -> false
-                  in
-                  if
-                    is_add && Float.is_finite old_mag && Float.is_finite new_mag
-                    && new_mag < old_mag
-                  then
-                    maskings :=
-                      {
-                        m_index = index;
-                        m_loc = loc;
-                        m_kind = Repeated_add { before = old_mag; after = new_mag };
-                        m_line = faulty_ev.line;
-                        m_region = faulty_ev.region;
-                        m_instance = faulty_ev.instance;
-                      }
-                      :: !maskings
-              | (Some _ | None), _ -> ());
-              Loc.Tbl.replace mags loc new_mag;
-              make_alive index loc
-            end
-            else begin
-              Loc.Tbl.remove mags loc;
-              if was then kill index loc ~cause:Overwritten ~ev:faulty_ev
-            end)
-          changed;
-        (* 4. remember who wrote each location (for repeated additions) *)
-        Array.iter
-          (fun (loc, _) -> Loc.Tbl.replace last_writer loc faulty_ev.op)
-          faulty_ev.writes;
+        if Itbl.length scheduled > 0 then scheduled_deaths index faulty_ev;
+        (* reads matter only while some location is corrupted *)
+        if
+          !nstatuses > 0
+          && Array.exists read_corrupted faulty_ev.reads
+        then detect_masking index clean_ev faulty_ev;
+        update_all index faulty_ev changed;
         record_count faulty_ev.seq
   done;
   {

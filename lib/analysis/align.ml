@@ -1,80 +1,134 @@
 (** Lockstep alignment of a faulty trace against its fault-free twin.
 
     While the two traces execute the same control path (same function
-    and pc per event), the walker maintains shadow machine states for
-    both runs and the set of *corrupted* locations — locations whose
+    and pc per event), the walker maintains the machine state of both
+    runs and the set of *corrupted* locations — locations whose
     faulty-run value differs from the fault-free value.  This is the
     value-based notion of corruption from the paper (stricter than
     taint: a masked value is clean again even though it depends on the
     fault).
+
+    There is one shadow state, the clean run's, in a dense
+    {!Loc_store}.  The faulty run's state is the clean one except on the
+    corrupted locations, so only those carry a second value: a second
+    dense store holds each corrupted location's faulty value, and the
+    [same] marker everywhere else.
 
     When the control paths diverge, alignment stops; analyses treat the
     remainder as control-flow divergence, which the paper detects the
     same way (by comparing operations between the two DDDGs). *)
 
 type t = {
-  next_clean : unit -> Trace.event option;
-      (** pull the next clean event; [None] at end of stream *)
-  next_faulty : unit -> Trace.event option;
+  next_clean : unit -> Trace.event;  (** next clean event, or [eos] *)
+  next_faulty : unit -> Trace.event;
   mutable pos : int;  (** next event index to process *)
-  shadow_clean : Value.t Loc.Tbl.t;
-  shadow_faulty : Value.t Loc.Tbl.t;
-  corrupted : Value.t Loc.Tbl.t;
-      (** corrupted locations, mapped to their current *clean* value *)
+  clean : Value.t Loc_store.t;  (** the clean run's shadow state *)
+  faulty : Value.t Loc_store.t;
+      (** the faulty value of each corrupted location; [same] elsewhere *)
+  mutable ncorrupted : int;
+  writer : Trace.opclass Loc_store.t;
+      (** op of the faulty run's last write to each location, up to the
+          event before [last_faulty] *)
+  mutable last_faulty : Trace.event;
+      (** the faulty event of the latest step, whose writes [writer]
+          takes in at the next step *)
   fault : Machine.fault option;
   mutable fault_applied : bool;
   mutable diverged_at : int option;
 }
 
-let puller (s : Trace.event Seq.t) : unit -> Trace.event option =
-  let cur = ref s in
-  fun () ->
-    match !cur () with
-    | Seq.Nil -> None
-    | Seq.Cons (e, rest) ->
-        cur := rest;
-        Some e
-
-let create_seq ?fault ~(clean : Trace.event Seq.t)
-    ~(faulty : Trace.event Seq.t) () : t =
+(* end-of-stream sentinel, compared physically *)
+let eos : Trace.event =
   {
-    next_clean = puller clean;
-    next_faulty = puller faulty;
+    Trace.seq = -1; fidx = -1; pc = -1; act = -1; line = 0; region = -1;
+    instance = -1; iter = -1; op = Trace.OJmp; reads = [||]; writes = [||];
+  }
+
+(* [faulty]'s default, compared physically: a fresh box no trace holds *)
+let same : Value.t = Int64.of_string "0"
+
+(* [writer]'s default: never the op of a traced event *)
+let no_writer = Trace.OIntr "<no writer>"
+
+let create_with ?fault next_clean next_faulty : t =
+  {
+    next_clean;
+    next_faulty;
     pos = 0;
-    shadow_clean = Loc.Tbl.create 4096;
-    shadow_faulty = Loc.Tbl.create 4096;
-    corrupted = Loc.Tbl.create 64;
+    clean = Loc_store.create Value.zero;
+    faulty = Loc_store.create same;
+    ncorrupted = 0;
+    writer = Loc_store.create no_writer;
+    last_faulty = eos;
     fault;
     fault_applied = false;
     diverged_at = None;
   }
 
+let puller (s : Trace.event Seq.t) : unit -> Trace.event =
+  let cur = ref s in
+  fun () ->
+    match !cur () with
+    | Seq.Nil -> eos
+    | Seq.Cons (e, rest) ->
+        cur := rest;
+        e
+
+let create_seq ?fault ~(clean : Trace.event Seq.t)
+    ~(faulty : Trace.event Seq.t) () : t =
+  create_with ?fault (puller clean) (puller faulty)
+
 let create ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : t =
-  create_seq ?fault ~clean:(Trace.to_seq clean) ~faulty:(Trace.to_seq faulty)
-    ()
+  let reader t =
+    let i = ref 0 in
+    fun () ->
+      if !i >= Trace.length t then eos
+      else begin
+        incr i;
+        Trace.get t (!i - 1)
+      end
+  in
+  create_with ?fault (reader clean) (reader faulty)
 
-let shadow_value tbl loc =
-  match Loc.Tbl.find_opt tbl loc with Some v -> v | None -> Value.zero
+let pos (w : t) = w.pos
+let clean_value (w : t) loc = Loc_store.get w.clean loc
 
-let clean_value (w : t) loc = shadow_value w.shadow_clean loc
-let faulty_value (w : t) loc = shadow_value w.shadow_faulty loc
-let is_corrupted (w : t) loc = Loc.Tbl.mem w.corrupted loc
-let corrupted_count (w : t) = Loc.Tbl.length w.corrupted
+let faulty_value (w : t) loc =
+  let v = Loc_store.get w.faulty loc in
+  if v == same then clean_value w loc else v
+
+let is_corrupted (w : t) loc =
+  w.ncorrupted > 0 && Loc_store.get w.faulty loc != same
+
+let corrupted_count (w : t) = w.ncorrupted
 
 let corrupted_locs (w : t) : Loc.t list =
-  Loc.Tbl.fold (fun loc _ acc -> loc :: acc) w.corrupted []
+  Loc_store.fold (fun loc _ acc -> loc :: acc) w.faulty []
 
 (** Error magnitude (Equation 2) of a corrupted location right now. *)
 let magnitude (w : t) loc : float option =
-  match Loc.Tbl.find_opt w.corrupted loc with
-  | None -> None
-  | Some clean ->
-      Some (Value.error_magnitude ~correct:clean ~faulty:(faulty_value w loc))
+  let faulty = Loc_store.get w.faulty loc in
+  if faulty == same then None
+  else Some (Value.error_magnitude ~correct:(clean_value w loc) ~faulty)
 
-let update_corruption (w : t) loc =
-  let cv = clean_value w loc and fv = faulty_value w loc in
-  if Value.equal cv fv then Loc.Tbl.remove w.corrupted loc
-  else Loc.Tbl.replace w.corrupted loc cv
+let last_writer (w : t) loc : Trace.opclass option =
+  let op = Loc_store.get w.writer loc in
+  if op == no_writer then None else Some op
+
+(* record [loc]'s faulty value [fv] against its (already updated) clean
+   value *)
+let set_faulty (w : t) loc fv =
+  let was = Loc_store.get w.faulty loc != same in
+  if Value.equal fv (clean_value w loc) then begin
+    if was then begin
+      Loc_store.set w.faulty loc same;
+      w.ncorrupted <- w.ncorrupted - 1
+    end
+  end
+  else begin
+    if not was then w.ncorrupted <- w.ncorrupted + 1;
+    Loc_store.set w.faulty loc fv
+  end
 
 (** Force a pending [Flip_mem] fault whose trigger sequence has been
     reached into the faulty shadow state.  [Align.step] does this
@@ -87,18 +141,13 @@ let apply_pending_fault (w : t) ~(next_seq : int) : unit =
     when (not w.fault_applied) && next_seq >= seq ->
       w.fault_applied <- true;
       let loc = Loc.Mem addr in
-      let v = Value.flip_bit (faulty_value w loc) bit in
-      Loc.Tbl.replace w.shadow_faulty loc v;
-      update_corruption w loc
+      set_faulty w loc (Value.flip_bit (faulty_value w loc) bit)
   | Some (Machine.Mask_mem { seq; addr; and_mask; or_mask; xor_mask })
     when (not w.fault_applied) && next_seq >= seq ->
       w.fault_applied <- true;
       let loc = Loc.Mem addr in
-      let v =
-        Machine.apply_masks (faulty_value w loc) ~and_mask ~or_mask ~xor_mask
-      in
-      Loc.Tbl.replace w.shadow_faulty loc v;
-      update_corruption w loc
+      set_faulty w loc
+        (Machine.apply_masks (faulty_value w loc) ~and_mask ~or_mask ~xor_mask)
   | Some
       ( Machine.Flip_mem _ | Machine.Flip_write _ | Machine.Mask_mem _
       | Machine.Mask_write _ | Machine.Cache_fault _ )
@@ -115,45 +164,70 @@ type step =
   | Diverged of int  (** control paths differ starting at this index *)
   | End
 
+(* Apply the writes of one aligned step whose two runs wrote different
+   locations (a store through a corrupted address) or several.
+   [changed] lists the clean run's written locations, last first, then
+   the locations only the faulty run wrote.  A location only the clean
+   run wrote keeps its faulty value from before the step, so those are
+   read before the clean state moves. *)
+let apply_writes (w : t) (cw : (Loc.t * Value.t) array)
+    (fw : (Loc.t * Value.t) array) : Loc.t list =
+  let changed =
+    Array.fold_left
+      (fun acc (loc, _) ->
+        if List.exists (Loc.equal loc) acc then acc else loc :: acc)
+      (Array.fold_left (fun acc (loc, _) -> loc :: acc) [] cw)
+      fw
+  in
+  let faulty_after loc =
+    Array.fold_left
+      (fun v (l, x) -> if Loc.equal l loc then x else v)
+      (faulty_value w loc) fw
+  in
+  let fvs = List.map faulty_after changed in
+  Array.iter (fun (loc, v) -> Loc_store.set w.clean loc v) cw;
+  List.iter2 (set_faulty w) changed fvs;
+  changed
+
 (** Advance by one event.  Must not be called again after [Diverged] or
     [End]. *)
 let step (w : t) : step =
   match w.diverged_at with
   | Some i -> Diverged i
-  | None -> (
-      match (w.next_clean (), w.next_faulty ()) with
-      | None, None -> End
-      | Some _, None | None, Some _ ->
-          (* one run is shorter/longer (crash or hang): the common
-             prefix has been consumed *)
-          w.diverged_at <- Some w.pos;
-          Diverged w.pos
-      | Some ec, Some ef ->
-          if Trace.control_signature ec <> Trace.control_signature ef then begin
-            w.diverged_at <- Some w.pos;
-            Diverged w.pos
-          end
-          else begin
-          (* a pending memory-flip fault lands before its trigger event *)
-          apply_pending_fault w ~next_seq:ef.seq;
-          let changed = ref [] in
-          Array.iter
-            (fun (loc, v) ->
-              Loc.Tbl.replace w.shadow_clean loc v;
-              changed := loc :: !changed)
-            ec.writes;
-          Array.iter
-            (fun (loc, v) ->
-              Loc.Tbl.replace w.shadow_faulty loc v;
-              if not (List.exists (Loc.equal loc) !changed) then
-                changed := loc :: !changed)
-            ef.writes;
-            List.iter (update_corruption w) !changed;
-            w.pos <- w.pos + 1;
-            Step
-              { index = w.pos - 1; clean_ev = ec; faulty_ev = ef;
-                changed = !changed }
-          end)
+  | None ->
+      let ec = w.next_clean () in
+      let ef = w.next_faulty () in
+      if ec == eos && ef == eos then End
+      else if ec == eos || ef == eos || ec.fidx <> ef.fidx || ec.pc <> ef.pc
+      then begin
+        (* a control-path difference, or one run is shorter/longer
+           (crash or hang): the common prefix has been consumed *)
+        w.diverged_at <- Some w.pos;
+        Diverged w.pos
+      end
+      else begin
+        (* the previous faulty event's writes become visible to
+           [last_writer] *)
+        let prev = w.last_faulty in
+        for k = 0 to Array.length prev.writes - 1 do
+          Loc_store.set w.writer (fst prev.writes.(k)) prev.op
+        done;
+        w.last_faulty <- ef;
+        (* a pending memory-flip fault lands before its trigger event *)
+        apply_pending_fault w ~next_seq:ef.seq;
+        let cw = ec.writes and fw = ef.writes in
+        let changed =
+          match (cw, fw) with
+          | [||], [||] -> []
+          | [| (loc, cv) |], [| (floc, fv) |] when Loc.equal loc floc ->
+              Loc_store.set w.clean loc cv;
+              set_faulty w loc fv;
+              [ loc ]
+          | _ -> apply_writes w cw fw
+        in
+        w.pos <- w.pos + 1;
+        Step { index = w.pos - 1; clean_ev = ec; faulty_ev = ef; changed }
+      end
 
 (** Run the walker to completion, invoking [f] on every aligned step.
     Returns the divergence index, if control flow diverged. *)

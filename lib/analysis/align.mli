@@ -1,23 +1,16 @@
 (** Lockstep alignment of a faulty trace against its fault-free twin,
-    maintaining shadow machine states for both runs and the set of
+    maintaining the machine state of both runs and the set of
     {e corrupted} locations — locations whose faulty-run value differs
     from the fault-free value (value-based corruption, stricter than
     taint: a masked value is clean again).  Alignment stops at the
-    first control-flow divergence. *)
+    first control-flow divergence.
 
-type t = {
-  next_clean : unit -> Trace.event option;
-      (** pull the next clean event; [None] at end of stream *)
-  next_faulty : unit -> Trace.event option;
-  mutable pos : int;  (** next event index to process *)
-  shadow_clean : Value.t Loc.Tbl.t;
-  shadow_faulty : Value.t Loc.Tbl.t;
-  corrupted : Value.t Loc.Tbl.t;
-      (** corrupted locations, mapped to their current clean value *)
-  fault : Machine.fault option;
-  mutable fault_applied : bool;
-  mutable diverged_at : int option;
-}
+    One shadow state is kept, the clean run's, in dense per-address and
+    per-activation arrays; the faulty run's value is held only for
+    corrupted locations, since everywhere else it equals the clean
+    one. *)
+
+type t
 
 val create : ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> t
 
@@ -27,9 +20,13 @@ val create_seq :
   faulty:Trace.event Seq.t ->
   unit ->
   t
-(** Walker over event streams: memory stays proportional to the live
-    shadow state (written locations), not the trace length.  The
-    sequences are consumed incrementally as [step] advances. *)
+(** Walker over event streams: memory stays proportional to the
+    machine state the runs touch (addresses and activations), not the
+    trace length.  The sequences are consumed incrementally as [step]
+    advances. *)
+
+val pos : t -> int
+(** The next event index to process (the number of aligned steps). *)
 
 val clean_value : t -> Loc.t -> Value.t
 val faulty_value : t -> Loc.t -> Value.t
@@ -39,6 +36,11 @@ val corrupted_locs : t -> Loc.t list
 
 val magnitude : t -> Loc.t -> float option
 (** Error magnitude (Equation 2) of a corrupted location right now. *)
+
+val last_writer : t -> Loc.t -> Trace.opclass option
+(** The op of the faulty run's last write to the location among the
+    events before the latest step's event — the producer of a value
+    that event reads; [None] if no earlier aligned event wrote it. *)
 
 val apply_pending_fault : t -> next_seq:int -> unit
 (** Force a pending [Flip_mem] whose trigger has been reached into the

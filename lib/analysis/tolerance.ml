@@ -51,7 +51,7 @@ let classify ?fault ~(clean : Trace.t) ~(faulty : Trace.t)
   let w = Align.create ?fault ~clean ~faulty () in
   (* advance to region entry *)
   let rec advance_to target =
-    if w.Align.pos >= target then `Ok
+    if Align.pos w >= target then `Ok
     else
       match Align.step w with
       | Align.Step _ -> advance_to target

@@ -5,10 +5,8 @@
     shared across the executor's worker domains.  Rendering preserves
     first-use order, which keeps phase tables readable as pipelines.
 
-    Timers use [Unix.gettimeofday]: the stdlib exposes no monotonic
-    clock and the toolchain has no mtime package, so a backwards clock
-    step can produce a negative sample; samples are clamped at zero
-    rather than dropped. *)
+    Timers read [Monotonic_clock.now] (bechamel's monotonic clock), so a
+    wall-clock step cannot distort a sample. *)
 
 type phase = {
   mutable p_calls : int;
@@ -53,7 +51,7 @@ let order (t : t) =
   t.next_order <- o + 1;
   o
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let add_sample (t : t) (name : string) (dt : float) : unit =
   locked t (fun () ->

@@ -1,15 +1,15 @@
 (** Lightweight in-process observability: named phase timers, counters,
     and log2-bucketed histograms with a fixed-width text report.
-    Thread-safe; rendering preserves first-use order.  Timers are
-    wall-clock ([Unix.gettimeofday] — the toolchain has no monotonic
-    clock source), with negative steps clamped to zero. *)
+    Thread-safe; rendering preserves first-use order.  Timers read a
+    monotonic clock. *)
 
 type t
 
 val create : unit -> t
 
 val now : unit -> float
-(** Seconds since the epoch, as used by the phase timers. *)
+(** Seconds on the monotonic clock the phase timers use (arbitrary
+    origin; only differences are meaningful). *)
 
 val phase : t -> string -> (unit -> 'a) -> 'a
 (** [phase t name f] runs [f], accumulating its wall time and call

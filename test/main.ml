@@ -13,10 +13,12 @@ let () =
       Test_trace.suite;
       Test_static.suite;
       Test_analysis.suite;
+      Test_access.suite;
       Test_acl.suite;
       Test_tolerance.suite;
       Test_io.suite;
       Test_stream.suite;
+      Test_acl_fixture.suite;
       Test_runtime.suite;
       Test_faults.suite;
       Test_patterns.suite;

@@ -192,6 +192,62 @@ let test_align_divergence () =
   let div = Align.walk ~fault ~clean ~faulty (fun _ -> ()) in
   Alcotest.(check bool) "control divergence detected" true (div <> None)
 
+(* a corrupted index sends the faulty run's stores to another word: the
+   word only the clean run writes keeps its earlier faulty value.  Both
+   shadow states must end equal to the two runs' final memories *)
+let test_align_misdirected_stores () =
+  let prog =
+    let open Ast in
+    compile
+      (main_program
+         ~globals:
+           [ DScalar ("p", Ty.I64); DArr ("a", Ty.F64, [ 2 ]); DScalar ("r", Ty.F64) ]
+         [
+           SAssign ("p", i 0);
+           SStore ("a", [ v "p" ], f 7.0);
+           SStore ("a", [ v "p" ], f 9.0);
+           SAssign ("r", idx1 "a" (i 0) + f 1.0);
+         ])
+  in
+  let clean_r, clean = run_traced prog in
+  let p_addr = (Option.get (Prog.find_symbol prog "p")).Prog.sym_addr in
+  let store_seq = ref (-1) in
+  Trace.iter
+    (fun (e : Trace.event) ->
+      match e.writes with
+      | [| (Loc.Mem a, _) |] when a = p_addr && !store_seq < 0 ->
+          store_seq := e.seq
+      | _ -> ())
+    clean;
+  let fault = Machine.Flip_write { seq = !store_seq; bit = 0 } in
+  let faulty_r, faulty = run_traced ~fault prog in
+  let w = Align.create ~fault ~clean ~faulty () in
+  let rec drive () =
+    match Align.step w with
+    | Align.Step _ -> drive ()
+    | Align.Diverged _ -> Alcotest.fail "no divergence expected"
+    | Align.End -> ()
+  in
+  drive ();
+  let written = Loc.Tbl.create 16 in
+  List.iter
+    (Trace.iter (fun (e : Trace.event) ->
+         Array.iter (fun (l, _) -> Loc.Tbl.replace written l ()) e.writes))
+    [ clean; faulty ];
+  Loc.Tbl.iter
+    (fun loc () ->
+      match loc with
+      | Loc.Mem a ->
+          let name = Fmt.to_to_string Loc.pp loc in
+          Alcotest.(check int64) (name ^ " clean") clean_r.Machine.mem.(a)
+            (Align.clean_value w loc);
+          Alcotest.(check int64) (name ^ " faulty") faulty_r.Machine.mem.(a)
+            (Align.faulty_value w loc)
+      | Loc.Reg _ -> ())
+    written;
+  let a0 = Loc.Mem (Prog.addr_of_element prog "a" [ 0 ]) in
+  Alcotest.(check bool) "a[0] corrupted" true (Align.is_corrupted w a0)
+
 (* --- DDDG ----------------------------------------------------------------- *)
 
 let test_dddg_inputs_outputs () =
@@ -276,6 +332,8 @@ let suite =
       Alcotest.test_case "align corruption + overwrite" `Quick
         test_align_detects_corruption_and_masking;
       Alcotest.test_case "align divergence" `Quick test_align_divergence;
+      Alcotest.test_case "align misdirected stores" `Quick
+        test_align_misdirected_stores;
       Alcotest.test_case "dddg inputs/outputs" `Quick test_dddg_inputs_outputs;
       Alcotest.test_case "dddg address helpers" `Quick test_dddg_mem_addr_helpers;
       Alcotest.test_case "dddg edges and dot" `Quick test_dddg_edges_and_dot;
