@@ -166,8 +166,10 @@ type step =
 
 (* Apply the writes of one aligned step whose two runs wrote different
    locations (a store through a corrupted address) or several.
-   [changed] lists the clean run's written locations, last first, then
-   the locations only the faulty run wrote.  A location only the clean
+   [changed] lists the locations only the faulty run wrote, last written
+   first, then the clean run's written locations, last first.
+   [Acl] updates its statuses in this order, so it fixes the order of the
+   deaths and maskings the ACL fixture pins.  A location only the clean
    run wrote keeps its faulty value from before the step, so those are
    read before the clean state moves. *)
 let apply_writes (w : t) (cw : (Loc.t * Value.t) array)
@@ -198,8 +200,7 @@ let step (w : t) : step =
       let ec = w.next_clean () in
       let ef = w.next_faulty () in
       if ec == eos && ef == eos then End
-      else if ec == eos || ef == eos || ec.fidx <> ef.fidx || ec.pc <> ef.pc
-      then begin
+      else if ec == eos || ef == eos || not (Trace.same_control ec ef) then begin
         (* a control-path difference, or one run is shorter/longer
            (crash or hang): the common prefix has been consumed *)
         w.diverged_at <- Some w.pos;

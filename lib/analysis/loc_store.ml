@@ -2,40 +2,43 @@
 
     Memory words are slots of one growable array indexed by address;
     registers are slots of one growable array per activation, indexed by
-    register number.  Activation ids and addresses are small dense
-    integers in every trace the VM produces, so a lookup is two bounds
-    checks and an array read, with no hashing and no allocation.
-    Indices are zigzag-mapped so negative ones (possible only in
-    hand-made traces) still land in a slot; a location whose address,
-    activation or register number is 2^23 or more in magnitude lives in
-    a hash table instead, which keeps a hostile trace from forcing a
-    huge allocation. *)
+    register number.  Addresses, activation ids and register numbers are
+    small non-negative integers in every trace the VM produces, so a
+    lookup is a few bounds checks and an array read, with no hashing and
+    no allocation.
+
+    Only addresses and activation ids below 2^20 and register numbers
+    below 2^10 get a dense slot (the VM's memory and its per-function
+    register counts sit far below these); any other location, possible
+    only in hand-made or damaged trace files, lives in a hash table.  One
+    [set] thus grows the memory or activation array to at most 2^20
+    words and one activation's register array to at most 2^10, so
+    whatever a trace file holds, a store's dense part is bounded by two
+    8 MB arrays plus 8 KB per activation whose registers it sets. *)
 
 type 'a t = {
   default : 'a;
-  mutable mem : 'a array;
-  mutable acts : 'a array array;  (** [acts.(zig act).(zig reg)] *)
+  mutable mem : 'a array;  (** [mem.(addr)] *)
+  mutable acts : 'a array array;  (** [acts.(act).(reg)] *)
   spill : 'a Loc.Tbl.t;
 }
 
-let limit = 1 lsl 24
+let mem_limit = 1 lsl 20
+let act_limit = 1 lsl 20
+let reg_limit = 1 lsl 10
 
 let create (default : 'a) : 'a t =
   { default; mem = [||]; acts = [||]; spill = Loc.Tbl.create 1 }
 
-(* zigzag slot index of [n] (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), or
-   -1 when it falls outside [0, limit) *)
-let zig n =
-  if n >= 0 then if n < limit lsr 1 then n lsl 1 else -1
-  else if n > -(limit lsr 1) then (-n lsl 1) - 1
-  else -1
-
 (* [a] grown to hold index [i] < [limit], new slots filled with [d] *)
-let grow (a : 'b array) (i : int) (d : 'b) : 'b array =
+let grow (a : 'b array) (i : int) ~limit (d : 'b) : 'b array =
   let n = Array.length a in
   let b = Array.make (max (i + 1) (min limit (max 16 (2 * n)))) d in
   Array.blit a 0 b 0 n;
   b
+
+let dense_mem a = a >= 0 && a < mem_limit
+let dense_reg act r = act >= 0 && act < act_limit && r >= 0 && r < reg_limit
 
 let spilled (t : 'a t) loc =
   Option.value (Loc.Tbl.find_opt t.spill loc) ~default:t.default
@@ -43,54 +46,49 @@ let spilled (t : 'a t) loc =
 let get (t : 'a t) (loc : Loc.t) : 'a =
   match loc with
   | Loc.Mem a ->
-      let i = zig a in
-      if i < 0 then spilled t loc
-      else if i < Array.length t.mem then Array.unsafe_get t.mem i
+      if not (dense_mem a) then spilled t loc
+      else if a < Array.length t.mem then Array.unsafe_get t.mem a
       else t.default
   | Loc.Reg (act, r) ->
-      let j = zig act and i = zig r in
-      if j < 0 || i < 0 then spilled t loc
-      else if j < Array.length t.acts then
-        let regs = Array.unsafe_get t.acts j in
-        if i < Array.length regs then Array.unsafe_get regs i else t.default
+      if not (dense_reg act r) then spilled t loc
+      else if act < Array.length t.acts then
+        let regs = Array.unsafe_get t.acts act in
+        if r < Array.length regs then Array.unsafe_get regs r else t.default
       else t.default
 
 let set (t : 'a t) (loc : Loc.t) (v : 'a) : unit =
   match loc with
   | Loc.Mem a ->
-      let i = zig a in
-      if i < 0 then Loc.Tbl.replace t.spill loc v
+      if not (dense_mem a) then Loc.Tbl.replace t.spill loc v
       else begin
-        if i >= Array.length t.mem then t.mem <- grow t.mem i t.default;
-        Array.unsafe_set t.mem i v
+        if a >= Array.length t.mem then
+          t.mem <- grow t.mem a ~limit:mem_limit t.default;
+        Array.unsafe_set t.mem a v
       end
   | Loc.Reg (act, r) ->
-      let j = zig act and i = zig r in
-      if j < 0 || i < 0 then Loc.Tbl.replace t.spill loc v
+      if not (dense_reg act r) then Loc.Tbl.replace t.spill loc v
       else begin
-        if j >= Array.length t.acts then t.acts <- grow t.acts j [||];
-        let regs = Array.unsafe_get t.acts j in
-        if i < Array.length regs then Array.unsafe_set regs i v
+        if act >= Array.length t.acts then
+          t.acts <- grow t.acts act ~limit:act_limit [||];
+        let regs = Array.unsafe_get t.acts act in
+        if r < Array.length regs then Array.unsafe_set regs r v
         else begin
-          let regs = grow regs i t.default in
-          Array.unsafe_set regs i v;
-          Array.unsafe_set t.acts j regs
+          let regs = grow regs r ~limit:reg_limit t.default in
+          Array.unsafe_set regs r v;
+          Array.unsafe_set t.acts act regs
         end
       end
-
-let unzig z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
 (* slots holding something other than the default (physically) *)
 let fold (f : Loc.t -> 'a -> 'b -> 'b) (t : 'a t) (init : 'b) : 'b =
   let acc = ref init in
   Array.iteri
-    (fun i v -> if v != t.default then acc := f (Loc.Mem (unzig i)) v !acc)
+    (fun a v -> if v != t.default then acc := f (Loc.Mem a) v !acc)
     t.mem;
   Array.iteri
-    (fun j regs ->
+    (fun act regs ->
       Array.iteri
-        (fun i v ->
-          if v != t.default then acc := f (Loc.Reg (unzig j, unzig i)) v !acc)
+        (fun r v -> if v != t.default then acc := f (Loc.Reg (act, r)) v !acc)
         regs)
     t.acts;
   Loc.Tbl.fold (fun loc v acc -> if v != t.default then f loc v acc else acc)

@@ -1,7 +1,10 @@
 (** Dense per-location slots: memory words by address, registers by
-    activation then register number, in growable arrays.  [get] and
-    [set] neither hash nor allocate (except when a slot array grows);
-    every location not yet set reads as the store's default. *)
+    activation then register number, in growable arrays.  For the
+    locations VM traces produce (addresses and activation ids below
+    2^20, register numbers below 2^10) [get] and [set] neither hash nor
+    allocate, except when a slot array grows; any other location lives
+    in a hash table, so no location can force a large allocation.  Every
+    location not yet set reads as the store's default. *)
 
 type 'a t
 

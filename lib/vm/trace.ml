@@ -84,6 +84,7 @@ let slice (t : t) lo hi =
   Array.sub t.events lo (hi - lo)
 
 let control_signature (e : event) = (e.fidx, e.pc)
+let same_control (a : event) (b : event) = a.fidx = b.fidx && a.pc = b.pc
 
 let pp_opclass ppf = function
   | OConst -> Fmt.string ppf "const"

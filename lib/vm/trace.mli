@@ -60,5 +60,9 @@ val control_signature : event -> int * int
 (** [(fidx, pc)]: equality of signatures along two traces means the
     runs followed the same control path. *)
 
+val same_control : event -> event -> bool
+(** Do two events have equal {!control_signature}s?  Compares the fields
+    without building the pairs. *)
+
 val pp_opclass : Format.formatter -> opclass -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -184,6 +184,33 @@ let test_loc_store () =
   Alcotest.(check bool) "fold yields the set locations" true
     (List.for_all2 Loc.equal locs folded)
 
+(* far-out ids, as a damaged or hand-made trace file may hold, behave
+   like a map without growing a slot array to their size *)
+let test_loc_store_far () =
+  let st = Loc_store.create (-1) in
+  let far = (1 lsl 23) - 1 in
+  let locs =
+    List.concat_map
+      (fun j ->
+        [ Loc.Reg (j, far); Loc.Reg (far - j, 0); Loc.Mem (far - j) ])
+      (List.init 10 Fun.id)
+  in
+  let before = Gc.allocated_bytes () in
+  List.iteri (fun k loc -> Loc_store.set st loc k) locs;
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 MB allocated (%.0f bytes)" allocated)
+    true (allocated < 1e6);
+  List.iteri
+    (fun k loc ->
+      Alcotest.(check int) (Fmt.to_to_string Loc.pp loc) k (Loc_store.get st loc))
+    locs;
+  List.iter
+    (fun loc -> Alcotest.(check int) "untouched" (-1) (Loc_store.get st loc))
+    [ Loc.Reg (0, far - 1); Loc.Reg (far - 10, 0); Loc.Mem (far - 10) ];
+  Alcotest.(check int) "fold visits every set slot" (List.length locs)
+    (Loc_store.fold (fun _ _ n -> n + 1) st 0)
+
 let suite =
   ( "access",
     [
@@ -191,4 +218,5 @@ let suite =
         test_calls_and_arrays;
       QCheck_alcotest.to_alcotest prop_index;
       Alcotest.test_case "dense location store is total" `Quick test_loc_store;
+      Alcotest.test_case "far locations spill" `Quick test_loc_store_far;
     ] )

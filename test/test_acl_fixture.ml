@@ -228,16 +228,9 @@ let check_app (name : string) () =
       end)
     Acl_fixture.rows
 
-(* tier-1 checks the four smallest apps, LULESH (the benchmark's mining
-   app) among them, to stay within a few seconds; FT_ACL_FIXTURE=all
-   checks every app in the fixture *)
-let tier1_apps = [ "LU"; "DC"; "BT"; "LULESH" ]
-
 let suite =
-  let all = Sys.getenv_opt "FT_ACL_FIXTURE" = Some "all" in
   ( "acl fixture",
     List.sort_uniq compare (List.map (fun (a, _, _, _) -> a) Acl_fixture.rows)
-    |> List.filter (fun name -> all || List.mem name tier1_apps)
     |> List.map (fun name ->
            Alcotest.test_case ("pinned results: " ^ name) `Slow (check_app name))
   )

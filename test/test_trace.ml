@@ -101,10 +101,14 @@ let test_control_signature () =
   let same = ref true in
   Trace.iteri
     (fun k e ->
-      if Trace.control_signature e <> Trace.control_signature (Trace.get t2 k)
+      let e2 = Trace.get t2 k in
+      if Trace.control_signature e <> Trace.control_signature e2
+         || not (Trace.same_control e e2)
       then same := false)
     t1;
-  Alcotest.(check bool) "deterministic control path" true !same
+  Alcotest.(check bool) "deterministic control path" true !same;
+  Alcotest.(check bool) "another pc is another control point" false
+    (Trace.same_control (Trace.get t1 0) (Trace.get t1 1))
 
 let test_slice_bounds () =
   let prog = compile (loop_program ~iters:2) in
