@@ -676,86 +676,111 @@ let recovery_overhead _effort =
 
 (* --- server-scale -------------------------------------------------------- *)
 
-(* The campaign server against the in-process executor: forked-worker
-   throughput, the overhead of journaling every trial, and the cost of
-   surviving SIGKILLed workers — with every row required to produce
-   counts byte-identical to the --jobs 1 reference. *)
+(* The campaign scheduler against the in-process executor:
+   forked-worker throughput, the overhead of journaling every trial,
+   and the cost of surviving SIGKILLed workers.  Every row must produce
+   counts byte-identical to the --jobs 1 reference; any row that does
+   not exits nonzero.  The campaign is submitted as a wire spec, so its
+   design is [Campaign.config_of_spec] of that spec (the effort's seed
+   and trial cap, the default budget factor). *)
 let server_scale (effort : Effort.t) =
   header "server-scale: forked campaign server, trials/sec vs workers";
   let trials =
     min 192
       (Option.value ~default:192 effort.Effort.campaign.Campaign.max_trials * 4)
   in
-  let ccfg =
-    { effort.Effort.campaign with Campaign.max_trials = Some trials }
+  let spec =
+    {
+      Campaign.default_spec with
+      Campaign.sp_app = "IS";
+      sp_seed = effort.Effort.campaign.Campaign.seed;
+      sp_trials = Some trials;
+    }
   in
-  match Server.plan_of_app "IS" with
+  let scratch name =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ft-bench-server-%d-%s" (Unix.getpid ()) name)
+  in
+  let rm_rf d = ignore (Sys.command ("rm -rf " ^ Filename.quote d)) in
+  let cache_dir = scratch "cache" in
+  Unix.mkdir cache_dir 0o755;
+  match Plan.spec_of_submission ~cache_dir spec with
   | Error e ->
       Printf.printf "server-scale: cannot bake IS: %s\n" e;
       exit 1
-  | Ok plan ->
-      let s = Server.campaign_spec plan ccfg in
+  | Ok s ->
+      let enc outcomes =
+        Csexp.to_string
+          (Campaign.counts_to_csexp (Campaign.counts_of_outcomes outcomes))
+      in
       let t0 = Unix.gettimeofday () in
       let reference =
         Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s
       in
       let ref_wall = Unix.gettimeofday () -. t0 in
-      let ref_counts =
-        Csexp.to_string
-          (Campaign.counts_to_csexp
-             (Campaign.counts_of_outcomes reference.Executor.outcomes))
-      in
+      let ref_counts = enc reference.Executor.outcomes in
+      let mismatches = ref 0 in
       Printf.printf "%-22s %-8s %10s %12s %10s %8s %6s\n" "configuration"
         "workers" "trials" "wall(s)" "trials/s" "speedup" "ident";
       let row name workers wall counts =
+        let ident = String.equal counts ref_counts in
+        if not ident then incr mismatches;
         Printf.printf "%-22s %-8d %10d %12.3f %10.1f %7.2fx %6s\n" name
           workers trials wall
           (float_of_int trials /. Float.max 1e-9 wall)
           (ref_wall /. Float.max 1e-9 wall)
-          (if String.equal counts ref_counts then "yes" else "NO")
+          (if ident then "yes" else "NO")
       in
       row "executor --jobs 1" 1 ref_wall ref_counts;
       let server_row name workers chaos journal =
-        let dir =
-          if not journal then None
-          else begin
-            let d =
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "ft-bench-server-%d-%s" (Unix.getpid ()) name)
-            in
-            Some d
-          end
-        in
+        let dir = if journal then Some (scratch name) else None in
         let cfg =
           {
-            Server.default_config with
-            Server.workers;
+            Sched.default_config with
+            Sched.workers;
             batch = 16;
-            journal_dir = dir;
             chaos_kills = chaos;
             heartbeat_s = 30.0;
           }
         in
+        let job, final = Sched.tenant ~id:name ?journal:dir spec s in
+        let completed = ref None in
+        let on_event _ = function
+          | Sched.Finished { completed = n; _ } -> completed := Some n
+          | _ -> ()
+        in
+        let spawn ~close_fds =
+          Worker.spawn ~close_fds ~load:(Worker.plan_loader ~cache_dir)
+            ~retry:Executor.default_config ()
+        in
         let t0 = Unix.gettimeofday () in
-        let counts, _ = Server.run_campaign ~cfg plan ccfg in
+        let eng = Sched.create ~cfg ~spawn ~on_event () in
+        ignore (Sched.submit eng job);
+        Sched.drain eng;
+        Sched.shutdown_workers eng;
         let wall = Unix.gettimeofday () -. t0 in
         row name workers wall
-          (Csexp.to_string (Campaign.counts_to_csexp counts));
-        Option.iter
-          (fun d ->
-            ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
-          dir
+          (match !completed with
+          | Some n -> enc (final n)
+          | None -> "no verdict");
+        Option.iter rm_rf dir
       in
       server_row "server" 1 [] false;
       server_row "server" 2 [] false;
       server_row "server" 4 [] false;
       server_row "server+journal" 4 [] true;
       server_row "server+chaos" 2 [ trials / 4; trials / 2 ] false;
+      rm_rf cache_dir;
       print_endline
         "(ident = counts byte-identical to the --jobs 1 reference; the \
          chaos row SIGKILLs two workers mid-campaign and must still say \
-         yes)"
+         yes)";
+      if !mismatches > 0 then begin
+        Printf.printf "server-scale: FAILED (%d row(s) not identical)\n"
+          !mismatches;
+        exit 1
+      end
 
 (* --- arch-structures ------------------------------------------------------ *)
 

@@ -313,79 +313,17 @@ let journal_cmd (action : string) (path : string) =
 
 (* --- chaos-campaign: the worker-failure determinism gate ------------------ *)
 
-(* Run the same campaign twice — in-process with jobs 1, then on the
-   multi-process server while SIGKILLing workers mid-flight — and fail
-   unless the counts are byte-identical (csexp encoding compared as
-   strings, infra and recovery fields included). *)
-let chaos_campaign (name : string) ~(workers : int) ~(kills : int list)
-    ~(trials : int) =
-  match Server.plan_of_app name with
-  | Error e ->
-      Printf.eprintf "chaos-campaign: %s\n" e;
-      exit 2
-  | Ok plan ->
-      let ccfg =
-        { Campaign.default_config with Campaign.max_trials = Some trials }
-      in
-      let spec = Server.campaign_spec plan ccfg in
-      let kills =
-        if kills <> [] then kills
-        else [ spec.Executor.total / 4; spec.Executor.total / 2 ]
-      in
-      let reference =
-        Executor.run ~cfg:{ Executor.default_config with Executor.jobs = 1 }
-          spec
-      in
-      let ref_counts = Campaign.counts_of_outcomes reference.Executor.outcomes in
-      let obs = Obs.create () in
-      let cfg =
-        {
-          Server.default_config with
-          Server.workers;
-          chaos_kills = kills;
-          heartbeat_s = 10.0;
-          metrics = Some obs;
-        }
-      in
-      let counts, report = Server.run_campaign ~cfg plan ccfg in
-      let enc c = Csexp.to_string (Campaign.counts_to_csexp c) in
-      Printf.printf "reference (--jobs 1): %s\n" (enc ref_counts);
-      Printf.printf "server (%d workers, kills at %s): %s\n" workers
-        (String.concat "," (List.map string_of_int kills))
-        (enc counts);
-      List.iter
-        (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)
-        (Obs.counters obs);
-      let killed =
-        Option.value ~default:0 (Obs.counter_value obs "server/chaos-kills")
-      in
-      if killed = 0 then begin
-        print_endline "chaos-campaign: FAILED (no worker was killed)";
-        exit 1
-      end;
-      if report.Executor.completed <> reference.Executor.completed then begin
-        Printf.printf "chaos-campaign: FAILED (completed %d vs %d)\n"
-          report.Executor.completed reference.Executor.completed;
-        exit 1
-      end;
-      if String.equal (enc counts) (enc ref_counts) then
-        print_endline "chaos-campaign: OK (counts byte-identical)"
-      else begin
-        print_endline "chaos-campaign: FAILED (counts diverge)";
-        exit 1
-      end
-
-(* Multi-tenant mode of the same gate ([--tenants K], [--tcp N]):
-   K campaigns over one fair-share scheduler and a mixed pool of
-   forked and remote-TCP workers, with chaos kills landing on whoever
-   delivered last.  Tenants 0 and 1 submit byte-identical specs (same
-   tag — the journal-directory-collision regression: their ids and
-   journal directories must still be distinct); the rest shrink the
-   trial design.  Every tenant's counts must be byte-identical to its
-   own in-process [--jobs 1] run. *)
-let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
+(* K campaigns ([--tenants K], default 1) over one fair-share
+   scheduler and a pool of forked workers plus [--tcp N] remote-TCP
+   workers, with chaos SIGKILLs landing on whoever delivered last.
+   Tenants 0 and 1 submit byte-identical specs (same tag — the
+   journal-directory-collision regression: their ids and journal
+   directories must still be distinct); the rest shrink the trial
+   design.  Fails unless a worker was killed and every tenant's counts
+   (csexp encoding compared as strings, infra and recovery fields
+   included) are byte-identical to its own in-process [--jobs 1] run. *)
+let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
     ~(tenants : int) ~(kills : int list) ~(trials : int) =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let tmp = Filename.get_temp_dir_name () in
   let pid = Unix.getpid () in
   let cache_dir = Filename.concat tmp (Printf.sprintf "ft-chaos-cache-%d" pid) in
@@ -402,7 +340,6 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
       sp_trials = Some t;
     }
   in
-  (* one tenant record: typed outcome array + the erased accept hook *)
   let tenant i =
     let spec = spec_of i in
     match Plan.spec_of_submission ~cache_dir spec with
@@ -414,43 +351,16 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
           Printf.sprintf "c%04d-%s" i
             (String.sub (Cache.key ex_spec.Executor.tag) 0 10)
         in
-        let outcomes = Array.make ex_spec.Executor.total None in
-        let accept j r =
-          match Executor.parse_trial ex_spec.Executor.decode r with
-          | Some (k, o) when k = j ->
-              outcomes.(j) <- Some o;
-              true
-          | Some _ | None -> false
-        in
-        let should_stop =
-          Option.map
-            (fun p boundary ->
-              let pre =
-                Array.init boundary (fun j ->
-                    match outcomes.(j) with Some o -> o | None -> assert false)
-              in
-              p pre boundary)
-            ex_spec.Executor.should_stop
-        in
         let reference =
           Executor.run
             ~cfg:{ Executor.default_config with Executor.jobs = 1 }
             ex_spec
         in
-        let job =
-          {
-            Sched.jb_id = id;
-            jb_app = name;
-            jb_total = ex_spec.Executor.total;
-            jb_header = Executor.header_record ex_spec;
-            jb_journal = Some (Filename.concat journal_root id);
-            jb_resume = false;
-            jb_spec = Some spec;
-            jb_accept = accept;
-            jb_should_stop = should_stop;
-          }
+        let job, final =
+          Sched.tenant ~id ~journal:(Filename.concat journal_root id) spec
+            ex_spec
         in
-        (id, job, outcomes, reference)
+        (id, job, final, reference)
   in
   let rows = List.init tenants tenant in
   let total_trials =
@@ -534,7 +444,7 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
       end)
     remote_pids;
   Printf.printf
-    "chaos-multi: %d tenants (%d trials total), %d forked + %d TCP workers, \
+    "chaos-campaign: %d tenants (%d trials total), %d forked + %d TCP workers, \
      kills at %s\n"
     tenants total_trials workers tcp
     (String.concat "," (List.map string_of_int kills));
@@ -550,48 +460,52 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
   let killed =
     Option.value ~default:0 (Obs.counter_value obs "server/chaos-kills")
   in
-  if killed = 0 then fail "chaos-multi: FAILED (no worker was killed)";
+  if killed = 0 then fail "chaos-campaign: FAILED (no worker was killed)";
   let enc c = Csexp.to_string (Campaign.counts_to_csexp c) in
   List.iter
-    (fun (id, _, outcomes, (reference : _ Executor.report)) ->
+    (fun (id, _, final, (reference : _ Executor.report)) ->
       match Hashtbl.find_opt finished id with
       | Some (Sched.Finished { completed; _ }) ->
           if completed <> reference.Executor.completed then
-            fail "chaos-multi: %s FAILED (completed %d vs %d)" id completed
+            fail "chaos-campaign: %s FAILED (completed %d vs %d)" id completed
               reference.Executor.completed
           else begin
-            let final =
-              Array.init completed (fun j ->
-                  match outcomes.(j) with Some o -> o | None -> assert false)
-            in
-            let counts = Campaign.counts_of_outcomes final in
+            let counts = Campaign.counts_of_outcomes (final completed) in
             let ref_counts =
               Campaign.counts_of_outcomes reference.Executor.outcomes
             in
             if not (String.equal (enc counts) (enc ref_counts)) then
-              fail "chaos-multi: %s FAILED (counts diverge)\n  server    %s\n  reference %s"
+              fail
+                "chaos-campaign: %s FAILED (counts diverge)\n\
+                \  server    %s\n\
+                \  reference %s"
                 id (enc counts) (enc ref_counts)
           end;
           if not (Sys.file_exists (Filename.concat journal_root id)) then
-            fail "chaos-multi: %s FAILED (journal directory missing)" id
+            fail "chaos-campaign: %s FAILED (journal directory missing)" id
       | Some (Sched.Poisoned { batch; attempts; cause }) ->
-          fail "chaos-multi: %s FAILED (%s)" id
+          fail "chaos-campaign: %s FAILED (%s)" id
             (Infra.poison_message ~batch ~attempts cause)
       | Some (Sched.Failed { reason }) ->
-          fail "chaos-multi: %s FAILED (admission: %s)" id reason
+          fail "chaos-campaign: %s FAILED (admission: %s)" id reason
       | Some (Sched.Progress _) | None ->
-          fail "chaos-multi: %s FAILED (no terminal event)" id)
+          fail "chaos-campaign: %s FAILED (no terminal event)" id)
     rows;
   (* the collision regression: identical specs, distinct directories *)
   (match rows with
   | (id0, _, _, _) :: (id1, _, _, _) :: _ when tenants >= 2 ->
       if String.equal id0 id1 then
-        fail "chaos-multi: FAILED (duplicate specs share a campaign id)"
+        fail "chaos-campaign: FAILED (duplicate specs share a campaign id)"
   | _ -> ());
-  if !failures = 0 then
-    print_endline "chaos-multi: OK (every tenant byte-identical to --jobs 1)"
+  if !failures = 0 then begin
+    (* a failed run keeps its journals for inspection *)
+    List.iter
+      (fun d -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)))
+      [ cache_dir; journal_root ];
+    print_endline "chaos-campaign: OK (every tenant byte-identical to --jobs 1)"
+  end
   else begin
-    Printf.printf "chaos-multi: %d check(s) FAILED\n" !failures;
+    Printf.printf "chaos-campaign: %d check(s) FAILED\n" !failures;
     exit 1
   end
 
@@ -735,11 +649,8 @@ let () =
         | n :: r -> name := n; parse r
       in
       parse rest;
-      if !tenants > 1 || !tcp > 0 then
-        chaos_multi !name ~workers:!workers ~tcp:!tcp ~tenants:(max 1 !tenants)
-          ~kills:!kills ~trials:!trials
-      else
-        chaos_campaign !name ~workers:!workers ~kills:!kills ~trials:!trials
+      chaos_campaign !name ~workers:!workers ~tcp:!tcp
+        ~tenants:(max 1 !tenants) ~kills:!kills ~trials:!trials
   | _ :: "seq-parity" :: rest ->
       seq_parity (match rest with [] -> [ "kmeans"; "kmeans@opt" ] | l -> l)
   | _ :: "sites" :: _ -> sites ()

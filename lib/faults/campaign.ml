@@ -766,22 +766,17 @@ let counts_of_outcomes (outcomes : outcome_class Executor.outcome array) :
       | Executor.Infra_error _ -> { acc with infra = acc.infra + 1 })
     zero_counts outcomes
 
-(** Run a campaign against one target.  [clean_instructions] is the
-    fault-free dynamic instruction count (for the hang budget).
-
-    Every trial [i] samples its fault from [Rng.derive ~seed ~index:i],
-    so the outcome sequence is a pure function of the configuration:
-    [exec.jobs], scheduling, and kill-then-resume cannot change the
-    counts. *)
-let run_report (prog : Prog.t) ~(verify : Machine.result -> bool)
+(** The executor spec of a campaign against one target: the journal
+    tag, the per-trial kernel under [exec]'s backend and watchdog, the
+    outcome codec and, when [exec.early_stop] is set, the
+    Wilson-interval stop predicate.  Every engine that schedules
+    campaign trials builds its spec here, which is what keeps served
+    counts byte-identical to [--jobs 1]. *)
+let executor_spec (prog : Prog.t) ~(verify : Machine.result -> bool)
     ~(clean_instructions : int) ?(cfg = default_config)
-    ?(exec = default_exec) (t : target) : run_report =
+    ?(exec = default_exec) (t : target) : outcome_class Executor.spec =
   let population = target_population t in
   let trials = if population = 0 then 0 else trials_for cfg t in
-  let run_trial =
-    trial_fun ~backend:exec.backend prog ~verify ~clean_instructions ~cfg
-      ?watchdog_s:exec.watchdog_s t
-  in
   let should_stop =
     if not exec.early_stop then None
     else
@@ -797,16 +792,28 @@ let run_report (prog : Prog.t) ~(verify : Machine.result -> bool)
           in
           (hi -. lo) /. 2.0 <= cfg.margin)
   in
-  let spec =
-    {
-      Executor.tag = campaign_tag cfg ~population ~trials;
-      total = trials;
-      run_trial;
-      encode = encode_outcome;
-      decode = decode_outcome;
-      should_stop;
-    }
-  in
+  {
+    Executor.tag = campaign_tag cfg ~population ~trials;
+    total = trials;
+    run_trial =
+      trial_fun ~backend:exec.backend prog ~verify ~clean_instructions ~cfg
+        ?watchdog_s:exec.watchdog_s t;
+    encode = encode_outcome;
+    decode = decode_outcome;
+    should_stop;
+  }
+
+(** Run a campaign against one target.  [clean_instructions] is the
+    fault-free dynamic instruction count (for the hang budget).
+
+    Every trial [i] samples its fault from [Rng.derive ~seed ~index:i],
+    so the outcome sequence is a pure function of the configuration:
+    [exec.jobs], scheduling, and kill-then-resume cannot change the
+    counts. *)
+let run_report (prog : Prog.t) ~(verify : Machine.result -> bool)
+    ~(clean_instructions : int) ?(cfg = default_config)
+    ?(exec = default_exec) (t : target) : run_report =
+  let spec = executor_spec prog ~verify ~clean_instructions ~cfg ~exec t in
   let ecfg =
     {
       Executor.jobs = exec.jobs;

@@ -350,6 +350,20 @@ val trial_fun :
     applied to the target, before any trial runs — call it in the
     parent before forking workers or spawning domains. *)
 
+val executor_spec :
+  Prog.t ->
+  verify:(Machine.result -> bool) ->
+  clean_instructions:int ->
+  ?cfg:config ->
+  ?exec:exec ->
+  target ->
+  outcome_class Executor.spec
+(** The executor spec of a campaign: {!campaign_tag}, {!trial_fun}
+    under [exec]'s backend and watchdog, the outcome codec, and the
+    Wilson-interval stop predicate when [exec.early_stop] is set.
+    {!run_report} and the campaign server both build their specs here,
+    the byte-identity contract between served and [--jobs 1] counts. *)
+
 val encode_outcome : outcome_class -> string
 (** Journal/wire encoding of an outcome: [S], [F], [C], or [R]. *)
 

@@ -62,22 +62,6 @@ let kind_of_message (m : string) : string =
   else if prefixed "trial " then "trial"
   else "unknown"
 
-exception
-  Campaign_poisoned of { batch : int; attempts : int; cause : cause }
-(** A batch exhausted its lease attempts: the campaign is
-    infrastructure-broken (every worker that touches the batch dies or
-    stalls) and is refused rather than padded with fabricated counts. *)
-
-let () =
-  Printexc.register_printer (function
-    | Campaign_poisoned { batch; attempts; cause } ->
-        Some
-          (Printf.sprintf
-             "Infra.Campaign_poisoned: batch %d failed %d lease attempts \
-              (last: %s); campaign refused"
-             batch attempts (to_message cause))
-    | _ -> None)
-
 let poison_message ~(batch : int) ~(attempts : int) (cause : cause) : string =
   Printf.sprintf "batch %d failed %d lease attempts (last: %s)" batch attempts
     (to_message cause)

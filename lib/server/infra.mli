@@ -22,8 +22,7 @@ val kind_of_message : string -> string
     messages ([trial %d: ...]) classify as [trial], anything else as
     [unknown]. *)
 
-exception Campaign_poisoned of { batch : int; attempts : int; cause : cause }
-(** A batch exhausted its lease attempts; the campaign is refused
-    rather than padded with fabricated counts. *)
-
 val poison_message : batch:int -> attempts:int -> cause -> string
+(** Why a batch that exhausted its lease attempts poisoned its
+    campaign; the campaign is refused rather than padded with
+    fabricated counts. *)

@@ -3,9 +3,9 @@
     program, the golden (fault-free) run's instruction count and
     output, and the whole-program fault-site population.
 
-    Plans used to live inside {!Server}; they moved here so that
-    {e workers} can rebuild them too.  A multi-tenant pool cannot rely
-    on the fork-time copy-on-write image any more (a worker outlives
+    Plans live here, outside {!Server}, so that {e workers} can
+    rebuild them too.  A multi-tenant pool cannot rely on the
+    fork-time copy-on-write image (a worker outlives
     any single campaign and serves campaigns submitted after it was
     forked — or, for a TCP worker, runs in a different process on a
     different machine entirely), so every worker reconstructs the trial
@@ -79,28 +79,15 @@ let target_of_plan (plan : plan) (s : Structure.t) : Campaign.target =
         ~clean_instructions:plan.pl_clean_instructions
   | Structure.Istore -> Campaign.istore_target plan.pl_prog
 
-(** The executor spec of a campaign over a plan — built {e exactly} the
-    way {!Campaign.run_report} builds its own (same tag, same trial
-    kernel, same outcome codec), which is the byte-identity contract
-    with [--jobs 1]. *)
+(** The executor spec of a campaign over a plan, built by
+    {!Campaign.executor_spec} like {!Campaign.run_report}'s own: the
+    byte-identity contract with [--jobs 1]. *)
 let campaign_spec (plan : plan) (ccfg : Campaign.config) :
     Campaign.outcome_class Executor.spec =
-  let target = target_of_plan plan ccfg.Campaign.structure in
-  let population = Campaign.target_population target in
-  let trials =
-    if population = 0 then 0 else Campaign.trials_for ccfg target
-  in
-  let verify r = App.verified r.Machine.output in
-  {
-    Executor.tag = Campaign.campaign_tag ccfg ~population ~trials;
-    total = trials;
-    run_trial =
-      Campaign.trial_fun plan.pl_prog ~verify
-        ~clean_instructions:plan.pl_clean_instructions ~cfg:ccfg target;
-    encode = Campaign.encode_outcome;
-    decode = Campaign.decode_outcome;
-    should_stop = None;
-  }
+  Campaign.executor_spec plan.pl_prog
+    ~verify:(fun r -> App.verified r.Machine.output)
+    ~clean_instructions:plan.pl_clean_instructions ~cfg:ccfg
+    (target_of_plan plan ccfg.Campaign.structure)
 
 let spec_of_submission ?cache_dir (spec : Campaign.spec) :
     (Campaign.outcome_class Executor.spec, string) result =

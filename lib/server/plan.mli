@@ -25,10 +25,10 @@ val target_of_plan : plan -> Structure.t -> Campaign.target
     otherwise a structural target rebuilt from the plan's program. *)
 
 val campaign_spec : plan -> Campaign.config -> Campaign.outcome_class Executor.spec
-(** The executor spec of a campaign over a plan — built exactly the way
-    {!Campaign.run_report} builds its own (same tag, same trial kernel,
-    same outcome codec): the byte-identity contract with [--jobs 1].
-    The target follows the config's declared [structure]. *)
+(** The executor spec of a campaign over a plan, built by
+    {!Campaign.executor_spec} exactly as {!Campaign.run_report} builds
+    its own: the byte-identity contract with [--jobs 1].  The target
+    follows the config's declared [structure]. *)
 
 val spec_of_submission :
   ?cache_dir:string ->

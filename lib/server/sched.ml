@@ -13,13 +13,13 @@
 
     The engine is type-erased: a job delivers trial records to its
     owner through an [jb_accept] callback (the owner keeps the typed
-    outcome array), so the same scheduler serves {!Server.run}'s
-    generic closure specs and the socket front-end's wire-submitted
-    campaigns.  Determinism is per-tenant and unchanged: trials depend
-    only on their index, each tenant's records are accumulated
-    first-write-wins into its own sharded journal, so every tenant's
-    outcome sequence is byte-identical to its own [--jobs 1] run no
-    matter how the pool interleaves or dies.
+    outcome array — {!tenant} builds both halves), and workers rebuild
+    every campaign from its wire {!Campaign.spec}.  Determinism is
+    per-tenant: trials depend only on their index, each tenant's
+    records are accumulated first-write-wins into its own sharded
+    journal, so every tenant's outcome sequence is byte-identical to
+    its own [--jobs 1] run no matter how the pool interleaves or dies.
+    There is no early stop: a campaign runs to its planned total.
 
     Fair share: a free worker goes to the admitted tenant holding the
     fewest leases (ties broken least-recently-served), so a wide
@@ -61,12 +61,8 @@ let default_config =
 (** One campaign as the scheduler sees it.  [jb_accept i record] hands
     a freshly delivered trial record to the owner; [true] means the
     owner decoded and kept it (the engine then marks index [i] filled
-    and journals the record verbatim).  [jb_spec] is the wire form a
-    worker can rebuild the campaign from; jobs without one can only
-    run on workers forked with the campaign preloaded.
-    [jb_should_stop boundary] is the owner's early-stop predicate,
-    asked at fixed batch boundaries over contiguous prefixes, in
-    order — mirroring the in-process executor. *)
+    and journals the record verbatim).  [jb_spec] is the wire form
+    workers rebuild the campaign from. *)
 type job = {
   jb_id : string;
   jb_app : string;  (** display only *)
@@ -74,14 +70,13 @@ type job = {
   jb_header : Csexp.t;
   jb_journal : string option;  (** this campaign's own shard directory *)
   jb_resume : bool;
-  jb_spec : Campaign.spec option;
+  jb_spec : Campaign.spec;
   jb_accept : int -> Csexp.t -> bool;
-  jb_should_stop : (int -> bool) option;
 }
 
 type event =
   | Progress of { completed : int; planned : int; stolen : int }
-  | Finished of { completed : int; stopped_early : bool; resumed : int }
+  | Finished of { completed : int; resumed : int }
   | Poisoned of { batch : int; attempts : int; cause : Infra.cause }
   | Failed of { reason : string }
       (** admission failed (journal header mismatch, ...) *)
@@ -114,8 +109,6 @@ type tenant = {
   mutable open_batches : int;
   mutable completed_n : int;  (** filled count, maintained incrementally *)
   mutable prefix : int;
-  mutable checked : int;
-  mutable stop_at : int option;
   mutable steals : int;
   mutable last_served : int;
 }
@@ -138,9 +131,6 @@ type wslot = {
 type t = {
   cfg : config;
   spawn : (close_fds:Unix.file_descr list -> int * Wire.conn) option;
-  preloaded : string -> bool;
-      (** campaigns baked into forked workers' images (closure specs
-          that cannot travel on a wire) *)
   on_event : string -> event -> unit;
   tenants : (string, tenant) Hashtbl.t;
   mutable submitted : string list;  (** submission order, reversed *)
@@ -154,12 +144,13 @@ type t = {
 }
 
 let create ?(cfg = default_config) ?spawn
-    ?(preloaded = fun (_ : string) -> false)
     ~(on_event : string -> event -> unit) () : t =
+  (* a write to a worker that just died must surface as [Wire.Closed]
+     (and a stolen lease), not as a SIGPIPE that kills the owner *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     cfg;
     spawn;
-    preloaded;
     on_event;
     tenants = Hashtbl.create 8;
     submitted = [];
@@ -206,26 +197,11 @@ let first_unfilled (t : t) (ten : tenant) b =
   in
   go lo
 
-(* early-stop bookkeeping mirrors the executor: the predicate sees
-   contiguous completed prefixes at fixed batch boundaries, in order *)
-let advance_prefix (t : t) (ten : tenant) =
-  let total = ten.job.jb_total in
-  while ten.prefix < total && ten.filled.(ten.prefix) do
+(* the contiguous filled prefix: what a finished tenant reports *)
+let advance_prefix (ten : tenant) =
+  while ten.prefix < ten.job.jb_total && ten.filled.(ten.prefix) do
     ten.prefix <- ten.prefix + 1
-  done;
-  match ten.job.jb_should_stop with
-  | None -> ()
-  | Some p ->
-      let bs = batch_size t in
-      let continue_ = ref true in
-      while !continue_ && ten.stop_at = None && ten.checked < ten.nbatches do
-        let boundary = min total ((ten.checked + 1) * bs) in
-        if ten.prefix >= boundary then begin
-          ten.checked <- ten.checked + 1;
-          if p boundary then ten.stop_at <- Some boundary
-        end
-        else continue_ := false
-      done
+  done
 
 (* --- tenant lifecycle ---------------------------------------------------- *)
 
@@ -255,20 +231,10 @@ let finish (t : t) (ten : tenant) =
   ten.state <- Finished_t;
   t.active <- t.active - 1;
   obs_count t "server/tenants-finished" 1;
-  let completed =
-    match ten.stop_at with Some n -> n | None -> ten.prefix
-  in
-  emit t ten
-    (Finished
-       {
-         completed;
-         stopped_early = ten.stop_at <> None;
-         resumed = ten.resumed;
-       })
+  emit t ten (Finished { completed = ten.prefix; resumed = ten.resumed })
 
 let maybe_finish (t : t) (ten : tenant) =
-  if ten.state = Active && (ten.open_batches = 0 || ten.stop_at <> None) then
-    finish t ten
+  if ten.state = Active && ten.open_batches = 0 then finish t ten
 
 let poison (t : t) (ten : tenant) (b : int) (cause : Infra.cause) =
   close_journal ten;
@@ -277,10 +243,10 @@ let poison (t : t) (ten : tenant) (b : int) (cause : Infra.cause) =
   obs_count t "server/tenants-poisoned" 1;
   emit t ten (Poisoned { batch = b; attempts = ten.attempts.(b); cause })
 
-(** Close batch [b]: mark done, persist, advance the early-stop
-    machinery, and tell the owner.  Reached from [Batch_done] {e and}
-    from the stolen-batch path where every record arrived before the
-    thief ran — both must advance the prefix identically. *)
+(** Close batch [b]: mark done, persist, advance the prefix, and tell
+    the owner.  Reached from [Batch_done] {e and} from the stolen-batch
+    path where every record arrived before the thief ran — both must
+    advance the prefix identically. *)
 let close_batch (t : t) (ten : tenant) (b : int) =
   ten.lease.(b) <- Done_;
   ten.open_batches <- ten.open_batches - 1;
@@ -292,7 +258,7 @@ let close_batch (t : t) (ten : tenant) (b : int) =
         obs_count t "server/compactions" 1
       end
   | None -> ());
-  advance_prefix t ten;
+  advance_prefix ten;
   progress t ten;
   maybe_finish t ten
 
@@ -318,8 +284,6 @@ let submit (t : t) (job : job) : (unit, string) result =
         open_batches = 0;
         completed_n = 0;
         prefix = 0;
-        checked = 0;
-        stop_at = None;
         steals = 0;
         last_served = 0;
       }
@@ -330,6 +294,34 @@ let submit (t : t) (job : job) : (unit, string) result =
     obs_count t "server/tenants-submitted" 1;
     Ok ()
   end
+
+(** The typed owner of one campaign: the job whose [jb_accept] decodes
+    records into a private outcome array, and the finished-prefix
+    extraction that reads it back once [Finished { completed }]
+    fires. *)
+let tenant ~(id : string) ?(journal : string option) ?(resume = false)
+    (spec : Campaign.spec) (ex : 'a Executor.spec) :
+    job * (int -> 'a Executor.outcome array) =
+  let outcomes = Array.make ex.Executor.total None in
+  let accept i r =
+    match Executor.parse_trial ex.Executor.decode r with
+    | Some (j, o) when j = i ->
+        outcomes.(i) <- Some o;
+        true
+    | Some _ | None -> false
+  in
+  ( {
+      jb_id = id;
+      jb_app = spec.Campaign.sp_app;
+      jb_total = ex.Executor.total;
+      jb_header = Executor.header_record ex;
+      jb_journal = journal;
+      jb_resume = resume;
+      jb_spec = spec;
+      jb_accept = accept;
+    },
+    fun completed -> Array.init completed (fun i -> Option.get outcomes.(i))
+  )
 
 (** Admission: open (or heal-and-resume) the tenant's own journal,
     replay surviving records through the owner's [jb_accept], and
@@ -369,7 +361,7 @@ let admit (t : t) (ten : tenant) =
       | None -> ten.lease.(b) <- Done_
       | Some _ -> ten.open_batches <- ten.open_batches + 1
     done;
-    advance_prefix t ten
+    advance_prefix ten
   with
   | () ->
       ten.state <- Active;
@@ -553,13 +545,6 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
 
 (* --- assignment ---------------------------------------------------------- *)
 
-let servable (t : t) (s : wslot) (ten : tenant) : bool =
-  let cid = ten.job.jb_id in
-  (not (Hashtbl.mem s.ws_noload cid))
-  && (Hashtbl.mem s.ws_loaded cid
-     || (t.preloaded cid && s.ws_kind = Fork)
-     || ten.job.jb_spec <> None)
-
 let first_ready (ten : tenant) (now : float) : int option =
   let rec go b =
     if b >= ten.nbatches then None
@@ -593,7 +578,7 @@ let assign (t : t) =
               (fun cid ten acc ->
                 if
                   ten.state = Active && ten.open_batches > 0
-                  && servable t s ten
+                  && not (Hashtbl.mem s.ws_noload cid)
                   && first_ready ten now <> None
                 then
                   let k = (held cid, ten.last_served, cid) in
@@ -615,26 +600,20 @@ let assign (t : t) =
                       (* a stolen batch whose records all arrived before
                          the thief ran: nothing left to compute — but
                          the boundary still closes here, so the prefix
-                         (and the early-stop predicate) must advance
-                         exactly as it would on [Batch_done] *)
+                         must advance exactly as it would on
+                         [Batch_done] *)
                       close_batch t ten b;
                       try_assign ()
                   | Some lo -> (
                       let _, hi = batch_range t ten b in
                       try
-                        if
-                          (not (Hashtbl.mem s.ws_loaded cid))
-                          && not (t.preloaded cid && s.ws_kind = Fork)
-                        then begin
-                          match ten.job.jb_spec with
-                          | Some spec ->
-                              Wire.send s.ws_conn
-                                (Proto.to_worker_to_csexp
-                                   (Proto.Load { cid; spec }));
-                              (* optimistic: a [Load_failed] reply takes
-                                 it back out *)
-                              Hashtbl.replace s.ws_loaded cid ()
-                          | None -> ()
+                        if not (Hashtbl.mem s.ws_loaded cid) then begin
+                          Wire.send s.ws_conn
+                            (Proto.to_worker_to_csexp
+                               (Proto.Load { cid; spec = ten.job.jb_spec }));
+                          (* optimistic: a [Load_failed] reply takes it
+                             back out *)
+                          Hashtbl.replace s.ws_loaded cid ()
                         end;
                         Wire.send s.ws_conn
                           (Proto.to_worker_to_csexp

@@ -1,10 +1,13 @@
 (** The multi-tenant fair-share lease scheduler: one worker pool
     (forked children and remote TCP attachments), many concurrently
-    interleaved campaigns, per-campaign fault isolation.  Type-erased:
+    interleaved campaigns, per-campaign fault isolation.  Campaigns
+    enter only as wire specs, which workers rebuild.  Type-erased:
     owners receive their trial records through a callback and keep the
-    typed state; each tenant's record sequence is first-write-wins in
-    index order, so its counts are byte-identical to its own
-    [--jobs 1] run regardless of interleaving or worker deaths. *)
+    typed state ({!tenant} builds both); each tenant's record sequence
+    is first-write-wins in index order, so its counts are
+    byte-identical to its own [--jobs 1] run regardless of
+    interleaving or worker deaths.  There is no early stop: a served
+    campaign runs to its planned total. *)
 
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
@@ -32,20 +35,30 @@ type job = {
   jb_header : Csexp.t;  (** journal header ({!Executor.header_record}) *)
   jb_journal : string option;  (** this campaign's own shard directory *)
   jb_resume : bool;
-  jb_spec : Campaign.spec option;
-      (** wire form workers rebuild the campaign from; [None] = only
-          runnable on workers forked with it preloaded *)
+  jb_spec : Campaign.spec;  (** wire form workers rebuild the campaign from *)
   jb_accept : int -> Csexp.t -> bool;
       (** deliver one fresh record to the owner; [true] = decoded and
           kept (the engine marks the index filled and journals it) *)
-  jb_should_stop : (int -> bool) option;
-      (** early-stop predicate over contiguous prefixes at batch
-          boundaries, in order *)
 }
+
+val tenant :
+  id:string ->
+  ?journal:string ->
+  ?resume:bool ->
+  Campaign.spec ->
+  'a Executor.spec ->
+  job * (int -> 'a Executor.outcome array)
+(** The one way to own a campaign: a job whose [jb_accept] decodes
+    [ex]'s records into a private outcome array ([jb_app] = the spec's
+    app, [jb_header] = [ex]'s journal header, [resume] default
+    [false]), and the function that returns the first [completed]
+    outcomes once [Finished { completed }] fires.  [ex] must be the
+    executor spec workers build from [spec]. *)
 
 type event =
   | Progress of { completed : int; planned : int; stolen : int }
-  | Finished of { completed : int; stopped_early : bool; resumed : int }
+  | Finished of { completed : int; resumed : int }
+      (** every batch closed: [completed] = the planned total *)
   | Poisoned of { batch : int; attempts : int; cause : Infra.cause }
   | Failed of { reason : string }  (** admission failed *)
 
@@ -64,15 +77,14 @@ type t
 val create :
   ?cfg:config ->
   ?spawn:(close_fds:Unix.file_descr list -> int * Wire.conn) ->
-  ?preloaded:(string -> bool) ->
   on_event:(string -> event -> unit) ->
   unit ->
   t
 (** [spawn] forks one worker (the engine passes the sibling sockets it
     must close; add your own listener/client fds in the closure); when
-    absent the pool is remote-only.  [preloaded] names campaigns baked
-    into forked workers' images.  [on_event] receives every tenant's
-    lifecycle, keyed by campaign id. *)
+    absent the pool is remote-only.  [on_event] receives every
+    tenant's lifecycle, keyed by campaign id.  Sets SIGPIPE to ignored
+    for the process, so a dead worker's socket raises instead. *)
 
 val submit : t -> job -> (unit, string) result
 (** Enqueue a campaign; admitted (journal opened/resumed) when a slot

@@ -1,48 +1,36 @@
 (** The campaign server: a crash-tolerant, {e multi-tenant} scheduler
-    for deterministic trial campaigns.
+    for deterministic trial campaigns, behind one front door, {!serve}.
 
     The scheduling core lives in {!Sched}: an admission queue feeding
     a fair-share lease engine over one shared worker pool — forked
-    children and remote TCP attachments together.  This module keeps
-    the two front doors:
+    children and remote TCP attachments together.  {!serve} is the
+    long-running socket service: wire-submitted campaigns are planned
+    ({!Plan}), queued, and interleaved across the pool; each runs under
+    a deterministic campaign id, journals under its own id-derived
+    directory, and its finished verdict is persisted so a client can
+    [fetch] it long after the submitting connection died.
 
-    {ul
-    {- {!run} executes one {!Executor.spec} to completion on a private
-       engine — the drop-in, same-semantics replacement for the
-       original single-campaign server.  Workers are forked with the
-       spec's trial closure preloaded (a closure cannot travel on a
-       wire).}
-    {- {!serve} is the long-running socket service: wire-submitted
-       campaigns are planned ({!Plan}), queued, and interleaved across
-       the pool; each runs under a deterministic campaign id, journals
-       under its own id-derived directory, and its finished verdict is
-       persisted so a client can [fetch] it long after the submitting
-       connection died.}}
-
-    Determinism is per-tenant and unchanged from the single-campaign
-    server: trials depend only on their index, records are accumulated
-    first-write-wins in index order, so every campaign's counts are
-    byte-identical to its own [--jobs 1] run no matter how many
-    tenants interleave or how many workers die.  [chaos_kills] turns
-    that claim into a test. *)
+    Determinism is per-tenant: trials depend only on their index,
+    records are accumulated first-write-wins in index order, so every
+    campaign's counts are byte-identical to its own [--jobs 1] run no
+    matter how many tenants interleave or how many workers die.
+    [chaos_kills] turns that claim into a test. *)
 
 type config = {
   workers : int;  (** forked worker processes *)
   batch : int;  (** trials per lease; fixed boundaries like the executor *)
   shards : int;  (** journal shards (batch [b] logs to [b mod shards]) *)
   journal_dir : string option;
-      (** {!run}: the campaign's shard directory.  {!serve}: the root —
-          each campaign journals under [<root>/<campaign-id>] and
-          finished verdicts persist under [<root>/results]. *)
-  resume : bool;  (** heal + load the journal, skip completed trials *)
+      (** the root: each campaign journals under [<root>/<campaign-id>]
+          and finished verdicts persist under [<root>/results] *)
   heartbeat_s : float;  (** per-worker lease deadline between messages *)
   max_lease_attempts : int;
       (** lease failures tolerated per batch before the campaign is
           poisoned *)
   compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;
-      (** campaigns scheduled concurrently by {!serve}; the rest wait
-          in the admission queue *)
+      (** campaigns scheduled concurrently; the rest wait in the
+          admission queue *)
   chaos_kills : int list;
       (** SIGKILL the most recent deliverer when the delivered-trial
           count crosses each threshold (ascending); the determinism
@@ -56,7 +44,6 @@ type config = {
       (** worker-side trial retry and the lease re-assignment backoff
           share this policy *)
   metrics : Obs.t option;
-  on_progress : (Executor.progress -> unit) option;
 }
 
 let default_config =
@@ -65,7 +52,6 @@ let default_config =
     batch = 16;
     shards = 4;
     journal_dir = None;
-    resume = false;
     heartbeat_s = 30.0;
     max_lease_attempts = 3;
     compact_every = 4096;
@@ -74,7 +60,6 @@ let default_config =
     chaos_stall_done_s = 0.0;
     retry = Executor.default_config;
     metrics = None;
-    on_progress = None;
   }
 
 let sched_config (cfg : config) : Sched.config =
@@ -91,161 +76,12 @@ let sched_config (cfg : config) : Sched.config =
     metrics = cfg.metrics;
   }
 
-(* --- the single-spec front door ------------------------------------------ *)
-
-let run ?(cfg = default_config) ?(idle = fun () -> ())
-    ?(child_close : Unix.file_descr list = []) (spec : 'a Executor.spec) :
-    'a Executor.report =
-  if spec.Executor.total < 0 then invalid_arg "Server.run: negative total";
-  if cfg.workers < 1 then invalid_arg "Server.run: need at least one worker";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let t0 = Unix.gettimeofday () in
-  let total = spec.Executor.total in
-  let outcomes : 'a Executor.outcome option array = Array.make total None in
-  let cid = "job" in
-  let accept i r =
-    match Executor.parse_trial spec.Executor.decode r with
-    | Some (j, o) when j = i ->
-        outcomes.(i) <- Some o;
-        true
-    | Some _ | None -> false
-  in
-  let should_stop =
-    Option.map
-      (fun p boundary ->
-        let pre =
-          Array.init boundary (fun i ->
-              match outcomes.(i) with Some o -> o | None -> assert false)
-        in
-        p pre boundary)
-      spec.Executor.should_stop
-  in
-  let finished = ref None in
-  let poisoned = ref None in
-  let failed = ref None in
-  let resumed_n = ref 0 in
-  let on_event _ = function
-    | Sched.Progress { completed; planned; stolen = _ } -> (
-        match cfg.on_progress with
-        | None -> ()
-        | Some f ->
-            let elapsed_s = Unix.gettimeofday () -. t0 in
-            let fresh = completed - !resumed_n in
-            let eta_s =
-              if fresh <= 0 then 0.0
-              else
-                elapsed_s /. Float.of_int fresh
-                *. Float.of_int (planned - completed)
-            in
-            f { Executor.completed; planned; elapsed_s; eta_s })
-    | Sched.Finished { completed; stopped_early; resumed } ->
-        resumed_n := resumed;
-        finished := Some (completed, stopped_early, resumed)
-    | Sched.Poisoned { batch; attempts; cause } ->
-        poisoned := Some (batch, attempts, cause)
-    | Sched.Failed { reason } -> failed := Some reason
-  in
-  (* workers carry the spec's trial closure in their fork image: a
-     closure cannot travel on a wire, so this campaign only runs on
-     workers forked here (which is all of them) *)
-  let preload = [ (cid, fun retry -> Worker.runner_of_exec_spec ~retry spec) ] in
-  let spawn ~close_fds =
-    Worker.spawn ~stall_batch_done_s:cfg.chaos_stall_done_s
-      ~close_fds:(child_close @ close_fds)
-      ~preload
-      ~retry:{ cfg.retry with Executor.metrics = None }
-      ()
-  in
-  let eng =
-    Sched.create ~cfg:(sched_config cfg) ~spawn ~preloaded:(String.equal cid)
-      ~on_event ()
-  in
-  (* a resumed journal fills [outcomes] through [accept] before the
-     Finished/first-Progress event fires, so count resumed fills here *)
-  let job =
-    {
-      Sched.jb_id = cid;
-      jb_app = spec.Executor.tag;
-      jb_total = total;
-      jb_header = Executor.header_record spec;
-      jb_journal = cfg.journal_dir;
-      jb_resume = cfg.resume;
-      jb_spec = None;
-      jb_accept = accept;
-      jb_should_stop = should_stop;
-    }
-  in
-  (match Sched.submit eng job with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Server.run: " ^ e));
-  (try
-     while Sched.busy eng do
-       Sched.step eng ~idle_s:0.05;
-       idle ()
-     done
-   with e ->
-     Sched.abort eng;
-     raise e);
-  Sched.shutdown_workers eng;
-  (match !failed with
-  | Some reason -> failwith ("Server.run: " ^ reason)
-  | None -> ());
-  (match !poisoned with
-  | Some (b, attempts, cause) ->
-      raise (Infra.Campaign_poisoned { batch = b; attempts; cause })
-  | None -> ());
-  match !finished with
-  | None -> assert false (* drain only returns with a terminal event *)
-  | Some (completed, stopped_early, resumed) ->
-      let final =
-        Array.init completed (fun i ->
-            match outcomes.(i) with Some o -> o | None -> assert false)
-      in
-      let infra_errors =
-        Array.fold_left
-          (fun a -> function
-            | Executor.Infra_error _ -> a + 1
-            | Executor.Done _ -> a)
-          0 final
-      in
-      {
-        Executor.outcomes = final;
-        planned = total;
-        completed;
-        infra_errors;
-        stopped_early;
-        resumed;
-        wall_s = Unix.gettimeofday () -. t0;
-      }
-
-(* --- campaign plans (re-exported from Plan) ------------------------------ *)
-
-type plan = Plan.plan = {
-  pl_app : string;
-  pl_prog : Prog.t;
-  pl_target : Campaign.target;
-  pl_clean_instructions : int;
-  pl_golden_output : string;
-}
-
-let plan_key = Plan.plan_key
-let plan_of_app = Plan.plan_of_app
-let target_of_plan = Plan.target_of_plan
-let campaign_spec = Plan.campaign_spec
-
-let run_campaign ?(cfg = default_config) ?idle (plan : plan)
-    (ccfg : Campaign.config) :
-    Campaign.counts * Campaign.outcome_class Executor.report =
-  let spec = campaign_spec plan ccfg in
-  let report = run ~cfg ?idle spec in
-  (Campaign.counts_of_outcomes report.Executor.outcomes, report)
-
 (* --- the socket front-end ------------------------------------------------ *)
 
 (** Campaign ids are deterministic: the admission ordinal plus a hash
     of the campaign tag.  Two submissions of the same spec get
     {e distinct} ids (and therefore distinct journal directories) —
-    the tag-derived journal collision the single-campaign server had. *)
+    so identical specs never share a journal. *)
 let campaign_id (ordinal : int) (tag : string) : string =
   let h = Cache.key tag in
   Printf.sprintf "c%04d-%s" ordinal (String.sub h 0 (min 10 (String.length h)))
@@ -281,8 +117,7 @@ type watcher = { wt_conn : Wire.conn; mutable wt_dead : bool }
 
 type tenant_entry = {
   te_id : string;
-  te_app : string;
-  te_outcomes : Campaign.outcome_class Executor.outcome option array;
+  te_final : int -> Campaign.outcome_class Executor.outcome array;
   mutable te_watchers : watcher list;
 }
 
@@ -420,13 +255,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
         | Sched.Progress { completed; planned; stolen } ->
             broadcast e (Proto.Progress { id; completed; planned; stolen })
         | Sched.Finished { completed; _ } ->
-            let final =
-              Array.init completed (fun i ->
-                  match e.te_outcomes.(i) with
-                  | Some o -> o
-                  | None -> assert false)
-            in
-            let counts = Campaign.counts_of_outcomes final in
+            let counts = Campaign.counts_of_outcomes (e.te_final completed) in
             finish_entry e (Proto.Result { id; counts })
         | Sched.Poisoned { batch; attempts; cause } ->
             finish_entry e
@@ -498,39 +327,16 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
                       incr ordinal;
                       id
                 in
-                let entry =
-                  {
-                    te_id = id;
-                    te_app = spec.Campaign.sp_app;
-                    te_outcomes = Array.make ex_spec.Executor.total None;
-                    te_watchers = [];
-                  }
-                in
-                let accept i r =
-                  match Executor.parse_trial ex_spec.Executor.decode r with
-                  | Some (j, o) when j = i ->
-                      entry.te_outcomes.(i) <- Some o;
-                      true
-                  | Some _ | None -> false
-                in
-                let job =
-                  {
-                    Sched.jb_id = id;
-                    jb_app = entry.te_app;
-                    jb_total = ex_spec.Executor.total;
-                    jb_header = Executor.header_record ex_spec;
-                    jb_journal =
-                      Option.map (fun d -> Filename.concat d id) root;
-                    jb_resume = true;
-                    jb_spec = Some spec;
-                    jb_accept = accept;
-                    jb_should_stop = None;
-                  }
+                let job, final =
+                  Sched.tenant ~id
+                    ?journal:(Option.map (fun d -> Filename.concat d id) root)
+                    ~resume:true spec ex_spec
                 in
                 match Sched.submit eng job with
                 | Error e -> reject e
                 | Ok () ->
-                    Hashtbl.replace entries id entry;
+                    Hashtbl.replace entries id
+                      { te_id = id; te_final = final; te_watchers = [] };
                     if safe_send conn (Proto.Accepted { id }) then
                       watch_entry id conn
                     else Wire.close conn)))

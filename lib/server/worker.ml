@@ -26,24 +26,10 @@ type runner = int -> Csexp.t
 
 type loader = Executor.config -> Campaign.spec -> (runner, string) result
 
-let make_runner (type a) ~(retry : Executor.config) ~(run_trial : int -> a)
-    ~(encode : a -> string) : runner =
-  let espec =
-    {
-      Executor.tag = "worker";
-      total = max_int;
-      run_trial;
-      encode;
-      decode = (fun _ -> None);
-      should_stop = None;
-    }
-  in
-  fun i -> Executor.trial_record encode i (Executor.attempt retry espec i)
-
 let runner_of_exec_spec ~(retry : Executor.config)
     (spec : 'a Executor.spec) : runner =
-  make_runner ~retry ~run_trial:spec.Executor.run_trial
-    ~encode:spec.Executor.encode
+ fun i ->
+  Executor.trial_record spec.Executor.encode i (Executor.attempt retry spec i)
 
 (** The spec-driven loader every production worker uses: resolve + bake
     the submission's app (plan-cache warm) and wrap its trial kernel. *)
@@ -61,11 +47,10 @@ let heartbeat (conn : Wire.conn) (idx : int) : unit =
     concluding the server is gone (a worker must never outlive its
     server as an orphan burning CPU).
 
-    [preload] are campaigns baked into this worker's image (the
-    closure-spec path of {!Server.run}, where the trial function cannot
-    travel on a wire); [load] serves everything else.  A [Lease] for a
-    campaign the worker cannot load is answered with [Load_failed] —
-    never silently dropped — so the scheduler steals the batch back.
+    Campaigns arrive only as wire specs and are built by [load].  A
+    [Lease] for a campaign the worker cannot load is answered with
+    [Load_failed] — never silently dropped — so the scheduler steals
+    the batch back.
 
     [stall_batch_done_s] is a chaos hook (like {!Wire.set_inject}): it
     widens the otherwise microsecond window between a batch's last
@@ -73,28 +58,19 @@ let heartbeat (conn : Wire.conn) (idx : int) : unit =
     crash orphans a fully-delivered lease — the server must steal it
     and close the batch without recomputing anything. *)
 let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
-    ?(preload : (string * (Executor.config -> runner)) list = [])
-    ?(load : loader option) ~(conn : Wire.conn) ~(retry : Executor.config) ()
-    : unit =
+    ~(load : loader) ~(conn : Wire.conn) ~(retry : Executor.config) () :
+    unit =
   let retries = Obs.create () in
   let retry = { retry with Executor.metrics = Some retries } in
   let last_retries = ref 0 in
   let loaded : (string, runner) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (cid, mk) -> Hashtbl.replace loaded cid (mk retry)) preload;
   let send m = Wire.send conn (Proto.from_worker_to_csexp m) in
   send (Proto.Ready { pid = Unix.getpid () });
   let load_campaign cid spec =
     match Hashtbl.find_opt loaded cid with
     | Some _ -> Ok ()
-    | None -> (
-        match load with
-        | None -> Error "worker has no campaign loader"
-        | Some f -> (
-            match f retry spec with
-            | Ok r ->
-                Hashtbl.replace loaded cid r;
-                Ok ()
-            | Error e -> Error e))
+    | None ->
+        Result.map (fun r -> Hashtbl.replace loaded cid r) (load retry spec)
   in
   let rec loop () =
     match
@@ -144,9 +120,8 @@ let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
     siblings would only notice a dead server via the recv timeout
     instead of an immediate EOF. *)
 let spawn ?recv_timeout_s ?stall_batch_done_s
-    ?(close_fds : Unix.file_descr list = [])
-    ?(preload : (string * (Executor.config -> runner)) list = [])
-    ?(load : loader option) ~(retry : Executor.config) () : int * Wire.conn =
+    ?(close_fds : Unix.file_descr list = []) ~(load : loader)
+    ~(retry : Executor.config) () : int * Wire.conn =
   flush stdout;
   flush stderr;
   let server_end, worker_end = Wire.pair () in
@@ -159,8 +134,8 @@ let spawn ?recv_timeout_s ?stall_batch_done_s
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       let code =
         match
-          run ?recv_timeout_s ?stall_batch_done_s ~preload ?load
-            ~conn:worker_end ~retry ()
+          run ?recv_timeout_s ?stall_batch_done_s ~load ~conn:worker_end
+            ~retry ()
         with
         | () -> 0
         | exception _ -> 125
@@ -245,7 +220,6 @@ let run_remote ?recv_timeout_s ?stall_batch_done_s ?retry
     chaos harness's way of standing up a mixed fork/TCP pool.  Returns
     the child pid (SIGKILL it to simulate a vanished remote). *)
 let spawn_remote ?recv_timeout_s ?stall_batch_done_s ?retry ?cache_dir
-    ?(preload : (string * (Executor.config -> runner)) list = [])
     ~(addr : string) () : int =
   flush stdout;
   flush stderr;
@@ -258,7 +232,7 @@ let spawn_remote ?recv_timeout_s ?stall_batch_done_s ?retry ?cache_dir
         | Ok conn -> (
             Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
             match
-              run ?recv_timeout_s ?stall_batch_done_s ~preload
+              run ?recv_timeout_s ?stall_batch_done_s
                 ~load:(plan_loader ?cache_dir) ~conn ~retry:retry_cfg ()
             with
             | () -> 0

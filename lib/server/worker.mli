@@ -1,9 +1,11 @@
 (** The worker side of the campaign protocol: a forked child or a
-    remote TCP process serving a multi-tenant pool.  Campaigns arrive
-    as wire specs ([Load]) and are rebuilt through {!Plan} (cache
-    warm); each leased trial runs through {!Executor.attempt} and
-    streams a heartbeat before and a trial record after — so a SIGKILL
-    or a vanished machine loses at most the in-flight trial. *)
+    remote TCP process serving a multi-tenant pool.  Campaigns come
+    only as wire specs ([Load]), built into runners by the worker's
+    {!loader} — in production {!plan_loader}, which rebuilds them
+    through {!Plan} (cache warm).  Each leased trial runs through
+    {!Executor.attempt} and streams a heartbeat before and a trial
+    record after — so a SIGKILL or a vanished machine loses at most the
+    in-flight trial. *)
 
 type runner = int -> Csexp.t
 (** A loaded campaign: index -> journal-ready trial record. *)
@@ -12,14 +14,8 @@ type loader = Executor.config -> Campaign.spec -> (runner, string) result
 (** Builds a runner from a wire submission, under the worker's
     (metrics-instrumented) retry config. *)
 
-val make_runner :
-  retry:Executor.config ->
-  run_trial:(int -> 'a) ->
-  encode:('a -> string) ->
-  runner
-(** Wrap a typed trial function: [Executor.attempt] + record encoding. *)
-
 val runner_of_exec_spec : retry:Executor.config -> 'a Executor.spec -> runner
+(** Wrap a typed trial kernel: [Executor.attempt] + record encoding. *)
 
 val plan_loader : ?cache_dir:string -> loader
 (** The spec-driven loader every production worker uses:
@@ -28,18 +24,16 @@ val plan_loader : ?cache_dir:string -> loader
 val run :
   ?recv_timeout_s:float ->
   ?stall_batch_done_s:float ->
-  ?preload:(string * (Executor.config -> runner)) list ->
-  ?load:loader ->
+  load:loader ->
   conn:Wire.conn ->
   retry:Executor.config ->
   unit ->
   unit
 (** Serve leases until [Quit], the server hangs up, or no command
     arrives within [recv_timeout_s] (default 60 s — a worker must never
-    outlive its server).  [preload] are campaigns baked into this
-    worker's image (closure specs that cannot travel on a wire); [load]
-    serves everything else; a lease for a campaign the worker cannot
-    serve is answered with [Load_failed], never silently dropped.
+    outlive its server).  Every campaign is built by [load] from its
+    wire spec; a lease for a campaign the worker cannot serve is
+    answered with [Load_failed], never silently dropped.
     [stall_batch_done_s] (default 0) is a chaos hook that sleeps
     between a batch's last trial record and its [Batch_done],
     deterministically widening the batch-boundary crash window. *)
@@ -48,8 +42,7 @@ val spawn :
   ?recv_timeout_s:float ->
   ?stall_batch_done_s:float ->
   ?close_fds:Unix.file_descr list ->
-  ?preload:(string * (Executor.config -> runner)) list ->
-  ?load:loader ->
+  load:loader ->
   retry:Executor.config ->
   unit ->
   int * Wire.conn
@@ -83,7 +76,6 @@ val spawn_remote :
   ?stall_batch_done_s:float ->
   ?retry:Executor.config ->
   ?cache_dir:string ->
-  ?preload:(string * (Executor.config -> runner)) list ->
   addr:string ->
   unit ->
   int

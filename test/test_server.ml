@@ -321,7 +321,7 @@ let test_shard_compaction_dedups () =
       Shard.close sh;
       Alcotest.(check int) "three records survive" 3 (List.length records))
 
-(* --- the server engine --------------------------------------------------- *)
+(* --- the campaign scheduler ----------------------------------------------- *)
 
 let pure_trial i = (i * 2654435761) land 0xFFFF
 
@@ -338,17 +338,60 @@ let spec ?(total = 48) ?(tag = "server-test:v1") run_trial =
 let outcomes_equal a b =
   Array.length a = Array.length b && Array.for_all2 ( = ) a b
 
+let reference_outcomes s =
+  (Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s)
+    .Executor.outcomes
+
+(* Test campaigns travel as wire specs like any other; the workers'
+   fake loader looks the kernel up by [sp_app] — the seam remote and
+   forked workers use — so a test can hand the pool trials no real app
+   produces (sleeping, stalling, counting). *)
+let wire app = { Campaign.default_spec with Campaign.sp_app = app }
+
+let fake_loader kernels : Worker.loader =
+ fun retry sp ->
+  match List.assoc_opt sp.Campaign.sp_app kernels with
+  | Some s -> Ok (Worker.runner_of_exec_spec ~retry s)
+  | None -> Error ("no test kernel " ^ sp.Campaign.sp_app)
+
+(* Submit [jobs] to a private pool of forked workers that build
+   campaigns through [load], and drain it: the engine, each tenant's
+   terminal event, and the submission results in order. *)
+let run_pool ?(stall_s = 0.0) ~cfg ~load jobs =
+  let events : (string, Sched.event) Hashtbl.t = Hashtbl.create 8 in
+  let on_event id = function
+    | Sched.Progress _ -> ()
+    | e -> Hashtbl.replace events id e
+  in
+  let spawn ~close_fds =
+    Worker.spawn ~stall_batch_done_s:stall_s ~close_fds
+      ~load ~retry:Executor.default_config ()
+  in
+  let eng = Sched.create ~cfg ~spawn ~on_event () in
+  let submitted = List.map (Sched.submit eng) jobs in
+  Sched.drain eng;
+  Sched.shutdown_workers eng;
+  (eng, events, submitted)
+
+(* [(completed, resumed)] of a tenant that must have finished *)
+let finished events id =
+  match Hashtbl.find_opt events id with
+  | Some (Sched.Finished { completed; resumed }) -> (completed, resumed)
+  | _ -> Alcotest.fail (id ^ " did not finish")
+
 let test_server_matches_executor () =
   let s = spec pure_trial in
-  let reference = Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s in
-  let report =
-    Server.run
-      ~cfg:{ Server.default_config with Server.workers = 3; batch = 8 }
-      s
+  let reference = reference_outcomes s in
+  let job, final = Sched.tenant ~id:"job" (wire "pure") s in
+  let _, events, _ =
+    run_pool
+      ~cfg:{ Sched.default_config with Sched.workers = 3; batch = 8 }
+      ~load:(fake_loader [ ("pure", s) ]) [ job ]
   in
-  Alcotest.(check int) "all trials ran" 48 report.Executor.completed;
+  let completed, _ = finished events "job" in
+  Alcotest.(check int) "all trials ran" 48 completed;
   Alcotest.(check bool) "identical outcome sequence" true
-    (outcomes_equal reference.Executor.outcomes report.Executor.outcomes)
+    (outcomes_equal reference (final completed))
 
 let test_server_chaos_kills_preserve_outcomes () =
   (* one batch spanning the whole campaign and a 1 ms pause per trial:
@@ -356,24 +399,22 @@ let test_server_chaos_kills_preserve_outcomes () =
      still outstanding on the dead worker's lease, so the lease MUST be
      stolen and finished by a replacement *)
   let slow_trial i = Unix.sleepf 0.001; pure_trial i in
-  let reference =
-    Executor.run
-      ~cfg:{ Executor.default_config with jobs = 1 }
-      (spec ~total:60 pure_trial)
-  in
+  let reference = reference_outcomes (spec ~total:60 pure_trial) in
+  let s = spec ~total:60 slow_trial in
+  let job, final = Sched.tenant ~id:"job" (wire "slow") s in
   let obs = Obs.create () in
-  let report =
-    Server.run
+  let _, events, _ =
+    run_pool
       ~cfg:
         {
-          Server.default_config with
-          Server.workers = 2;
+          Sched.default_config with
+          Sched.workers = 2;
           batch = 60;
           chaos_kills = [ 10; 35 ];
           heartbeat_s = 10.0;
           metrics = Some obs;
         }
-      (spec ~total:60 slow_trial)
+      ~load:(fake_loader [ ("slow", s) ]) [ job ]
   in
   let counter n = Option.value ~default:0 (Obs.counter_value obs n) in
   Alcotest.(check int) "both chaos kills fired" 2 (counter "server/chaos-kills");
@@ -381,80 +422,103 @@ let test_server_chaos_kills_preserve_outcomes () =
     (counter "server/leases-stolen");
   Alcotest.(check bool) "replacements were forked" true
     (counter "server/workers-forked" > 2);
-  Alcotest.(check int) "all trials ran" 60 report.Executor.completed;
+  let completed, _ = finished events "job" in
+  Alcotest.(check int) "all trials ran" 60 completed;
   Alcotest.(check bool) "SIGKILLs cannot change the outcome sequence" true
-    (outcomes_equal reference.Executor.outcomes report.Executor.outcomes)
+    (outcomes_equal reference (final completed))
 
 let test_server_kill_at_batch_boundary () =
   (* the worker dies after delivering the LAST trial record of the only
-     batch but before Batch_done ([chaos_stall_done_s] holds it in that
-     window until its heartbeat deadline expires): every record arrived,
-     so the stolen lease has nothing left to compute and the batch can
+     batch but before Batch_done ([stall_s] holds it in that window
+     until its heartbeat deadline expires): every record arrived, so
+     the stolen lease has nothing left to compute and the batch can
      only close in the scheduler's assign path.  The completed prefix
-     must still advance to the full total — a stale prefix here silently
-     truncates report.outcomes (regression test for exactly that bug) *)
-  let reference =
-    Executor.run
-      ~cfg:{ Executor.default_config with jobs = 1 }
-      (spec ~total:16 pure_trial)
-  in
+     must still advance to the full total — a stale prefix here
+     silently truncates the outcomes (regression test for exactly that
+     bug) *)
+  let s = spec ~total:16 pure_trial in
+  let reference = reference_outcomes s in
+  let job, final = Sched.tenant ~id:"job" (wire "pure") s in
   let obs = Obs.create () in
-  let report =
-    Server.run
+  let _, events, _ =
+    run_pool ~stall_s:5.0
       ~cfg:
         {
-          Server.default_config with
-          Server.workers = 1;
+          Sched.default_config with
+          Sched.workers = 1;
           batch = 16;
-          chaos_stall_done_s = 5.0;
           heartbeat_s = 0.3;
           metrics = Some obs;
         }
-      (spec ~total:16 pure_trial)
+      ~load:(fake_loader [ ("pure", s) ]) [ job ]
   in
   let counter n = Option.value ~default:0 (Obs.counter_value obs n) in
   Alcotest.(check int) "the stalled heartbeat was missed" 1
     (counter "server/heartbeats-missed");
   Alcotest.(check int) "the orphaned lease was stolen" 1
     (counter "server/leases-stolen");
-  Alcotest.(check int) "completed covers the whole campaign" 16
-    report.Executor.completed;
+  let completed, _ = finished events "job" in
+  Alcotest.(check int) "completed covers the whole campaign" 16 completed;
   Alcotest.(check bool) "identical outcome sequence" true
-    (outcomes_equal reference.Executor.outcomes report.Executor.outcomes)
+    (outcomes_equal reference (final completed))
 
 let test_server_journal_resume () =
   with_temp_dir (fun dir ->
       let jdir = Filename.concat dir "journal" in
-      let s = spec ~total:40 pure_trial in
-      let cfg kills resume =
+      (* trials run in forked workers: each appends one byte here, so
+         the parent counts re-runs across processes *)
+      let ran = Filename.concat dir "ran" in
+      let counted i =
+        let fd =
+          Unix.openfile ran [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+        in
+        ignore (Unix.write_substring fd "x" 0 1);
+        Unix.close fd;
+        pure_trial i
+      in
+      let pure = spec ~total:40 pure_trial in
+      let recount = spec ~total:40 counted in
+      let kernels = [ ("pure", pure); ("counted", recount) ] in
+      let cfg kills =
         {
-          Server.default_config with
-          Server.workers = 2;
+          Sched.default_config with
+          Sched.workers = 2;
           batch = 5;
           shards = 2;
-          journal_dir = Some jdir;
-          resume;
           chaos_kills = kills;
           heartbeat_s = 10.0;
         }
       in
-      let first = Server.run ~cfg:(cfg [ 12 ] false) s in
-      Alcotest.(check int) "first run completed" 40 first.Executor.completed;
+      let load = fake_loader kernels in
+      let job, first =
+        Sched.tenant ~id:"job" ~journal:jdir (wire "pure") pure
+      in
+      let _, events, _ = run_pool ~cfg:(cfg [ 12 ]) ~load [ job ] in
+      let completed1, _ = finished events "job" in
+      Alcotest.(check int) "first run completed" 40 completed1;
       (* tear one shard's tail, as a crashed server would leave it *)
       let path0 = List.nth (Shard.shard_paths ~dir:jdir ~shards:2) 0 in
       let size = (Unix.stat path0).Unix.st_size in
       let fd = Unix.openfile path0 [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd (size - 4);
       Unix.close fd;
-      let calls = ref 0 in
-      let counted i = incr calls; pure_trial i in
-      let second = Server.run ~cfg:(cfg [] true) (spec ~total:40 counted) in
+      let job, second =
+        Sched.tenant ~id:"job" ~journal:jdir ~resume:true (wire "counted")
+          recount
+      in
+      let _, events, _ = run_pool ~cfg:(cfg []) ~load [ job ] in
+      let completed2, resumed = finished events "job" in
+      let calls =
+        if Sys.file_exists ran then (Unix.stat ran).Unix.st_size else 0
+      in
       Alcotest.(check bool) "most trials resumed from the journal" true
-        (second.Executor.resumed >= 35);
+        (resumed >= 35);
+      Alcotest.(check bool) "the missing trials re-ran" true
+        (calls >= 40 - resumed);
       Alcotest.(check bool) "only missing trials re-ran" true
-        (!calls <= 40 - second.Executor.resumed + 5);
+        (calls <= 40 - resumed + 5);
       Alcotest.(check bool) "resumed run agrees with the first" true
-        (outcomes_equal first.Executor.outcomes second.Executor.outcomes))
+        (outcomes_equal (first completed1) (second completed2)))
 
 let test_server_poisons_unrunnable_campaign () =
   (* every worker that leases batch 0 stalls without heartbeating: the
@@ -463,22 +527,24 @@ let test_server_poisons_unrunnable_campaign () =
   let stall i = if i < 4 then Unix.sleep 30 else ();
     pure_trial i
   in
+  let s = spec ~total:8 stall in
+  let job, _ = Sched.tenant ~id:"job" (wire "stall") s in
   let obs = Obs.create () in
-  match
-    Server.run
+  let _, events, _ =
+    run_pool
       ~cfg:
         {
-          Server.default_config with
-          Server.workers = 2;
+          Sched.default_config with
+          Sched.workers = 2;
           batch = 4;
           heartbeat_s = 0.3;
           max_lease_attempts = 1;
           metrics = Some obs;
         }
-      (spec ~total:8 stall)
-  with
-  | _ -> Alcotest.fail "expected Campaign_poisoned"
-  | exception Infra.Campaign_poisoned { batch; attempts; cause } ->
+      ~load:(fake_loader [ ("stall", s) ]) [ job ]
+  in
+  match Hashtbl.find_opt events "job" with
+  | Some (Sched.Poisoned { batch; attempts; cause }) ->
       Alcotest.(check int) "the stalling batch" 0 batch;
       Alcotest.(check bool) "after repeated lease attempts" true (attempts >= 2);
       Alcotest.(check string) "classified as a lease expiry" "lease-expired"
@@ -486,67 +552,31 @@ let test_server_poisons_unrunnable_campaign () =
       Alcotest.(check bool) "heartbeat misses were counted" true
         (Option.value ~default:0 (Obs.counter_value obs "server/heartbeats-missed")
          >= 2)
+  | _ -> Alcotest.fail "expected the campaign to be poisoned"
 
 (* --- the multi-tenant scheduler ------------------------------------------ *)
-
-(* A typed tenant over a closure spec: preloaded into every forked
-   worker's image (closure kernels cannot travel on a wire), accepted
-   back into its own outcome array. *)
-let closure_tenant cid s =
-  let outcomes = Array.make s.Executor.total None in
-  let accept i r =
-    match Executor.parse_trial s.Executor.decode r with
-    | Some (j, o) when j = i ->
-        outcomes.(i) <- Some o;
-        true
-    | Some _ | None -> false
-  in
-  let job =
-    {
-      Sched.jb_id = cid;
-      jb_app = s.Executor.tag;
-      jb_total = s.Executor.total;
-      jb_header = Executor.header_record s;
-      jb_journal = None;
-      jb_resume = false;
-      jb_spec = None;
-      jb_accept = accept;
-      jb_should_stop = None;
-    }
-  in
-  (job, outcomes)
-
-let reference_outcomes s =
-  (Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s)
-    .Executor.outcomes
-
-let final_outcomes outcomes n =
-  Array.init n (fun i ->
-      match outcomes.(i) with Some o -> o | None -> Alcotest.fail "hole")
 
 let test_sched_multi_tenant_interleaving () =
   (* three campaigns interleaved on one pool of two workers, chaos
      SIGKILLs landing mid-flight, max_active 2 so the third queues:
      every tenant's outcome sequence must equal its own --jobs 1 run *)
   let mk tag total = spec ~total ~tag (fun i -> Unix.sleepf 0.001; pure_trial i) in
-  let specs =
+  let kernels =
     [ ("ten-a", mk "ten-a:v1" 48); ("ten-b", mk "ten-b:v1" 40);
       ("ten-c", mk "ten-c:v1" 32) ]
   in
-  let tenants = List.map (fun (cid, s) -> (cid, s, closure_tenant cid s)) specs in
-  let refs =
-    List.map (fun (cid, s) -> (cid, reference_outcomes (spec ~total:s.Executor.total ~tag:s.Executor.tag pure_trial))) specs
-  in
-  let preload =
+  let tenants =
     List.map
-      (fun (cid, s) -> (cid, fun retry -> Worker.runner_of_exec_spec ~retry s))
-      specs
+      (fun (cid, s) ->
+        let job, final = Sched.tenant ~id:cid (wire cid) s in
+        let reference =
+          reference_outcomes
+            (spec ~total:s.Executor.total ~tag:s.Executor.tag pure_trial)
+        in
+        (cid, s, job, final, reference))
+      kernels
   in
-  let spawn ~close_fds =
-    Worker.spawn ~close_fds ~preload ~retry:Executor.default_config ()
-  in
-  let finished : (string, Sched.event) Hashtbl.t = Hashtbl.create 8 in
-  let on_event id = function Sched.Progress _ -> () | e -> Hashtbl.replace finished id e in
+  let jobs = List.map (fun (_, _, job, _, _) -> job) tenants in
   let obs = Obs.create () in
   let cfg =
     {
@@ -559,39 +589,23 @@ let test_sched_multi_tenant_interleaving () =
       metrics = Some obs;
     }
   in
-  let eng =
-    Sched.create ~cfg ~spawn
-      ~preloaded:(fun cid -> List.mem_assoc cid preload)
-      ~on_event ()
+  (* the first job again: duplicate ids are refused at the door *)
+  let eng, events, submitted =
+    run_pool ~cfg ~load:(fake_loader kernels) (jobs @ [ List.hd jobs ])
   in
-  List.iter
-    (fun (_, _, (job, _)) ->
-      match Sched.submit eng job with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    tenants;
-  (* duplicate ids are refused at the door *)
-  (match tenants with
-  | (_, _, (job, _)) :: _ ->
-      Alcotest.(check bool) "duplicate id refused" true
-        (Result.is_error (Sched.submit eng job))
-  | [] -> ());
-  Sched.drain eng;
-  Sched.shutdown_workers eng;
+  Alcotest.(check (list bool)) "three admitted, the duplicate id refused"
+    [ true; true; true; false ]
+    (List.map Result.is_ok submitted);
   let counter n = Option.value ~default:0 (Obs.counter_value obs n) in
   Alcotest.(check int) "both chaos kills fired" 2 (counter "server/chaos-kills");
   Alcotest.(check int) "three tenants admitted" 3
     (counter "server/tenants-admitted");
   List.iter
-    (fun (cid, s, (_, outcomes)) ->
-      (match Hashtbl.find_opt finished cid with
-      | Some (Sched.Finished { completed; _ }) ->
-          Alcotest.(check int) (cid ^ " completed") s.Executor.total completed
-      | _ -> Alcotest.fail (cid ^ " did not finish"));
+    (fun (cid, s, _, final, reference) ->
+      let completed, _ = finished events cid in
+      Alcotest.(check int) (cid ^ " completed") s.Executor.total completed;
       Alcotest.(check bool) (cid ^ " byte-identical to --jobs 1") true
-        (outcomes_equal
-           (List.assoc cid refs)
-           (final_outcomes outcomes s.Executor.total)))
+        (outcomes_equal reference (final completed)))
     tenants;
   List.iter
     (fun (st : Sched.tenant_stats) ->
@@ -605,19 +619,15 @@ let test_sched_poison_isolation () =
      its workers and finishes byte-identical *)
   let sick_trial i = if i < 4 then Unix.sleep 30; pure_trial i in
   let sick = spec ~total:8 ~tag:"sick:v1" sick_trial in
-  let well = spec ~total:32 ~tag:"well:v1" (fun i -> Unix.sleepf 0.002; pure_trial i) in
-  let well_ref = reference_outcomes (spec ~total:32 ~tag:"well:v1" pure_trial) in
-  let sick_job, _ = closure_tenant "sick" sick in
-  let well_job, well_out = closure_tenant "well" well in
-  let preload =
-    [ ("sick", fun retry -> Worker.runner_of_exec_spec ~retry sick);
-      ("well", fun retry -> Worker.runner_of_exec_spec ~retry well) ]
+  let well =
+    spec ~total:32 ~tag:"well:v1" (fun i -> Unix.sleepf 0.002; pure_trial i)
   in
-  let spawn ~close_fds =
-    Worker.spawn ~close_fds ~preload ~retry:Executor.default_config ()
+  let kernels = [ ("sick", sick); ("well", well) ] in
+  let well_ref =
+    reference_outcomes (spec ~total:32 ~tag:"well:v1" pure_trial)
   in
-  let finished : (string, Sched.event) Hashtbl.t = Hashtbl.create 8 in
-  let on_event id = function Sched.Progress _ -> () | e -> Hashtbl.replace finished id e in
+  let sick_job, _ = Sched.tenant ~id:"sick" (wire "sick") sick in
+  let well_job, well_final = Sched.tenant ~id:"well" (wire "well") well in
   let cfg =
     {
       Sched.default_config with
@@ -628,27 +638,19 @@ let test_sched_poison_isolation () =
       max_active = 2;
     }
   in
-  let eng =
-    Sched.create ~cfg ~spawn
-      ~preloaded:(fun cid -> List.mem_assoc cid preload)
-      ~on_event ()
+  let eng, events, _ =
+    run_pool ~cfg ~load:(fake_loader kernels) [ sick_job; well_job ]
   in
-  (match Sched.submit eng sick_job with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Sched.submit eng well_job with Ok () -> () | Error e -> Alcotest.fail e);
-  Sched.drain eng;
-  Sched.shutdown_workers eng;
-  (match Hashtbl.find_opt finished "sick" with
+  (match Hashtbl.find_opt events "sick" with
   | Some (Sched.Poisoned { batch; cause; _ }) ->
       Alcotest.(check int) "the stalling batch" 0 batch;
       Alcotest.(check string) "classified as a lease expiry" "lease-expired"
         (Infra.kind cause)
   | _ -> Alcotest.fail "sick tenant was not poisoned");
-  (match Hashtbl.find_opt finished "well" with
-  | Some (Sched.Finished { completed; _ }) ->
-      Alcotest.(check int) "well tenant unharmed" 32 completed
-  | _ -> Alcotest.fail "well tenant did not finish");
+  let completed, _ = finished events "well" in
+  Alcotest.(check int) "well tenant unharmed" 32 completed;
   Alcotest.(check bool) "well tenant byte-identical to --jobs 1" true
-    (outcomes_equal well_ref (final_outcomes well_out 32));
+    (outcomes_equal well_ref (well_final completed));
   let states =
     List.map (fun (s : Sched.tenant_stats) -> (s.Sched.ts_id, s.Sched.ts_state))
       (Sched.stats eng)
@@ -672,31 +674,11 @@ let test_sched_remote_worker_vanishes () =
         | Error e -> Alcotest.fail e
       in
       let reference = reference_outcomes ex_spec in
-      let outcomes = Array.make ex_spec.Executor.total None in
-      let accept i r =
-        match Executor.parse_trial ex_spec.Executor.decode r with
-        | Some (j, o) when j = i ->
-            outcomes.(i) <- Some o;
-            true
-        | Some _ | None -> false
-      in
-      let job =
-        {
-          Sched.jb_id = "remote-job";
-          jb_app = "IS";
-          jb_total = ex_spec.Executor.total;
-          jb_header = Executor.header_record ex_spec;
-          jb_journal = None;
-          jb_resume = false;
-          jb_spec = Some cspec;
-          jb_accept = accept;
-          jb_should_stop = None;
-        }
-      in
-      let finished : (string, Sched.event) Hashtbl.t = Hashtbl.create 4 in
+      let job, final = Sched.tenant ~id:"remote-job" cspec ex_spec in
+      let events : (string, Sched.event) Hashtbl.t = Hashtbl.create 4 in
       let on_event id = function
         | Sched.Progress _ -> ()
-        | e -> Hashtbl.replace finished id e
+        | e -> Hashtbl.replace events id e
       in
       let obs = Obs.create () in
       let cfg =
@@ -736,51 +718,63 @@ let test_sched_remote_worker_vanishes () =
       Alcotest.(check int) "one remote vanished" 1 (counter "server/chaos-kills");
       Alcotest.(check bool) "its lease was stolen" true
         (counter "server/leases-stolen" >= 1);
-      (match Hashtbl.find_opt finished "remote-job" with
-      | Some (Sched.Finished { completed; _ }) ->
-          Alcotest.(check int) "all trials ran" ex_spec.Executor.total completed
-      | _ -> Alcotest.fail "campaign did not finish");
+      let completed, _ = finished events "remote-job" in
+      Alcotest.(check int) "all trials ran" ex_spec.Executor.total completed;
       Alcotest.(check bool) "byte-identical to --jobs 1" true
-        (outcomes_equal reference (final_outcomes outcomes ex_spec.Executor.total)))
+        (outcomes_equal reference (final completed)))
 
 (* --- the acceptance gate: a real campaign under worker SIGKILL ----------- *)
 
 let test_chaos_campaign_counts_byte_identical () =
-  match Server.plan_of_app "IS" with
-  | Error e -> Alcotest.fail e
-  | Ok plan ->
-      let ccfg =
-        { Campaign.default_config with Campaign.max_trials = Some 48 }
+  with_temp_dir (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let cspec =
+        {
+          Campaign.default_spec with
+          Campaign.sp_app = "IS";
+          sp_trials = Some 48;
+        }
       in
-      (* the --jobs 1 reference, through the very same plan and kernel *)
-      let s = Server.campaign_spec plan ccfg in
-      let reference =
-        Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s
-      in
-      let ref_counts = Campaign.counts_of_outcomes reference.Executor.outcomes in
-      let obs = Obs.create () in
-      let counts, report =
-        Server.run_campaign
-          ~cfg:
-            {
-              Server.default_config with
-              Server.workers = 2;
-              batch = 8;
-              chaos_kills = [ 10; 30 ];
-              heartbeat_s = 10.0;
-              metrics = Some obs;
-            }
-          plan ccfg
-      in
-      Alcotest.(check bool) "at least one worker was SIGKILLed" true
-        (Option.value ~default:0 (Obs.counter_value obs "server/chaos-kills") >= 1);
-      Alcotest.(check int) "all trials ran" reference.Executor.completed
-        report.Executor.completed;
-      (* the headline invariant: byte-identical counts, infra and
-         recovery fields included *)
-      Alcotest.(check string) "counts byte-identical to --jobs 1"
-        (Csexp.to_string (Campaign.counts_to_csexp ref_counts))
-        (Csexp.to_string (Campaign.counts_to_csexp counts))
+      match Plan.plan_of_app ~cache_dir "IS" with
+      | Error e -> Alcotest.fail e
+      | Ok plan ->
+          (* the --jobs 1 reference, through the very same plan and kernel *)
+          let s = Plan.campaign_spec plan (Campaign.config_of_spec cspec) in
+          let reference =
+            Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s
+          in
+          let ref_counts =
+            Campaign.counts_of_outcomes reference.Executor.outcomes
+          in
+          let job, final = Sched.tenant ~id:"job" cspec s in
+          let obs = Obs.create () in
+          let _, events, _ =
+            run_pool
+              ~cfg:
+                {
+                  Sched.default_config with
+                  Sched.workers = 2;
+                  batch = 8;
+                  chaos_kills = [ 10; 30 ];
+                  heartbeat_s = 10.0;
+                  metrics = Some obs;
+                }
+              ~load:(Worker.plan_loader ~cache_dir) [ job ]
+          in
+          Alcotest.(check bool) "at least one worker was SIGKILLed" true
+            (Option.value ~default:0
+               (Obs.counter_value obs "server/chaos-kills")
+            >= 1);
+          let completed, _ = finished events "job" in
+          Alcotest.(check int) "all trials ran" reference.Executor.completed
+            completed;
+          (* the headline invariant: byte-identical counts, infra and
+             recovery fields included *)
+          Alcotest.(check string) "counts byte-identical to --jobs 1"
+            (Csexp.to_string (Campaign.counts_to_csexp ref_counts))
+            (Csexp.to_string
+               (Campaign.counts_to_csexp
+                  (Campaign.counts_of_outcomes (final completed)))))
 
 (* --- the socket service end to end --------------------------------------- *)
 
