@@ -12,7 +12,9 @@
    [ft_dev radd APP] the repeated-addition sites of one app.
    [ft_dev trace-roundtrip [APP]] saves APP's trace (default IS) in
    both encodings, reads both back, and exits nonzero unless each
-   round-trip is event-for-event exact. *)
+   round-trip is event-for-event exact.
+   [ft_dev acl-parity [APP...]] checks replayed ACL analysis against
+   stored traces (see [acl_parity]). *)
 
 let dedup_apps (apps : App.t list) : App.t list =
   let seen = Hashtbl.create 16 in
@@ -613,6 +615,75 @@ let seq_parity (names : string list) =
     exit 1
   end
 
+(* [ft_dev acl-parity [APP...]] — the replay gate for ACL analysis.
+   For each app, eight whole-program faults drawn from seed 11 are
+   analyzed both ways: from a stored faulty trace ([App.trace_with_fault]
+   then [Acl.analyze]) and by replaying the faulty run twice
+   ([Experiments.replay_acl], the path Table I, Figure 7 and the facade
+   take).  Prints the mean wall time per injection of each path and
+   exits nonzero unless every run result and ACL result is identical.
+   Defaults to LULESH. *)
+let acl_parity (names : string list) =
+  let failed = ref 0 in
+  List.iter
+    (fun name ->
+      let app =
+        match Fliptracker.resolve_app name with
+        | Ok a -> a
+        | Error msg ->
+            Printf.eprintf "acl-parity: %s\n" msg;
+            exit 2
+      in
+      let c = Experiments.context app in
+      let clean = c.Experiments.trace in
+      let budget = 10 * c.Experiments.clean.Machine.instructions in
+      let target = Campaign.whole_program_target c.Experiments.prog clean in
+      let rng = Rng.create ~seed:11 in
+      let faults = List.init 8 (fun _ -> Campaign.sample_fault rng target) in
+      (* each path runs over all faults from a compacted heap, so each
+         pays for its own garbage *)
+      let timed path =
+        Gc.compact ();
+        let t0 = Unix.gettimeofday () in
+        let rs = List.map path faults in
+        (rs, (Unix.gettimeofday () -. t0) *. 1000.0 /. 8.0)
+      in
+      let stored, stored_ms =
+        timed (fun fault ->
+            let r, faulty = App.trace_with_fault app fault ~budget in
+            (r, Acl.analyze ~fault ~clean ~faulty ()))
+      in
+      let replayed, replay_ms =
+        timed (fun fault -> Experiments.replay_acl app ~clean fault ~budget)
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i (((rs : Machine.result), s), ((rr : Machine.result), r)) ->
+          if
+            not
+              (rs.Machine.outcome = rr.Machine.outcome
+              && rs.Machine.instructions = rr.Machine.instructions
+              && String.equal rs.Machine.output rr.Machine.output
+              && compare s r = 0)
+          then begin
+            ok := false;
+            incr failed;
+            Printf.printf "acl-parity: %-10s FAILED (%s)\n" name
+              (Machine.fault_to_string (List.nth faults i))
+          end)
+        (List.combine stored replayed);
+      Printf.printf
+        "acl-parity: %-10s %s (8 faults; stored %.1f ms/injection, replay \
+         %.1f ms/injection)\n"
+        name
+        (if !ok then "OK" else "checked")
+        stored_ms replay_ms)
+    names;
+  if !failed > 0 then begin
+    Printf.printf "acl-parity: %d injection(s) FAILED\n" !failed;
+    exit 1
+  end
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "lint-all" :: _ -> lint_all ()
@@ -653,6 +724,8 @@ let () =
         ~tenants:(max 1 !tenants) ~kills:!kills ~trials:!trials
   | _ :: "seq-parity" :: rest ->
       seq_parity (match rest with [] -> [ "kmeans"; "kmeans@opt" ] | l -> l)
+  | _ :: "acl-parity" :: rest ->
+      acl_parity (match rest with [] -> [ "LULESH" ] | l -> l)
   | _ :: "sites" :: _ -> sites ()
   | _ :: "radd" :: name :: _ ->
       let a = Registry.find name in

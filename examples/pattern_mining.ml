@@ -1,7 +1,7 @@
 (* Pattern mining: repeatedly inject faults into each code region of a
-   benchmark, run the ACL analysis on every faulty trace, and report
-   which resilience computation patterns acted where — the Table-I
-   experiment, with source lines.
+   benchmark, run the ACL analysis on every faulty run (replayed, not
+   stored), and report which resilience computation patterns acted
+   where — the Table-I experiment, with source lines.
 
    Run with: dune exec examples/pattern_mining.exe -- [APP] [INJECTIONS] *)
 
@@ -27,8 +27,8 @@ let () =
         let observations =
           List.init injections (fun _ ->
               let fault = Campaign.sample_fault rng target in
-              let _, faulty = App.trace_with_fault app fault ~budget in
-              Dynamic_detect.of_acl (Acl.analyze ~fault ~clean:trace ~faulty ()))
+              let _, acl = Experiments.replay_acl app ~clean:trace fault ~budget in
+              Dynamic_detect.of_acl acl)
         in
         let merged = Dynamic_detect.merge observations in
         Printf.printf "%s (lines %d-%d, %d instructions per instance)\n"

@@ -25,6 +25,7 @@ type t = {
   ids : int Loc_store.t;  (** location -> id, -1 for untouched ones *)
   off : int array;  (** [nlocs + 1] offsets into [data] *)
   data : int array;  (** packed accesses, grouped by location id *)
+  events : int;  (** events indexed *)
 }
 
 (* the index of the events [iter] feeds, in order *)
@@ -83,8 +84,9 @@ let index (iter : (Trace.event -> unit) -> unit) : t =
     Array.unsafe_set data at (p land mask);
     Array.unsafe_set fill id (at + 1)
   done;
-  { ids; off; data }
+  { ids; off; data; events = !i }
 
+let events (t : t) = t.events
 let build (tr : Trace.t) : t = index (fun f -> Trace.iter f tr)
 let build_seq (events : Trace.event Seq.t) : t = index (fun f -> Seq.iter f events)
 

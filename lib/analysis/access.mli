@@ -18,11 +18,19 @@ type fate =
   | `Overwritten_at of int  (** a write comes before any read *)
   | `Never_used ]
 
+val index : ((Trace.event -> unit) -> unit) -> t
+(** [index iter] indexes the events [iter] passes to its callback, in
+    order (events are indexed by their position), e.g. a replay of a
+    run streaming into a {!Machine} sink. *)
+
 val build : Trace.t -> t
 
 val build_seq : Trace.event Seq.t -> t
 (** Build the index in one pass over an event stream (events are
     indexed by their position in the sequence). *)
+
+val events : t -> int
+(** The number of events indexed. *)
 
 val accesses : t -> Loc.t -> (int * kind) array
 (** Sorted (event index, kind) accesses, decoded from the packed slice;

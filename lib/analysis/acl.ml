@@ -89,13 +89,34 @@ let mask_kind_to_string = function
   | Repeated_add _ -> "repeated-addition"
   | Other_mask -> "other"
 
-(* The ACL walk, parameterized over the liveness oracle: [fate loc
-   ~after:idx] answers what happens to the value in [loc] established
-   at event [idx] of the faulty trace.  The materialized path backs it
-   with a random-access index ({!Access.fate}); the streaming path with
-   a pre-resolved answer table. *)
-let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
-    result =
+(* raised out of a replay to stop it once alignment has diverged or
+   ended, carrying the divergence index *)
+exception Stop of int option
+
+(* Feed the events [replay] pushes to [w], passing every aligned step
+   to [f], and stop the replay as soon as alignment diverges or ends.
+   Returns the divergence index, if any. *)
+let drive (w : Align.t) (replay : (Trace.event -> unit) -> unit)
+    (f : Align.step -> unit) : int option =
+  let push = function
+    | Align.Step _ as s -> f s
+    | Align.Diverged i -> raise_notrace (Stop (Some i))
+    | Align.End -> raise_notrace (Stop None)
+  in
+  try
+    replay (fun ev -> push (Align.feed w ev));
+    push (Align.finish w);
+    None
+  with Stop d -> d
+
+(* The ACL walk over the faulty events [replay] pushes, parameterized
+   over the liveness oracle: [fate loc ~after:idx] answers what happens
+   to the value in [loc] established at event [idx] of the faulty run.
+   The replay path backs it with a random-access index
+   ({!Access.fate}); the streaming path with a pre-resolved answer
+   table. *)
+let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
+    (fate : Loc.t -> after:int -> Access.fate) : result =
   let statuses : status Loc_store.t = Loc_store.create no_status in
   let nstatuses = ref 0 in
   let scheduled : (Loc.t * bool) list Itbl.t = Itbl.create 64 in
@@ -298,37 +319,53 @@ let analyze_core (w : Align.t) (fate : Loc.t -> after:int -> Access.fate) :
         update_written index faulty_ev loc;
         update_all index faulty_ev rest
   in
-  let divergence = ref None in
-  let finished = ref false in
-  while not !finished do
-    match Align.step w with
-    | Align.End -> finished := true
-    | Align.Diverged i ->
-        divergence := Some i;
-        finished := true
-    | Align.Step { index; clean_ev; faulty_ev; changed } ->
-        if Itbl.length scheduled > 0 then scheduled_deaths index faulty_ev;
-        (* reads matter only while some location is corrupted *)
-        if
-          !nstatuses > 0
-          && Array.exists read_corrupted faulty_ev.reads
-        then detect_masking index clean_ev faulty_ev;
-        update_all index faulty_ev changed;
-        record_count faulty_ev.seq
-  done;
+  let divergence =
+    drive w replay (function
+      | Align.Step { index; clean_ev; faulty_ev; changed } ->
+          if Itbl.length scheduled > 0 then scheduled_deaths index faulty_ev;
+          (* reads matter only while some location is corrupted *)
+          if !nstatuses > 0 && Array.exists read_corrupted faulty_ev.reads then
+            detect_masking index clean_ev faulty_ev;
+          update_all index faulty_ev changed;
+          record_count faulty_ev.seq
+      | Align.Diverged _ | Align.End -> ())
+  in
   {
     series = Array.of_list (List.rev !series);
     deaths = List.rev !deaths;
     maskings = List.rev !maskings;
-    divergence = !divergence;
+    divergence;
     peak = !peak;
     final = !count;
   }
 
+(** The ACL table of a faulty run that [replay] can run again: the
+    first run builds the faulty run's access index, the second feeds
+    the walk and is stopped once alignment diverges or ends.  Neither
+    keeps the faulty trace.  A deterministic producer (the VM is one)
+    delivers the same events both times; a second run that delivers
+    more or fewer events than the first is refused rather than
+    analyzed against the wrong index. *)
+let analyze_replay ?fault ~(clean : Trace.t)
+    ~(replay : (Trace.event -> unit) -> unit) () : result =
+  let access = Access.index replay in
+  let n = Access.events access in
+  let mismatch () =
+    invalid_arg "Acl.analyze_replay: the second run differs in length from the first"
+  in
+  let again f =
+    let i = ref 0 in
+    replay (fun ev ->
+        if !i >= n then mismatch ();
+        incr i;
+        f ev);
+    if !i < n then mismatch ()
+  in
+  walk (Align.create ?fault ~clean ()) again (fun loc ~after ->
+      Access.fate access loc ~after)
+
 let analyze ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : result =
-  let access = Access.build faulty in
-  let w = Align.create ?fault ~clean ~faulty () in
-  analyze_core w (fun loc ~after -> Access.fate access loc ~after)
+  analyze_replay ?fault ~clean ~replay:(fun f -> Trace.iter f faulty) ()
 
 (* --- streaming (constant-memory) path ----------------------------------- *)
 
@@ -358,22 +395,20 @@ let analyze_stream ?fault ~(clean : Trace_io.source)
     ~(faulty : Trace_io.source) () : result =
   (* pass 1: which (idx, loc) fates will the ACL walk ask for? *)
   let queries : int list ref Loc.Tbl.t = Loc.Tbl.create 64 in
+  let replay_faulty f = faulty.Trace_io.run (Seq.iter f) in
   clean.Trace_io.run (fun clean_seq ->
-      faulty.Trace_io.run (fun faulty_seq ->
-          let w = Align.create_seq ?fault ~clean:clean_seq ~faulty:faulty_seq () in
-          let stop = ref false in
-          while not !stop do
-            match Align.step w with
-            | Align.End | Align.Diverged _ -> stop := true
-            | Align.Step { index; changed; _ } ->
-                List.iter
-                  (fun loc ->
-                    if Align.is_corrupted w loc then
-                      match Loc.Tbl.find_opt queries loc with
-                      | Some l -> l := index :: !l
-                      | None -> Loc.Tbl.add queries loc (ref [ index ]))
-                  changed
-          done));
+      let w = Align.create_seq ?fault ~clean:clean_seq () in
+      ignore
+        (drive w replay_faulty (function
+          | Align.Step { index; changed; _ } ->
+              List.iter
+                (fun loc ->
+                  if Align.is_corrupted w loc then
+                    match Loc.Tbl.find_opt queries loc with
+                    | Some l -> l := index :: !l
+                    | None -> Loc.Tbl.add queries loc (ref [ index ]))
+                changed
+          | Align.Diverged _ | Align.End -> ())));
   (* pass 2: resolve every query in one forward scan of the faulty
      stream, replicating Access.fate's strictly-after, reads-before-
      writes-within-an-event semantics *)
@@ -445,6 +480,4 @@ let analyze_stream ?fault ~(clean : Trace_io.source)
         invalid_arg "Acl.analyze_stream: non-restartable event source"
   in
   clean.Trace_io.run (fun clean_seq ->
-      faulty.Trace_io.run (fun faulty_seq ->
-          let w = Align.create_seq ?fault ~clean:clean_seq ~faulty:faulty_seq () in
-          analyze_core w fate))
+      walk (Align.create_seq ?fault ~clean:clean_seq ()) replay_faulty fate)

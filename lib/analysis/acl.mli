@@ -47,11 +47,28 @@ type result = {
 
 val mask_kind_to_string : mask_kind -> string
 
+val analyze_replay :
+  ?fault:Machine.fault ->
+  clean:Trace.t ->
+  replay:((Trace.event -> unit) -> unit) ->
+  unit ->
+  result
+(** Build the ACL table of a faulty run without keeping its trace.
+    [replay f] runs the faulty program again, passing each event to [f]
+    (e.g. {!Machine.run} with [f] as its sink); it is called twice.  The
+    first run builds the faulty run's access index; the second feeds
+    the alignment walk and is stopped, by an exception raised from [f],
+    as soon as alignment diverges or ends.  [replay] must let that
+    exception through.  [fault] must be the fault of the faulty run when
+    it was a [Flip_mem] or a [Mask_mem]: memory faults leave no write
+    event in the trace, so the walk applies them itself.
+    @raise Invalid_argument if the second run delivers more or fewer
+    events than the first (the producer is not deterministic). *)
+
 val analyze :
   ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> result
-(** Walk the aligned traces and build the ACL table.  [fault] must be
-    the fault of the faulty run when it was a [Flip_mem] (memory flips
-    leave no write event in the trace). *)
+(** [analyze_replay] over a stored faulty trace.  [fault] as for
+    [analyze_replay]. *)
 
 val analyze_stream :
   ?fault:Machine.fault ->
@@ -63,4 +80,5 @@ val analyze_stream :
     never materializing a trace: three streaming passes whose peak
     memory is proportional to the number of distinct written locations
     plus corruption events, independent of trace length.  Identical
-    results to [analyze] by construction. *)
+    results to [analyze] by construction.  [fault] as for
+    [analyze_replay]. *)

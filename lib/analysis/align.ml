@@ -14,13 +14,23 @@
     dense store holds each corrupted location's faulty value, and the
     [same] marker everywhere else.
 
+    The walk is push-driven: [feed] takes the faulty run's next event
+    and reads the clean event at the same index, so a faulty run can be
+    analyzed while it executes, without keeping its trace.  [step] is
+    the pull driver over [feed] for a walker given the faulty trace.
+
     When the control paths diverge, alignment stops; analyses treat the
     remainder as control-flow divergence, which the paper detects the
     same way (by comparing operations between the two DDDGs). *)
 
+(* where the clean event matching the next faulty event comes from *)
+type clean_source =
+  | Indexed of Trace.t  (** read at the faulty event's index *)
+  | Pulled of (unit -> Trace.event)  (** next clean event, or [eos] *)
+
 type t = {
-  next_clean : unit -> Trace.event;  (** next clean event, or [eos] *)
-  next_faulty : unit -> Trace.event;
+  clean_src : clean_source;
+  faulty_trace : Trace.t option;  (** what [step] reads; [None]: [feed] only *)
   mutable pos : int;  (** next event index to process *)
   clean : Value.t Loc_store.t;  (** the clean run's shadow state *)
   faulty : Value.t Loc_store.t;
@@ -50,10 +60,10 @@ let same : Value.t = Int64.of_string "0"
 (* [writer]'s default: never the op of a traced event *)
 let no_writer = Trace.OIntr "<no writer>"
 
-let create_with ?fault next_clean next_faulty : t =
+let create_with ?fault clean_src faulty_trace : t =
   {
-    next_clean;
-    next_faulty;
+    clean_src;
+    faulty_trace;
     pos = 0;
     clean = Loc_store.create Value.zero;
     faulty = Loc_store.create same;
@@ -74,21 +84,11 @@ let puller (s : Trace.event Seq.t) : unit -> Trace.event =
         cur := rest;
         e
 
-let create_seq ?fault ~(clean : Trace.event Seq.t)
-    ~(faulty : Trace.event Seq.t) () : t =
-  create_with ?fault (puller clean) (puller faulty)
+let create ?fault ~(clean : Trace.t) ?faulty () : t =
+  create_with ?fault (Indexed clean) faulty
 
-let create ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : t =
-  let reader t =
-    let i = ref 0 in
-    fun () ->
-      if !i >= Trace.length t then eos
-      else begin
-        incr i;
-        Trace.get t (!i - 1)
-      end
-  in
-  create_with ?fault (reader clean) (reader faulty)
+let create_seq ?fault ~(clean : Trace.event Seq.t) () : t =
+  create_with ?fault (Pulled (puller clean)) None
 
 let pos (w : t) = w.pos
 let clean_value (w : t) loc = Loc_store.get w.clean loc
@@ -130,11 +130,12 @@ let set_faulty (w : t) loc fv =
     Loc_store.set w.faulty loc fv
   end
 
-(** Force a pending [Flip_mem] fault whose trigger sequence has been
-    reached into the faulty shadow state.  [Align.step] does this
-    automatically before each event; analyses that snapshot state
-    between events (e.g. at a region entry) call it explicitly with the
-    next event's sequence number. *)
+(** Force a pending [Flip_mem] or [Mask_mem] fault whose trigger
+    sequence has been reached into the faulty shadow state.  Memory
+    faults leave no write event in the trace, so the walker applies
+    them itself: [feed] and [step] do this before each event; analyses
+    that snapshot state between events (e.g. at a region entry) call it
+    explicitly with the next event's sequence number. *)
 let apply_pending_fault (w : t) ~(next_seq : int) : unit =
   match w.fault with
   | Some (Machine.Flip_mem { seq; addr; bit })
@@ -191,14 +192,21 @@ let apply_writes (w : t) (cw : (Loc.t * Value.t) array)
   List.iter2 (set_faulty w) changed fvs;
   changed
 
-(** Advance by one event.  Must not be called again after [Diverged] or
-    [End]. *)
-let step (w : t) : step =
+(* event [i] of [t], or [eos] past its end *)
+let event_at (t : Trace.t) (i : int) : Trace.event =
+  if i < Trace.length t then Trace.get t i else eos
+
+(** Align the faulty run's next event [ef] ([eos] once it has ended)
+    with the clean event at the same index. *)
+let feed (w : t) (ef : Trace.event) : step =
   match w.diverged_at with
   | Some i -> Diverged i
   | None ->
-      let ec = w.next_clean () in
-      let ef = w.next_faulty () in
+      let ec =
+        match w.clean_src with
+        | Indexed t -> event_at t w.pos
+        | Pulled next -> next ()
+      in
       if ec == eos && ef == eos then End
       else if ec == eos || ef == eos || not (Trace.same_control ec ef) then begin
         (* a control-path difference, or one run is shorter/longer
@@ -214,7 +222,7 @@ let step (w : t) : step =
           Loc_store.set w.writer (fst prev.writes.(k)) prev.op
         done;
         w.last_faulty <- ef;
-        (* a pending memory-flip fault lands before its trigger event *)
+        (* a pending memory fault lands before its trigger event *)
         apply_pending_fault w ~next_seq:ef.seq;
         let cw = ec.writes and fw = ef.writes in
         let changed =
@@ -229,6 +237,15 @@ let step (w : t) : step =
         w.pos <- w.pos + 1;
         Step { index = w.pos - 1; clean_ev = ec; faulty_ev = ef; changed }
       end
+
+(** The faulty run has ended: [End] if the clean run ends here too. *)
+let finish (w : t) : step = feed w eos
+
+(** [feed] the next event of the walker's faulty trace. *)
+let step (w : t) : step =
+  match w.faulty_trace with
+  | Some t -> feed w (event_at t w.pos)
+  | None -> invalid_arg "Align.step: a walker created without ~faulty is fed by Align.feed"
 
 (** Run the walker to completion, invoking [f] on every aligned step.
     Returns the divergence index, if control flow diverged. *)

@@ -8,22 +8,23 @@
     One shadow state is kept, the clean run's, in dense per-address and
     per-activation arrays; the faulty run's value is held only for
     corrupted locations, since everywhere else it equals the clean
-    one. *)
+    one.
+
+    Faulty events are pushed one at a time through [feed], so a faulty
+    run can be aligned while it executes, without keeping its trace;
+    [step] pulls them from a faulty trace instead. *)
 
 type t
 
-val create : ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> t
+val create : ?fault:Machine.fault -> clean:Trace.t -> ?faulty:Trace.t -> unit -> t
+(** A walker against the clean trace.  With [faulty], [step] pulls the
+    faulty events from it; without, the walker is fed by [feed]. *)
 
-val create_seq :
-  ?fault:Machine.fault ->
-  clean:Trace.event Seq.t ->
-  faulty:Trace.event Seq.t ->
-  unit ->
-  t
-(** Walker over event streams: memory stays proportional to the
-    machine state the runs touch (addresses and activations), not the
-    trace length.  The sequences are consumed incrementally as [step]
-    advances. *)
+val create_seq : ?fault:Machine.fault -> clean:Trace.event Seq.t -> unit -> t
+(** A walker fed by [feed] against a clean event stream: memory stays
+    proportional to the machine state the runs touch (addresses and
+    activations), not the trace length.  The stream is consumed one
+    event per fed event. *)
 
 val pos : t -> int
 (** The next event index to process (the number of aligned steps). *)
@@ -43,10 +44,11 @@ val last_writer : t -> Loc.t -> Trace.opclass option
     that event reads; [None] if no earlier aligned event wrote it. *)
 
 val apply_pending_fault : t -> next_seq:int -> unit
-(** Force a pending [Flip_mem] whose trigger has been reached into the
-    faulty shadow state.  [step] does this automatically; analyses that
-    snapshot state between events (e.g. at a region entry) call it
-    explicitly. *)
+(** Force a pending [Flip_mem] or [Mask_mem] whose trigger has been
+    reached into the faulty shadow state (memory faults leave no write
+    event in the trace).  [feed] and [step] do this automatically;
+    analyses that snapshot state between events (e.g. at a region
+    entry) call it explicitly. *)
 
 type step =
   | Step of {
@@ -58,7 +60,18 @@ type step =
   | Diverged of int  (** control paths differ from this event on *)
   | End
 
+val feed : t -> Trace.event -> step
+(** Align the faulty run's next event with the clean event at the same
+    index.  Once it has returned [Diverged] it keeps returning it. *)
+
+val finish : t -> step
+(** The faulty run has ended: [End] if the clean run ends at the same
+    index, [Diverged] otherwise. *)
+
 val step : t -> step
+(** [feed] the next event of the walker's faulty trace, or [finish]
+    after its last.
+    @raise Invalid_argument on a walker created without [faulty]. *)
 
 val walk :
   ?fault:Machine.fault ->

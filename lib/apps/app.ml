@@ -133,22 +133,29 @@ let trace (app : t) : Machine.result * Trace.t =
   in
   (r, t)
 
+(* one faulty run, its events retained in [trace] or streamed to [sink] *)
+let run_with_fault (app : t) (fault : Machine.fault) ~budget ~trace ~sink =
+  let b = bake app in
+  Machine.run b.prog
+    {
+      Machine.default_config with
+      trace;
+      sink;
+      iter_mark = b.iter_mark;
+      fault = Some fault;
+      budget;
+    }
+
 (** Faulty traced run. *)
 let trace_with_fault (app : t) (fault : Machine.fault) ~(budget : int) :
     Machine.result * Trace.t =
-  let b = bake app in
   let t = Trace.create () in
-  let r =
-    Machine.run b.prog
-      {
-        Machine.default_config with
-        trace = Some t;
-        iter_mark = b.iter_mark;
-        fault = Some fault;
-        budget;
-      }
-  in
-  (r, t)
+  (run_with_fault app fault ~budget ~trace:(Some t) ~sink:None, t)
+
+(** Faulty run streaming its events into [sink], keeping none. *)
+let replay_with_fault (app : t) (fault : Machine.fault) ~(budget : int)
+    (sink : Trace.event -> unit) : Machine.result =
+  run_with_fault app fault ~budget ~trace:None ~sink:(Some sink)
 
 (* --- shared program-construction helpers ------------------------------ *)
 

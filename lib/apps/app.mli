@@ -55,6 +55,13 @@ val trace : t -> Machine.result * Trace.t
 
 val trace_with_fault : t -> Machine.fault -> budget:int -> Machine.result * Trace.t
 
+val replay_with_fault :
+  t -> Machine.fault -> budget:int -> (Trace.event -> unit) -> Machine.result
+(** The faulty run of [trace_with_fault] with each event passed to the
+    sink instead of kept: the same events, the same result.  The VM is
+    deterministic, so calling it again replays the run, which is what
+    [Acl.analyze_replay] needs.  Exceptions the sink raises propagate. *)
+
 val verification_block :
   ?result_var:string ->
   ref_value:float option ->

@@ -95,15 +95,14 @@ type injection_report = {
   patterns : Dynamic_detect.region_patterns list;
 }
 
-(** Run one fault injection against [app] with full tracing and
-    analysis: outcome classification, the ACL series, and the
-    resilience patterns observed, per region. *)
+(** Run one fault injection against [app] with full analysis: outcome
+    classification, the ACL series, and the resilience patterns
+    observed, per region.  The faulty run is replayed, not stored. *)
 let inject_and_analyze (app : App.t) (fault : Machine.fault) :
     injection_report =
   let clean, clean_trace = App.trace app in
   let budget = 10 * clean.Machine.instructions in
-  let result, faulty = App.trace_with_fault app fault ~budget in
-  let acl = Acl.analyze ~fault ~clean:clean_trace ~faulty () in
+  let result, acl = Experiments.replay_acl app ~clean:clean_trace fault ~budget in
   {
     fault;
     outcome = result.Machine.outcome;

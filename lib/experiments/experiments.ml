@@ -37,6 +37,22 @@ let context (app : App.t) : app_ctx =
 
 let region_name (c : app_ctx) rid = c.prog.Prog.region_table.(rid).rname
 
+(* instance 0 of region [rid], from the cached chain *)
+let first_instance (c : app_ctx) rid =
+  List.find_opt
+    (fun (i : Region.instance) -> i.rid = rid && i.number = 0)
+    c.instances
+
+(** One injection's run result and ACL table.  The faulty run is
+    replayed rather than traced, so its trace is never kept. *)
+let replay_acl (app : App.t) ~(clean : Trace.t) (fault : Machine.fault)
+    ~(budget : int) : Machine.result * Acl.result =
+  let result = ref None in
+  (* the first replay always runs to the end; the second may be stopped *)
+  let replay f = result := Some (App.replay_with_fault app fault ~budget f) in
+  let acl = Acl.analyze_replay ~fault ~clean ~replay () in
+  (Option.get !result, acl)
+
 (* --- Figure 5: per-code-region success rates --------------------------- *)
 
 type region_rates_row = {
@@ -54,7 +70,7 @@ let fig5 ?(effort = Effort.default) (app : App.t) : region_rates_row list =
   let verify = App.verify app in
   let nregions = Array.length c.prog.Prog.region_table in
   List.init nregions (fun rid ->
-      match Region.find_instance c.trace ~rid ~number:0 with
+      match first_instance c rid with
       | None ->
           {
             rr_app = app.App.name;
@@ -153,8 +169,7 @@ let fig7 ?(seed = 7) ?(target_iter = -3) ?(min_peak = 3) (app : App.t) :
   let budget = 10 * c.clean.Machine.instructions in
   let rec attempt k rng =
     let fault = Campaign.sample_fault rng (Campaign.Internal { sites }) in
-    let result, faulty = App.trace_with_fault app fault ~budget in
-    let acl = Acl.analyze ~fault ~clean:c.trace ~faulty () in
+    let result, acl = replay_acl app ~clean:c.trace fault ~budget in
     if
       (acl.Acl.peak >= min_peak && result.Machine.outcome = Machine.Finished)
       || k > 50
@@ -186,7 +201,7 @@ let table1 ?(effort = Effort.default) ?(seed = 11) (app : App.t) :
   let nregions = Array.length c.prog.Prog.region_table in
   List.init nregions (fun rid ->
       let info = c.prog.Prog.region_table.(rid) in
-      match Region.find_instance c.trace ~rid ~number:0 with
+      match first_instance c rid with
       | None ->
           {
             t1_app = app.App.name;
@@ -205,8 +220,7 @@ let table1 ?(effort = Effort.default) ?(seed = 11) (app : App.t) :
           let observe target n =
             List.init n (fun _ ->
                 let fault = Campaign.sample_fault rng target in
-                let _, faulty = App.trace_with_fault app fault ~budget in
-                let acl = Acl.analyze ~fault ~clean:c.trace ~faulty () in
+                let _, acl = replay_acl app ~clean:c.trace fault ~budget in
                 Dynamic_detect.of_acl acl)
           in
           let observations =

@@ -15,6 +15,13 @@ type app_ctx = {
 val context : App.t -> app_ctx
 (** Fault-free traced context, cached per app. *)
 
+val replay_acl :
+  App.t -> clean:Trace.t -> Machine.fault -> budget:int ->
+  Machine.result * Acl.result
+(** One injection's run result and ACL table ({!Acl.analyze_replay}
+    over {!App.replay_with_fault}): the faulty run is replayed twice and
+    its trace is never kept. *)
+
 (** {2 Figure 5: per-code-region success rates} *)
 
 type region_rates_row = {

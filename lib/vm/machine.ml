@@ -106,8 +106,8 @@ type config = {
   trace : Trace.t option;
   sink : (Trace.event -> unit) option;
       (** streaming alternative to [trace]: each event is passed to the
-          callback and not retained, like a tracer writing to a file
-          (used to measure instrumentation cost without the memory) *)
+          callback and not retained, like a tracer writing to a file;
+          exceptions it raises propagate to the caller unclassified *)
   iter_mark : int;  (** mark id that delimits main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   tick : (unit -> unit) option;

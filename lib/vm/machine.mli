@@ -75,7 +75,10 @@ type config = {
   trace : Trace.t option;  (** retained trace, for the analyses *)
   sink : (Trace.event -> unit) option;
       (** streaming alternative: each event is passed to the callback
-          and not retained, like a tracer writing to a file *)
+          and not retained, like a tracer writing to a file.  An
+          exception the sink raises stops the run and propagates out of
+          [run] unclassified (it is not a trap), which is how a
+          consumer ends a replay early *)
   iter_mark : int;  (** mark id delimiting main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   tick : (unit -> unit) option;

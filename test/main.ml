@@ -19,6 +19,7 @@ let () =
       Test_io.suite;
       Test_stream.suite;
       Test_acl_fixture.suite;
+      Test_replay.suite;
       Test_runtime.suite;
       Test_faults.suite;
       Test_patterns.suite;

@@ -273,6 +273,25 @@ let test_seq_parity_traced_untraced () =
       end)
     ret_seqs
 
+exception Sink_stop
+
+(* an exception raised by a sink stops the run and reaches the caller
+   as itself, not as a trap — with or without checkpoint recovery *)
+let test_sink_exception_propagates () =
+  let prog = compile (loop_program ~iters:4) in
+  List.iter
+    (fun recover ->
+      let seen = ref 0 in
+      let sink _ =
+        incr seen;
+        if !seen = 10 then raise Sink_stop
+      in
+      match Machine.run prog { Machine.default_config with sink = Some sink; recover } with
+      | _ -> Alcotest.fail "the run returned a result"
+      | exception Sink_stop ->
+          Alcotest.(check int) "stopped at the raising event" 10 !seen)
+    [ None; Some Machine.default_recover ]
+
 (* property: a fault never makes the VM raise; outcomes are always
    classified *)
 let prop_faults_always_classified =
@@ -301,6 +320,8 @@ let suite =
       Alcotest.test_case "iteration marks" `Quick test_iteration_marks_counted;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "stack overflow trap" `Quick test_stack_overflow_trap;
+      Alcotest.test_case "sink exception propagates" `Quick
+        test_sink_exception_propagates;
       Alcotest.test_case "seq parity traced/untraced" `Quick
         test_seq_parity_traced_untraced;
       QCheck_alcotest.to_alcotest prop_faults_always_classified;
