@@ -442,7 +442,6 @@ let perf _effort =
   let cg_inst = List.hd (Region.instances cg_trace) in
   let _, mg_clean = App.trace Mg.app in
   let mg_fault = Machine.Flip_write { seq = 100_000; bit = 40 } in
-  let _, mg_faulty = App.trace_with_fault Mg.app mg_fault ~budget:10_000_000 in
   let reg_rng = Rng.create ~seed:1 in
   let reg_x =
     Array.init 64 (fun _ -> Array.init 6 (fun _ -> Rng.float reg_rng))
@@ -469,11 +468,11 @@ let perf _effort =
              ignore
                (Dddg.build cg_trace cg_access ~lo:cg_inst.Region.lo
                   ~hi:cg_inst.Region.hi)));
-      Test.make ~name:"acl-analysis-MG"
+      Test.make ~name:"acl-replay-MG"
         (Staged.stage (fun () ->
              ignore
-               (Acl.analyze ~fault:mg_fault ~clean:mg_clean ~faulty:mg_faulty
-                  ())));
+               (Experiments.replay_acl Mg.app ~clean:mg_clean mg_fault
+                  ~budget:10_000_000)));
       Test.make ~name:"pattern-rates-CG"
         (Staged.stage (fun () -> ignore (Rates.compute cg_trace cg_access)));
       Test.make ~name:"regression-fit"

@@ -97,13 +97,12 @@ let () =
   (* 3. inject a bit flip into the data array mid-fill and analyze *)
   let addr = Prog.addr_of_element prog "data" [ 7 ] in
   let fault = Machine.Flip_mem { seq = 400; addr; bit = 51 } in
-  let faulty_trace = Trace.create () in
-  let faulty =
-    Machine.run prog
-      { Machine.default_config with trace = Some faulty_trace; fault = Some fault }
-  in
-  Printf.printf "\nfaulty run output:\n%s" faulty.Machine.output;
-  let acl = Acl.analyze ~fault ~clean:clean_trace ~faulty:faulty_trace () in
+  let faulty = ref None in
+  (* the VM is deterministic: the analysis replays the faulty run into a
+     sink rather than keeping its trace *)
+  let replay sink = faulty := Some (Machine.run_sink ~fault ~sink prog) in
+  let acl = Acl.analyze_replay ~fault ~clean:clean_trace ~replay () in
+  Printf.printf "\nfaulty run output:\n%s" (Option.get !faulty).Machine.output;
   Printf.printf
     "ACL: peak %d alive corrupted locations, %d deaths, %d masking events\n"
     acl.Acl.peak

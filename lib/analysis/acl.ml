@@ -89,26 +89,6 @@ let mask_kind_to_string = function
   | Repeated_add _ -> "repeated-addition"
   | Other_mask -> "other"
 
-(* raised out of a replay to stop it once alignment has diverged or
-   ended, carrying the divergence index *)
-exception Stop of int option
-
-(* Feed the events [replay] pushes to [w], passing every aligned step
-   to [f], and stop the replay as soon as alignment diverges or ends.
-   Returns the divergence index, if any. *)
-let drive (w : Align.t) (replay : (Trace.event -> unit) -> unit)
-    (f : Align.step -> unit) : int option =
-  let push = function
-    | Align.Step _ as s -> f s
-    | Align.Diverged i -> raise_notrace (Stop (Some i))
-    | Align.End -> raise_notrace (Stop None)
-  in
-  try
-    replay (fun ev -> push (Align.feed w ev));
-    push (Align.finish w);
-    None
-  with Stop d -> d
-
 (* The ACL walk over the faulty events [replay] pushes, parameterized
    over the liveness oracle: [fate loc ~after:idx] answers what happens
    to the value in [loc] established at event [idx] of the faulty run.
@@ -320,7 +300,7 @@ let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
         update_all index faulty_ev rest
   in
   let divergence =
-    drive w replay (function
+    Align.drive w replay (function
       | Align.Step { index; clean_ev; faulty_ev; changed } ->
           if Itbl.length scheduled > 0 then scheduled_deaths index faulty_ev;
           (* reads matter only while some location is corrupted *)
@@ -399,7 +379,7 @@ let analyze_stream ?fault ~(clean : Trace_io.source)
   clean.Trace_io.run (fun clean_seq ->
       let w = Align.create_seq ?fault ~clean:clean_seq () in
       ignore
-        (drive w replay_faulty (function
+        (Align.drive w replay_faulty (function
           | Align.Step { index; changed; _ } ->
               List.iter
                 (fun loc ->

@@ -16,8 +16,9 @@
 
     The walk is push-driven: [feed] takes the faulty run's next event
     and reads the clean event at the same index, so a faulty run can be
-    analyzed while it executes, without keeping its trace.  [step] is
-    the pull driver over [feed] for a walker given the faulty trace.
+    analyzed while it executes, without keeping its trace.  [drive]
+    feeds a walker from a replay of the faulty run and stops the replay
+    once alignment diverges or ends.
 
     When the control paths diverge, alignment stops; analyses treat the
     remainder as control-flow divergence, which the paper detects the
@@ -30,7 +31,6 @@ type clean_source =
 
 type t = {
   clean_src : clean_source;
-  faulty_trace : Trace.t option;  (** what [step] reads; [None]: [feed] only *)
   mutable pos : int;  (** next event index to process *)
   clean : Value.t Loc_store.t;  (** the clean run's shadow state *)
   faulty : Value.t Loc_store.t;
@@ -60,10 +60,9 @@ let same : Value.t = Int64.of_string "0"
 (* [writer]'s default: never the op of a traced event *)
 let no_writer = Trace.OIntr "<no writer>"
 
-let create_with ?fault clean_src faulty_trace : t =
+let create_with ?fault clean_src : t =
   {
     clean_src;
-    faulty_trace;
     pos = 0;
     clean = Loc_store.create Value.zero;
     faulty = Loc_store.create same;
@@ -84,11 +83,10 @@ let puller (s : Trace.event Seq.t) : unit -> Trace.event =
         cur := rest;
         e
 
-let create ?fault ~(clean : Trace.t) ?faulty () : t =
-  create_with ?fault (Indexed clean) faulty
+let create ?fault ~(clean : Trace.t) () : t = create_with ?fault (Indexed clean)
 
 let create_seq ?fault ~(clean : Trace.event Seq.t) () : t =
-  create_with ?fault (Pulled (puller clean)) None
+  create_with ?fault (Pulled (puller clean))
 
 let pos (w : t) = w.pos
 let clean_value (w : t) loc = Loc_store.get w.clean loc
@@ -133,7 +131,7 @@ let set_faulty (w : t) loc fv =
 (** Force a pending [Flip_mem] or [Mask_mem] fault whose trigger
     sequence has been reached into the faulty shadow state.  Memory
     faults leave no write event in the trace, so the walker applies
-    them itself: [feed] and [step] do this before each event; analyses
+    them itself: [feed] does this before each event; analyses
     that snapshot state between events (e.g. at a region entry) call it
     explicitly with the next event's sequence number. *)
 let apply_pending_fault (w : t) ~(next_seq : int) : unit =
@@ -192,10 +190,6 @@ let apply_writes (w : t) (cw : (Loc.t * Value.t) array)
   List.iter2 (set_faulty w) changed fvs;
   changed
 
-(* event [i] of [t], or [eos] past its end *)
-let event_at (t : Trace.t) (i : int) : Trace.event =
-  if i < Trace.length t then Trace.get t i else eos
-
 (** Align the faulty run's next event [ef] ([eos] once it has ended)
     with the clean event at the same index. *)
 let feed (w : t) (ef : Trace.event) : step =
@@ -204,7 +198,8 @@ let feed (w : t) (ef : Trace.event) : step =
   | None ->
       let ec =
         match w.clean_src with
-        | Indexed t -> event_at t w.pos
+        | Indexed t ->
+            if w.pos < Trace.length t then Trace.get t w.pos else eos
         | Pulled next -> next ()
       in
       if ec == eos && ef == eos then End
@@ -241,24 +236,22 @@ let feed (w : t) (ef : Trace.event) : step =
 (** The faulty run has ended: [End] if the clean run ends here too. *)
 let finish (w : t) : step = feed w eos
 
-(** [feed] the next event of the walker's faulty trace. *)
-let step (w : t) : step =
-  match w.faulty_trace with
-  | Some t -> feed w (event_at t w.pos)
-  | None -> invalid_arg "Align.step: a walker created without ~faulty is fed by Align.feed"
+(* raised out of a replay to stop it once alignment has diverged or
+   ended, carrying the divergence index *)
+exception Stop of int option
 
-(** Run the walker to completion, invoking [f] on every aligned step.
-    Returns the divergence index, if control flow diverged. *)
-let walk ?fault ~clean ~faulty (f : step -> unit) : int option =
-  let w = create ?fault ~clean ~faulty () in
-  let rec go () =
-    match step w with
-    | Step _ as s ->
-        f s;
-        go ()
-    | Diverged i ->
-        f (Diverged i);
-        Some i
-    | End -> None
+(** Feed the events [replay] pushes to [w], passing every aligned step
+    to [f], and stop the replay as soon as alignment diverges or ends.
+    Returns the divergence index, if any. *)
+let drive (w : t) (replay : (Trace.event -> unit) -> unit)
+    (f : step -> unit) : int option =
+  let push = function
+    | Step _ as s -> f s
+    | Diverged i -> raise_notrace (Stop (Some i))
+    | End -> raise_notrace (Stop None)
   in
-  go ()
+  try
+    replay (fun ev -> push (feed w ev));
+    push (finish w);
+    None
+  with Stop d -> d

@@ -1,4 +1,4 @@
-(** Lockstep alignment of a faulty trace against its fault-free twin,
+(** Lockstep alignment of a faulty run against its fault-free twin,
     maintaining the machine state of both runs and the set of
     {e corrupted} locations — locations whose faulty-run value differs
     from the fault-free value (value-based corruption, stricter than
@@ -11,14 +11,15 @@
     one.
 
     Faulty events are pushed one at a time through [feed], so a faulty
-    run can be aligned while it executes, without keeping its trace;
-    [step] pulls them from a faulty trace instead. *)
+    run can be aligned while it executes, without keeping its trace.
+    [drive] is the way to align a whole faulty run: it feeds a walker
+    from a replay of the run and stops the replay at divergence or
+    end. *)
 
 type t
 
-val create : ?fault:Machine.fault -> clean:Trace.t -> ?faulty:Trace.t -> unit -> t
-(** A walker against the clean trace.  With [faulty], [step] pulls the
-    faulty events from it; without, the walker is fed by [feed]. *)
+val create : ?fault:Machine.fault -> clean:Trace.t -> unit -> t
+(** A walker fed by [feed] against the clean trace. *)
 
 val create_seq : ?fault:Machine.fault -> clean:Trace.event Seq.t -> unit -> t
 (** A walker fed by [feed] against a clean event stream: memory stays
@@ -46,9 +47,9 @@ val last_writer : t -> Loc.t -> Trace.opclass option
 val apply_pending_fault : t -> next_seq:int -> unit
 (** Force a pending [Flip_mem] or [Mask_mem] whose trigger has been
     reached into the faulty shadow state (memory faults leave no write
-    event in the trace).  [feed] and [step] do this automatically;
-    analyses that snapshot state between events (e.g. at a region
-    entry) call it explicitly. *)
+    event in the trace).  [feed] does this automatically; analyses
+    that snapshot state between events (e.g. at a region entry) call it
+    explicitly. *)
 
 type step =
   | Step of {
@@ -68,15 +69,11 @@ val finish : t -> step
 (** The faulty run has ended: [End] if the clean run ends at the same
     index, [Diverged] otherwise. *)
 
-val step : t -> step
-(** [feed] the next event of the walker's faulty trace, or [finish]
-    after its last.
-    @raise Invalid_argument on a walker created without [faulty]. *)
-
-val walk :
-  ?fault:Machine.fault ->
-  clean:Trace.t ->
-  faulty:Trace.t ->
-  (step -> unit) ->
-  int option
-(** Run to completion; returns the divergence index, if any. *)
+val drive : t -> ((Trace.event -> unit) -> unit) -> (step -> unit) -> int option
+(** [drive w replay f] runs [replay], [feed]ing each event it pushes to
+    [w] and passing every [Step] to [f], then [finish]es [w].  The replay
+    is stopped, by an exception raised from its callback, as soon as
+    alignment diverges or ends, so [replay] must let that exception
+    through; a producer over a stored trace is [fun f -> Trace.iter f t].
+    Exceptions [f] raises propagate.  Returns the divergence index, if
+    any. *)

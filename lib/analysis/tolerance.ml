@@ -1,8 +1,8 @@
 (** Region-level fault-tolerance classification (Section III-D).
 
-    Given the fault-free and faulty traces and a code-region instance
-    (event span from the fault-free run), decide how the region treated
-    the corruption:
+    Given the fault-free trace, a replay producer of the faulty run and
+    a code-region instance (event span from the fault-free run), decide
+    how the region treated the corruption:
     {ul
     {- [Case1_masked]: at least one input location was corrupted at
        region entry, and every output location was clean at region exit
@@ -43,59 +43,70 @@ let max_magnitude (w : Align.t) (locs : Loc.t list) : float =
       | Some m -> if Float.is_nan m then acc else Float.max acc m)
     0.0 locs
 
-(** Classify one region instance.  [inputs]/[outputs] are the location
-    sets from the fault-free DDDG of that instance. *)
-let classify ?fault ~(clean : Trace.t) ~(faulty : Trace.t)
-    ~(inputs : Loc.t list) ~(outputs : Loc.t list) ~(lo : int) ~(hi : int) ()
-    : classification =
-  let w = Align.create ?fault ~clean ~faulty () in
-  (* advance to region entry *)
-  let rec advance_to target =
-    if Align.pos w >= target then `Ok
-    else
-      match Align.step w with
-      | Align.Step _ -> advance_to target
-      | Align.Diverged _ -> `Diverged
-      | Align.End -> `Ended
+(** Classify one region instance of the faulty run [replay] produces.
+    [inputs]/[outputs] are the location sets from the fault-free DDDG of
+    that instance, [lo]/[hi] its event span.  The replay is stopped as
+    soon as the classification is known. *)
+let classify ?fault ~(clean : Trace.t)
+    ~(replay : (Trace.event -> unit) -> unit) ~(inputs : Loc.t list)
+    ~(outputs : Loc.t list) ~(lo : int) ~(hi : int) () : classification =
+  let w = Align.create ?fault ~clean () in
+  let corrupted locs = List.filter (Align.is_corrupted w) locs in
+  let exception Classified of classification in
+  (* the largest input magnitude at region entry, once it is reached *)
+  let entry_mag = ref None in
+  let enter () =
+    match corrupted inputs with
+    | [] -> raise_notrace (Classified Not_affected)
+    | ins ->
+        let m = max_magnitude w ins in
+        entry_mag := Some m;
+        m
   in
-  match advance_to lo with
-  | `Diverged | `Ended -> Diverged
-  | `Ok -> (
+  let exit_class m =
+    (* Case 1 asks only that every *output* is clean — the corrupted
+       input may live on, masked inside the region *)
+    if corrupted outputs = [] then Case1_masked
+    else
+      let exit_mag = max_magnitude w (corrupted (inputs @ outputs)) in
+      if exit_mag < m then Case2_diminished { entry_mag = m; exit_mag }
+      else Propagated { entry_mag = m; exit_mag }
+  in
+  let check_exit () =
+    match !entry_mag with
+    | Some m when Align.pos w >= hi -> raise_notrace (Classified (exit_class m))
+    | Some _ | None -> ()
+  in
+  let sink f (ev : Trace.event) =
+    if Option.is_none !entry_mag && Align.pos w = lo then begin
       (* a region-entry injection triggers exactly at the first event of
          the region; make it visible before sampling the inputs *)
-      if lo < Trace.length faulty then
-        Align.apply_pending_fault w ~next_seq:(Trace.get faulty lo).Trace.seq;
-      let corrupted_inputs =
-        List.filter (fun l -> Align.is_corrupted w l) inputs
-      in
-      if corrupted_inputs = [] then Not_affected
-      else
-        let entry_mag = max_magnitude w corrupted_inputs in
-        match advance_to hi with
-        | `Diverged -> Diverged
-        | `Ended | `Ok ->
-            (* Case 1 asks only that every *output* is clean — the
-               corrupted input may live on, masked inside the region *)
-            let corrupted_outputs =
-              List.filter (fun l -> Align.is_corrupted w l) outputs
-            in
-            if corrupted_outputs = [] then Case1_masked
-            else
-              let corrupted_io =
-                List.filter (fun l -> Align.is_corrupted w l) (inputs @ outputs)
-              in
-              let exit_mag = max_magnitude w corrupted_io in
-              if exit_mag < entry_mag then
-                Case2_diminished { entry_mag; exit_mag }
-              else Propagated { entry_mag; exit_mag })
+      Align.apply_pending_fault w ~next_seq:ev.seq;
+      ignore (enter ());
+      check_exit ()
+    end;
+    f ev
+  in
+  try
+    let divergence =
+      Align.drive w (fun f -> replay (sink f)) (fun _ -> check_exit ())
+    in
+    if Align.pos w < lo then Diverged
+    else
+      (* the faulty run ended at region entry, or inside the region *)
+      let m = match !entry_mag with Some m -> m | None -> enter () in
+      if divergence = None || Align.pos w >= hi then exit_class m else Diverged
+  with Classified c -> c
 
 (** Error-magnitude trajectory of one memory word across main-loop
     iterations (Table II of the paper): samples the clean value, the
     faulty value, and Equation-2 magnitude of [addr] at the end of each
-    iteration, walking while the runs stay aligned. *)
-let magnitude_by_iteration ?fault ~(clean : Trace.t) ~(faulty : Trace.t)
-    ~(addr : int) () : (int * Value.t * Value.t * float) list =
-  let w = Align.create ?fault ~clean ~faulty () in
+    iteration of the faulty run [replay] produces, while the runs stay
+    aligned. *)
+let magnitude_by_iteration ?fault ~(clean : Trace.t)
+    ~(replay : (Trace.event -> unit) -> unit) ~(addr : int) () :
+    (int * Value.t * Value.t * float) list =
+  let w = Align.create ?fault ~clean () in
   let loc = Loc.Mem addr in
   let samples = ref [] in
   let cur_iter = ref (-1) in
@@ -106,16 +117,13 @@ let magnitude_by_iteration ?fault ~(clean : Trace.t) ~(faulty : Trace.t)
       samples := (!cur_iter, cv, fv, m) :: !samples
     end
   in
-  let finished = ref false in
-  while not !finished do
-    match Align.step w with
-    | Align.Step { faulty_ev; _ } ->
-        if faulty_ev.iter <> !cur_iter then begin
-          sample ();
-          cur_iter := faulty_ev.iter
-        end
-    | Align.Diverged _ | Align.End ->
-        sample ();
-        finished := true
-  done;
+  ignore
+    (Align.drive w replay (function
+      | Align.Step { faulty_ev; _ } ->
+          if faulty_ev.iter <> !cur_iter then begin
+            sample ();
+            cur_iter := faulty_ev.iter
+          end
+      | Align.Diverged _ | Align.End -> ()));
+  sample ();
   List.rev !samples

@@ -1,8 +1,8 @@
 (** Region-level fault-tolerance classification (Section III-D of the
-    paper): given aligned faulty/fault-free traces and a region
-    instance, decide whether the region masked the corruption (Case 1),
-    diminished its magnitude (Case 2), propagated it, was unaffected,
-    or diverged. *)
+    paper): given the fault-free trace, a replay producer of the faulty
+    run and a region instance, decide whether the region masked the
+    corruption (Case 1), diminished its magnitude (Case 2), propagated
+    it, was unaffected, or diverged. *)
 
 type classification =
   | Case1_masked
@@ -18,7 +18,7 @@ val to_string : classification -> string
 val classify :
   ?fault:Machine.fault ->
   clean:Trace.t ->
-  faulty:Trace.t ->
+  replay:((Trace.event -> unit) -> unit) ->
   inputs:Loc.t list ->
   outputs:Loc.t list ->
   lo:int ->
@@ -26,15 +26,19 @@ val classify :
   unit ->
   classification
 (** [inputs]/[outputs] come from the fault-free DDDG of the instance;
-    [lo]/[hi] is its event span. *)
+    [lo]/[hi] is its event span.  [replay] is a producer of the faulty
+    run, as for {!Acl.analyze_replay}, called once and stopped as soon
+    as the classification is known (so it must let the exception
+    through).  [fault] as for {!Acl.analyze_replay}. *)
 
 val magnitude_by_iteration :
   ?fault:Machine.fault ->
   clean:Trace.t ->
-  faulty:Trace.t ->
+  replay:((Trace.event -> unit) -> unit) ->
   addr:int ->
   unit ->
   (int * Value.t * Value.t * float) list
 (** Error-magnitude trajectory of one memory word at each main-loop
     iteration boundary — the Table II experiment.  Each sample is
-    [(iteration, clean_value, faulty_value, magnitude)]. *)
+    [(iteration, clean_value, faulty_value, magnitude)].  [replay] as
+    for [classify]; it is stopped once the runs diverge or end. *)

@@ -54,6 +54,9 @@ val trace : t -> Machine.result * Trace.t
 (** Fault-free traced run with iteration marking. *)
 
 val trace_with_fault : t -> Machine.fault -> budget:int -> Machine.result * Trace.t
+(** Faulty traced run, its trace kept: the stored-trace reference the
+    parity checks compare against.  Analyses replay the run instead
+    ({!replay_with_fault}). *)
 
 val replay_with_fault :
   t -> Machine.fault -> budget:int -> (Trace.event -> unit) -> Machine.result

@@ -103,18 +103,14 @@ let acl_vs_taint ?(app = Lulesh.app) () : acl_vs_taint =
   let c = Experiments.context app in
   let fault = series.Experiments.as_fault in
   let budget = 10 * c.Experiments.clean.Machine.instructions in
-  let _, faulty = App.trace_with_fault app fault ~budget in
+  let replay, _ = Experiments.faulty_replay app fault ~budget in
   (* liveness-unaware walk: just track the corrupted-set size *)
-  let w = Align.create ~fault ~clean:c.Experiments.trace ~faulty () in
+  let w = Align.create ~fault ~clean:c.Experiments.trace () in
   let peak = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    match Align.step w with
-    | Align.Step _ ->
-        let n = Align.corrupted_count w in
-        if n > !peak then peak := n
-    | Align.Diverged _ | Align.End -> finished := true
-  done;
+  ignore
+    (Align.drive w replay (fun _ ->
+         let n = Align.corrupted_count w in
+         if n > !peak then peak := n));
   {
     at_app = app.App.name;
     acl_peak = series.Experiments.as_result.Acl.peak;

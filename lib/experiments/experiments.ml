@@ -43,15 +43,22 @@ let first_instance (c : app_ctx) rid =
     (fun (i : Region.instance) -> i.rid = rid && i.number = 0)
     c.instances
 
+(** The faulty run of [app] under [fault] as a replay producer, and the
+    result of its latest run that was not stopped. *)
+let faulty_replay (app : App.t) (fault : Machine.fault) ~(budget : int) :
+    ((Trace.event -> unit) -> unit) * (unit -> Machine.result) =
+  let result = ref None in
+  ( (fun f -> result := Some (App.replay_with_fault app fault ~budget f)),
+    fun () -> Option.get !result )
+
 (** One injection's run result and ACL table.  The faulty run is
     replayed rather than traced, so its trace is never kept. *)
 let replay_acl (app : App.t) ~(clean : Trace.t) (fault : Machine.fault)
     ~(budget : int) : Machine.result * Acl.result =
-  let result = ref None in
+  let replay, result = faulty_replay app fault ~budget in
   (* the first replay always runs to the end; the second may be stopped *)
-  let replay f = result := Some (App.replay_with_fault app fault ~budget f) in
   let acl = Acl.analyze_replay ~fault ~clean ~replay () in
-  (Option.get !result, acl)
+  (result (), acl)
 
 (* --- Figure 5: per-code-region success rates --------------------------- *)
 
@@ -273,8 +280,8 @@ let table2 ?(bit = 40) ?(element = [ 3; 3; 3 ]) () : table2_row list =
   let seq = (Trace.get c.trace inst.hi).Trace.seq in
   let fault = Machine.Flip_mem { seq; addr; bit } in
   let budget = 10 * c.clean.Machine.instructions in
-  let _, faulty = App.trace_with_fault app fault ~budget in
-  Tolerance.magnitude_by_iteration ~fault ~clean:c.trace ~faulty ~addr ()
+  let replay, _ = faulty_replay app fault ~budget in
+  Tolerance.magnitude_by_iteration ~fault ~clean:c.trace ~replay ~addr ()
   |> List.map (fun (it, cv, fv, m) ->
          {
            t2_iteration = it;

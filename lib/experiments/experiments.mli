@@ -15,12 +15,19 @@ type app_ctx = {
 val context : App.t -> app_ctx
 (** Fault-free traced context, cached per app. *)
 
+val faulty_replay :
+  App.t -> Machine.fault -> budget:int ->
+  ((Trace.event -> unit) -> unit) * (unit -> Machine.result)
+(** The faulty run as a replay producer ({!App.replay_with_fault}, for
+    {!Align.drive} and the analyses over it), and the result of the
+    producer's latest run that was not stopped. *)
+
 val replay_acl :
   App.t -> clean:Trace.t -> Machine.fault -> budget:int ->
   Machine.result * Acl.result
 (** One injection's run result and ACL table ({!Acl.analyze_replay}
-    over {!App.replay_with_fault}): the faulty run is replayed twice and
-    its trace is never kept. *)
+    over {!faulty_replay}): the faulty run is replayed twice and its
+    trace is never kept. *)
 
 (** {2 Figure 5: per-code-region success rates} *)
 

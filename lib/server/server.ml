@@ -14,7 +14,7 @@
     records are accumulated first-write-wins in index order, so every
     campaign's counts are byte-identical to its own [--jobs 1] run no
     matter how many tenants interleave or how many workers die.
-    [chaos_kills] turns that claim into a test. *)
+    [Sched.config]'s [chaos_kills] turns that claim into a test. *)
 
 type config = {
   workers : int;  (** forked worker processes *)
@@ -31,15 +31,6 @@ type config = {
   max_active : int;
       (** campaigns scheduled concurrently; the rest wait in the
           admission queue *)
-  chaos_kills : int list;
-      (** SIGKILL the most recent deliverer when the delivered-trial
-          count crosses each threshold (ascending); the determinism
-          harness *)
-  chaos_stall_done_s : float;
-      (** workers sleep this long between a batch's last trial record
-          and its [Batch_done] (0 = no stall): combined with a short
-          [heartbeat_s] it deterministically orphans fully-delivered
-          leases, the batch-boundary crash window *)
   retry : Executor.config;
       (** worker-side trial retry and the lease re-assignment backoff
           share this policy *)
@@ -56,8 +47,6 @@ let default_config =
     max_lease_attempts = 3;
     compact_every = 4096;
     max_active = 4;
-    chaos_kills = [];
-    chaos_stall_done_s = 0.0;
     retry = Executor.default_config;
     metrics = None;
   }
@@ -71,7 +60,7 @@ let sched_config (cfg : config) : Sched.config =
     max_lease_attempts = cfg.max_lease_attempts;
     compact_every = cfg.compact_every;
     max_active = cfg.max_active;
-    chaos_kills = cfg.chaos_kills;
+    chaos_kills = [];
     retry = cfg.retry;
     metrics = cfg.metrics;
   }
@@ -227,9 +216,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
   in
   let spawn ~close_fds =
     let extra = (lfd :: Option.to_list wfd) @ client_fds () in
-    Worker.spawn ~recv_timeout_s:3600.0
-      ~stall_batch_done_s:cfg.chaos_stall_done_s
-      ~close_fds:(extra @ close_fds)
+    Worker.spawn ~recv_timeout_s:3600.0 ~close_fds:(extra @ close_fds)
       ~load:(Worker.plan_loader ?cache_dir)
       ~retry:{ cfg.retry with Executor.metrics = None }
       ()

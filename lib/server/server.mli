@@ -22,14 +22,6 @@ type config = {
   compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;
       (** campaigns scheduled concurrently; the rest queue *)
-  chaos_kills : int list;
-      (** SIGKILL the most recent deliverer when the delivered-trial
-          count crosses each threshold — the determinism harness *)
-  chaos_stall_done_s : float;
-      (** workers sleep this long between a batch's last trial record
-          and its [Batch_done] (0 = no stall): combined with a short
-          [heartbeat_s] it deterministically orphans fully-delivered
-          leases, the batch-boundary crash window *)
   retry : Executor.config;
       (** worker-side trial retry and the lease re-assignment backoff
           share this policy *)
@@ -43,8 +35,7 @@ type config = {
 
 val default_config : config
 (** 2 workers, batch 16, 4 shards, no journal, 30 s heartbeats, 3 lease
-    attempts, compaction every 4096 records, 4 concurrent campaigns,
-    no chaos. *)
+    attempts, compaction every 4096 records, 4 concurrent campaigns. *)
 
 val campaign_id : int -> string -> string
 (** Deterministic campaign id: admission ordinal + tag hash

@@ -201,7 +201,7 @@ let connect ?(retry = Executor.default_config) ~(addr : string) () :
 (** Attach to a server over TCP and serve leases until the server goes
     away: [ft worker --connect HOST:PORT].  Campaigns are rebuilt from
     their wire specs through [cache_dir]. *)
-let run_remote ?recv_timeout_s ?stall_batch_done_s ?retry
+let run_remote ?recv_timeout_s ?retry
     ?(cache_dir : string option) ~(addr : string) () : (unit, string) result
     =
   let retry_cfg = Option.value ~default:Executor.default_config retry in
@@ -212,14 +212,14 @@ let run_remote ?recv_timeout_s ?stall_batch_done_s ?retry
       Fun.protect
         ~finally:(fun () -> Wire.close conn)
         (fun () ->
-          run ?recv_timeout_s ?stall_batch_done_s ~load:(plan_loader ?cache_dir)
-            ~conn ~retry:retry_cfg ();
+          run ?recv_timeout_s ~load:(plan_loader ?cache_dir) ~conn
+            ~retry:retry_cfg ();
           Ok ())
 
 (** Fork a process that attaches to [addr] as a remote worker — the
     chaos harness's way of standing up a mixed fork/TCP pool.  Returns
     the child pid (SIGKILL it to simulate a vanished remote). *)
-let spawn_remote ?recv_timeout_s ?stall_batch_done_s ?retry ?cache_dir
+let spawn_remote ?recv_timeout_s ?retry ?cache_dir
     ~(addr : string) () : int =
   flush stdout;
   flush stderr;
@@ -232,8 +232,8 @@ let spawn_remote ?recv_timeout_s ?stall_batch_done_s ?retry ?cache_dir
         | Ok conn -> (
             Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
             match
-              run ?recv_timeout_s ?stall_batch_done_s
-                ~load:(plan_loader ?cache_dir) ~conn ~retry:retry_cfg ()
+              run ?recv_timeout_s ~load:(plan_loader ?cache_dir) ~conn
+                ~retry:retry_cfg ()
             with
             | () -> 0
             | exception _ -> 125)

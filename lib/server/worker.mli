@@ -62,7 +62,6 @@ val connect :
 
 val run_remote :
   ?recv_timeout_s:float ->
-  ?stall_batch_done_s:float ->
   ?retry:Executor.config ->
   ?cache_dir:string ->
   addr:string ->
@@ -73,7 +72,6 @@ val run_remote :
 
 val spawn_remote :
   ?recv_timeout_s:float ->
-  ?stall_batch_done_s:float ->
   ?retry:Executor.config ->
   ?cache_dir:string ->
   addr:string ->

@@ -115,13 +115,16 @@ let test_read_written_in () =
 
 (* --- alignment ------------------------------------------------------------ *)
 
+(* a stored faulty trace as a replay producer *)
+let replay_of (t : Trace.t) f = Trace.iter f t
+
 let test_align_identical_runs () =
   let prog = compile (loop_program ~iters:3) in
   let _, t1 = run_traced prog in
   let _, t2 = run_traced prog in
   let steps = ref 0 in
   let div =
-    Align.walk ~clean:t1 ~faulty:t2 (function
+    Align.drive (Align.create ~clean:t1 ()) (replay_of t2) (function
       | Align.Step _ -> incr steps
       | Align.Diverged _ | Align.End -> ())
   in
@@ -150,18 +153,14 @@ let test_align_detects_corruption_and_masking () =
     clean;
   let fault = Machine.Flip_write { seq = !store_seq; bit = 5 } in
   let _, faulty = run_traced ~fault prog in
-  let w = Align.create ~fault ~clean ~faulty () in
+  let w = Align.create ~fault ~clean () in
   let xloc = addr_of prog "x" in
   let saw_corrupted = ref false in
-  let rec drive () =
-    match Align.step w with
-    | Align.Step _ ->
-        if Align.is_corrupted w xloc then saw_corrupted := true;
-        drive ()
-    | Align.Diverged _ -> Alcotest.fail "no divergence expected"
-    | Align.End -> ()
+  let div =
+    Align.drive w (replay_of faulty) (fun _ ->
+        if Align.is_corrupted w xloc then saw_corrupted := true)
   in
-  drive ();
+  if div <> None then Alcotest.fail "no divergence expected";
   Alcotest.(check bool) "x was corrupted" true !saw_corrupted;
   Alcotest.(check bool) "x clean at end (overwritten)" false
     (Align.is_corrupted w xloc)
@@ -189,7 +188,9 @@ let test_align_divergence () =
     clean;
   let fault = Machine.Flip_write { seq = !cmp_seq; bit = 0 } in
   let _, faulty = run_traced ~fault prog in
-  let div = Align.walk ~fault ~clean ~faulty (fun _ -> ()) in
+  let div =
+    Align.drive (Align.create ~fault ~clean ()) (replay_of faulty) ignore
+  in
   Alcotest.(check bool) "control divergence detected" true (div <> None)
 
 (* a corrupted index sends the faulty run's stores to another word: the
@@ -221,14 +222,9 @@ let test_align_misdirected_stores () =
     clean;
   let fault = Machine.Flip_write { seq = !store_seq; bit = 0 } in
   let faulty_r, faulty = run_traced ~fault prog in
-  let w = Align.create ~fault ~clean ~faulty () in
-  let rec drive () =
-    match Align.step w with
-    | Align.Step _ -> drive ()
-    | Align.Diverged _ -> Alcotest.fail "no divergence expected"
-    | Align.End -> ()
-  in
-  drive ();
+  let w = Align.create ~fault ~clean () in
+  if Align.drive w (replay_of faulty) ignore <> None then
+    Alcotest.fail "no divergence expected";
   let written = Loc.Tbl.create 16 in
   List.iter
     (Trace.iter (fun (e : Trace.event) ->

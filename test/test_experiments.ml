@@ -61,7 +61,11 @@ let test_table2_monotone () =
     | [ _ ] | [] -> true
   in
   Alcotest.(check bool) "repeated additions shrink the error" true
-    (decreasing mags)
+    (decreasing mags);
+  (* the magnitudes Table II prints *)
+  Alcotest.(check (list string)) "pinned magnitudes"
+    [ "2.106742e-04"; "1.903487e-05"; "4.071215e-06"; "1.720555e-06" ]
+    (List.map (Printf.sprintf "%.6e") mags)
 
 let test_table2_bit_argument () =
   (* a different bit gives a different (still shrinking) trajectory *)

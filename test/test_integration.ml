@@ -108,11 +108,11 @@ let test_mg_region_tolerance_classification () =
         match List.hd inputs with Loc.Mem a -> a | Loc.Reg _ -> assert false
       in
       let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 44 } in
-      let _, faulty =
-        App.trace_with_fault app fault ~budget:10_000_000
+      let replay f =
+        ignore (App.replay_with_fault app fault ~budget:10_000_000 f)
       in
       let c =
-        Tolerance.classify ~fault ~clean ~faulty ~inputs ~outputs
+        Tolerance.classify ~fault ~clean ~replay ~inputs ~outputs
           ~lo:inst.Region.lo ~hi:inst.Region.hi ()
       in
       (* any classification is acceptable; Not_affected is not, since we

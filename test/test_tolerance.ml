@@ -33,8 +33,9 @@ let test_case1_masked () =
   let addr = match x with Loc.Mem a -> a | Loc.Reg _ -> assert false in
   let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 2 } in
   let _, faulty = run_traced ~fault prog in
+  let replay f = Trace.iter f faulty in
   match
-    Tolerance.classify ~fault ~clean ~faulty ~inputs:[ x ] ~outputs:[ out ]
+    Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ out ]
       ~lo ~hi ()
   with
   | Tolerance.Case1_masked -> ()
@@ -47,8 +48,9 @@ let test_not_affected () =
   let x = addr_of prog "x" and out = addr_of prog "out" in
   (* no fault at all *)
   let _, faulty = run_traced prog in
+  let replay f = Trace.iter f faulty in
   match
-    Tolerance.classify ~clean ~faulty ~inputs:[ x ] ~outputs:[ out ] ~lo ~hi ()
+    Tolerance.classify ~clean ~replay ~inputs:[ x ] ~outputs:[ out ] ~lo ~hi ()
   with
   | Tolerance.Not_affected -> ()
   | c -> Alcotest.failf "expected Not_affected, got %s" (Tolerance.to_string c)
@@ -75,8 +77,9 @@ let test_case2_diminished () =
   (* mantissa corruption: 8.0 -> 8+eps *)
   let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 44 } in
   let _, faulty = run_traced ~fault prog in
+  let replay f = Trace.iter f faulty in
   match
-    Tolerance.classify ~fault ~clean ~faulty ~inputs:[ x ] ~outputs:[ x ] ~lo
+    Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ x ] ~lo
       ~hi ()
   with
   | Tolerance.Case2_diminished { entry_mag; exit_mag } ->
@@ -103,8 +106,9 @@ let test_propagated () =
   let entry_seq = (Trace.get clean lo).Trace.seq in
   let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 40 } in
   let _, faulty = run_traced ~fault prog in
+  let replay f = Trace.iter f faulty in
   match
-    Tolerance.classify ~fault ~clean ~faulty ~inputs:[ x ] ~outputs:[ x ] ~lo
+    Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ x ] ~lo
       ~hi ()
   with
   | Tolerance.Propagated _ -> ()
@@ -140,7 +144,8 @@ let test_magnitude_by_iteration_decreasing () =
   in
   let fault = Machine.Flip_mem { seq = 10; addr; bit = 48 } in
   let _, faulty = run_traced ~iter_mark ~fault prog in
-  let rows = Tolerance.magnitude_by_iteration ~fault ~clean ~faulty ~addr () in
+  let replay f = Trace.iter f faulty in
+  let rows = Tolerance.magnitude_by_iteration ~fault ~clean ~replay ~addr () in
   Alcotest.(check bool) "several samples" true (List.length rows >= 3);
   let mags = List.map (fun (_, _, _, m) -> m) rows in
   let rec decreasing = function
