@@ -286,10 +286,13 @@ let campaign_scale (effort : Effort.t) =
     (* a fixed trial count, so the jobs axis is the only variable *)
     { effort.Effort.campaign with Campaign.max_trials = Some 240 }
   in
+  (* recorded in both JSON files: a trials/s figure means nothing
+     without the core count it was measured on *)
+  let nproc = Domain.recommended_domain_count () in
   Printf.printf
     "recommended domain count on this machine: %d (speedup is bounded by \
      the physical cores available)\n"
-    (Domain.recommended_domain_count ());
+    nproc;
   let jobs_list = [ 1; 2; 4; 8 ] in
   Printf.printf "%-10s %-6s %10s %12s %10s %8s\n" "app" "jobs" "trials"
     "wall(s)" "trials/s" "speedup";
@@ -375,11 +378,13 @@ let campaign_scale (effort : Effort.t) =
       Printf.fprintf oc
         "{\n\
         \  \"bench\": \"campaign-scale/backend\",\n\
+        \  \"nproc\": %d,\n\
         \  \"rows\": [\n\
          %s\n\
         \  ],\n\
         \  \"min_speedup\": %.2f\n\
          }\n"
+        nproc
         (String.concat ",\n"
            (List.map
               (fun (name, jobs, ti, tc, s) ->
@@ -408,6 +413,7 @@ let campaign_scale (effort : Effort.t) =
       Printf.fprintf oc
         "{\n\
         \  \"bench\": \"campaign-scale\",\n\
+        \  \"nproc\": %d,\n\
         \  \"app\": %S,\n\
         \  \"optimizer\": \"%s\",\n\
         \  \"rows\": [\n\
@@ -416,7 +422,7 @@ let campaign_scale (effort : Effort.t) =
         \  \"throughput_ratio_per_jobs\": {%s},\n\
         \  \"min_throughput_ratio\": %.2f\n\
          }\n"
-        app.App.name
+        nproc app.App.name
         (String.concat "; "
            (List.map (fun (p : Opt.pass) -> p.Opt.name) Opt.all))
         (String.concat ",\n"

@@ -14,7 +14,10 @@
    both encodings, reads both back, and exits nonzero unless each
    round-trip is event-for-event exact.
    [ft_dev acl-parity [APP...]] checks replayed ACL analysis against
-   stored traces (see [acl_parity]). *)
+   stored traces (see [acl_parity]).
+   [ft_dev alloc-gate] prints the minor words a compiled IS@opt trial
+   allocates and exits nonzero when they drift from the checked-in
+   value (see [alloc_gate]). *)
 
 let dedup_apps (apps : App.t list) : App.t list =
   let seen = Hashtbl.create 16 in
@@ -196,6 +199,58 @@ let trial_cost name =
     "%s: clean %d instr; 240 trials: %d total instr (avg %d), %d hangs, %d \
      traps\n"
     app.App.name clean.Machine.instructions !total (!total / 240) !hangs !traps
+
+(* The allocation gate.  Minor words are a deterministic function of
+   the code path, unlike wall time on a shared runner, so CI gates on
+   them: [alloc_gate_words] is the checked-in reading, and a change
+   that moves it by more than [alloc_gate_tolerance] must update it
+   (and say why).  The loop is perfbench's trial-kernel replay:
+   [Rng.derive] + [Campaign.sample_fault] + [Campaign.run_one_with] on
+   the compiled IS@opt plan, one domain, counting the words allocated
+   inside the run calls. *)
+let alloc_gate_words = 13_399.
+let alloc_gate_tolerance = 0.05
+let alloc_gate_trials = 128
+
+let alloc_gate () =
+  let app =
+    match Fliptracker.resolve_app "IS@opt" with
+    | Ok a -> a
+    | Error msg -> failwith msg
+  in
+  let clean, trace = App.trace app in
+  let prog = App.program app in
+  let target = Campaign.whole_program_target prog trace in
+  let cfg = Campaign.default_config in
+  let budget = cfg.Campaign.budget_factor * max 1 clean.Machine.instructions in
+  let run = Backend.runner Backend.Compiled prog in
+  let words = ref 0.0 in
+  let counted conf =
+    let w0 = Gc.minor_words () in
+    let r = run conf in
+    words := !words +. (Gc.minor_words () -. w0);
+    r
+  in
+  for i = 0 to alloc_gate_trials - 1 do
+    let fault =
+      Campaign.sample_fault (Rng.derive ~seed:cfg.Campaign.seed ~index:i) target
+    in
+    ignore
+      (Campaign.run_one_with counted ~budget ~verify:(App.verify app) fault)
+  done;
+  let per_trial = !words /. float_of_int alloc_gate_trials in
+  let drift = Float.abs (per_trial -. alloc_gate_words) /. alloc_gate_words in
+  Printf.printf
+    "vm.compiled.minor_words_per_trial %.0f (IS@opt, first %d trials, one \
+     domain; checked-in %.0f, drift %.1f%%, bound %.0f%%)\n"
+    per_trial alloc_gate_trials alloc_gate_words (100. *. drift)
+    (100. *. alloc_gate_tolerance);
+  if drift > alloc_gate_tolerance then begin
+    Printf.printf
+      "alloc-gate: FAILED (update alloc_gate_words in bin/ft_dev.ml if the \
+       change is intended)\n";
+    exit 1
+  end
 
 let profile name =
   (* dynamic instruction counts per pc of the optimized program, hottest
@@ -530,7 +585,7 @@ let seq_parity (names : string list) =
     && String.equal a.Machine.output b.Machine.output
     && a.Machine.instructions = b.Machine.instructions
     && a.Machine.iterations = b.Machine.iterations
-    && a.Machine.mem = b.Machine.mem
+    && Machine.mem_equal a.Machine.mem b.Machine.mem
   in
   let failed = ref 0 in
   let check label ok detail =
@@ -691,6 +746,7 @@ let () =
       profile (match rest with name :: _ -> name | [] -> "IS")
   | _ :: "opt" :: rest ->
       opt_report (match rest with name :: _ -> name | [] -> "IS")
+  | _ :: "alloc-gate" :: _ -> alloc_gate ()
   | _ :: "trial-cost" :: rest ->
       trial_cost (match rest with name :: _ -> name | [] -> "IS")
   | _ :: "opt-dump" :: rest ->

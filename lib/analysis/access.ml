@@ -12,7 +12,8 @@
     counting sort then lays each location's accesses out contiguously
     in [data]: location [id] owns [data.(off.(id)) .. data.(off.(id + 1)
     - 1)].  Location ids come from a dense {!Loc_store}.  Nothing is
-    allocated per access: only the buffers, which double as needed. *)
+    allocated per access: only the buffers, which double as needed,
+    and the unsorted one is reused by the domain's next build. *)
 
 type kind = Read | Write
 
@@ -28,12 +29,28 @@ type t = {
   events : int;  (** events indexed *)
 }
 
+(* The unsorted access list is garbage once the sort has run, and
+   mining builds an index per analyzed injection: each domain keeps the
+   largest list it has needed and reuses it, so an index allocates only
+   its sorted [data] and [off].  The slot is [None] while a build holds
+   the list; a build that finds it empty (nested in another build's
+   event source, or after a build that raised) starts a new one. *)
+let spare : int array option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 (* the index of the events [iter] feeds, in order *)
 let index (iter : (Trace.event -> unit) -> unit) : t =
   let ids = Loc_store.create (-1) in
   let nlocs = ref 0 in
+  let slot = Domain.DLS.get spare in
   (* every access as [id lsl 32 lor packed], in trace order *)
-  let pairs = ref (Array.make 8192 0) in
+  let pairs =
+    match !slot with
+    | Some buf ->
+        slot := None;
+        ref buf
+    | None -> ref (Array.make 8192 0)
+  in
   let len = ref 0 in
   let add loc packed =
     let id =
@@ -64,6 +81,7 @@ let index (iter : (Trace.event -> unit) -> unit) : t =
         add (fst (Array.unsafe_get e.writes k)) (r lor 1)
       done;
       incr i);
+  slot := Some !pairs;
   let pairs = !pairs and len = !len and nlocs = !nlocs in
   let mask = (1 lsl 32) - 1 in
   (* counting sort by id; stable, so each slice stays in trace order *)

@@ -21,7 +21,9 @@ type fate =
 val index : ((Trace.event -> unit) -> unit) -> t
 (** [index iter] indexes the events [iter] passes to its callback, in
     order (events are indexed by their position), e.g. a replay of a
-    run streaming into a {!Machine} sink. *)
+    run streaming into a {!Machine} sink.  Each domain keeps the
+    unsorted access buffer of its largest build (one word per access)
+    and reuses it for the next one. *)
 
 val build : Trace.t -> t
 

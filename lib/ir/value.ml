@@ -10,9 +10,19 @@ type t = int64
 (** A raw 64-bit pattern. *)
 
 let of_int (i : int) : t = Int64.of_int i
-let to_int (v : t) : int = Int64.to_int v
-let of_float (f : float) : t = Int64.bits_of_float f
-let to_float (v : t) : float = Int64.float_of_bits v
+
+(* primitives, not wrappers, so callers convert without boxing even
+   across [-opaque] modules (see value.mli) *)
+external to_int : t -> int = "%int64_to_int"
+
+external of_float : float -> t
+  = "caml_int64_bits_of_float" "caml_int64_bits_of_float_unboxed"
+  [@@unboxed] [@@noalloc]
+
+external to_float : t -> float
+  = "caml_int64_float_of_bits" "caml_int64_float_of_bits_unboxed"
+  [@@unboxed] [@@noalloc]
+
 let zero : t = 0L
 let one : t = 1L
 let truth (b : bool) : t = if b then 1L else 0L

@@ -5,12 +5,23 @@
 type t = int64
 
 val of_int : int -> t
-val to_int : t -> int
 
-val of_float : float -> t
+(* [to_int], [of_float] and [to_float] are [external]s, the
+   [Stdlib.Int64] primitives, so callers inline them even across
+   [-opaque] module boundaries: no boxed [int64] or [float] crosses
+   the call. *)
+
+external to_int : t -> int = "%int64_to_int"
+
+external of_float : float -> t
+  = "caml_int64_bits_of_float" "caml_int64_bits_of_float_unboxed"
+  [@@unboxed] [@@noalloc]
 (** The IEEE-754 bit pattern of the float, not a rounding of it. *)
 
-val to_float : t -> float
+external to_float : t -> float
+  = "caml_int64_float_of_bits" "caml_int64_float_of_bits_unboxed"
+  [@@unboxed] [@@noalloc]
+
 val zero : t
 val one : t
 

@@ -1315,13 +1315,13 @@ let check_identity ~(passes : string list) ~(base : Prog.t) ~(opt : Prog.t) :
   | _ -> fail "a fault-free run did not finish");
   if not (String.equal rb.Machine.output ro.Machine.output) then
     fail "fault-free output differs";
-  if Array.length rb.Machine.mem <> Array.length ro.Machine.mem then
+  let mb = rb.Machine.mem and mo = ro.Machine.mem in
+  if Machine.mem_length mb <> Machine.mem_length mo then
     fail "memory sizes differ";
-  Array.iteri
-    (fun i v ->
-      if not (Int64.equal v ro.Machine.mem.(i)) then
-        fail (Printf.sprintf "final memory differs at word %d" i))
-    rb.Machine.mem;
+  for i = 0 to Machine.mem_length mb - 1 do
+    if not (Int64.equal (Machine.mem_get mb i) (Machine.mem_get mo i)) then
+      fail (Printf.sprintf "final memory differs at word %d" i)
+  done;
   if rb.Machine.iterations <> ro.Machine.iterations then
     fail "main-loop iteration counts differ"
 

@@ -10,10 +10,13 @@
     constructor, no program counter bookkeeping, and allocates no
     trace events.  Registers and memory live in unboxed [Bigarray]
     storage (registers on a growable register stack addressed by a
-    frame base), so the ALU steps compile to plain 64-bit loads and
-    stores — no write barrier, no per-operation boxing — while
-    program memory stays a plain [int64 array] handed back in the
-    result without conversion.  The
+    frame base), so the ALU, load and store steps compile to plain
+    64-bit loads and stores — no write barrier, no per-operation
+    boxing.  Each domain keeps one memory buffer, register stack and
+    output buffer and resets them at the start of every run, so a
+    trial allocates none of them; the result's {!Machine.mem} is a
+    view of the domain's buffer, valid until the domain's next
+    compiled run.  The
     per-instruction dynamic-seq accounting (budget check, [tick],
     memory-fault application, write-fault application, iteration
     markers) is preserved {e exactly}: a compiled run is bit-identical
@@ -50,7 +53,7 @@ type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
    closures: the hot path pays one integer compare per fault kind per
    instruction instead of the interpreter's constructor match. *)
 type rt = {
-  mem : int64 array;
+  mem : ba;  (** the domain's memory buffer; words past [mem_len] are unused *)
   mem_len : int;
   out : Buffer.t;
   mutable count : int;  (** dynamic instruction counter (the seq source) *)
@@ -71,13 +74,19 @@ type rt = {
   mutable sp : int;  (** first free register-stack slot *)
 }
 
+(* [Value.truth] and [Value.is_true], local so they inline into the
+   step thunks: across a module compiled [-opaque] they would be calls
+   that box their [int64] *)
+let[@inline] truth (b : bool) : int64 = if b then 1L else 0L
+let[@inline] is_true (v : int64) : bool = not (Int64.equal v 0L)
+
 (* mirrors the interpreter's [apply_mem_fault]: bounds-check the
    faulted address (a wild address is a segfault, like any access) *)
 let apply_mem (rt : rt) : unit =
   let a = rt.mf_addr in
   if a < 0 || a >= rt.mem_len then
     raise (Machine.Vm_trap (Printf.sprintf "segfault at address %d" a));
-  rt.mem.(a) <- rt.mf (Array.unsafe_get rt.mem a)
+  BA1.unsafe_set rt.mem a (rt.mf (BA1.unsafe_get rt.mem a))
 
 (* cold half of the per-instruction prologue: runs only when a step's
    seq reaches [next_stop], i.e. the budget boundary or a pending
@@ -226,12 +235,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y < 0)))
+                 (rt.wf (truth (Int64.compare x y < 0)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y < 0)));
+               BA1.unsafe_set rs (bp + d) (truth (Int64.compare x y < 0)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Le ->
           fun rt bp depth ->
@@ -241,13 +250,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y <= 0)))
+                 (rt.wf (truth (Int64.compare x y <= 0)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y <= 0)));
+                 (truth (Int64.compare x y <= 0)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Gt ->
           fun rt bp depth ->
@@ -257,12 +266,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y > 0)))
+                 (rt.wf (truth (Int64.compare x y > 0)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y > 0)));
+               BA1.unsafe_set rs (bp + d) (truth (Int64.compare x y > 0)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Ge ->
           fun rt bp depth ->
@@ -272,13 +281,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y >= 0)))
+                 (rt.wf (truth (Int64.compare x y >= 0)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y >= 0)));
+                 (truth (Int64.compare x y >= 0)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Eq ->
           fun rt bp depth ->
@@ -288,11 +297,11 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.equal x y)))
-             else BA1.unsafe_set rs (bp + d) (Value.truth (Int64.equal x y)));
+                 (rt.wf (truth (Int64.equal x y)))
+             else BA1.unsafe_set rs (bp + d) (truth (Int64.equal x y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | _ ->
           fun rt bp depth ->
@@ -302,13 +311,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (not (Int64.equal x y))))
+                 (rt.wf (truth (not (Int64.equal x y))))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (not (Int64.equal x y))));
+                 (truth (not (Int64.equal x y))));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth)
   | Instr.Bin (((Op.Add | Op.Or | Op.Ashr) as op1), d, a, b)
     when ok d && ok a && ok b && next < len
@@ -338,7 +347,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
@@ -355,7 +364,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
@@ -371,7 +380,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth)
@@ -400,8 +409,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
             (if seq2 = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d2) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d2) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d2) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d2) (BA1.unsafe_get rt.mem addr));
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
       | _ ->
@@ -416,8 +425,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
             (if seq2 = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d2) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d2) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d2) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d2) (BA1.unsafe_get rt.mem addr));
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth)
   | Instr.Bin (((Op.Add | Op.Or) as op1), d, a, b)
@@ -608,8 +617,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.equal x y)))
-             else BA1.unsafe_set rs (bp + d) (Value.truth (Int64.equal x y)));
+                 (rt.wf (truth (Int64.equal x y)))
+             else BA1.unsafe_set rs (bp + d) (truth (Int64.equal x y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Ne ->
@@ -620,10 +629,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (not (Int64.equal x y))))
+                 (rt.wf (truth (not (Int64.equal x y))))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (not (Int64.equal x y))));
+                 (truth (not (Int64.equal x y))));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Lt ->
@@ -634,9 +643,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y < 0)))
+                 (rt.wf (truth (Int64.compare x y < 0)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y < 0)));
+               BA1.unsafe_set rs (bp + d) (truth (Int64.compare x y < 0)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Le ->
@@ -647,10 +656,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y <= 0)))
+                 (rt.wf (truth (Int64.compare x y <= 0)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y <= 0)));
+                 (truth (Int64.compare x y <= 0)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Gt ->
@@ -661,9 +670,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y > 0)))
+                 (rt.wf (truth (Int64.compare x y > 0)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y > 0)));
+               BA1.unsafe_set rs (bp + d) (truth (Int64.compare x y > 0)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Ge ->
@@ -674,10 +683,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y >= 0)))
+                 (rt.wf (truth (Int64.compare x y >= 0)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y >= 0)));
+                 (truth (Int64.compare x y >= 0)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fadd ->
@@ -748,10 +757,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x < Value.to_float y)))
+                 (rt.wf (truth (Value.to_float x < Value.to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x < Value.to_float y)));
+                 (truth (Value.to_float x < Value.to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fle ->
@@ -762,10 +771,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x <= Value.to_float y)))
+                 (rt.wf (truth (Value.to_float x <= Value.to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x <= Value.to_float y)));
+                 (truth (Value.to_float x <= Value.to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fgt ->
@@ -776,10 +785,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x > Value.to_float y)))
+                 (rt.wf (truth (Value.to_float x > Value.to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x > Value.to_float y)));
+                 (truth (Value.to_float x > Value.to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fge ->
@@ -790,10 +799,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x >= Value.to_float y)))
+                 (rt.wf (truth (Value.to_float x >= Value.to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x >= Value.to_float y)));
+                 (truth (Value.to_float x >= Value.to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Imin ->
@@ -965,8 +974,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
             (if seq = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
             and y2 = BA1.unsafe_get rs (bp + b2) in
@@ -981,8 +990,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
             (if seq = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
             and y2 = BA1.unsafe_get rs (bp + b2) in
@@ -1009,12 +1018,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
         (if seq = rt.wf_seq then
-           BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-         else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+           BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+         else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
         let seq2 = pre rt in
         let vs = BA1.unsafe_get rs (bp + s2) in
         let addr2 = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-        Array.unsafe_set rt.mem addr2
+        BA1.unsafe_set rt.mem addr2
           (if seq2 = rt.wf_seq then rt.wf vs else vs);
         (if jfuse2 then ignore (pre rt));
         (Array.unsafe_get steps jnext2) rt bp depth
@@ -1024,15 +1033,15 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
         (if seq = rt.wf_seq then
-           BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-         else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+           BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+         else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Load (d, a) ->
       fun rt bp depth ->
         let seq = pre rt in
         let addr = addr_of rt (getr rt bp nregs a) in
-        let v = Array.unsafe_get rt.mem addr in
+        let v = BA1.unsafe_get rt.mem addr in
         setr rt bp nregs d (if seq = rt.wf_seq then rt.wf v else v);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
@@ -1056,7 +1065,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let vs = BA1.unsafe_get rs (bp + s) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq = rt.wf_seq then rt.wf vs else vs);
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
@@ -1072,7 +1081,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let vs = BA1.unsafe_get rs (bp + s) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq = rt.wf_seq then rt.wf vs else vs);
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
@@ -1088,7 +1097,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let vs = BA1.unsafe_get rs (bp + s) in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-        Array.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
+        BA1.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Store (s, a) ->
@@ -1096,7 +1105,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let seq = pre rt in
         let vs = getr rt bp nregs s in
         let addr = addr_of rt (getr rt bp nregs a) in
-        Array.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
+        BA1.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Jmp l ->
@@ -1109,14 +1118,14 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
       fun rt bp depth ->
         let _ = pre rt in
         (Array.unsafe_get steps
-           (if Value.is_true (BA1.unsafe_get rt.rs (bp + c)) then l1 else l2))
+           (if is_true (BA1.unsafe_get rt.rs (bp + c)) then l1 else l2))
           rt bp depth
   | Instr.Bnz (c, l1, l2) ->
       let l1 = tgt l1 and l2 = tgt l2 in
       fun rt bp depth ->
         let _ = pre rt in
         (Array.unsafe_get steps
-           (if Value.is_true (getr rt bp nregs c) then l1 else l2))
+           (if is_true (getr rt bp nregs c) then l1 else l2))
           rt bp depth
   | Instr.Call (callee, argregs, ret) -> (
       let nargs = Array.length argregs in
@@ -1176,9 +1185,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let argv = read_args rt bp in
             let saddr = addr_of rt argv.(0) in
             let a = Value.to_float argv.(1) in
-            let x = Value.to_float (Array.unsafe_get rt.mem saddr) in
+            let x = Value.to_float (BA1.unsafe_get rt.mem saddr) in
             let x', r = Machine.randlc_step x a in
-            rt.mem.(saddr) <- Value.of_float x';
+            BA1.unsafe_set rt.mem saddr (Value.of_float x');
             let v = Value.of_float r in
             if seq = rt.wf_seq then rt.wf v else v
           in
@@ -1376,6 +1385,71 @@ let supported (cfg : Machine.config) : bool =
           true)
   | _ -> false
 
+(* Per-domain run state: the memory buffer, the register stack and the
+   output buffer every compiled run on a domain reuses, so a trial
+   allocates none of them.  Memory grows to the largest [mem_size] the
+   domain has run and is reset to the program's initial image at the
+   start of each run; the register stack grows with call depth and
+   needs no reset (a frame zeroes its registers on entry).  [runs]
+   stamps the memory views handed out in results: it advances before
+   the buffer is touched again.  [busy] is set for the length of a
+   run; a run that starts while another is in flight on the same
+   domain (a [tick] hook running a program) gets private state. *)
+type dstate = {
+  mutable dmem : ba;
+  mutable drs : ba;
+  dout : Buffer.t;
+  runs : int Atomic.t;
+  mutable busy : bool;
+}
+
+let fresh_dstate () =
+  {
+    dmem = BA1.create Bigarray.int64 Bigarray.c_layout 0;
+    drs = BA1.create Bigarray.int64 Bigarray.c_layout 4096;
+    dout = Buffer.create 256;
+    runs = Atomic.make 0;
+    busy = false;
+  }
+
+let dstate_key = Domain.DLS.new_key fresh_dstate
+
+(* an output buffer that grew past this is dropped rather than kept
+   for the domain's lifetime (a faulty trial can print in a loop) *)
+let out_keep = 1 lsl 16
+
+(* claim the domain's state and reset it for a program of [mem_len]
+   words initialized by [init] *)
+let acquire ~(mem_len : int) (init : (int * int64) list) : dstate =
+  let st =
+    let st = Domain.DLS.get dstate_key in
+    if st.busy then fresh_dstate () else st
+  in
+  st.busy <- true;
+  Atomic.incr st.runs;
+  if BA1.dim st.dmem < mem_len then
+    st.dmem <- BA1.create Bigarray.int64 Bigarray.c_layout mem_len;
+  let mem = st.dmem in
+  for a = 0 to mem_len - 1 do
+    BA1.unsafe_set mem a 0L
+  done;
+  List.iter
+    (fun (a, v) ->
+      (* the interpreter's image has exactly [mem_len] words *)
+      if a < 0 || a >= mem_len then begin
+        st.busy <- false;
+        invalid_arg "index out of bounds"
+      end;
+      BA1.unsafe_set mem a v)
+    init;
+  if Buffer.length st.dout > out_keep then Buffer.reset st.dout
+  else Buffer.clear st.dout;
+  st
+
+let release (st : dstate) (rt : rt) : unit =
+  st.drs <- rt.rs;
+  st.busy <- false
+
 let run (p : plan) (cfg : Machine.config) : Machine.result =
   if not (supported cfg) then
     invalid_arg
@@ -1383,8 +1457,6 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
        recovery, or a cache fault attached)";
   let prog = p.p_prog in
   let mem_len = prog.Prog.mem_size in
-  let mem = Array.make mem_len 0L in
-  List.iter (fun (a, v) -> mem.(a) <- v) prog.Prog.init_mem;
   let wf_seq, wf =
     match cfg.Machine.fault with
     | Some (Machine.Flip_write { seq; bit }) ->
@@ -1411,11 +1483,12 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
     | Some f -> (f, true)
     | None -> ((fun () -> ()), false)
   in
+  let st = acquire ~mem_len prog.Prog.init_mem in
   let rt =
     {
-      mem;
+      mem = st.dmem;
       mem_len;
-      out = Buffer.create 256;
+      out = st.dout;
       count = 0;
       budget = cfg.Machine.budget;
       next_stop =
@@ -1430,24 +1503,28 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
       mf;
       iter_mark = cfg.Machine.iter_mark;
       iter = -1;
-      rs = BA1.create Bigarray.int64 Bigarray.c_layout 4096;
+      rs = st.drs;
       sp = 0;
     }
   in
   let outcome =
-    try
-      ignore (p.p_exec rt prog.Prog.entry [||] 0);
-      Machine.Finished
-    with
-    | Machine.Budget -> Machine.Budget_exceeded
-    | Machine.Vm_trap msg -> Machine.Trapped msg
-    | Op.Trap msg -> Machine.Trapped msg
+    match p.p_exec rt prog.Prog.entry [||] 0 with
+    | _ -> Machine.Finished
+    | exception Machine.Budget -> Machine.Budget_exceeded
+    | exception Machine.Vm_trap msg -> Machine.Trapped msg
+    | exception Op.Trap msg -> Machine.Trapped msg
+    | exception e ->
+        (* a [tick] or fetch exception escapes unclassified, as in the
+           interpreter; the domain's state stays usable *)
+        release st rt;
+        raise e
   in
+  release st rt;
   {
     Machine.outcome;
     instructions = rt.count;
     output = Buffer.contents rt.out;
-    mem;
+    mem = Machine.live_mem rt.mem ~len:mem_len ~runs:st.runs;
     iterations = rt.iter + 1;
     restores = 0;
   }

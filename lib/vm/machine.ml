@@ -135,11 +135,69 @@ let default_config =
     recover = None;
   }
 
+(* --- final memory views ------------------------------------------------- *)
+
+type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The interpreter hands back its own boxed image.  The compiled
+   backend hands back the live per-domain buffer it will reuse for the
+   next trial, with the buffer owner's run counter as it stood when the
+   view was made: once the counter moves on, the buffer holds another
+   trial's memory and every read of the view raises. *)
+type mem =
+  | Boxed of int64 array
+  | Live of { buf : ba; len : int; runs : int Atomic.t; run : int }
+
+let stale () =
+  invalid_arg
+    "Machine.mem: stale view (a later run on its domain reused the memory)"
+
+(* checked after the read, so a reuse racing the read is caught too *)
+let check_live (runs : int Atomic.t) (run : int) : unit =
+  if Atomic.get runs <> run then stale ()
+
+let mem_of_array (a : int64 array) : mem = Boxed a
+
+let live_mem (buf : ba) ~(len : int) ~(runs : int Atomic.t) : mem =
+  Live { buf; len; runs; run = Atomic.get runs }
+
+let mem_length = function
+  | Boxed a -> Array.length a
+  | Live l ->
+      check_live l.runs l.run;
+      l.len
+
+let mem_get (m : mem) (i : int) : int64 =
+  match m with
+  | Boxed a -> a.(i)
+  | Live l ->
+      if i < 0 || i >= l.len then invalid_arg "index out of bounds";
+      let v = Bigarray.Array1.unsafe_get l.buf i in
+      check_live l.runs l.run;
+      v
+
+let mem_to_array (m : mem) : int64 array =
+  match m with
+  | Boxed a -> Array.copy a
+  | Live l ->
+      let a = Array.init l.len (fun i -> Bigarray.Array1.unsafe_get l.buf i) in
+      check_live l.runs l.run;
+      a
+
+let mem_equal (a : mem) (b : mem) : bool =
+  let n = mem_length a in
+  n = mem_length b
+  &&
+  let rec go i =
+    i >= n || (Int64.equal (mem_get a i) (mem_get b i) && go (i + 1))
+  in
+  go 0
+
 type result = {
   outcome : outcome;
   instructions : int;  (** dynamic instructions executed *)
   output : string;     (** accumulated formatted prints *)
-  mem : int64 array;   (** final memory image *)
+  mem : mem;           (** final memory image *)
   iterations : int;    (** main-loop iterations observed (from markers) *)
   restores : int;      (** checkpoint rollbacks taken (0 without [recover]) *)
 }
@@ -302,11 +360,13 @@ let run (prog : Prog.t) (cfg : config) : result =
         ()
   in
   let trace = cfg.trace in
-  (* when neither a retained trace nor a sink consumes events, skip
-     event construction entirely: the argument arrays of [record] are
-     the VM's dominant allocation, and dropping them is what lets
-     parallel campaigns scale (allocation-driven minor GCs synchronize
-     every domain in OCaml 5) *)
+  (* when neither a retained trace nor a sink consumes events, plain
+     instructions skip building the read/write arrays of [record], the
+     dominant allocation of a traced run.  An untraced run still
+     allocates: intrinsics build their argument arrays, and registers
+     and memory hold boxed values, so each computed value costs a box.
+     Campaigns, whose minor GCs synchronize every domain in OCaml 5,
+     take the compiled backend instead. *)
   let recording =
     match (trace, cfg.sink) with None, None -> false | _, _ -> true
   in
@@ -379,6 +439,31 @@ let run (prog : Prog.t) (cfg : config) : result =
       end
       else false
     in
+    (* built once per activation and applied in full, never partially:
+       defined inside the dispatch loop it would allocate a closure for
+       every instruction, recorded or not *)
+    let record seq i eff op reads writes =
+      match (trace, cfg.sink) with
+      | None, None -> ()
+      | _, _ ->
+          let e =
+            {
+              Trace.seq;
+              fidx;
+              pc = i;
+              act;
+              line = f.lines.(i);
+              region = eff;
+              instance = (if eff >= 0 then !cur_inst else -1);
+              iter = !iter;
+              op;
+              reads;
+              writes;
+            }
+          in
+          (match trace with Some t -> Trace.push t e | None -> ());
+          (match cfg.sink with Some k -> k e | None -> ())
+    in
     let body () =
     while !running do
       let i = !pc in
@@ -404,40 +489,19 @@ let run (prog : Prog.t) (cfg : config) : result =
         && ((not !snap_taken)
            || (boundary && seq - !last_snap_seq >= snap_interval))
       then take_snapshot seq;
-      let record op reads writes =
-        match (trace, cfg.sink) with
-        | None, None -> ()
-        | _, _ ->
-            let e =
-              {
-                Trace.seq;
-                fidx;
-                pc = i;
-                act;
-                line = f.lines.(i);
-                region = eff;
-                instance = (if eff >= 0 then !cur_inst else -1);
-                iter = !iter;
-                op;
-                reads;
-                writes;
-              }
-            in
-            (match trace with Some t -> Trace.push t e | None -> ());
-            (match cfg.sink with Some k -> k e | None -> ())
-      in
       (match ins with
       | Const (d, v) ->
           let v = maybe_flip seq v in
           regs.(d) <- v;
-          if recording then record Trace.OConst [||] [| (Loc.Reg (act, d), v) |];
+          if recording then
+            record seq i eff Trace.OConst [||] [| (Loc.Reg (act, d), v) |];
           incr pc
       | Bin (op, d, a, b) ->
           let va = regs.(a) and vb = regs.(b) in
           let v = maybe_flip seq (Op.eval_bin op va vb) in
           regs.(d) <- v;
           if recording then
-            record (Trace.OBin op)
+            record seq i eff (Trace.OBin op)
               [| (Loc.Reg (act, a), va); (Loc.Reg (act, b), vb) |]
               [| (Loc.Reg (act, d), v) |];
           incr pc
@@ -446,7 +510,7 @@ let run (prog : Prog.t) (cfg : config) : result =
           let v = maybe_flip seq (Op.eval_un op va) in
           regs.(d) <- v;
           if recording then
-            record (Trace.OUn op)
+            record seq i eff (Trace.OUn op)
               [| (Loc.Reg (act, a), va) |]
               [| (Loc.Reg (act, d), v) |];
           incr pc
@@ -457,7 +521,7 @@ let run (prog : Prog.t) (cfg : config) : result =
           let v = maybe_flip seq v0 in
           regs.(d) <- v;
           if recording then
-            record Trace.OLoad
+            record seq i eff Trace.OLoad
               [| (Loc.Reg (act, a), va); (Loc.Mem addr, v0) |]
               [| (Loc.Reg (act, d), v) |];
           incr pc
@@ -467,23 +531,25 @@ let run (prog : Prog.t) (cfg : config) : result =
           let v = maybe_flip seq vs in
           mwrite addr v;
           if recording then
-            record Trace.OStore
+            record seq i eff Trace.OStore
               [| (Loc.Reg (act, s), vs); (Loc.Reg (act, a), va) |]
               [| (Loc.Mem addr, v) |];
           incr pc
       | Jmp l ->
-          if recording then record Trace.OJmp [||] [||];
+          if recording then record seq i eff Trace.OJmp [||] [||];
           pc := l
       | Bnz (cnd, l1, l2) ->
           let vc = regs.(cnd) in
           let taken = Value.is_true vc in
           if recording then
-            record (Trace.OBr taken) [| (Loc.Reg (act, cnd), vc) |] [||];
+            record seq i eff (Trace.OBr taken)
+              [| (Loc.Reg (act, cnd), vc) |]
+              [||];
           pc := if taken then l1 else l2
       | Call (callee, argregs, ret) ->
           let argv = Array.map (fun r -> regs.(r)) argregs in
           if recording then
-            record Trace.OCall
+            record seq i eff Trace.OCall
               (Array.mapi (fun k r -> (Loc.Reg (act, r), argv.(k))) argregs)
               [||];
           let rv = exec_fun callee argv eff (depth + 1) in
@@ -500,7 +566,7 @@ let run (prog : Prog.t) (cfg : config) : result =
               let v = maybe_flip seq v in
               regs.(d) <- v;
               if recording then
-                record Trace.ORet [||] [| (Loc.Reg (act, d), v) |]
+                record seq i eff Trace.ORet [||] [| (Loc.Reg (act, d), v) |]
           | Some _, None ->
               raise (Vm_trap "call: callee returned no value")
           | None, (Some _ | None) -> ());
@@ -508,7 +574,7 @@ let run (prog : Prog.t) (cfg : config) : result =
       | Ret r ->
           let v = Option.map (fun r -> regs.(r)) r in
           if recording then
-            record Trace.ORet
+            record seq i eff Trace.ORet
               (match r with
               | Some r -> [| (Loc.Reg (act, r), regs.(r)) |]
               | None -> [||])
@@ -530,7 +596,9 @@ let run (prog : Prog.t) (cfg : config) : result =
               | Some d -> Array.append [| (Loc.Reg (act, d), v) |] extra_writes
               | None -> extra_writes
             in
-            record (Trace.OIntr name) (Array.append reads extra_reads) writes
+            record seq i eff (Trace.OIntr name)
+              (Array.append reads extra_reads)
+              writes
           in
           (match intr with
           | Randlc ->
@@ -546,14 +614,14 @@ let run (prog : Prog.t) (cfg : config) : result =
               Buffer.add_string out (format_output fmtstr (Array.to_list argv));
               (* the format string travels in the opclass so analyses can
                  re-render values and detect output truncation masking *)
-              record (Trace.OIntr ("print:" ^ fmtstr)) reads [||]
+              record seq i eff (Trace.OIntr ("print:" ^ fmtstr)) reads [||]
           | MpiSend -> (
               match cfg.mpi with
-              | None -> record (Trace.OIntr "mpi_send") reads [||]
+              | None -> record seq i eff (Trace.OIntr "mpi_send") reads [||]
               | Some m ->
                   m.send ~dest:(Value.to_int argv.(0))
                     ~tag:(Value.to_int argv.(1)) argv.(2);
-                  record (Trace.OIntr "mpi_send") reads [||])
+                  record seq i eff (Trace.OIntr "mpi_send") reads [||])
           | MpiRecv -> (
               match cfg.mpi with
               | None -> raise (Vm_trap "mpi_recv without an MPI runtime")
@@ -569,7 +637,7 @@ let run (prog : Prog.t) (cfg : config) : result =
               | Some m -> set_ret "mpi_allreduce" (m.allreduce_sum argv.(0)) [||] [||])
           | MpiBarrier ->
               (match cfg.mpi with None -> () | Some m -> m.barrier ());
-              record (Trace.OIntr "mpi_barrier") reads [||]
+              record seq i eff (Trace.OIntr "mpi_barrier") reads [||]
           | MpiRank ->
               let r = match cfg.mpi with None -> 0 | Some m -> m.rank in
               set_ret "mpi_rank" (Value.of_int r) [||] [||]
@@ -580,7 +648,7 @@ let run (prog : Prog.t) (cfg : config) : result =
           incr pc
       | Mark m ->
           if m = cfg.iter_mark then incr iter;
-          if recording then record (Trace.OMark m) [||] [||];
+          if recording then record seq i eff (Trace.OMark m) [||] [||];
           incr pc);
       if !pc >= Array.length f.code then running := false
     done
@@ -610,7 +678,7 @@ let run (prog : Prog.t) (cfg : config) : result =
     outcome;
     instructions = !count;
     output = Buffer.contents out;
-    mem;
+    mem = Boxed mem;
     iterations = !iter + 1;
     restores = !restores;
   }

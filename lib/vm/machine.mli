@@ -100,11 +100,49 @@ val default_config : config
 (** No fault, no tracing, no MPI, no recovery, a 5e8-instruction
     budget. *)
 
+type mem
+(** A read-only view of a run's final memory image.
+
+    The interpreter's view wraps the image it allocated for the run
+    and stays valid forever.  The compiled backend's view is the live
+    memory buffer of the domain that ran the trial, which that domain
+    resets and reuses for its next compiled run: the view is valid
+    until then.  Read it, or copy it with {!mem_to_array}, before the
+    same domain runs another compiled trial.  Every reader below
+    raises [Invalid_argument] on a stale view; none ever returns
+    another trial's memory. *)
+
+val mem_length : mem -> int
+(** The program's [mem_size]. *)
+
+val mem_get : mem -> int -> int64
+(** [mem_get m a] is word [a].
+    @raise Invalid_argument if [a] is out of range or [m] is stale. *)
+
+val mem_equal : mem -> mem -> bool
+(** Same length and the same word at every address. *)
+
+val mem_to_array : mem -> int64 array
+(** A fresh copy that outlives the view. *)
+
+val mem_of_array : int64 array -> mem
+(** A view of an image the caller owns (a synthesized result). *)
+
+val live_mem :
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  len:int ->
+  runs:int Atomic.t ->
+  mem
+(** [live_mem buf ~len ~runs] views the first [len] words of a buffer
+    its owner reuses, valid while [runs] keeps the value it has now.
+    The owner must advance [runs] before it writes the buffer again.
+    Exposed for alternative execution backends. *)
+
 type result = {
   outcome : outcome;
   instructions : int;
   output : string;     (** accumulated formatted prints *)
-  mem : int64 array;   (** final memory image *)
+  mem : mem;           (** final memory image (see {!mem}) *)
   iterations : int;    (** main-loop iterations observed *)
   restores : int;      (** checkpoint rollbacks taken (0 without [recover]) *)
 }

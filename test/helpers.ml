@@ -25,7 +25,7 @@ let run_traced ?fault ?(iter_mark = -1) prog =
 (* read a named global scalar out of a final memory image *)
 let mem_scalar (prog : Prog.t) (r : Machine.result) name : Value.t =
   match Prog.find_symbol prog name with
-  | Some s -> r.Machine.mem.(s.Prog.sym_addr)
+  | Some s -> Machine.mem_get r.Machine.mem s.Prog.sym_addr
   | None -> Alcotest.failf "no symbol %s" name
 
 let mem_float prog r name = Value.to_float (mem_scalar prog r name)

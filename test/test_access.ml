@@ -121,7 +121,7 @@ let prop_index =
 
 (* a fixed program with a callee (registers of many activations) and an
    array (indexed memory words) *)
-let test_calls_and_arrays () =
+let calls_and_arrays_trace () =
   let open Ast in
   let sum =
     {
@@ -150,8 +150,40 @@ let test_calls_and_arrays () =
                ] );
          ])
   in
-  let _, t = Helpers.run_traced prog in
-  Alcotest.(check bool) "calls and arrays" true (index_matches_reference t)
+  snd (Helpers.run_traced prog)
+
+let test_calls_and_arrays () =
+  Alcotest.(check bool) "calls and arrays" true
+    (index_matches_reference (calls_and_arrays_trace ()))
+
+(* builds on one domain share a reused buffer: one started inside
+   another's event source, here over the trace's second half, must not
+   touch the outer build's, and a build after both gets the same index *)
+let test_nested_build () =
+  let t = calls_and_arrays_trace () in
+  let half () = Seq.drop (Trace.length t / 2) (Trace.to_seq t) in
+  let inner = ref None in
+  let outer =
+    Access.index (fun f ->
+        Trace.iteri
+          (fun i e ->
+            if i = Trace.length t / 2 then
+              inner := Some (Access.build_seq (half ()));
+            f e)
+          t)
+  in
+  let check label ix reference =
+    List.iter
+      (fun loc ->
+        Alcotest.(check bool)
+          (label ^ " " ^ Fmt.to_to_string Loc.pp loc)
+          true
+          (Access.accesses ix loc = Access.accesses reference loc))
+      (touched_locs t)
+  in
+  check "outer" outer (Access.build t);
+  check "inner" (Option.get !inner) (Access.build_seq (half ()));
+  check "after" (Access.build t) outer
 
 (* the dense store is total: negative ids, ids past its dense range (a
    hand-made or hostile trace file) and untouched slots all behave like
@@ -219,4 +251,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_index;
       Alcotest.test_case "dense location store is total" `Quick test_loc_store;
       Alcotest.test_case "far locations spill" `Quick test_loc_store_far;
+      Alcotest.test_case "nested builds keep their own buffer" `Quick
+        test_nested_build;
     ] )

@@ -235,9 +235,11 @@ let test_align_misdirected_stores () =
       match loc with
       | Loc.Mem a ->
           let name = Fmt.to_to_string Loc.pp loc in
-          Alcotest.(check int64) (name ^ " clean") clean_r.Machine.mem.(a)
+          Alcotest.(check int64) (name ^ " clean")
+            (Machine.mem_get clean_r.Machine.mem a)
             (Align.clean_value w loc);
-          Alcotest.(check int64) (name ^ " faulty") faulty_r.Machine.mem.(a)
+          Alcotest.(check int64) (name ^ " faulty")
+            (Machine.mem_get faulty_r.Machine.mem a)
             (Align.faulty_value w loc)
       | Loc.Reg _ -> ())
     written;

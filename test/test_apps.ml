@@ -141,7 +141,10 @@ let test_sprnvc_duplicate_free () =
     | Some s -> s.Prog.sym_addr
     | None -> Alcotest.fail "iv symbol"
   in
-  let vals = List.init Cg.nonzer (fun k -> Value.to_int r.Machine.mem.(base + k)) in
+  let vals =
+    List.init Cg.nonzer (fun k ->
+        Value.to_int (Machine.mem_get r.Machine.mem (base + k)))
+  in
   Alcotest.(check int) "distinct iv entries" (List.length vals)
     (List.length (List.sort_uniq compare vals))
 

@@ -40,7 +40,7 @@ let run_both (label : string) (prog : Prog.t) (cfg : Machine.config) =
   Alcotest.(check int) (label ^ " iterations") ri.Machine.iterations
     rc.Machine.iterations;
   Alcotest.(check bool) (label ^ " memory") true
-    (ri.Machine.mem = rc.Machine.mem)
+    (Machine.mem_equal ri.Machine.mem rc.Machine.mem)
 
 (* one fault of each kind, at deterministic seqs spread over the run *)
 let sample_faults (prog : Prog.t) ~(instructions : int) : Machine.fault list =
@@ -148,6 +148,122 @@ let test_plan_cache () =
   Alcotest.(check bool) "remembers its program" true
     (Compiled.prog p1 == prog)
 
+(* --- per-domain memory reuse ---------------------------------------------
+
+   Compiled runs on one domain share one memory buffer, register stack
+   and output buffer.  Nothing a trial leaves in them may reach the
+   next trial, and a result's memory view must refuse to be read once
+   its domain has run again. *)
+
+(* what a compiled run yields, with memory copied out of its view *)
+let snapshot (r : Machine.result) =
+  ( outcome_str r.Machine.outcome,
+    r.Machine.output,
+    r.Machine.instructions,
+    Machine.mem_to_array r.Machine.mem )
+
+let check_snapshot label (o, out, n, mem) (o', out', n', mem') =
+  Alcotest.(check string) (label ^ " outcome") o o';
+  Alcotest.(check string) (label ^ " output") out out';
+  Alcotest.(check int) (label ^ " instructions") n n';
+  Alcotest.(check bool) (label ^ " memory") true (mem = mem')
+
+(* the same run on a domain of its own, whose state nothing has used:
+   what a fresh process computes *)
+let on_fresh_domain prog cfg =
+  Domain.join
+    (Domain.spawn (fun () ->
+         snapshot (Compiled.run (Compiled.plan_for prog) cfg)))
+
+let test_reuse_after_memory_fault () =
+  let prog = App.program (Registry.find "IS") in
+  let plan = Compiled.plan_for prog in
+  let reference = Machine.run prog Machine.default_config in
+  let budget = 20 * reference.Machine.instructions in
+  let n = reference.Machine.instructions in
+  let faulty fault =
+    Compiled.run plan { Machine.default_config with budget; fault = Some fault }
+  in
+  (* a corrupted word, a corrupted write, then a wild memory fault that
+     traps mid-run: each leaves the domain's buffers dirty *)
+  let size = prog.Prog.mem_size in
+  ignore (faulty (Machine.Flip_mem { seq = n / 10; addr = size / 2; bit = 40 }));
+  ignore (faulty (Machine.Flip_write { seq = n / 3; bit = 62 }));
+  let trapped =
+    faulty (Machine.Flip_mem { seq = n / 2; addr = size; bit = 1 })
+  in
+  Alcotest.(check string) "wild fault traps"
+    (Printf.sprintf "trapped: segfault at address %d" size)
+    (outcome_str trapped.Machine.outcome);
+  let r = Compiled.run plan Machine.default_config in
+  Alcotest.(check string) "outcome" "finished" (outcome_str r.Machine.outcome);
+  Alcotest.(check string) "reference output" reference.Machine.output
+    r.Machine.output;
+  Alcotest.(check bool) "reference memory" true
+    (Machine.mem_equal reference.Machine.mem r.Machine.mem)
+
+let test_alternating_mem_sizes () =
+  let is_opt = Opt.transform Opt.all (App.program (Registry.find "IS")) in
+  let cg = App.program (Registry.find "CG") in
+  Alcotest.(check bool) "distinct memory sizes" true
+    (is_opt.Prog.mem_size <> cg.Prog.mem_size);
+  let runs =
+    List.concat_map
+      (fun (name, prog) ->
+        let n =
+          (Machine.run prog Machine.default_config).Machine.instructions
+        in
+        let budget = 20 * n in
+        [
+          (name ^ " clean", prog, Machine.default_config);
+          ( name ^ " flip-mem",
+            prog,
+            {
+              Machine.default_config with
+              budget;
+              fault =
+                Some (Machine.Flip_mem { seq = n / 4; addr = 7; bit = 33 });
+            } );
+        ])
+      [ ("IS@opt", is_opt); ("CG", cg) ]
+  in
+  let fresh =
+    List.map (fun (label, prog, cfg) -> (label, on_fresh_domain prog cfg)) runs
+  in
+  (* forward, backward and forward again on this one domain, so each
+     memory size runs right after the other *)
+  let interleaved = List.concat [ runs; List.rev runs; runs ] in
+  List.iter
+    (fun (label, prog, cfg) ->
+      check_snapshot label (List.assoc label fresh)
+        (snapshot (Compiled.run (Compiled.plan_for prog) cfg)))
+    interleaved
+
+let test_stale_view_raises () =
+  let prog = App.program (Registry.find "IS") in
+  let plan = Compiled.plan_for prog in
+  let interp = Machine.run prog Machine.default_config in
+  let first = Compiled.run plan Machine.default_config in
+  Alcotest.(check bool) "fresh view readable" true
+    (Machine.mem_equal interp.Machine.mem first.Machine.mem);
+  let second = Compiled.run plan Machine.default_config in
+  let stale f =
+    Alcotest.check_raises "stale view"
+      (Invalid_argument
+         "Machine.mem: stale view (a later run on its domain reused the \
+          memory)")
+      (fun () -> ignore (f first.Machine.mem))
+  in
+  stale (fun m -> Machine.mem_get m 0);
+  stale Machine.mem_length;
+  stale Machine.mem_to_array;
+  stale (fun m -> Machine.mem_equal m second.Machine.mem);
+  Alcotest.(check bool) "latest view readable" true
+    (Machine.mem_equal interp.Machine.mem second.Machine.mem);
+  Alcotest.(check int64) "interpreter view outlives compiled runs"
+    (Machine.mem_get second.Machine.mem 3)
+    (Machine.mem_get interp.Machine.mem 3)
+
 let suite =
   ( "backend",
     [
@@ -157,4 +273,10 @@ let suite =
         test_campaign_counts_identical;
       Alcotest.test_case "unsupported configs fall back" `Quick test_fallback;
       Alcotest.test_case "plan cache" `Quick test_plan_cache;
+      Alcotest.test_case "domain memory reset after a memory fault" `Quick
+        test_reuse_after_memory_fault;
+      Alcotest.test_case "alternating memory sizes = fresh domains" `Quick
+        test_alternating_mem_sizes;
+      Alcotest.test_case "stale memory view raises" `Quick
+        test_stale_view_raises;
     ] )

@@ -123,7 +123,7 @@ let test_array_row_major () =
   (* the symbol table agrees with the lowered layout *)
   let addr = Prog.addr_of_element prog "a" [ 2; 3 ] in
   Alcotest.(check int) "symbol addressing" 23
-    (Value.to_int r.Machine.mem.(addr))
+    (Value.to_int (Machine.mem_get r.Machine.mem addr))
 
 let test_function_call_scalar () =
   let open Ast in

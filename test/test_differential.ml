@@ -222,7 +222,7 @@ let run_both (stmts : Ast.stmt list) : (string * Value.t * Value.t) list =
     (fun v ->
       let vm_value =
         match Prog.find_symbol prog v with
-        | Some s -> r.Machine.mem.(s.Prog.sym_addr)
+        | Some s -> Machine.mem_get r.Machine.mem s.Prog.sym_addr
         | None -> 0L
       in
       let ref_value =

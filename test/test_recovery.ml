@@ -109,7 +109,7 @@ let test_rollback_restores_state_bit_exactly () =
             Alcotest.(check string) "output bit-exact" clean.Machine.output
               armed.Machine.output;
             Alcotest.(check bool) "memory bit-exact" true
-              (armed.Machine.mem = clean.Machine.mem)
+              (Machine.mem_equal armed.Machine.mem clean.Machine.mem)
         | Machine.Trapped _ | Machine.Budget_exceeded ->
             (* a trap can outrun the snapshot budget; that is a legal
                outcome, just not one this property speaks about *)
