@@ -239,17 +239,16 @@ let json_out = ref (Some "BENCH_optimize.json")
 
 (* one throughput sweep over the jobs axis; returns (jobs, trials, wall,
    trials/sec) rows and warns if the counts ever diverge from --jobs 1 *)
-let scale_rows ?(backend = Backend.default) ?(reps = 1) (app : App.t)
-    jobs_list cfg =
+let scale_rows ?(backend = Backend.default) (app : App.t) jobs_list cfg =
   let clean, trace = App.trace app in
   let prog = App.program app in
   let target = Campaign.whole_program_target prog trace in
   let base_counts = ref None in
   List.map
     (fun jobs ->
-      (* best-of-[reps] wall time, with the heap settled before each
-         repetition: a single short campaign is at the mercy of GC debt
-         left by whatever ran before it *)
+      (* best-of-3 wall time, with the heap settled before each
+         repetition: a single short campaign is at the mercy of host
+         noise and of GC debt left by whatever ran before it *)
       let r =
         List.fold_left
           (fun best _ ->
@@ -263,8 +262,7 @@ let scale_rows ?(backend = Backend.default) ?(reps = 1) (app : App.t)
             match best with
             | Some b when b.Campaign.wall_s <= r.Campaign.wall_s -> Some b
             | _ -> Some r)
-          None
-          (List.init reps Fun.id)
+          None [ 1; 2; 3 ]
         |> Option.get
       in
       let c = r.Campaign.counts in
@@ -342,7 +340,7 @@ let campaign_scale (effort : Effort.t) =
   let backend_speedups =
     List.concat_map
       (fun bapp ->
-        let sweep b = scale_rows ~backend:b ~reps:3 bapp backend_jobs cfg in
+        let sweep b = scale_rows ~backend:b bapp backend_jobs cfg in
         let interp_rows = sweep Backend.Interp in
         let compiled_rows = sweep Backend.Compiled in
         let print_b bname rows =
@@ -424,7 +422,7 @@ let campaign_scale (effort : Effort.t) =
          }\n"
         nproc app.App.name
         (String.concat "; "
-           (List.map (fun (p : Opt.pass) -> p.Opt.name) Opt.all))
+           (List.map (fun (p : Pass.t) -> p.Pass.name) Opt.all))
         (String.concat ",\n"
            (List.map (row_json app.App.name) base_rows
            @ List.map (row_json opt_app.App.name) opt_rows))

@@ -373,7 +373,7 @@ let campaign_cmd =
       match opt_spec with
       | None -> None
       | Some spec -> (
-          match Opt.parse_spec spec with
+          match Pass.parse_spec Opt.all spec with
           | Ok ps -> Some ps
           | Error msg ->
               Printf.eprintf "campaign: %s\n" msg;
@@ -666,7 +666,7 @@ let static_rank_cmd =
 let harden_cmd =
   let passes_arg =
     Arg.(value & opt string "all" & info [ "passes" ] ~docv:"SPEC"
-           ~doc:"Pass spec: $(b,all), or a comma-separated list of pass \
+           ~doc:"Pass spec: $(b,all), or a ','/'+'-separated list of pass \
                  names / short aliases (duplicate-compare/dup, \
                  accumulator-guard/acc, trunc-barrier/trunc, \
                  overwrite-fresh/fresh).")
@@ -704,7 +704,7 @@ let harden_cmd =
   let run name spec top_k report emit_ir trials seed csv =
     let app = find_app name in
     let passes =
-      match Harden.parse_spec spec with
+      match Pass.parse_spec Passes.all spec with
       | Ok ps -> ps
       | Error msg ->
           Printf.eprintf "harden: %s\n" msg;
@@ -712,8 +712,8 @@ let harden_cmd =
     in
     let opts = { Pass.top_k } in
     let baseline = App.program app in
-    let hardened, reports =
-      try Harden.harden ~opts passes baseline
+    let hardened, reports, _ =
+      try Pass.run_pipeline ~opts passes baseline
       with Pass.Verify_failed { passes; diags } ->
         Printf.eprintf
           "harden: pipeline [%s] produced broken IR (%d error \
@@ -726,7 +726,7 @@ let harden_cmd =
     Printf.printf "%s: %d -> %d static instructions (%s)\n" app.App.name
       (Prog.static_size baseline)
       (Prog.static_size hardened)
-      (Harden.spec_names passes);
+      (Pass.spec_names Passes.all passes);
     List.iter (fun r -> Fmt.pr "@[<v>%a@]@." Pass.pp_report r) reports;
     print_string "post-harden static ranking (guards counted as \
                   protective):\n";
@@ -796,7 +796,7 @@ let optimize_cmd =
   let run name spec rounds emit_ir =
     let app = find_app name in
     let passes =
-      match Opt.parse_spec spec with
+      match Pass.parse_spec Opt.all spec with
       | Ok ps -> ps
       | Error msg ->
           Printf.eprintf "optimize: %s\n" msg;
@@ -816,7 +816,7 @@ let optimize_cmd =
     in
     (try
        Opt.check_identity
-         ~passes:(List.map (fun (p : Opt.pass) -> p.Opt.name) passes)
+         ~passes:(List.map (fun (p : Pass.t) -> p.Pass.name) passes)
          ~base ~opt:prog
      with Opt.Identity_failed { passes; reason } ->
        Printf.eprintf

@@ -136,7 +136,7 @@ let opt_report name =
   let base = App.program app in
   let prog, reports, map = Opt.optimize Opt.all base in
   Opt.check_identity
-    ~passes:(List.map (fun (p : Opt.pass) -> p.Opt.name) Opt.all)
+    ~passes:(List.map (fun (p : Pass.t) -> p.Pass.name) Opt.all)
     ~base ~opt:prog;
   Fmt.pr "%a" Opt.pp_reports reports;
   let rb = Machine.run_plain base and ro = Machine.run_plain prog in

@@ -76,15 +76,12 @@ let resolve_app (name : string) : (App.t, string) result =
           Result.bind (lookup base) (fun app ->
               Result.map
                 (fun passes -> Opt.app_variant ~passes app)
-                (Opt.parse_spec spec))
+                (Pass.parse_spec Opt.all spec))
       | None ->
-          let spec =
-            String.map (fun c -> if Char.equal c '+' then ',' else c) raw
-          in
           Result.bind (lookup base) (fun app ->
               Result.map
                 (fun passes -> Harden.app_variant ~passes app)
-                (Harden.parse_spec spec)))
+                (Pass.parse_spec Passes.all raw)))
 
 (** Everything known about one fault injected into one program. *)
 type injection_report = {

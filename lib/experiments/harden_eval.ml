@@ -59,12 +59,12 @@ let evaluate ?(effort = Effort.default) ?opts ?(passes = Passes.all)
   let pipelines =
     List.map
       (fun (p : Pass.t) ->
-        let prog, reps = Pass.run_pipeline ?opts [ p ] baseline in
+        let prog, reps, _ = Pass.run_pipeline ?opts [ p ] baseline in
         ("+" ^ p.Pass.name, [ p.Pass.name ], prog, reps))
       passes
     @
     if List.length passes > 1 then
-      let prog, reps = Pass.run_pipeline ?opts passes baseline in
+      let prog, reps, _ = Pass.run_pipeline ?opts passes baseline in
       [
         ( "all",
           List.map (fun (p : Pass.t) -> p.Pass.name) passes,

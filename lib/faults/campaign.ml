@@ -627,11 +627,6 @@ type exec = {
       (** stop at a batch boundary once the Wilson interval on the
           success rate is within the configured margin *)
   batch : int;  (** journal/early-stop granularity (fixed boundaries) *)
-  max_retries : int;
-  retry_backoff_s : float;
-  retry_jitter : float;
-      (** deterministic per-(trial, attempt) backoff jitter; timing
-          only, counts are unaffected (see {!Executor.config}) *)
   on_progress : (Executor.progress -> unit) option;
   metrics : Obs.t option;  (** executor phase/counter registry *)
   backend : Backend.t;
@@ -649,9 +644,6 @@ let default_exec =
     watchdog_s = None;
     early_stop = false;
     batch = Executor.default_config.Executor.batch;
-    max_retries = Executor.default_config.Executor.max_retries;
-    retry_backoff_s = Executor.default_config.Executor.retry_backoff_s;
-    retry_jitter = Executor.default_config.Executor.retry_jitter;
     on_progress = None;
     metrics = None;
     backend = Backend.default;
@@ -816,13 +808,11 @@ let run_report (prog : Prog.t) ~(verify : Machine.result -> bool)
   let spec = executor_spec prog ~verify ~clean_instructions ~cfg ~exec t in
   let ecfg =
     {
-      Executor.jobs = exec.jobs;
+      Executor.default_config with
+      jobs = exec.jobs;
       batch = exec.batch;
       journal = exec.journal;
       resume = exec.resume;
-      max_retries = exec.max_retries;
-      retry_backoff_s = exec.retry_backoff_s;
-      retry_jitter = exec.retry_jitter;
       on_progress = exec.on_progress;
       metrics = exec.metrics;
     }

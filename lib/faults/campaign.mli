@@ -250,8 +250,9 @@ val default_config : config
 val trials_for : config -> target -> int
 
 (** Execution knobs, orthogonal to the statistical design: worker
-    domains, on-disk journal + resume, wall-clock watchdog, bounded
-    retry, and Wilson-interval early stopping.  Defaults reproduce the
+    domains, on-disk journal + resume, wall-clock watchdog and
+    Wilson-interval early stopping; retries use
+    {!Executor.default_config}'s policy.  Defaults reproduce the
     sequential in-memory behavior. *)
 type exec = {
   jobs : int;  (** worker domains; counts are identical for any value *)
@@ -264,11 +265,6 @@ type exec = {
       (** stop once the Wilson interval half-width reaches the
           configured margin (evaluated at batch boundaries) *)
   batch : int;
-  max_retries : int;
-  retry_backoff_s : float;
-  retry_jitter : float;
-      (** deterministic per-(trial, attempt) backoff jitter; timing
-          only, counts unaffected *)
   on_progress : (Executor.progress -> unit) option;
   metrics : Obs.t option;
       (** when set, the executor records per-phase wall time and

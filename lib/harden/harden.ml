@@ -1,59 +1,8 @@
-(* Facade over the pass manager; see the mli. *)
-
-let known_names () =
-  String.concat ", "
-    (List.map
-       (fun (p : Pass.t) -> Printf.sprintf "%s (%s)" p.Pass.name p.Pass.short)
-       Passes.all)
-
-let parse_spec (spec : string) : (Pass.t list, string) result =
-  let spec = String.trim spec in
-  if String.equal (String.lowercase_ascii spec) "all" then Ok Passes.all
-  else
-    let parts =
-      String.split_on_char ',' spec
-      |> List.map String.trim
-      |> List.filter (fun s -> not (String.equal s ""))
-    in
-    if parts = [] then
-      Error (Printf.sprintf "empty pass spec; known passes: %s" (known_names ()))
-    else
-      let unknown =
-        List.filter (fun s -> Option.is_none (Passes.find s)) parts
-      in
-      match unknown with
-      | u :: _ ->
-          Error
-            (Printf.sprintf "unknown pass %S; known passes: %s" u
-               (known_names ()))
-      | [] ->
-          (* canonical order, independent of spec order *)
-          Ok
-            (List.filter
-               (fun (p : Pass.t) ->
-                 List.exists
-                   (fun s ->
-                     match Passes.find s with
-                     | Some q -> String.equal q.Pass.name p.Pass.name
-                     | None -> false)
-                   parts)
-               Passes.all)
-
-let spec_names (passes : Pass.t list) : string =
-  if
-    List.length passes = List.length Passes.all
-    && List.for_all2
-         (fun (a : Pass.t) (b : Pass.t) -> String.equal a.Pass.name b.Pass.name)
-         passes Passes.all
-  then "all"
-  else String.concat "+" (List.map (fun (p : Pass.t) -> p.Pass.short) passes)
-
-let harden ?opts (passes : Pass.t list) (p : Prog.t) :
-    Prog.t * Pass.report list =
-  Pass.run_pipeline ?opts passes p
+(* Facade over the hardening passes; see the mli. *)
 
 let transform ?opts (passes : Pass.t list) (p : Prog.t) : Prog.t =
-  fst (harden ?opts passes p)
+  let p, _, _ = Pass.run_pipeline ?opts passes p in
+  p
 
 let ranking_after (p : Prog.t) (reports : Pass.report list) :
     Vuln.region_score list =
@@ -62,7 +11,7 @@ let ranking_after (p : Prog.t) (reports : Pass.report list) :
 let app_variant ?opts ?(passes = Passes.all) (base : App.t) : App.t =
   {
     base with
-    App.name = base.App.name ^ "@" ^ spec_names passes;
+    App.name = base.App.name ^ "@" ^ Pass.spec_names Passes.all passes;
     description =
       Printf.sprintf "%s, auto-hardened (%s)" base.App.description
         (String.concat ", "

@@ -1,25 +1,16 @@
-(** The automatic-hardening facade: parse a pass spec, run the
-    pipeline, and package a registered app's auto-hardened variant.
+(** The automatic-hardening facade: run the hardening passes through
+    the shared pipeline ({!Pass.run_pipeline}, one round) and package a
+    registered app's auto-hardened variant.
 
-    A pass spec is ["all"] or a comma-separated list of pass names /
-    short aliases, e.g. ["dup,fresh"] or
-    ["duplicate-compare,trunc-barrier"]; passes always run in the
-    canonical order of {!Passes.all} regardless of spec order. *)
-
-val parse_spec : string -> (Pass.t list, string) result
-(** [Error msg] names the unknown pass and lists the valid names. *)
-
-val spec_names : Pass.t list -> string
-(** Canonical printable spec: ["all"] for the full set, else the short
-    aliases joined with [+] (e.g. ["dup+fresh"]) — also the suffix
-    {!app_variant} appends to the app name. *)
-
-val harden :
-  ?opts:Pass.opts -> Pass.t list -> Prog.t -> Prog.t * Pass.report list
-(** {!Pass.run_pipeline}.  @raise Pass.Verify_failed as it does. *)
+    Pass specs are parsed by [Pass.parse_spec Passes.all]: ["all"] or a
+    [','] or ['+'] separated list of pass names / short aliases, e.g.
+    ["dup,fresh"] or ["duplicate-compare+trunc-barrier"]; passes always
+    run in the canonical order of {!Passes.all} regardless of spec
+    order. *)
 
 val transform : ?opts:Pass.opts -> Pass.t list -> Prog.t -> Prog.t
-(** [harden] without the reports. *)
+(** {!Pass.run_pipeline}, keeping only the program.
+    @raise Pass.Verify_failed as it does. *)
 
 val ranking_after :
   Prog.t -> Pass.report list -> Vuln.region_score list
@@ -31,5 +22,6 @@ val app_variant : ?opts:Pass.opts -> ?passes:Pass.t list -> App.t -> App.t
 (** The auto-hardened variant of a registered app: same sources, same
     two-phase build, but the compiled program is rewritten by the
     pipeline before the reference run.  Named
-    [base.name ^ "@" ^ spec_names passes] (default passes:
-    {!Passes.all}), so it caches and runs everywhere plain apps do. *)
+    [base.name ^ "@" ^ Pass.spec_names Passes.all passes] (default
+    passes: {!Passes.all}), so it caches and runs everywhere plain apps
+    do. *)

@@ -18,101 +18,19 @@ let guard_code ~(x : Instr.reg) ~(y : Instr.reg) ~(eq : Instr.reg)
     Instr.Bin (Op.Div, chk, one, eq);
   ]
 
-(* -- generic splice-pass harness --------------------------------------- *)
-
-(* What one pass does to one function: insertions to splice, the new
-   register count, change records, and protective anchors given as
-   (anchor pc, index into that anchor's After block). *)
-type work = {
-  w_inss : Splice.insertion list;
-  w_nregs : int;
-  w_changes : Pass.site_change list;
-  w_considered : int;
-  w_prot : (int * int) list;
-}
-
-let no_work (f : Prog.func) =
-  {
-    w_inss = [];
-    w_nregs = f.Prog.nregs;
-    w_changes = [];
-    w_considered = 0;
-    w_prot = [];
-  }
-
-let splice_pass ~name ~short ~doc
-    (prepare : Pass.opts -> Prog.t -> Prog.func -> work) : Pass.t =
-  let run (opts : Pass.opts) (p : Prog.t) : Pass.result =
-    let maps : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-    let considered = ref 0 in
-    let changes = ref [] in
-    let prot = ref [] in
-    let instrs_added = ref 0 in
-    let regs_added = ref 0 in
-    let worker = prepare opts p in
-    let funcs =
-      Array.map
-        (fun (f : Prog.func) ->
-          let w = worker f in
-          considered := !considered + w.w_considered;
-          changes := !changes @ w.w_changes;
-          regs_added := !regs_added + (w.w_nregs - f.Prog.nregs);
-          instrs_added :=
-            !instrs_added
-            + List.fold_left
-                (fun acc (i : Splice.insertion) ->
-                  acc + List.length i.Splice.code)
-                0 w.w_inss;
-          let f', map =
-            Splice.apply { f with Prog.nregs = w.w_nregs } w.w_inss
-          in
-          Hashtbl.replace maps f.Prog.fname map;
-          prot :=
-            !prot
-            @ List.map
-                (fun (anchor, delta) ->
-                  (f.Prog.fname, map.(anchor) + 1 + delta))
-                w.w_prot;
-          f')
-        p.Prog.funcs
-    in
-    let rep : Pass.report =
-      {
-        pass_name = name;
-        sites_considered = !considered;
-        sites_changed = List.length !changes;
-        instrs_added = !instrs_added;
-        instrs_removed = 0;
-        regs_added = !regs_added;
-        changes = !changes;
-        protective = !prot;
-      }
-    in
-    {
-      Pass.prog = { p with Prog.funcs };
-      rep;
-      remap =
-        (fun ~fname ~pc ->
-          match Hashtbl.find_opt maps fname with
-          | Some m when pc >= 0 && pc < Array.length m -> m.(pc)
-          | _ -> pc);
-    }
-  in
-  { Pass.name; short; doc; run }
-
-let change (f : Prog.func) pc note : Pass.site_change =
-  {
-    Pass.ch_func = f.Prog.fname;
-    ch_pc = pc;
-    ch_line = f.Prog.lines.(pc);
-    ch_region = f.Prog.regions.(pc);
-    ch_note = note;
-  }
+(* Apply one function's guard insertions.  Each guard is named by its
+   anchor pc and its offset into the anchor's After code, and lands in
+   the output just past the anchor. *)
+let insert (f : Prog.func) ~nregs ~considered inss changes prot : Pass.work =
+  let f', map = Rewrite.apply ~nregs ~insertions:inss f in
+  Pass.rewritten
+    ~prot:(List.map (fun (anchor, delta) -> map.(anchor) + 1 + delta) prot)
+    f' map changes considered
 
 (* -- duplicate_compare -------------------------------------------------- *)
 
 let duplicate_compare : Pass.t =
-  splice_pass ~name:"duplicate-compare" ~short:"dup"
+  Pass.func_pass ~name:"duplicate-compare" ~short:"dup"
     ~doc:
       "duplicate arithmetic in the top-K Vuln.rank regions and trap on \
        result mismatch (SWIFT-style SDC detector)"
@@ -124,69 +42,49 @@ let duplicate_compare : Pass.t =
           if i < opts.Pass.top_k then selected.(s.Vuln.rid) <- true)
         (Vuln.rank p);
       fun (f : Prog.func) ->
-        let w = ref (no_work f) in
-        let nreg = ref f.Prog.nregs in
+        let nreg = ref f.Prog.nregs and considered = ref 0 in
+        let inss = ref [] and changes = ref [] and prot = ref [] in
         Array.iteri
           (fun pc ins ->
             let rid = f.Prog.regions.(pc) in
             if rid >= 0 && rid < Array.length selected && selected.(rid) then
               let dup_with recompute d op_name =
+                incr considered;
                 let dup = !nreg and eq = !nreg + 1 in
                 let one = !nreg + 2 and chk = !nreg + 3 in
                 nreg := !nreg + 4;
                 (* the duplicate runs first so a dst-aliasing original
                    (r3 <- r3 + r1) still compares against the same
                    operand values *)
-                let inss =
-                  {
-                    Splice.at = pc;
-                    pos = Splice.Before;
-                    code = [ recompute dup ];
-                  }
-                  :: {
-                       Splice.at = pc;
-                       pos = Splice.After;
-                       code = guard_code ~x:d ~y:dup ~eq ~one ~chk;
-                     }
-                  :: (!w).w_inss
-                in
-                w :=
-                  {
-                    !w with
-                    w_inss = inss;
-                    w_nregs = !nreg;
-                    w_changes =
-                      change f pc
-                        (Printf.sprintf "duplicated %s into r%d, trap on \
-                                         mismatch" op_name dup)
-                      :: (!w).w_changes;
-                    w_prot = (pc, 0) :: (!w).w_prot;
-                  }
+                inss :=
+                  Rewrite.after pc (guard_code ~x:d ~y:dup ~eq ~one ~chk)
+                  :: Rewrite.before pc [ recompute dup ]
+                  :: !inss;
+                changes :=
+                  Pass.change f pc
+                    (Printf.sprintf "duplicated %s into r%d, trap on \
+                                     mismatch" op_name dup)
+                  :: !changes;
+                prot := (pc, 0) :: !prot
               in
               match ins with
               | Instr.Bin (op, d, a, b) ->
-                  w := { !w with w_considered = (!w).w_considered + 1 };
                   dup_with
                     (fun dup -> Instr.Bin (op, dup, a, b))
                     d (Op.bin_to_string op)
               | Instr.Un (op, d, a) ->
-                  w := { !w with w_considered = (!w).w_considered + 1 };
                   dup_with
                     (fun dup -> Instr.Un (op, dup, a))
                     d (Op.un_to_string op)
               | _ -> ())
           f.Prog.code;
-        {
-          !w with
-          w_inss = List.rev (!w).w_inss;
-          w_changes = List.rev (!w).w_changes;
-          w_prot = List.rev (!w).w_prot;
-        })
+        insert f ~nregs:!nreg ~considered:!considered (List.rev !inss)
+          (List.rev !changes) (List.rev !prot))
 
 (* -- accumulator_guard -------------------------------------------------- *)
 
 let accumulator_guard : Pass.t =
-  splice_pass ~name:"accumulator-guard" ~short:"acc"
+  Pass.func_pass ~name:"accumulator-guard" ~short:"acc"
     ~doc:
       "load back and re-compare every accumulating store found by the \
        reaching-defs slicer (repeated-additions sites)"
@@ -202,51 +100,38 @@ let accumulator_guard : Pass.t =
             (s.Static_detect.pc :: prev))
         (Static_detect.analyze p).Static_detect.repeated_adds;
       fun (f : Prog.func) ->
-        match Hashtbl.find_opt sites f.Prog.fname with
-        | None -> no_work f
-        | Some pcs ->
-            let w = ref (no_work f) in
-            let nreg = ref f.Prog.nregs in
-            List.iter
-              (fun pc ->
-                w := { !w with w_considered = (!w).w_considered + 1 };
-                match f.Prog.code.(pc) with
-                | Instr.Store (src, addr) ->
-                    (* Flip_write on a store corrupts the memory word but
-                       not the source register, so loading the word back
-                       and comparing against [src] is a sound check of
-                       the store's data path. *)
-                    let lb = !nreg and eq = !nreg + 1 in
-                    let one = !nreg + 2 and chk = !nreg + 3 in
-                    nreg := !nreg + 4;
-                    w :=
-                      {
-                        !w with
-                        w_nregs = !nreg;
-                        w_inss =
-                          {
-                            Splice.at = pc;
-                            pos = Splice.After;
-                            code =
-                              Instr.Load (lb, addr)
-                              :: guard_code ~x:lb ~y:src ~eq ~one ~chk;
-                          }
-                          :: (!w).w_inss;
-                        w_changes =
-                          change f pc "accumulating store verified by \
-                                       load-back compare"
-                          :: (!w).w_changes;
-                        (* the compare, one past the load-back *)
-                        w_prot = (pc, 1) :: (!w).w_prot;
-                      }
-                | _ -> ())
-              (List.sort_uniq compare pcs);
-            {
-              !w with
-              w_inss = List.rev (!w).w_inss;
-              w_changes = List.rev (!w).w_changes;
-              w_prot = List.rev (!w).w_prot;
-            })
+        let pcs =
+          List.sort_uniq compare
+            (Option.value ~default:[] (Hashtbl.find_opt sites f.Prog.fname))
+        in
+        let nreg = ref f.Prog.nregs in
+        let inss = ref [] and changes = ref [] and prot = ref [] in
+        List.iter
+          (fun pc ->
+            match f.Prog.code.(pc) with
+            | Instr.Store (src, addr) ->
+                (* Flip_write on a store corrupts the memory word but
+                   not the source register, so loading the word back
+                   and comparing against [src] is a sound check of
+                   the store's data path. *)
+                let lb = !nreg and eq = !nreg + 1 in
+                let one = !nreg + 2 and chk = !nreg + 3 in
+                nreg := !nreg + 4;
+                inss :=
+                  Rewrite.after pc
+                    (Instr.Load (lb, addr)
+                    :: guard_code ~x:lb ~y:src ~eq ~one ~chk)
+                  :: !inss;
+                changes :=
+                  Pass.change f pc
+                    "accumulating store verified by load-back compare"
+                  :: !changes;
+                (* the compare, one past the load-back *)
+                prot := (pc, 1) :: !prot
+            | _ -> ())
+          pcs;
+        insert f ~nregs:!nreg ~considered:(List.length pcs) (List.rev !inss)
+          (List.rev !changes) (List.rev !prot))
 
 (* -- trunc_barrier ------------------------------------------------------ *)
 
@@ -257,86 +142,70 @@ let accumulator_guard : Pass.t =
 let barrier_bound = 1e100
 
 let trunc_barrier : Pass.t =
-  splice_pass ~name:"trunc-barrier" ~short:"trunc"
+  Pass.func_pass ~name:"trunc-barrier" ~short:"trunc"
     ~doc:
       "range barriers on region-exit FP state: trap when a stored \
        double's magnitude exceeds 1e100 (only a corrupted exponent \
        gets there)"
-    (fun _opts p ->
-      fun (f : Prog.func) ->
-        let n = Array.length f.Prog.code in
-        if n = 0 then no_work f
-        else begin
-          let rd = Reaching.compute f in
-          (* last store per (region, resolved F64 word) *)
-          let last : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-          let considered = ref 0 in
-          Array.iteri
-            (fun pc ins ->
-              match ins with
-              | Instr.Store (_, addr_reg) -> (
-                  let rid = f.Prog.regions.(pc) in
-                  if rid >= 0 then
-                    match Reaching.const_addr rd ~pc addr_reg with
-                    | Some addr
-                      when Prog.type_of_addr p addr = Some Ty.F64 ->
-                        incr considered;
-                        Hashtbl.replace last (rid, addr) pc
-                    | Some _ | None -> ())
-              | _ -> ())
-            f.Prog.code;
-          let picks =
-            Hashtbl.fold (fun _ pc acc -> pc :: acc) last []
-            |> List.sort_uniq compare
-          in
-          let w = ref { (no_work f) with w_considered = !considered } in
-          let nreg = ref f.Prog.nregs in
-          List.iter
-            (fun pc ->
-              match f.Prog.code.(pc) with
-              | Instr.Store (_, addr_reg) ->
-                  let lb = !nreg and ab = !nreg + 1 and bound = !nreg + 2 in
-                  let gt = !nreg + 3 and z = !nreg + 4 in
-                  let eq = !nreg + 5 and one = !nreg + 6 and chk = !nreg + 7 in
-                  nreg := !nreg + 8;
-                  w :=
-                    {
-                      !w with
-                      w_nregs = !nreg;
-                      w_inss =
-                        {
-                          Splice.at = pc;
-                          pos = Splice.After;
-                          code =
-                            [
-                              Instr.Load (lb, addr_reg);
-                              Instr.Un (Op.Fabs, ab, lb);
-                              Instr.Const (bound, Value.of_float barrier_bound);
-                              Instr.Bin (Op.Fgt, gt, ab, bound);
-                              Instr.Const (z, 0L);
-                            ]
-                            @ guard_code ~x:gt ~y:z ~eq ~one ~chk;
-                        }
-                        :: (!w).w_inss;
-                      w_changes =
-                        change f pc
-                          (Printf.sprintf
-                             "range barrier (|x| <= %g) after region's \
-                              last FP store"
-                             barrier_bound)
-                        :: (!w).w_changes;
-                      (* the Fgt comparison *)
-                      w_prot = (pc, 3) :: (!w).w_prot;
-                    }
-              | _ -> ())
-            picks;
-          {
-            !w with
-            w_inss = List.rev (!w).w_inss;
-            w_changes = List.rev (!w).w_changes;
-            w_prot = List.rev (!w).w_prot;
-          }
-        end)
+    (fun _opts p (f : Prog.func) ->
+      if Array.length f.Prog.code = 0 then Pass.keep f
+      else begin
+        let rd = Reaching.compute f in
+        (* last store per (region, resolved F64 word) *)
+        let last : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+        let considered = ref 0 in
+        Array.iteri
+          (fun pc ins ->
+            match ins with
+            | Instr.Store (_, addr_reg) -> (
+                let rid = f.Prog.regions.(pc) in
+                if rid >= 0 then
+                  match Reaching.const_addr rd ~pc addr_reg with
+                  | Some addr when Prog.type_of_addr p addr = Some Ty.F64 ->
+                      incr considered;
+                      Hashtbl.replace last (rid, addr) pc
+                  | Some _ | None -> ())
+            | _ -> ())
+          f.Prog.code;
+        let picks =
+          Hashtbl.fold (fun _ pc acc -> pc :: acc) last []
+          |> List.sort_uniq compare
+        in
+        let nreg = ref f.Prog.nregs in
+        let inss = ref [] and changes = ref [] and prot = ref [] in
+        List.iter
+          (fun pc ->
+            match f.Prog.code.(pc) with
+            | Instr.Store (_, addr_reg) ->
+                let lb = !nreg and ab = !nreg + 1 and bound = !nreg + 2 in
+                let gt = !nreg + 3 and z = !nreg + 4 in
+                let eq = !nreg + 5 and one = !nreg + 6 and chk = !nreg + 7 in
+                nreg := !nreg + 8;
+                inss :=
+                  Rewrite.after pc
+                    ([
+                       Instr.Load (lb, addr_reg);
+                       Instr.Un (Op.Fabs, ab, lb);
+                       Instr.Const (bound, Value.of_float barrier_bound);
+                       Instr.Bin (Op.Fgt, gt, ab, bound);
+                       Instr.Const (z, 0L);
+                     ]
+                    @ guard_code ~x:gt ~y:z ~eq ~one ~chk)
+                  :: !inss;
+                changes :=
+                  Pass.change f pc
+                    (Printf.sprintf
+                       "range barrier (|x| <= %g) after region's last FP \
+                        store"
+                       barrier_bound)
+                  :: !changes;
+                (* the Fgt comparison *)
+                prot := (pc, 3) :: !prot
+            | _ -> ())
+          picks;
+        insert f ~nregs:!nreg ~considered:!considered (List.rev !inss)
+          (List.rev !changes) (List.rev !prot)
+      end)
 
 (* -- overwrite_fresh ----------------------------------------------------- *)
 
@@ -380,11 +249,9 @@ type web = {
   mutable web_new : int;  (* assigned register *)
 }
 
-let overwrite_fresh_fun (f : Prog.func) :
-    Prog.func * int array * Pass.site_change list * (int * int) list * int * int
-    =
+let overwrite_fresh_fun (f : Prog.func) : Pass.work =
   let n = Array.length f.Prog.code in
-  if n = 0 then (f, [||], [], [], 0, 0)
+  if n = 0 then Pass.keep f
   else begin
     let rd = Reaching.compute f in
     let uf = UF.create () in
@@ -455,7 +322,7 @@ let overwrite_fresh_fun (f : Prog.func) :
               incr renamed;
               if w.web_min >= 0 && w.web_min < n then
                 changes :=
-                  change f w.web_min
+                  Pass.change f w.web_min
                     (Printf.sprintf "split web of r%d into fresh r%d" reg
                        w.web_new)
                   :: !changes
@@ -510,98 +377,38 @@ let overwrite_fresh_fun (f : Prog.func) :
           in
           if dying <> [] then begin
             inss :=
-              {
-                Splice.at = pc;
-                pos = Splice.After;
-                code = List.map (fun r -> Instr.Const (r, 0L)) dying;
-              }
+              Rewrite.after pc (List.map (fun r -> Instr.Const (r, 0L)) dying)
               :: !inss;
             List.iteri (fun j _ -> prot := (pc, j) :: !prot) dying;
             scrubs := !scrubs + List.length dying
           end
         end)
       f1.Prog.code;
-    let f2, map = Splice.apply f1 (List.rev !inss) in
     let changes =
       if !scrubs > 0 then
-        change f 0
+        Pass.change f 0
           (Printf.sprintf "scrubbed %d dead register(s) after their last \
                            use" !scrubs)
         :: List.rev !changes
       else List.rev !changes
     in
-    (f2, map, changes, List.rev !prot, web_total, !renamed)
+    {
+      (insert f1 ~nregs:!fresh ~considered:web_total (List.rev !inss) changes
+         (List.rev !prot))
+      with
+      Pass.w_changed = !renamed + !scrubs;
+    }
   end
 
 let overwrite_fresh : Pass.t =
-  let run (_opts : Pass.opts) (p : Prog.t) : Pass.result =
-    let maps : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-    let considered = ref 0 in
-    let changed = ref 0 in
-    let changes = ref [] in
-    let prot = ref [] in
-    let instrs_added = ref 0 in
-    let regs_added = ref 0 in
-    let funcs =
-      Array.map
-        (fun (f : Prog.func) ->
-          let f', map, chs, ps, webs, renamed = overwrite_fresh_fun f in
-          Hashtbl.replace maps f.Prog.fname map;
-          considered := !considered + webs;
-          changed := !changed + renamed + List.length ps;
-          changes := !changes @ chs;
-          prot :=
-            !prot
-            @ List.map
-                (fun (anchor, delta) ->
-                  (f.Prog.fname, map.(anchor) + 1 + delta))
-                ps;
-          instrs_added :=
-            !instrs_added + (Array.length f'.Prog.code - Array.length f.Prog.code);
-          regs_added := !regs_added + (f'.Prog.nregs - f.Prog.nregs);
-          f')
-        p.Prog.funcs
-    in
-    let rep : Pass.report =
-      {
-        pass_name = "overwrite-fresh";
-        sites_considered = !considered;
-        sites_changed = !changed;
-        instrs_added = !instrs_added;
-        instrs_removed = 0;
-        regs_added = !regs_added;
-        changes = !changes;
-        protective = !prot;
-      }
-    in
-    {
-      Pass.prog = { p with Prog.funcs };
-      rep;
-      remap =
-        (fun ~fname ~pc ->
-          match Hashtbl.find_opt maps fname with
-          | Some m when pc >= 0 && pc < Array.length m -> m.(pc)
-          | _ -> pc);
-    }
-  in
-  {
-    Pass.name = "overwrite-fresh";
-    short = "fresh";
-    doc =
+  Pass.func_pass ~name:"overwrite-fresh" ~short:"fresh"
+    ~doc:
       "split reused temporaries into fresh registers (one per def-use \
        web) and overwrite dying registers with zero after their last \
-       use (automatic harden_dcl)";
-    run;
-  }
+       use (automatic harden_dcl)"
+    (fun _ _ -> overwrite_fresh_fun)
 
 (* -- registry ------------------------------------------------------------ *)
 
 let all : Pass.t list =
   [ duplicate_compare; accumulator_guard; trunc_barrier; overwrite_fresh ]
-
-let find (name : string) : Pass.t option =
-  let name = String.lowercase_ascii name in
-  List.find_opt
-    (fun (p : Pass.t) ->
-      String.equal name p.Pass.name || String.equal name p.Pass.short)
-    all

@@ -43,5 +43,3 @@ val all : Pass.t list
     [trunc_barrier], then [overwrite_fresh] (renames and scrubs last,
     so the guard temporaries are scrubbed too). *)
 
-val find : string -> Pass.t option
-(** Look up by canonical name or short alias, case-insensitively. *)

@@ -1,48 +1,67 @@
-(* General function-body rewriting: per-instruction replacement (including
-   deletion) plus anchored insertion, with the same old->new pc-map
-   contract as Splice — extended with -1 for deleted instructions. *)
+(* The one function-body rewriting engine: per-instruction replacement
+   (including deletion) plus straight-line insertion before or after an
+   anchor, with one old->new pc map (-1 for deleted instructions). *)
+
+type place = Before of (int -> bool) | After
 
 type insertion = {
   at : int;              (* anchor pc in the input function *)
+  place : place;         (* Before carries the branch-entry predicate *)
   code : Instr.t list;   (* straight-line instructions only *)
-  via : int -> bool;     (* does a branch from this old src pc enter the
-                            inserted code, or keep targeting the anchor? *)
 }
 
-let before ?(via = fun _ -> true) at code = { at; code; via }
+let before ?(via = fun _ -> true) at code = { at; place = Before via; code }
 
-let apply ?nregs ?(insertions = []) ~(replace : int -> Instr.t list option)
+let after at code = { at; place = After; code }
+
+let apply ?nregs ?(insertions = []) ?(replace = fun _ -> None)
     (f : Prog.func) : Prog.func * int array =
   let n = Array.length f.Prog.code in
   if n = 0 then (f, [||])
   else begin
-    let ins_at : insertion list array = Array.make n [] in
-    List.iter
-      (fun i ->
-        if i.at < 0 || i.at >= n then
-          invalid_arg
-            (Printf.sprintf "Rewrite.apply: anchor %d out of range" i.at);
-        List.iter
-          (fun ins ->
-            if Cfg.is_terminator ins then
-              invalid_arg "Rewrite.apply: control flow in inserted code")
-          i.code;
-        ins_at.(i.at) <- ins_at.(i.at) @ [ i ])
-      insertions;
     let repl =
       Array.init n (fun pc ->
           match replace pc with None -> [ f.Prog.code.(pc) ] | Some l -> l)
     in
-    (* lay out the new index space: insertions at an anchor come first,
-       then the anchor's replacement (or the anchor itself) *)
+    (* Before code keeps its entry predicate; After code is appended to
+       the anchor's replacement, so it runs on the anchor's fall-through
+       edge and branches to the next pc skip nothing *)
+    let ins_at : ((int -> bool) * Instr.t list) list array = Array.make n [] in
+    List.iter
+      (fun i ->
+        if i.at < 0 || i.at >= n then
+          invalid_arg
+            (Printf.sprintf "Rewrite.apply: %s: anchor %d out of range"
+               f.Prog.fname i.at);
+        List.iter
+          (fun ins ->
+            if Cfg.is_terminator ins then
+              invalid_arg
+                (Printf.sprintf
+                   "Rewrite.apply: %s: control flow in inserted code at %d"
+                   f.Prog.fname i.at))
+          i.code;
+        match i.place with
+        | Before via -> ins_at.(i.at) <- ins_at.(i.at) @ [ (via, i.code) ]
+        | After ->
+            if Cfg.is_terminator f.Prog.code.(i.at) then
+              invalid_arg
+                (Printf.sprintf
+                   "Rewrite.apply: %s: After-insertion on terminator at %d"
+                   f.Prog.fname i.at);
+            repl.(i.at) <- repl.(i.at) @ i.code)
+      insertions;
+    (* lay out the new index space: Before code at an anchor comes
+       first, then the anchor's replacement (or the anchor itself) with
+       any After code *)
     let map = Array.make n (-1) in
     let entries : ((int -> bool) * int) list array = Array.make n [] in
     let pos = ref 0 in
     for pc = 0 to n - 1 do
       List.iter
-        (fun i ->
-          entries.(pc) <- entries.(pc) @ [ (i.via, !pos) ];
-          pos := !pos + List.length i.code)
+        (fun (via, code) ->
+          entries.(pc) <- entries.(pc) @ [ (via, !pos) ];
+          pos := !pos + List.length code)
         ins_at.(pc);
       match repl.(pc) with
       | [] -> map.(pc) <- -1
@@ -89,7 +108,7 @@ let apply ?nregs ?(insertions = []) ~(replace : int -> Instr.t list option)
     in
     pos := 0;
     for pc = 0 to n - 1 do
-      List.iter (fun i -> List.iter (emit pc) i.code) ins_at.(pc);
+      List.iter (fun (_, code) -> List.iter (emit pc) code) ins_at.(pc);
       List.iter (fun ins -> emit pc (retarget pc ins)) repl.(pc)
     done;
     ( {

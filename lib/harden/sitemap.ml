@@ -1,7 +1,7 @@
-(* Composable fault-site maps from reference IR onto optimized IR; see
-   the mli.  Static maps extend the harden Splice old->new pc arrays
-   with -1 for deleted instructions; the dynamic translation lifts them
-   to sequence numbers by occurrence counting, which is exact because
+(* Composable fault-site maps from a pass's input IR onto its output
+   IR; see the mli.  Static maps are Rewrite's old->new pc arrays, with
+   -1 for deleted instructions; the dynamic translation lifts them to
+   sequence numbers by occurrence counting, which is exact because
    every optimizer pass preserves the fault-free control-flow history
    of the instructions it keeps. *)
 

@@ -1,10 +1,12 @@
-(** Composable fault-site maps from reference IR onto optimized IR.
+(** Composable fault-site maps from a pass's input IR onto its output
+    IR, for optimizer and hardening passes alike.
 
-    {b Static maps.}  Per function, an array sending each reference pc
-    to its index in the rewritten body, or [-1] when the instruction
-    was deleted — the harden [Splice] old->new arrays extended with
-    deletion.  Maps compose, so a whole pipeline yields one map from
-    the reference program to the final optimized one.
+    {b Static maps.}  Per function, an array sending each input pc to
+    its index in the rewritten body, or [-1] when the instruction was
+    deleted — the arrays {!Rewrite.apply} returns.  Every {!Pass.t}
+    returns one, and {!Pass.run_pipeline} composes them, so a whole
+    pipeline yields one map from the reference program to the final
+    rewritten one.
 
     {b Dynamic translation.}  Campaign fault sites are dynamic
     sequence numbers, so {!seq_translation} lifts a static map to the

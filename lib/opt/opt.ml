@@ -4,25 +4,10 @@
    check.  Each pass returns a Sitemap so reference-level fault sites
    can be translated onto the optimized program. *)
 
-exception Unknown_pass of {
-  name : string;
-  suggestions : string list;
-  known : string list;
-}
-
 exception Identity_failed of { passes : string list; reason : string }
 
 let () =
   Printexc.register_printer (function
-    | Unknown_pass { name; suggestions; known } ->
-        let sug =
-          match suggestions with
-          | [] -> ""
-          | l -> Printf.sprintf " (did you mean %s?)" (String.concat ", " l)
-        in
-        Some
-          (Printf.sprintf "unknown optimizer pass %S%s; valid passes: %s" name
-             sug (String.concat ", " known))
     | Identity_failed { passes; reason } ->
         Some
           (Printf.sprintf
@@ -30,79 +15,41 @@ let () =
              (String.concat "; " passes) reason)
     | _ -> None)
 
-type pass = {
-  name : string;
-  short : string;
-  doc : string;
-  run : Prog.t -> Prog.t * Pass.report * Sitemap.t;
-}
+(* --- the fixpoint driver -------------------------------------------------- *)
 
-(* --- per-function pass harness ----------------------------------------- *)
+(* A rewrite round on one function: the rewrite and its change records,
+   or None when nothing changed, plus the sites it considered. *)
+type round =
+  Prog.func -> (Prog.func * int array * Pass.site_change list) option * int
 
-type fwork = {
-  w_func : Prog.func;
-  w_map : int array;  (* old pc -> new pc, -1 = deleted *)
-  w_changes : Pass.site_change list;
-  w_considered : int;
-}
+let round_result ?nregs ?insertions (f : Prog.func) repl changes considered =
+  if changes = [] then (None, considered)
+  else
+    let f', map = Rewrite.apply ?nregs ?insertions ~replace:repl f in
+    (Some (f', map, List.rev changes), considered)
 
-let id_map (f : Prog.func) = Array.init (Array.length f.Prog.code) Fun.id
-
-let keep_work (f : Prog.func) =
-  { w_func = f; w_map = id_map f; w_changes = []; w_considered = 0 }
-
-let change (f : Prog.func) pc note : Pass.site_change =
-  {
-    Pass.ch_func = f.Prog.fname;
-    ch_pc = pc;
-    ch_line = f.Prog.lines.(pc);
-    ch_region = f.Prog.regions.(pc);
-    ch_note = note;
-  }
-
-let mk_pass ~name ~short ~doc (worker : Prog.t -> Prog.func -> fwork) : pass =
-  let run (p : Prog.t) =
-    let changes = ref [] and considered = ref 0 in
-    let added = ref 0 and removed = ref 0 and regs = ref 0 in
-    let maps = ref [] in
-    let funcs =
-      Array.map
-        (fun (f : Prog.func) ->
-          let r = worker p f in
-          changes := !changes @ r.w_changes;
-          considered := !considered + r.w_considered;
-          let del =
-            Array.fold_left (fun a x -> if x < 0 then a + 1 else a) 0 r.w_map
-          in
-          removed := !removed + del;
-          added :=
-            !added
-            + Array.length r.w_func.Prog.code
-            - (Array.length f.Prog.code - del);
-          regs := !regs + (r.w_func.Prog.nregs - f.Prog.nregs);
-          maps := (f.Prog.fname, r.w_map) :: !maps;
-          r.w_func)
-        p.Prog.funcs
-    in
-    let rep =
-      {
-        Pass.pass_name = name;
-        sites_considered = !considered;
-        sites_changed = List.length !changes;
-        instrs_added = !added;
-        instrs_removed = !removed;
-        regs_added = !regs;
-        changes = !changes;
-        protective = [];
-      }
-    in
-    ({ p with Prog.funcs }, rep, Sitemap.of_list (List.rev !maps))
+(* Repeat a round until it changes nothing or [rounds] rewrites were
+   made, composing the maps; the work's [considered] is the largest
+   round's. *)
+let fixpoint ~rounds (round : round) (f : Prog.func) : Pass.work =
+  let rec go f map changes considered rounds =
+    match round f with
+    | None, c -> Pass.rewritten f map changes (max considered c)
+    | Some (f', m, ch), c ->
+        let map = Array.map (fun p -> if p < 0 then -1 else m.(p)) map in
+        let changes = changes @ ch and considered = max considered c in
+        if rounds <= 1 then Pass.rewritten f' map changes considered
+        else go f' map changes considered (rounds - 1)
   in
-  { name; short; doc; run }
+  if Array.length f.Prog.code = 0 then Pass.keep f
+  else go f (Array.init (Array.length f.Prog.code) Fun.id) [] 0 rounds
 
-(* compose two per-function 1-round maps *)
-let compose_fmap (a : int array) (b : int array) : int array =
-  Array.map (fun p -> if p < 0 then -1 else b.(p)) a
+(* A single-round pass: an unchanged function reports nothing
+   considered. *)
+let once (f : Prog.func) repl changes considered : Pass.work =
+  match round_result f repl changes considered with
+  | None, _ -> Pass.keep f
+  | Some (f', map, ch), c -> Pass.rewritten f' map ch c
 
 (* --- constant folding (sparse constant propagation) --------------------- *)
 
@@ -123,7 +70,7 @@ let fold_round (f : Prog.func) :
               | k ->
                   repl.(pc) <- Some [ Instr.Const (d, k) ];
                   changes :=
-                    change f pc
+                    Pass.change f pc
                       (Printf.sprintf "folded %s to 0x%Lx"
                          (Op.bin_to_string op) k)
                     :: !changes
@@ -137,7 +84,7 @@ let fold_round (f : Prog.func) :
               | k ->
                   repl.(pc) <- Some [ Instr.Const (d, k) ];
                   changes :=
-                    change f pc
+                    Pass.change f pc
                       (Printf.sprintf "folded %s to 0x%Lx" (Op.un_to_string op)
                          k)
                     :: !changes
@@ -150,46 +97,21 @@ let fold_round (f : Prog.func) :
               let l = if Int64.equal k 0L then l2 else l1 in
               repl.(pc) <- Some [ Instr.Jmp l ];
               changes :=
-                change f pc (Printf.sprintf "branch decided, always to %d" l)
+                Pass.change f pc
+                  (Printf.sprintf "branch decided, always to %d" l)
                 :: !changes
           | None -> ())
       | _ -> ())
     f.Prog.code;
-  if !changes = [] then (None, !considered)
-  else
-    let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-    (Some (f', map, List.rev !changes), !considered)
-
-let fold_func (_ : Prog.t) (f : Prog.func) : fwork =
-  let rec go f map changes considered rounds =
-    match fold_round f with
-    | (None, c) ->
-        {
-          w_func = f;
-          w_map = map;
-          w_changes = changes;
-          w_considered = max considered c;
-        }
-    | (Some (f', m, ch), c) ->
-        let map = compose_fmap map m in
-        if rounds <= 1 then
-          {
-            w_func = f';
-            w_map = map;
-            w_changes = changes @ ch;
-            w_considered = max considered c;
-          }
-        else go f' map (changes @ ch) (max considered c) (rounds - 1)
-  in
-  if Array.length f.Prog.code = 0 then keep_work f else go f (id_map f) [] 0 3
+  round_result f (fun pc -> repl.(pc)) !changes !considered
 
 let fold_pass =
-  mk_pass ~name:"constfold" ~short:"fold"
+  Pass.func_pass ~name:"constfold" ~short:"fold"
     ~doc:
       "fold operations whose operands the constant lattice proves \
        constant; decide branches on constant conditions (never folds a \
        trapping operation)"
-    fold_func
+    (fun _ _ -> fixpoint ~rounds:3 fold_round)
 
 (* --- algebraic simplification / strength reduction ---------------------- *)
 
@@ -199,8 +121,8 @@ let fold_pass =
 
 let copy_of d s = Instr.Bin (Op.Or, d, s, s)
 
-let simp_func (_ : Prog.t) (f : Prog.func) : fwork =
-  if Array.length f.Prog.code = 0 then keep_work f
+let simp_func (f : Prog.func) : Pass.work =
+  if Array.length f.Prog.code = 0 then Pass.keep f
   else begin
     let cp = Constprop.compute f in
     let n = Array.length f.Prog.code in
@@ -209,7 +131,7 @@ let simp_func (_ : Prog.t) (f : Prog.func) : fwork =
     let put pc ins note =
       if ins <> f.Prog.code.(pc) then begin
         repl.(pc) <- Some [ ins ];
-        changes := change f pc note :: !changes
+        changes := Pass.change f pc note :: !changes
       end
     in
     Array.iteri
@@ -257,24 +179,16 @@ let simp_func (_ : Prog.t) (f : Prog.func) : fwork =
             | _ -> ())
         | _ -> ())
       f.Prog.code;
-    if !changes = [] then keep_work f
-    else
-      let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-      {
-        w_func = f';
-        w_map = map;
-        w_changes = List.rev !changes;
-        w_considered = !considered;
-      }
+    once f (fun pc -> repl.(pc)) !changes !considered
   end
 
 let simp_pass =
-  mk_pass ~name:"simplify" ~short:"simp"
+  Pass.func_pass ~name:"simplify" ~short:"simp"
     ~doc:
       "algebraic identities and strength reduction on integer operations \
        (x+0, x*1, x^x, shift-by-0, ...), justified by the constant \
        lattice; float identities are excluded for bit-exactness"
-    simp_func
+    (fun _ _ -> simp_func)
 
 (* --- block-local common-subexpression elimination ------------------------ *)
 
@@ -287,9 +201,9 @@ let simp_pass =
    already trapped first, so fault-free behavior is unchanged.  The
    copies left behind feed copy propagation and die in dce. *)
 
-let cse_func (_ : Prog.t) (f : Prog.func) : fwork =
+let cse_func (f : Prog.func) : Pass.work =
   let n = Array.length f.Prog.code in
-  if n = 0 then keep_work f
+  if n = 0 then Pass.keep f
   else begin
     let cfg = Cfg.build f in
     let repl = Array.make n None in
@@ -311,7 +225,7 @@ let cse_func (_ : Prog.t) (f : Prog.func) : fwork =
           | Some r when r <> d ->
               repl.(pc) <- Some [ copy_of d r ];
               changes :=
-                change f pc
+                Pass.change f pc
                   (Printf.sprintf "recomputation reuses r%d (local cse)" r)
                 :: !changes;
               kill d
@@ -331,29 +245,21 @@ let cse_func (_ : Prog.t) (f : Prog.func) : fwork =
           | ins -> List.iter kill (Cfg.defs ins)
         done)
       cfg.Cfg.blocks;
-    if !changes = [] then keep_work f
-    else
-      let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-      {
-        w_func = f';
-        w_map = map;
-        w_changes = List.rev !changes;
-        w_considered = !considered;
-      }
+    once f (fun pc -> repl.(pc)) !changes !considered
   end
 
 let cse_pass =
-  mk_pass ~name:"local-cse" ~short:"cse"
+  Pass.func_pass ~name:"local-cse" ~short:"cse"
     ~doc:
       "block-local value numbering: a pure operation recomputing an \
        expression a still-valid register already holds becomes a copy of \
        that register (straight-line reaching inside one block)"
-    cse_func
+    (fun _ _ -> cse_func)
 
 (* --- redundant-load elimination ----------------------------------------- *)
 
-let rle_func (p : Prog.t) (f : Prog.func) : fwork =
-  if Array.length f.Prog.code = 0 then keep_work f
+let rle_func (p : Prog.t) (f : Prog.func) : Pass.work =
+  if Array.length f.Prog.code = 0 then Pass.keep f
   else begin
     let rd = Reaching.compute f in
     let cp = Constprop.compute f in
@@ -373,7 +279,7 @@ let rle_func (p : Prog.t) (f : Prog.func) : fwork =
                 | Some r ->
                     repl.(pc) <- Some [ copy_of d r ];
                     changes :=
-                      change f pc
+                      Pass.change f pc
                         (Printf.sprintf "load of word %d forwarded from r%d" a
                            r)
                       :: !changes
@@ -381,24 +287,16 @@ let rle_func (p : Prog.t) (f : Prog.func) : fwork =
             | None -> ())
         | _ -> ())
       f.Prog.code;
-    if !changes = [] then keep_work f
-    else
-      let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-      {
-        w_func = f';
-        w_map = map;
-        w_changes = List.rev !changes;
-        w_considered = !considered;
-      }
+    once f (fun pc -> repl.(pc)) !changes !considered
   end
 
 let rle_pass =
-  mk_pass ~name:"redundant-load-elim" ~short:"rle"
+  Pass.func_pass ~name:"redundant-load-elim" ~short:"rle"
     ~doc:
       "replace a load of a constant-addressed word with a register copy \
        when the available-loads analysis proves a register already holds \
        that word (includes store-to-load forwarding)"
-    rle_func
+    (fun _ -> rle_func)
 
 (* --- copy propagation ---------------------------------------------------- *)
 
@@ -419,8 +317,8 @@ let subst_uses sub (ins : Instr.t) : Instr.t =
   | Instr.Intr (i, args, ret) -> Instr.Intr (i, Array.map sub args, ret)
   | Instr.Const _ | Instr.Jmp _ | Instr.Ret None | Instr.Mark _ -> ins
 
-let copy_func (_ : Prog.t) (f : Prog.func) : fwork =
-  if Array.length f.Prog.code = 0 then keep_work f
+let copy_func (f : Prog.func) : Pass.work =
+  if Array.length f.Prog.code = 0 then Pass.keep f
   else begin
     let cfg = Cfg.build f in
     let cps = Avail.compute_copies ~cfg f ~is_copy:(is_copy f.Prog.code) in
@@ -437,41 +335,69 @@ let copy_func (_ : Prog.t) (f : Prog.func) : fwork =
           let ins' = subst_uses sub ins in
           if ins' <> ins then begin
             repl.(pc) <- Some [ ins' ];
-            changes := change f pc "copy-propagated operands" :: !changes
+            changes := Pass.change f pc "copy-propagated operands" :: !changes
           end
         end)
       f.Prog.code;
-    if !changes = [] then keep_work f
-    else
-      let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-      {
-        w_func = f';
-        w_map = map;
-        w_changes = List.rev !changes;
-        w_considered = !considered;
-      }
+    once f (fun pc -> repl.(pc)) !changes !considered
   end
 
 let copy_pass =
-  mk_pass ~name:"copyprop" ~short:"copy"
+  Pass.func_pass ~name:"copyprop" ~short:"copy"
     ~doc:
       "rewrite operand reads to the copy source when the reaching-\
        definitions-based available-copies analysis proves the registers \
        equal on every path"
-    copy_func
+    (fun _ _ -> copy_func)
+
+(* --- loop legality shared by hoisting and promotion ---------------------- *)
+
+(* The analyses both loop passes start from, and the natural loops
+   innermost first (so a value escapes one level per round), each with
+   its header block and pc-membership test.  Only loops a preheader can
+   be built for are kept: the header must be the unique loop entry
+   (reducible) and every in-loop edge into it must be an explicit
+   branch, so that the preheader code can be skipped exactly by the
+   back edges.  None when the function has no loops. *)
+let loop_context (p : Prog.t) (f : Prog.func) =
+  let cfg = Cfg.build f in
+  match Cfg.natural_loops cfg with
+  | [] -> None
+  | loops ->
+      let rd = Reaching.compute f in
+      let cp = Constprop.compute f in
+      let al = Alias.make p f ~rd ~cp in
+      let idoms = Cfg.idoms cfg in
+      let loop_size (l : Cfg.loop) =
+        Array.fold_left (fun a m -> if m then a + 1 else a) 0 l.Cfg.members
+      in
+      let viable (l : Cfg.loop) =
+        Array.for_all
+          (fun b ->
+            (not l.Cfg.members.(b)) || Cfg.dominates idoms l.Cfg.header b)
+          (Array.init (Array.length l.Cfg.members) Fun.id)
+        && List.for_all
+             (fun pr ->
+               (not l.Cfg.members.(pr))
+               || Cfg.is_terminator f.Prog.code.(cfg.Cfg.blocks.(pr).Cfg.last))
+             cfg.Cfg.blocks.(l.Cfg.header).Cfg.preds
+      in
+      let loops =
+        List.sort (fun a b -> compare (loop_size a) (loop_size b)) loops
+        |> List.filter viable
+        |> List.map (fun (l : Cfg.loop) ->
+               ( l,
+                 cfg.Cfg.blocks.(l.Cfg.header),
+                 fun pc -> l.Cfg.members.(cfg.Cfg.block_of.(pc)) ))
+      in
+      Some (cfg, rd, al, loops)
 
 (* --- loop-invariant constant hoisting ------------------------------------ *)
 
-let hoist_round (p : Prog.t) (f : Prog.func) :
-    (Prog.func * int array * Pass.site_change list) option * int =
-  let cfg = Cfg.build f in
-  let loops = Cfg.natural_loops cfg in
-  if loops = [] then (None, 0)
-  else begin
-    let rd = Reaching.compute f in
-    let cp = Constprop.compute f in
-    let al = Alias.make p f ~rd ~cp in
-    let idoms = Cfg.idoms cfg in
+let hoist_round (p : Prog.t) (f : Prog.func) =
+  match loop_context p f with
+  | None -> (None, 0)
+  | Some (_, rd, al, loops) ->
     let n = Array.length f.Prog.code in
     (* uses of each register, precomputed: reg -> use pcs *)
     let use_sites = Array.make f.Prog.nregs [] in
@@ -486,158 +412,132 @@ let hoist_round (p : Prog.t) (f : Prog.func) :
     let fresh = ref f.Prog.nregs in
     let subst : (int * Instr.reg, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
     let insertions = ref [] in
-    (* innermost loops first, so a constant escapes one level per round *)
-    let loop_size (l : Cfg.loop) =
-      Array.fold_left (fun a m -> if m then a + 1 else a) 0 l.Cfg.members
-    in
-    let loops =
-      List.sort (fun a b -> compare (loop_size a) (loop_size b)) loops
-    in
     List.iter
-      (fun (l : Cfg.loop) ->
-        let hb = cfg.Cfg.blocks.(l.Cfg.header) in
-        let members_pc pc = l.Cfg.members.(cfg.Cfg.block_of.(pc)) in
-        (* the header must be the unique loop entry (reducible) and every
-           in-loop edge into it must be an explicit branch, so that the
-           preheader code can be skipped exactly by the back edges *)
-        let viable =
-          Array.for_all
-            (fun b ->
-              (not l.Cfg.members.(b))
-              || Cfg.dominates idoms l.Cfg.header b)
-            (Array.init (Array.length l.Cfg.members) Fun.id)
-          && List.for_all
-               (fun p ->
-                 (not l.Cfg.members.(p))
-                 || Cfg.is_terminator f.Prog.code.(cfg.Cfg.blocks.(p).Cfg.last))
-               hb.Cfg.preds
+      (fun ((l : Cfg.loop), (hb : Cfg.block), members_pc) ->
+        (* memory effects of the loop, for load-invariance: loads are
+           hoistable only when nothing in the loop can write their
+           word — exact for constant addresses, object extents from
+           the alias analysis for computed ones *)
+        let mem_opaque = ref false in
+        let stored_addrs = ref [] in
+        let stored_extents = ref [] in
+        for pc = 0 to n - 1 do
+          if members_pc pc then
+            match f.Prog.code.(pc) with
+            | Instr.Call _ -> mem_opaque := true
+            | Instr.Intr (Instr.Randlc, args, _) -> (
+                match
+                  if Array.length args = 0 then None
+                  else Reaching.const_addr rd ~pc args.(0)
+                with
+                | Some a -> stored_addrs := a :: !stored_addrs
+                | None -> mem_opaque := true)
+            | Instr.Intr _ -> () (* print/mpi touch registers only *)
+            | Instr.Store (_, areg) -> (
+                match Reaching.const_addr rd ~pc areg with
+                | Some a -> stored_addrs := a :: !stored_addrs
+                | None -> (
+                    match Alias.extent_of al ~pc areg with
+                    | Some e -> stored_extents := e :: !stored_extents
+                    | None -> mem_opaque := true))
+            | _ -> ()
+        done;
+        let loop_may_write a =
+          List.mem a !stored_addrs
+          || List.exists (fun e -> Alias.touches e a) !stored_extents
         in
-        if viable then begin
-          (* memory effects of the loop, for load-invariance: loads are
-             hoistable only when nothing in the loop can write their
-             word — exact for constant addresses, object extents from
-             the alias analysis for computed ones *)
-          let mem_opaque = ref false in
-          let stored_addrs = ref [] in
-          let stored_extents = ref [] in
-          for pc = 0 to n - 1 do
-            if members_pc pc then
-              match f.Prog.code.(pc) with
-              | Instr.Call _ -> mem_opaque := true
-              | Instr.Intr (Instr.Randlc, args, _) -> (
-                  match
-                    if Array.length args = 0 then None
-                    else Reaching.const_addr rd ~pc args.(0)
-                  with
-                  | Some a -> stored_addrs := a :: !stored_addrs
-                  | None -> mem_opaque := true)
-              | Instr.Intr _ -> () (* print/mpi touch registers only *)
-              | Instr.Store (_, areg) -> (
-                  match Reaching.const_addr rd ~pc areg with
-                  | Some a -> stored_addrs := a :: !stored_addrs
-                  | None -> (
-                      match Alias.extent_of al ~pc areg with
-                      | Some e -> stored_extents := e :: !stored_extents
-                      | None -> mem_opaque := true))
-              | _ -> ()
-          done;
-          let loop_may_write a =
-            List.mem a !stored_addrs
-            || List.exists (fun e -> Alias.touches e a) !stored_extents
+        (* can all uses of r be redirected from its def at pc alone? *)
+        let sole_def pc r =
+          let uses =
+            List.filter
+              (fun u -> List.mem pc (Reaching.defs_of rd ~pc:u r))
+              use_sites.(r)
           in
-          (* can all uses of r be redirected from its def at pc alone? *)
-          let sole_def pc r =
-            let uses =
-              List.filter
-                (fun u -> List.mem pc (Reaching.defs_of rd ~pc:u r))
-                use_sites.(r)
-            in
-            if
-              uses <> []
-              && List.for_all
-                   (fun u -> Reaching.defs_of rd ~pc:u r = [ pc ])
-                   uses
-            then Some uses
-            else None
-          in
-          (* candidates: in-loop Const defs, and loads of words the loop
-             provably never writes, that uniquely reach all their uses *)
-          let by_const : (int64, Instr.reg) Hashtbl.t = Hashtbl.create 8 in
-          let by_load : (int, Instr.reg) Hashtbl.t = Hashtbl.create 8 in
-          let code = ref [] in
-          for pc = 0 to n - 1 do
-            if members_pc pc && not claimed.(pc) then
-              match f.Prog.code.(pc) with
-              | Instr.Const (r, k) -> (
-                  incr considered;
-                  match sole_def pc r with
-                  | Some uses ->
-                      claimed.(pc) <- true;
-                      let r' =
-                        match Hashtbl.find_opt by_const k with
-                        | Some r' -> r'
-                        | None ->
-                            let r' = !fresh in
-                            incr fresh;
-                            Hashtbl.add by_const k r';
-                            code := Instr.Const (r', k) :: !code;
-                            r'
-                      in
-                      List.iter
-                        (fun u -> Hashtbl.replace subst (u, r) r')
-                        uses;
-                      changes :=
-                        change f pc
-                          (Printf.sprintf
-                             "const 0x%Lx hoisted to preheader of block %d" k
-                             l.Cfg.header)
-                        :: !changes
-                  | None -> ())
-              | Instr.Load (r, areg) when not !mem_opaque -> (
-                  match Reaching.const_addr rd ~pc areg with
-                  | Some a when not (loop_may_write a) -> (
-                      incr considered;
-                      match sole_def pc r with
-                      | Some uses ->
-                          claimed.(pc) <- true;
-                          let r' =
-                            match Hashtbl.find_opt by_load a with
-                            | Some r' -> r'
-                            | None ->
-                                let ra = !fresh in
-                                let r' = !fresh + 1 in
-                                fresh := !fresh + 2;
-                                Hashtbl.add by_load a r';
-                                code :=
-                                  Instr.Load (r', ra)
-                                  :: Instr.Const (ra, Int64.of_int a)
-                                  :: !code;
-                                r'
-                          in
-                          List.iter
-                            (fun u -> Hashtbl.replace subst (u, r) r')
-                            uses;
-                          changes :=
-                            change f pc
-                              (Printf.sprintf
-                                 "loop-invariant load of word %d hoisted to \
-                                  preheader of block %d"
-                                 a l.Cfg.header)
-                            :: !changes
-                      | None -> ())
-                  | _ -> ())
-              | _ -> ()
-          done;
-          if !code <> [] then
-            insertions :=
-              Rewrite.before
-                ~via:(fun src -> not (members_pc src))
-                hb.Cfg.first (List.rev !code)
-              :: !insertions
-        end)
+          if
+            uses <> []
+            && List.for_all
+                 (fun u -> Reaching.defs_of rd ~pc:u r = [ pc ])
+                 uses
+          then Some uses
+          else None
+        in
+        (* candidates: in-loop Const defs, and loads of words the loop
+           provably never writes, that uniquely reach all their uses *)
+        let by_const : (int64, Instr.reg) Hashtbl.t = Hashtbl.create 8 in
+        let by_load : (int, Instr.reg) Hashtbl.t = Hashtbl.create 8 in
+        let code = ref [] in
+        for pc = 0 to n - 1 do
+          if members_pc pc && not claimed.(pc) then
+            match f.Prog.code.(pc) with
+            | Instr.Const (r, k) -> (
+                incr considered;
+                match sole_def pc r with
+                | Some uses ->
+                    claimed.(pc) <- true;
+                    let r' =
+                      match Hashtbl.find_opt by_const k with
+                      | Some r' -> r'
+                      | None ->
+                          let r' = !fresh in
+                          incr fresh;
+                          Hashtbl.add by_const k r';
+                          code := Instr.Const (r', k) :: !code;
+                          r'
+                    in
+                    List.iter
+                      (fun u -> Hashtbl.replace subst (u, r) r')
+                      uses;
+                    changes :=
+                      Pass.change f pc
+                        (Printf.sprintf
+                           "const 0x%Lx hoisted to preheader of block %d" k
+                           l.Cfg.header)
+                      :: !changes
+                | None -> ())
+            | Instr.Load (r, areg) when not !mem_opaque -> (
+                match Reaching.const_addr rd ~pc areg with
+                | Some a when not (loop_may_write a) -> (
+                    incr considered;
+                    match sole_def pc r with
+                    | Some uses ->
+                        claimed.(pc) <- true;
+                        let r' =
+                          match Hashtbl.find_opt by_load a with
+                          | Some r' -> r'
+                          | None ->
+                              let ra = !fresh in
+                              let r' = !fresh + 1 in
+                              fresh := !fresh + 2;
+                              Hashtbl.add by_load a r';
+                              code :=
+                                Instr.Load (r', ra)
+                                :: Instr.Const (ra, Int64.of_int a)
+                                :: !code;
+                              r'
+                        in
+                        List.iter
+                          (fun u -> Hashtbl.replace subst (u, r) r')
+                          uses;
+                        changes :=
+                          Pass.change f pc
+                            (Printf.sprintf
+                               "loop-invariant load of word %d hoisted to \
+                                preheader of block %d"
+                               a l.Cfg.header)
+                          :: !changes
+                    | None -> ())
+                | _ -> ())
+            | _ -> ()
+        done;
+        if !code <> [] then
+          insertions :=
+            Rewrite.before
+              ~via:(fun src -> not (members_pc src))
+              hb.Cfg.first (List.rev !code)
+            :: !insertions)
       loops;
     if !changes = [] then (None, !considered)
-    else begin
+    else
       let repl pc =
         let ins = f.Prog.code.(pc) in
         let sub r =
@@ -646,44 +546,16 @@ let hoist_round (p : Prog.t) (f : Prog.func) :
         let ins' = subst_uses sub ins in
         if ins' <> ins then Some [ ins' ] else None
       in
-      let f', map =
-        Rewrite.apply ~nregs:!fresh ~insertions:(List.rev !insertions)
-          ~replace:repl f
-      in
-      (Some (f', map, List.rev !changes), !considered)
-    end
-  end
-
-let hoist_func (p : Prog.t) (f : Prog.func) : fwork =
-  let rec go f map changes considered rounds =
-    match hoist_round p f with
-    | (None, c) ->
-        {
-          w_func = f;
-          w_map = map;
-          w_changes = changes;
-          w_considered = max considered c;
-        }
-    | (Some (f', m, ch), c) ->
-        let map = compose_fmap map m in
-        if rounds <= 1 then
-          {
-            w_func = f';
-            w_map = map;
-            w_changes = changes @ ch;
-            w_considered = max considered c;
-          }
-        else go f' map (changes @ ch) (max considered c) (rounds - 1)
-  in
-  if Array.length f.Prog.code = 0 then keep_work f else go f (id_map f) [] 0 6
+      round_result ~nregs:!fresh ~insertions:(List.rev !insertions) f repl
+        !changes !considered
 
 let hoist_pass =
-  mk_pass ~name:"loop-hoist" ~short:"hoist"
+  Pass.func_pass ~name:"loop-hoist" ~short:"hoist"
     ~doc:
       "hoist loop-invariant constant materializations to a freshly built \
        preheader, justified by natural-loop detection, dominators and \
        unique reaching definitions (the originals die and fall to dce)"
-    hoist_func
+    (fun _ p -> fixpoint ~rounds:6 (hoist_round p))
 
 (* --- scalar promotion (register-caching of loop scalars) ----------------- *)
 
@@ -707,16 +579,10 @@ let hoist_pass =
    loop's own branches (Rewrite.before's via).  Memory is stale for
    the word only while the loop runs, when provably nobody looks. *)
 
-let promote_round (p : Prog.t) (f : Prog.func) :
-    (Prog.func * int array * Pass.site_change list) option * int =
-  let cfg = Cfg.build f in
-  let loops = Cfg.natural_loops cfg in
-  if loops = [] then (None, 0)
-  else begin
-    let rd = Reaching.compute f in
-    let cp = Constprop.compute f in
-    let al = Alias.make p f ~rd ~cp in
-    let idoms = Cfg.idoms cfg in
+let promote_round (p : Prog.t) (f : Prog.func) =
+  match loop_context p f with
+  | None -> (None, 0)
+  | Some (cfg, rd, al, loops) ->
     let n = Array.length f.Prog.code in
     let considered = ref 0 and changes = ref [] in
     let fresh = ref f.Prog.nregs in
@@ -738,249 +604,201 @@ let promote_round (p : Prog.t) (f : Prog.func) :
       Array.iteri (fun i m -> if m && not b.(i) then ok := false) a;
       !ok
     in
-    let loop_size (l : Cfg.loop) =
-      Array.fold_left (fun a m -> if m then a + 1 else a) 0 l.Cfg.members
-    in
-    let loops =
-      List.sort (fun a b -> compare (loop_size a) (loop_size b)) loops
-    in
     List.iter
-      (fun (l : Cfg.loop) ->
-        let hb = cfg.Cfg.blocks.(l.Cfg.header) in
-        let members_pc pc = l.Cfg.members.(cfg.Cfg.block_of.(pc)) in
-        let viable =
-          Array.for_all
-            (fun b ->
-              (not l.Cfg.members.(b)) || Cfg.dominates idoms l.Cfg.header b)
-            (Array.init (Array.length l.Cfg.members) Fun.id)
-          && List.for_all
-               (fun pr ->
-                 (not l.Cfg.members.(pr))
-                 || Cfg.is_terminator f.Prog.code.(cfg.Cfg.blocks.(pr).Cfg.last))
-               hb.Cfg.preds
+      (fun ((l : Cfg.loop), (hb : Cfg.block), members_pc) ->
+        (* memory effects of the loop *)
+        let opaque = ref false in
+        let has_ret = ref false in
+        let randlc_words = ref [] in
+        let store_extents = ref [] and load_extents = ref [] in
+        let dyn_load_unknown = ref false in
+        let loads_by_word : (int, (int * Instr.reg) list) Hashtbl.t =
+          Hashtbl.create 8
         in
-        if viable then begin
-          (* memory effects of the loop *)
-          let opaque = ref false in
-          let has_ret = ref false in
-          let randlc_words = ref [] in
-          let store_extents = ref [] and load_extents = ref [] in
-          let dyn_load_unknown = ref false in
-          let loads_by_word : (int, (int * Instr.reg) list) Hashtbl.t =
-            Hashtbl.create 8
-          in
-          let stores_by_word : (int, (int * Instr.reg * Instr.reg) list)
-              Hashtbl.t =
-            Hashtbl.create 8
-          in
-          for pc = 0 to n - 1 do
-            if members_pc pc then
-              match f.Prog.code.(pc) with
-              | Instr.Call _ -> opaque := true
-              | Instr.Ret _ -> has_ret := true
-              | Instr.Intr (Instr.Randlc, args, _) -> (
-                  match
-                    if Array.length args = 0 then None
-                    else Reaching.const_addr rd ~pc args.(0)
-                  with
-                  | Some a -> randlc_words := a :: !randlc_words
-                  | None -> opaque := true)
-              | Instr.Intr _ -> ()
-              | Instr.Store (s, areg) -> (
-                  match Reaching.const_addr rd ~pc areg with
-                  | Some a ->
-                      Hashtbl.replace stores_by_word a
-                        ((pc, s, areg)
-                        :: Option.value ~default:[]
-                             (Hashtbl.find_opt stores_by_word a))
-                  | None -> (
-                      match Alias.extent_of al ~pc areg with
-                      | Some e -> store_extents := e :: !store_extents
-                      | None -> opaque := true))
-              | Instr.Load (d, areg) -> (
-                  match Reaching.const_addr rd ~pc areg with
-                  | Some a ->
-                      Hashtbl.replace loads_by_word a
-                        ((pc, d)
-                        :: Option.value ~default:[]
-                             (Hashtbl.find_opt loads_by_word a))
-                  | None -> (
-                      match Alias.extent_of al ~pc areg with
-                      | Some e -> load_extents := e :: !load_extents
-                      | None -> dyn_load_unknown := true))
-              | _ -> ()
-          done;
-          (* the exit anchors: first pc of every non-member successor
-             block.  Write-backs there are enterable only by the loop's
-             own branches, so any fall-through predecessor must itself
-             be a member *)
-          let exit_anchors = ref [] in
-          let anchors_ok = ref true in
-          Array.iteri
-            (fun b (blk : Cfg.block) ->
-              if l.Cfg.members.(b) then
+        let stores_by_word : (int, (int * Instr.reg * Instr.reg) list)
+            Hashtbl.t =
+          Hashtbl.create 8
+        in
+        for pc = 0 to n - 1 do
+          if members_pc pc then
+            match f.Prog.code.(pc) with
+            | Instr.Call _ -> opaque := true
+            | Instr.Ret _ -> has_ret := true
+            | Instr.Intr (Instr.Randlc, args, _) -> (
+                match
+                  if Array.length args = 0 then None
+                  else Reaching.const_addr rd ~pc args.(0)
+                with
+                | Some a -> randlc_words := a :: !randlc_words
+                | None -> opaque := true)
+            | Instr.Intr _ -> ()
+            | Instr.Store (s, areg) -> (
+                match Reaching.const_addr rd ~pc areg with
+                | Some a ->
+                    Hashtbl.replace stores_by_word a
+                      ((pc, s, areg)
+                      :: Option.value ~default:[]
+                           (Hashtbl.find_opt stores_by_word a))
+                | None -> (
+                    match Alias.extent_of al ~pc areg with
+                    | Some e -> store_extents := e :: !store_extents
+                    | None -> opaque := true))
+            | Instr.Load (d, areg) -> (
+                match Reaching.const_addr rd ~pc areg with
+                | Some a ->
+                    Hashtbl.replace loads_by_word a
+                      ((pc, d)
+                      :: Option.value ~default:[]
+                           (Hashtbl.find_opt loads_by_word a))
+                | None -> (
+                    match Alias.extent_of al ~pc areg with
+                    | Some e -> load_extents := e :: !load_extents
+                    | None -> dyn_load_unknown := true))
+            | _ -> ()
+        done;
+        (* the exit anchors: first pc of every non-member successor
+           block.  Write-backs there are enterable only by the loop's
+           own branches, so any fall-through predecessor must itself
+           be a member *)
+        let exit_anchors = ref [] in
+        let anchors_ok = ref true in
+        Array.iteri
+          (fun b (blk : Cfg.block) ->
+            if l.Cfg.members.(b) then
+              List.iter
+                (fun s ->
+                  if not l.Cfg.members.(s) then begin
+                    let a = cfg.Cfg.blocks.(s).Cfg.first in
+                    if not (List.mem a !exit_anchors) then begin
+                      exit_anchors := a :: !exit_anchors;
+                      if
+                        a > 0
+                        && (not (Cfg.is_terminator f.Prog.code.(a - 1)))
+                        && not (members_pc (a - 1))
+                      then anchors_ok := false
+                    end
+                  end)
+                blk.Cfg.succs)
+          cfg.Cfg.blocks;
+        let claims_ok =
+          List.for_all
+            (fun a ->
+              match Hashtbl.find_opt sync_claims a with
+              | None -> true
+              | Some sets ->
+                  List.for_all
+                    (fun c ->
+                      subset c l.Cfg.members || subset l.Cfg.members c)
+                    sets)
+            !exit_anchors
+        in
+        let loop_sinkable =
+          (not !has_ret) && (not !dyn_load_unknown) && !anchors_ok
+          && claims_ok
+        in
+        if not !opaque then
+          (* candidates: words the loop reads through a constant
+             address that neither a computed-address store's object
+             extent nor a randlc state update can touch; constant-
+             addressed stores are fine — they refresh the cache *)
+          Hashtbl.iter
+            (fun w loads ->
+              incr considered;
+              if
+                (not (Hashtbl.mem promoted w))
+                && (not (List.mem w !randlc_words))
+                && not
+                     (List.exists
+                        (fun e -> Alias.touches e w)
+                        !store_extents)
+              then begin
+                Hashtbl.add promoted w ();
+                let ra = !fresh and rc = !fresh + 1 in
+                fresh := !fresh + 2;
+                pre_inserts :=
+                  Rewrite.before
+                    ~via:(fun src -> not (members_pc src))
+                    hb.Cfg.first
+                    [
+                      Instr.Const (ra, Int64.of_int w); Instr.Load (rc, ra);
+                    ]
+                  :: !pre_inserts;
                 List.iter
-                  (fun s ->
-                    if not l.Cfg.members.(s) then begin
-                      let a = cfg.Cfg.blocks.(s).Cfg.first in
-                      if not (List.mem a !exit_anchors) then begin
-                        exit_anchors := a :: !exit_anchors;
-                        if
-                          a > 0
-                          && (not (Cfg.is_terminator f.Prog.code.(a - 1)))
-                          && not (members_pc (a - 1))
-                        then anchors_ok := false
-                      end
-                    end)
-                  blk.Cfg.succs)
-            cfg.Cfg.blocks;
-          let claims_ok =
-            List.for_all
-              (fun a ->
-                match Hashtbl.find_opt sync_claims a with
-                | None -> true
-                | Some sets ->
-                    List.for_all
-                      (fun c ->
-                        subset c l.Cfg.members || subset l.Cfg.members c)
-                      sets)
-              !exit_anchors
-          in
-          let loop_sinkable =
-            (not !has_ret) && (not !dyn_load_unknown) && !anchors_ok
-            && claims_ok
-          in
-          if not !opaque then
-            (* candidates: words the loop reads through a constant
-               address that neither a computed-address store's object
-               extent nor a randlc state update can touch; constant-
-               addressed stores are fine — they refresh the cache *)
-            Hashtbl.iter
-              (fun w loads ->
-                incr considered;
-                if
-                  (not (Hashtbl.mem promoted w))
-                  && (not (List.mem w !randlc_words))
+                  (fun (pc, d) ->
+                    repl.(pc) <- Some [ copy_of d rc ];
+                    changes :=
+                      Pass.change f pc
+                        (Printf.sprintf
+                           "load of word %d served from loop cache r%d" w rc)
+                      :: !changes)
+                  loads;
+                let stores =
+                  Option.value ~default:[]
+                    (Hashtbl.find_opt stores_by_word w)
+                in
+                let sink =
+                  loop_sinkable && stores <> []
                   && not
                        (List.exists
                           (fun e -> Alias.touches e w)
-                          !store_extents)
-                then begin
-                  Hashtbl.add promoted w ();
-                  let ra = !fresh and rc = !fresh + 1 in
-                  fresh := !fresh + 2;
-                  pre_inserts :=
-                    Rewrite.before
-                      ~via:(fun src -> not (members_pc src))
-                      hb.Cfg.first
-                      [
-                        Instr.Const (ra, Int64.of_int w); Instr.Load (rc, ra);
-                      ]
-                    :: !pre_inserts;
+                          !load_extents)
+                in
+                if sink then begin
                   List.iter
-                    (fun (pc, d) ->
-                      repl.(pc) <- Some [ copy_of d rc ];
+                    (fun a ->
+                      Hashtbl.replace sync_claims a
+                        (l.Cfg.members
+                        :: Option.value ~default:[]
+                             (Hashtbl.find_opt sync_claims a));
+                      sync_inserts :=
+                        Rewrite.before ~via:members_pc a
+                          [ Instr.Store (rc, ra) ]
+                        :: !sync_inserts)
+                    !exit_anchors;
+                  List.iter
+                    (fun (pc, s, _) ->
+                      repl.(pc) <- Some [ copy_of rc s ];
                       changes :=
-                        change f pc
+                        Pass.change f pc
                           (Printf.sprintf
-                             "load of word %d served from loop cache r%d" w rc)
+                             "store to word %d sunk to loop exits via cache \
+                              r%d"
+                             w rc)
                         :: !changes)
-                    loads;
-                  let stores =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt stores_by_word w)
-                  in
-                  let sink =
-                    loop_sinkable && stores <> []
-                    && not
-                         (List.exists
-                            (fun e -> Alias.touches e w)
-                            !load_extents)
-                  in
-                  if sink then begin
-                    List.iter
-                      (fun a ->
-                        Hashtbl.replace sync_claims a
-                          (l.Cfg.members
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt sync_claims a));
-                        sync_inserts :=
-                          Rewrite.before ~via:members_pc a
-                            [ Instr.Store (rc, ra) ]
-                          :: !sync_inserts)
-                      !exit_anchors;
-                    List.iter
-                      (fun (pc, s, _) ->
-                        repl.(pc) <- Some [ copy_of rc s ];
-                        changes :=
-                          change f pc
-                            (Printf.sprintf
-                               "store to word %d sunk to loop exits via cache \
-                                r%d"
-                               w rc)
-                          :: !changes)
-                      stores
-                  end
-                  else
-                    List.iter
-                      (fun (pc, s, areg) ->
-                        (* store first so the fault-site map lands on the
-                           memory write, then refresh the cache *)
-                        repl.(pc) <-
-                          Some [ Instr.Store (s, areg); copy_of rc s ];
-                        changes :=
-                          change f pc
-                            (Printf.sprintf
-                               "store to word %d also refreshes loop cache \
-                                r%d"
-                               w rc)
-                          :: !changes)
-                      stores
-                end)
-              loads_by_word
-        end)
+                    stores
+                end
+                else
+                  List.iter
+                    (fun (pc, s, areg) ->
+                      (* store first so the fault-site map lands on the
+                         memory write, then refresh the cache *)
+                      repl.(pc) <-
+                        Some [ Instr.Store (s, areg); copy_of rc s ];
+                      changes :=
+                        Pass.change f pc
+                          (Printf.sprintf
+                             "store to word %d also refreshes loop cache \
+                              r%d"
+                             w rc)
+                        :: !changes)
+                    stores
+              end)
+            loads_by_word)
       loops;
-    if !changes = [] then (None, !considered)
-    else
-      let f', map =
-        Rewrite.apply ~nregs:!fresh
-          ~insertions:(List.rev !sync_inserts @ List.rev !pre_inserts)
-          ~replace:(fun pc -> repl.(pc)) f
-      in
-      (Some (f', map, List.rev !changes), !considered)
-  end
-
-let promote_func (p : Prog.t) (f : Prog.func) : fwork =
-  let rec go f map changes considered rounds =
-    match promote_round p f with
-    | (None, c) ->
-        {
-          w_func = f;
-          w_map = map;
-          w_changes = changes;
-          w_considered = max considered c;
-        }
-    | (Some (f', m, ch), c) ->
-        let map = compose_fmap map m in
-        if rounds <= 1 then
-          {
-            w_func = f';
-            w_map = map;
-            w_changes = changes @ ch;
-            w_considered = max considered c;
-          }
-        else go f' map (changes @ ch) (max considered c) (rounds - 1)
-  in
-  if Array.length f.Prog.code = 0 then keep_work f else go f (id_map f) [] 0 4
+    round_result ~nregs:!fresh
+      ~insertions:(List.rev !sync_inserts @ List.rev !pre_inserts)
+      f
+      (fun pc -> repl.(pc))
+      !changes !considered
 
 let promote_pass =
-  mk_pass ~name:"scalar-promote" ~short:"promote"
+  Pass.func_pass ~name:"scalar-promote" ~short:"promote"
     ~doc:
       "cache loop scalars in registers: a word read in a loop is loaded \
        once in the preheader, loads become copies and stores refresh the \
        cache while still writing memory; justified by dominators, \
        reaching definitions and the object-extent alias analysis"
-    promote_func
+    (fun _ p -> fixpoint ~rounds:4 (promote_round p))
 
 (* --- copy coalescing ------------------------------------------------------ *)
 
@@ -1054,7 +872,7 @@ let coalesce_round (f : Prog.func) :
                       repl.(dd) <- Some [ ins' ];
                       repl.(c) <- Some [];
                       changes :=
-                        change f c
+                        Pass.change f c
                           (Printf.sprintf
                              "copy absorbed into its defining instruction at \
                               pc %d"
@@ -1065,43 +883,17 @@ let coalesce_round (f : Prog.func) :
             | Some _ | None -> ())
         | _ -> ())
       code;
-    if !changes = [] then (None, !considered)
-    else
-      let f', map = Rewrite.apply ~replace:(fun pc -> repl.(pc)) f in
-      (Some (f', map, List.rev !changes), !considered)
+    round_result f (fun pc -> repl.(pc)) !changes !considered
   end
 
-let coalesce_func (_ : Prog.t) (f : Prog.func) : fwork =
-  let rec go f map changes considered rounds =
-    match coalesce_round f with
-    | (None, c) ->
-        {
-          w_func = f;
-          w_map = map;
-          w_changes = changes;
-          w_considered = max considered c;
-        }
-    | (Some (f', m, ch), c) ->
-        let map = compose_fmap map m in
-        if rounds <= 1 then
-          {
-            w_func = f';
-            w_map = map;
-            w_changes = changes @ ch;
-            w_considered = max considered c;
-          }
-        else go f' map (changes @ ch) (max considered c) (rounds - 1)
-  in
-  if Array.length f.Prog.code = 0 then keep_work f else go f (id_map f) [] 0 4
-
 let coalesce_pass =
-  mk_pass ~name:"coalesce" ~short:"coal"
+  Pass.func_pass ~name:"coalesce" ~short:"coal"
     ~doc:
       "absorb a register copy into its defining instruction when reaching \
        definitions prove the copy is the definition's only consumer and \
        the target register is untouched in between — the loop-carried \
        shape promotion and hoisting leave behind"
-    coalesce_func
+    (fun _ _ -> fixpoint ~rounds:4 coalesce_round)
 
 (* --- dead-code elimination ----------------------------------------------- *)
 
@@ -1121,18 +913,18 @@ let dce_round (f : Prog.func) :
          body never empties and falloff structure is preserved *)
       if (not reach.(pc)) && pc < n - 1 then begin
         del.(pc) <- true;
-        changes := change f pc "unreachable" :: !changes
+        changes := Pass.change f pc "unreachable" :: !changes
       end
       else
         match ins with
         | Instr.Jmp l when l = pc + 1 && pc < n - 1 ->
             incr considered;
             del.(pc) <- true;
-            changes := change f pc "jump to next instruction" :: !changes
+            changes := Pass.change f pc "jump to next instruction" :: !changes
         | Instr.Bin ((Op.Or | Op.And), d, a, b) when d = a && a = b ->
             incr considered;
             del.(pc) <- true;
-            changes := change f pc "no-op self copy" :: !changes
+            changes := Pass.change f pc "no-op self copy" :: !changes
         | Instr.Const (d, _)
         | Instr.Bin (_, d, _, _)
         | Instr.Un (_, d, _)
@@ -1140,7 +932,7 @@ let dce_round (f : Prog.func) :
             incr considered;
             if not (Liveness.is_live_after lv ~pc d) then begin
               del.(pc) <- true;
-              changes := change f pc "dead definition" :: !changes
+              changes := Pass.change f pc "dead definition" :: !changes
             end
         | Instr.Store (_, areg) -> (
             match Reaching.const_addr rd ~pc areg with
@@ -1149,53 +941,27 @@ let dce_round (f : Prog.func) :
                 if not (Liveness.word_live_after ml ~pc a) then begin
                   del.(pc) <- true;
                   changes :=
-                    change f pc (Printf.sprintf "dead store to word %d" a)
+                    Pass.change f pc (Printf.sprintf "dead store to word %d" a)
                     :: !changes
                 end
             | None -> ())
         | _ -> ())
     f.Prog.code;
-  if !changes = [] then (None, !considered)
-  else
-    let f', map =
-      Rewrite.apply ~replace:(fun pc -> if del.(pc) then Some [] else None) f
-    in
-    (Some (f', map, List.rev !changes), !considered)
-
-let dce_func (_ : Prog.t) (f : Prog.func) : fwork =
-  let rec go f map changes considered rounds =
-    match dce_round f with
-    | (None, c) ->
-        {
-          w_func = f;
-          w_map = map;
-          w_changes = changes;
-          w_considered = max considered c;
-        }
-    | (Some (f', m, ch), c) ->
-        let map = compose_fmap map m in
-        if rounds <= 1 then
-          {
-            w_func = f';
-            w_map = map;
-            w_changes = changes @ ch;
-            w_considered = max considered c;
-          }
-        else go f' map (changes @ ch) (max considered c) (rounds - 1)
-  in
-  if Array.length f.Prog.code = 0 then keep_work f else go f (id_map f) [] 0 8
+  round_result f
+    (fun pc -> if del.(pc) then Some [] else None)
+    !changes !considered
 
 let dce_pass =
-  mk_pass ~name:"deadcode" ~short:"dce"
+  Pass.func_pass ~name:"deadcode" ~short:"dce"
     ~doc:
       "delete unreachable instructions, definitions the liveness analysis \
        proves dead, no-op self copies, and stores to constant-addressed \
        words that are overwritten before any possible read"
-    dce_func
+    (fun _ _ -> fixpoint ~rounds:8 dce_round)
 
 (* --- registry ------------------------------------------------------------ *)
 
-let all : pass list =
+let all : Pass.t list =
   [
     fold_pass;
     simp_pass;
@@ -1208,102 +974,16 @@ let all : pass list =
     dce_pass;
   ]
 
-let names () = List.map (fun p -> p.name) all
-
-let find (name : string) : pass option =
-  let name = String.lowercase_ascii (String.trim name) in
-  List.find_opt (fun p -> p.name = name || p.short = name) all
-
-let find_exn (name : string) : pass =
-  match find name with
-  | Some p -> p
-  | None ->
-      let candidates =
-        List.concat_map (fun p -> [ p.name; p.short ]) all
-      in
-      raise
-        (Unknown_pass
-           {
-             name;
-             suggestions = Registry.suggest ~candidates name;
-             known = names ();
-           })
-
-let canonical (passes : pass list) : pass list =
-  List.filter (fun p -> List.exists (fun q -> q.name = p.name) passes) all
-
-let parse_spec (spec : string) : (pass list, string) result =
-  match
-    let spec = String.trim spec in
-    if spec = "" || spec = "all" then all
-    else
-      String.split_on_char ',' spec
-      |> List.concat_map (String.split_on_char '+')
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map find_exn
-      |> canonical
-  with
-  | passes -> Ok passes
-  | exception (Unknown_pass _ as e) -> Error (Printexc.to_string e)
-
-let spec_names (passes : pass list) : string =
-  if List.length passes = List.length all then "opt"
-  else "opt:" ^ String.concat "+" (List.map (fun p -> p.short) passes)
+let spec_names (passes : Pass.t list) : string =
+  match Pass.spec_names all passes with "all" -> "opt" | s -> "opt:" ^ s
 
 (* --- pipeline ------------------------------------------------------------ *)
 
-let merge_reports (rs : Pass.report list) : Pass.report list =
-  let order = ref [] in
-  let tbl : (string, Pass.report) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Pass.report) ->
-      match Hashtbl.find_opt tbl r.Pass.pass_name with
-      | None ->
-          order := r.Pass.pass_name :: !order;
-          Hashtbl.add tbl r.Pass.pass_name r
-      | Some prev ->
-          Hashtbl.replace tbl r.Pass.pass_name
-            {
-              r with
-              Pass.sites_considered =
-                prev.Pass.sites_considered + r.Pass.sites_considered;
-              sites_changed = prev.Pass.sites_changed + r.Pass.sites_changed;
-              instrs_added = prev.Pass.instrs_added + r.Pass.instrs_added;
-              instrs_removed =
-                prev.Pass.instrs_removed + r.Pass.instrs_removed;
-              regs_added = prev.Pass.regs_added + r.Pass.regs_added;
-              changes = prev.Pass.changes @ r.Pass.changes;
-            })
-    rs;
-  List.rev_map (Hashtbl.find tbl) !order
-
-let optimize ?(rounds = 4) (passes : pass list) (p : Prog.t) :
+let optimize ?(rounds = 4) (passes : Pass.t list) (p : Prog.t) :
     Prog.t * Pass.report list * Sitemap.t =
-  let run_round prog map =
-    List.fold_left
-      (fun (prog, reps, map, changed) pass ->
-        let prog', rep, m = pass.run prog in
-        Prog.validate prog';
-        ( prog',
-          rep :: reps,
-          Sitemap.compose map m,
-          changed || rep.Pass.sites_changed > 0 ))
-      (prog, [], map, false) passes
-  in
-  let rec go prog map reps rounds =
-    let prog', rev_reps, map', changed = run_round prog map in
-    let reps = reps @ List.rev rev_reps in
-    if changed && rounds > 1 then go prog' map' reps (rounds - 1)
-    else (prog', map', reps)
-  in
-  let prog', map, reps = go p (Sitemap.identity p) [] (max 1 rounds) in
-  (* the harden Verify gate: no optimized program ships broken IR *)
-  let diags = Verify.errors (Verify.verify prog') in
-  if diags <> [] then
-    raise
-      (Pass.Verify_failed { passes = List.map (fun p -> p.name) passes; diags });
-  (prog', merge_reports reps, map)
+  Pass.run_pipeline ~rounds passes p
+
+let pass_names = List.map (fun (p : Pass.t) -> p.Pass.name)
 
 let check_identity ~(passes : string list) ~(base : Prog.t) ~(opt : Prog.t) :
     unit =
@@ -1325,13 +1005,13 @@ let check_identity ~(passes : string list) ~(base : Prog.t) ~(opt : Prog.t) :
   if rb.Machine.iterations <> ro.Machine.iterations then
     fail "main-loop iteration counts differ"
 
-let transform ?rounds (passes : pass list) (p : Prog.t) : Prog.t =
+let transform ?rounds (passes : Pass.t list) (p : Prog.t) : Prog.t =
   let p', _, _ = optimize ?rounds passes p in
   p'
 
-let transform_checked ?rounds (passes : pass list) (p : Prog.t) : Prog.t =
+let transform_checked ?rounds (passes : Pass.t list) (p : Prog.t) : Prog.t =
   let p', _, _ = optimize ?rounds passes p in
-  check_identity ~passes:(List.map (fun x -> x.name) passes) ~base:p ~opt:p';
+  check_identity ~passes:(pass_names passes) ~base:p ~opt:p';
   p'
 
 (* --- app wiring ---------------------------------------------------------- *)
@@ -1347,7 +1027,7 @@ let app_variant ?rounds ?(passes = all) (base : App.t) : App.t =
 
 type optimized = {
   o_base : App.t;
-  o_passes : pass list;
+  o_passes : Pass.t list;
   o_prog : Prog.t;
   o_reports : Pass.report list;
   o_sitemap : Sitemap.t;
@@ -1356,9 +1036,7 @@ type optimized = {
 let optimize_app ?rounds ?(passes = all) (base : App.t) : optimized =
   let prog = App.program base in
   let prog', reports, sitemap = optimize ?rounds passes prog in
-  check_identity
-    ~passes:(List.map (fun x -> x.name) passes)
-    ~base:prog ~opt:prog';
+  check_identity ~passes:(pass_names passes) ~base:prog ~opt:prog';
   {
     o_base = base;
     o_passes = passes;
@@ -1367,8 +1045,9 @@ let optimize_app ?rounds ?(passes = all) (base : App.t) : optimized =
     o_sitemap = sitemap;
   }
 
-let reference_seq_translation (o : optimized) : int -> int option =
-  let _, ref_trace = App.trace o.o_base in
+(* the traced optimized run and the reference-seq translation against
+   the app's fault-free trace *)
+let translation (o : optimized) ~ref_trace =
   let ro, opt_trace =
     Machine.run_traced ~iter_mark:(App.iter_mark o.o_base) o.o_prog
   in
@@ -1378,33 +1057,24 @@ let reference_seq_translation (o : optimized) : int -> int option =
       raise
         (Identity_failed
            {
-             passes = List.map (fun x -> x.name) o.o_passes;
+             passes = pass_names o.o_passes;
              reason = "traced optimized run did not finish";
            }));
-  Sitemap.seq_translation (App.program o.o_base) o.o_sitemap ~ref_trace
-    ~opt_trace
+  ( ro,
+    Sitemap.seq_translation (App.program o.o_base) o.o_sitemap ~ref_trace
+      ~opt_trace )
+
+let reference_seq_translation (o : optimized) : int -> int option =
+  snd (translation o ~ref_trace:(snd (App.trace o.o_base)))
 
 let reference_campaign ?(cfg = Campaign.default_config)
     ?(exec = Campaign.default_exec) (o : optimized) : Campaign.run_report =
   let _, ref_trace = App.trace o.o_base in
-  let ro, opt_trace =
-    Machine.run_traced ~iter_mark:(App.iter_mark o.o_base) o.o_prog
+  let ro, map_seq = translation o ~ref_trace in
+  let target =
+    Campaign.translate_target ~map_seq
+      (Campaign.whole_program_target (App.program o.o_base) ref_trace)
   in
-  (match ro.Machine.outcome with
-  | Machine.Finished -> ()
-  | _ ->
-      raise
-        (Identity_failed
-           {
-             passes = List.map (fun x -> x.name) o.o_passes;
-             reason = "traced optimized run did not finish";
-           }));
-  let target = Campaign.whole_program_target (App.program o.o_base) ref_trace in
-  let map_seq =
-    Sitemap.seq_translation (App.program o.o_base) o.o_sitemap ~ref_trace
-      ~opt_trace
-  in
-  let target = Campaign.translate_target ~map_seq target in
   let cfg = { cfg with Campaign.site_level = Campaign.Reference } in
   Campaign.run_report o.o_prog
     ~verify:(App.verify o.o_base)

@@ -8,71 +8,45 @@
     fault-free output-identity gate rejects any rewrite that changes
     the reference behavior ({!Identity_failed}).
 
-    Every pass also returns a {!Sitemap} from its input pcs to its
-    output pcs, so fault-injection campaigns can either sample sites
-    natively on the optimized program or sample at the declared
-    unoptimized reference level and translate
+    The passes are {!Pass.t}s built by the shared per-function
+    harness and run by the shared pipeline runner, so they compose
+    with the hardening passes.  Every pass also returns a {!Sitemap}
+    from its input pcs to its output pcs, so fault-injection campaigns
+    can either sample sites natively on the optimized program or
+    sample at the declared unoptimized reference level and translate
     ({!Campaign.translate_target}); pipelines that delete instructions
     have partial maps and reference-level campaigns over them refuse
     with {!Campaign.Untranslatable_site}. *)
-
-exception Unknown_pass of {
-  name : string;
-  suggestions : string list;  (** did-you-mean, via {!Registry.suggest} *)
-  known : string list;        (** the valid canonical pass names *)
-}
 
 exception Identity_failed of { passes : string list; reason : string }
 (** The optimized program's fault-free run diverged from the
     reference: outcome, printed output, final memory image, or
     main-loop iteration count. *)
 
-type pass = {
-  name : string;   (** canonical name, e.g. ["constfold"] *)
-  short : string;  (** terse alias, e.g. ["fold"] *)
-  doc : string;
-  run : Prog.t -> Prog.t * Pass.report * Sitemap.t;
-}
+val fold_pass : Pass.t
+val simp_pass : Pass.t
+val cse_pass : Pass.t
+val rle_pass : Pass.t
+val copy_pass : Pass.t
+val promote_pass : Pass.t
+val hoist_pass : Pass.t
+val coalesce_pass : Pass.t
+val dce_pass : Pass.t
 
-val fold_pass : pass
-val simp_pass : pass
-val cse_pass : pass
-val rle_pass : pass
-val copy_pass : pass
-val promote_pass : pass
-val hoist_pass : pass
-val coalesce_pass : pass
-val dce_pass : pass
-
-val all : pass list
+val all : Pass.t list
 (** Canonical order: constfold, simplify, local-cse,
     redundant-load-elim, copyprop, scalar-promote, loop-hoist,
     coalesce, deadcode. *)
 
-val names : unit -> string list
-
-val find : string -> pass option
-(** By canonical name or short alias, case-insensitive. *)
-
-val find_exn : string -> pass
-(** @raise Unknown_pass with suggestions when nothing matches. *)
-
-val parse_spec : string -> (pass list, string) result
-(** [""] and ["all"] mean every pass; otherwise a [','] or ['+']
-    separated list of names/shorts, deduplicated into canonical
-    order. *)
-
-val spec_names : pass list -> string
+val spec_names : Pass.t list -> string
 (** ["opt"] for the full pipeline, ["opt:fold+dce"]-style otherwise —
-    the suffix {!app_variant} appends to an app name. *)
+    the suffix {!app_variant} appends to an app name.  Specs are parsed
+    by [Pass.parse_spec all]. *)
 
 val optimize :
-  ?rounds:int -> pass list -> Prog.t -> Prog.t * Pass.report list * Sitemap.t
-(** Run the passes in order, iterating the whole list (up to [rounds],
-    default 4) until a round changes nothing.  [Prog.validate] runs
-    after every pass and the {!Verify} gate over the final program;
-    reports are merged per pass across rounds and the returned
-    {!Sitemap} composes every rewrite.
+  ?rounds:int -> Pass.t list -> Prog.t -> Prog.t * Pass.report list * Sitemap.t
+(** {!Pass.run_pipeline} with [rounds] defaulting to 4: the whole list
+    is iterated until a round changes nothing.
     @raise Pass.Verify_failed on any error-severity diagnostic. *)
 
 val check_identity : passes:string list -> base:Prog.t -> opt:Prog.t -> unit
@@ -80,13 +54,13 @@ val check_identity : passes:string list -> base:Prog.t -> opt:Prog.t -> unit
     outcome, output, final memory and iteration count.
     @raise Identity_failed otherwise. *)
 
-val transform : ?rounds:int -> pass list -> Prog.t -> Prog.t
+val transform : ?rounds:int -> Pass.t list -> Prog.t -> Prog.t
 (** {!optimize}, keeping only the program (static gates only). *)
 
-val transform_checked : ?rounds:int -> pass list -> Prog.t -> Prog.t
+val transform_checked : ?rounds:int -> Pass.t list -> Prog.t -> Prog.t
 (** {!optimize} followed by {!check_identity} against the input. *)
 
-val app_variant : ?rounds:int -> ?passes:pass list -> App.t -> App.t
+val app_variant : ?rounds:int -> ?passes:Pass.t list -> App.t -> App.t
 (** The optimized variant of an app: named [NAME@opt] (or
     [NAME@opt:SPEC] for a subset), with [transform] set to
     {!transform_checked} so baking itself enforces both gates. *)
@@ -95,13 +69,13 @@ val app_variant : ?rounds:int -> ?passes:pass list -> App.t -> App.t
     reference-level campaigns. *)
 type optimized = {
   o_base : App.t;
-  o_passes : pass list;
+  o_passes : Pass.t list;
   o_prog : Prog.t;
   o_reports : Pass.report list;
   o_sitemap : Sitemap.t;
 }
 
-val optimize_app : ?rounds:int -> ?passes:pass list -> App.t -> optimized
+val optimize_app : ?rounds:int -> ?passes:Pass.t list -> App.t -> optimized
 (** @raise Identity_failed / Pass.Verify_failed as the gates demand. *)
 
 val reference_seq_translation : optimized -> int -> int option

@@ -225,18 +225,11 @@ let spawn_remote ?recv_timeout_s ?retry ?cache_dir
   flush stderr;
   match Unix.fork () with
   | 0 ->
-      let retry_cfg = Option.value ~default:Executor.default_config retry in
       let code =
-        match connect ~retry:retry_cfg ~addr () with
+        match run_remote ?recv_timeout_s ?retry ?cache_dir ~addr () with
+        | Ok () -> 0
         | Error _ -> 124
-        | Ok conn -> (
-            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-            match
-              run ?recv_timeout_s ~load:(plan_loader ?cache_dir) ~conn
-                ~retry:retry_cfg ()
-            with
-            | () -> 0
-            | exception _ -> 125)
+        | exception _ -> 125
       in
       Unix._exit code
   | pid -> pid

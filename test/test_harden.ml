@@ -1,7 +1,7 @@
-(* The automatic-hardening subsystem: the splice engine, the four
-   pattern-injection passes, the pass manager's Verify gate and
-   protective-site bookkeeping, and the differential against the
-   hand-written hardened CG variants.
+(* The automatic-hardening subsystem: Before/After insertion in the
+   shared rewrite engine, the four pattern-injection passes, the pass
+   manager's Verify gate and protective-site bookkeeping, and the
+   differential against the hand-written hardened CG variants.
 
    The load-bearing property (exercised on all ten registered apps):
    every pass, alone and composed, is a fault-free identity — the
@@ -49,11 +49,12 @@ let loop_func () : Prog.func =
 let test_splice_before_after () =
   let f = loop_func () in
   let f', map =
-    Splice.apply f
-      [
-        { Splice.at = 2; pos = Splice.Before; code = [ Instr.Const (2, 7L) ] };
-        { Splice.at = 2; pos = Splice.After; code = [ Instr.Const (3, 8L) ] };
-      ]
+    Rewrite.apply f
+      ~insertions:
+        [
+          Rewrite.before 2 [ Instr.Const (2, 7L) ];
+          Rewrite.after 2 [ Instr.Const (3, 8L) ];
+        ]
   in
   Alcotest.(check int) "grew by two" 7 (Array.length f'.Prog.code);
   Alcotest.(check int) "anchor moved" 3 map.(2);
@@ -73,19 +74,17 @@ let test_splice_before_after () =
 
 let test_splice_rejects () =
   let f = loop_func () in
-  let rejects inss =
-    match Splice.apply f inss with
+  let rejects insertions =
+    match Rewrite.apply ~insertions f with
     | _ -> false
     | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "control flow in block" true
-    (rejects [ { Splice.at = 1; pos = Splice.Before; code = [ Instr.Jmp 0 ] } ]);
+    (rejects [ Rewrite.before 1 [ Instr.Jmp 0 ] ]);
   Alcotest.(check bool) "After a terminator" true
-    (rejects
-       [ { Splice.at = 3; pos = Splice.After; code = [ Instr.Const (2, 0L) ] } ]);
+    (rejects [ Rewrite.after 3 [ Instr.Const (2, 0L) ] ]);
   Alcotest.(check bool) "anchor out of range" true
-    (rejects
-       [ { Splice.at = 9; pos = Splice.Before; code = [ Instr.Const (2, 0L) ] } ])
+    (rejects [ Rewrite.before 9 [ Instr.Const (2, 0L) ] ])
 
 (* --- a tiny region program: duplicate-compare turns SDCs into traps --- *)
 
@@ -131,7 +130,7 @@ let sdc_count (prog : Prog.t) ~(bit : int) : int =
 
 let test_duplicate_compare_detects () =
   let base = Helpers.compile (tiny_program ()) in
-  let hard, reports =
+  let hard, reports, _ =
     Pass.run_pipeline ~opts:{ Pass.top_k = 1 } [ Passes.duplicate_compare ]
       base
   in
@@ -150,7 +149,7 @@ let test_duplicate_compare_detects () =
 
 let test_trunc_barrier_traps_huge () =
   let base = Helpers.compile (tiny_program ()) in
-  let hard, reports = Pass.run_pipeline [ Passes.trunc_barrier ] base in
+  let hard, reports, _ = Pass.run_pipeline [ Passes.trunc_barrier ] base in
   Alcotest.(check bool) "barrier on the region's FP store" true
     ((List.hd reports).Pass.sites_changed > 0);
   let rb = Machine.run_plain base and rh = Machine.run_plain hard in
@@ -180,21 +179,18 @@ let test_verify_gate () =
                 { f with Prog.code })
               p.Prog.funcs
           in
-          {
-            Pass.prog = { p with Prog.funcs };
-            rep =
-              {
-                Pass.pass_name = "break-it";
-                sites_considered = 1;
-                sites_changed = 1;
-                instrs_added = 0;
-                instrs_removed = 0;
-                regs_added = 0;
-                changes = [];
-                protective = [];
-              };
-            remap = (fun ~fname:_ ~pc -> pc);
-          })
+          ( { p with Prog.funcs },
+            {
+              Pass.pass_name = "break-it";
+              sites_considered = 1;
+              sites_changed = 1;
+              instrs_added = 0;
+              instrs_removed = 0;
+              regs_added = 0;
+              changes = [];
+              protective = [];
+            },
+            Sitemap.identity p ))
     }
   in
   let base = Helpers.compile (tiny_program ()) in
@@ -206,18 +202,20 @@ let test_verify_gate () =
       Alcotest.(check bool) "has error diags" true (diags <> [])
 
 let test_parse_spec () =
-  (match Harden.parse_spec "all" with
+  let parse = Pass.parse_spec Passes.all in
+  (match parse "all" with
   | Ok ps -> Alcotest.(check int) "all = four passes" 4 (List.length ps)
   | Error e -> Alcotest.fail e);
-  (match Harden.parse_spec "fresh,dup" with
+  (match parse "fresh,dup" with
   | Ok ps ->
       (* canonical order, independent of spec order *)
       Alcotest.(check (list string)) "canonical order"
         [ "duplicate-compare"; "overwrite-fresh" ]
         (List.map (fun (p : Pass.t) -> p.Pass.name) ps);
-      Alcotest.(check string) "spec names" "dup+fresh" (Harden.spec_names ps)
+      Alcotest.(check string) "spec names" "dup+fresh"
+        (Pass.spec_names Passes.all ps)
   | Error e -> Alcotest.fail e);
-  match Harden.parse_spec "dup,nosuch" with
+  match parse "dup,nosuch" with
   | Ok _ -> Alcotest.fail "accepted an unknown pass"
   | Error msg ->
       Alcotest.(check bool) "names the unknown pass" true
@@ -227,7 +225,7 @@ let test_parse_spec () =
 
 let test_protective_sites_rank () =
   let app = Registry.find "CG" in
-  let hard, reports = Harden.harden Passes.all (App.program app) in
+  let hard, reports, _ = Pass.run_pipeline Passes.all (App.program app) in
   let sites = Pass.protective_sites reports in
   Alcotest.(check bool) "guards recorded" true (List.length sites > 50);
   (* remapping kept every site pointing at a guard instruction: the
@@ -264,6 +262,22 @@ let test_protective_sites_rank () =
 
 (* --- the property: fault-free identity on all ten apps ----------------- *)
 
+(* Digest of the marshaled [all] output per app (as [Compiled.digest]
+   keys plans): any change to what hardening emits shows here *)
+let all_digests =
+  [
+    ("CG", "a3262b355ce03e9eafc775a83f9add2f");
+    ("MG", "33d1d7d96b07c0149df5a6cf2292034d");
+    ("LU", "e4811df765899c2b35ba190de4b88a76");
+    ("BT", "c135357d14840af3adfeb1fa95781f8c");
+    ("IS", "97cab7f80a1500c7c880dad4c5f4b23b");
+    ("DC", "12b60e51d12377cbc4e0af757076b84e");
+    ("SP", "e5be017e18f432ca4a1cc315a5e6b9f9");
+    ("FT", "381bd65eac80191a8600c778b4bcbba7");
+    ("KMEANS", "7cf0c850e2eb5d16ddcd31fd5723ef96");
+    ("LULESH", "6ba5fc3b4c3693718cf5c65912763996");
+  ]
+
 let test_identity_all_apps () =
   List.iter
     (fun (app : App.t) ->
@@ -275,10 +289,16 @@ let test_identity_all_apps () =
       List.iter
         (fun passes ->
           let label =
-            Printf.sprintf "%s@%s" app.App.name (Harden.spec_names passes)
+            Printf.sprintf "%s@%s" app.App.name
+              (Pass.spec_names Passes.all passes)
           in
           (* run_pipeline raises if the Verify gate finds errors *)
-          let hard, _ = Pass.run_pipeline passes base in
+          let hard, _, _ = Pass.run_pipeline passes base in
+          if passes == Passes.all then
+            Alcotest.(check string)
+              (label ^ " program digest")
+              (List.assoc app.App.name all_digests)
+              (Digest.to_hex (Digest.string (Marshal.to_string hard [])));
           let r = Helpers.run ~budget:200_000_000 hard in
           Helpers.check_finished r;
           Alcotest.(check string)

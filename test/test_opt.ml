@@ -3,14 +3,14 @@
    structured refusal of untranslatable reference-level sites, and the
    differential pin that the default campaign path is untouched. *)
 
-let pass_names = List.map (fun (p : Opt.pass) -> p.Opt.name) Opt.all
+let pass_names = List.map (fun (p : Pass.t) -> p.Pass.name) Opt.all
 
 (* --- fault-free output identity ------------------------------------------ *)
 
-let check_pass_identity (app : App.t) (passes : Opt.pass list) label =
+let check_pass_identity (app : App.t) (passes : Pass.t list) label =
   let base = App.program app in
   match Opt.transform_checked passes base with
-  | (_ : Prog.t) -> ()
+  | prog -> prog
   | exception Opt.Identity_failed { reason; _ } ->
       Alcotest.failf "%s: %s broke fault-free identity: %s" app.App.name
         label reason
@@ -22,13 +22,35 @@ let test_identity_each_pass_alone () =
   List.iter
     (fun (app : App.t) ->
       List.iter
-        (fun (p : Opt.pass) -> check_pass_identity app [ p ] p.Opt.name)
+        (fun (p : Pass.t) -> ignore (check_pass_identity app [ p ] p.Pass.name))
         Opt.all)
     Registry.all
 
+(* Digest of the marshaled full-pipeline output per app (as
+   [Compiled.digest] keys plans): any change to what the optimizer
+   emits shows here *)
+let all_digests =
+  [
+    ("CG", "c0fd80a3503ce627ce1b297e9fbd17c6");
+    ("MG", "f2a7493e48f7d28e099948df1d8b3c69");
+    ("LU", "a0a08f28815bc0a0fb29d4334a4f75da");
+    ("BT", "2de33272315ba7a6090da635b1fc03bd");
+    ("IS", "b379701269d4135c6351c1f77d605a64");
+    ("DC", "3a2e9b7f218682980f78a6b290713290");
+    ("SP", "021c833ba9873e3114c60c9c8e45fdf6");
+    ("FT", "428e1718efffbb57d5dac095aa31a010");
+    ("KMEANS", "f60794ecbd38a584cff0c2345f72a702");
+    ("LULESH", "8eb70beb37d0493ac33858806f8a3714");
+  ]
+
 let test_identity_composed () =
   List.iter
-    (fun (app : App.t) -> check_pass_identity app Opt.all "the full pipeline")
+    (fun (app : App.t) ->
+      let prog = check_pass_identity app Opt.all "the full pipeline" in
+      Alcotest.(check string)
+        (app.App.name ^ "@opt program digest")
+        (List.assoc app.App.name all_digests)
+        (Digest.to_hex (Digest.string (Marshal.to_string prog []))))
     Registry.all
 
 (* --- per-pass change reports --------------------------------------------- *)
@@ -132,9 +154,9 @@ let test_reference_campaign_runs () =
 (* --- pass lookup ---------------------------------------------------------- *)
 
 let test_unknown_pass_suggests () =
-  match Opt.find_exn "constfld" with
-  | (_ : Opt.pass) -> Alcotest.fail "expected Unknown_pass"
-  | exception Opt.Unknown_pass { name; suggestions; known } ->
+  match Pass.find_exn Opt.all "constfld" with
+  | (_ : Pass.t) -> Alcotest.fail "expected Unknown_pass"
+  | exception Pass.Unknown_pass { name; suggestions; known } ->
       Alcotest.(check string) "offending name" "constfld" name;
       Alcotest.(check bool) "did-you-mean constfold" true
         (List.mem "constfold" suggestions);
@@ -142,12 +164,12 @@ let test_unknown_pass_suggests () =
         pass_names known
 
 let test_parse_spec_canonical_order () =
-  match Opt.parse_spec "dce+fold" with
+  match Pass.parse_spec Opt.all "dce+fold" with
   | Error msg -> Alcotest.fail msg
   | Ok ps ->
       Alcotest.(check (list string)) "deduplicated, canonical order"
         [ "constfold"; "deadcode" ]
-        (List.map (fun (p : Opt.pass) -> p.Opt.name) ps)
+        (List.map (fun (p : Pass.t) -> p.Pass.name) ps)
 
 (* --- differential pin: the default campaign path is untouched ------------ *)
 
