@@ -460,11 +460,7 @@ let perf _effort =
       Test.make ~name:"vm-run-CG"
         (Staged.stage (fun () -> ignore (Machine.run_plain cg_prog)));
       Test.make ~name:"tracer-run-IS"
-        (Staged.stage (fun () ->
-             let t = Trace.create () in
-             ignore
-               (Machine.run is_prog
-                  { Machine.default_config with trace = Some t })));
+        (Staged.stage (fun () -> ignore (Machine.run_traced is_prog)));
       Test.make ~name:"access-index-CG"
         (Staged.stage (fun () -> ignore (Access.build cg_trace)));
       Test.make ~name:"dddg-region-CG"
@@ -810,7 +806,7 @@ let arch_structures (effort : Effort.t) =
         (Structure.to_string c.Arch_eval.ac_structure)
         c.Arch_eval.ac_population k.Campaign.trials k.Campaign.success
         k.Campaign.failed k.Campaign.crashed
-        (Arch_eval.sdc_rate k) (Arch_eval.crash_rate k))
+        (Campaign.sdc_rate k) (Campaign.crash_rate k))
     r.Arch_eval.ar_cells;
   Printf.printf
     "(%s, %d trials/structure, cache %s, %.1fs total; counts are a pure \

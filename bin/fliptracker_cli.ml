@@ -215,9 +215,12 @@ let trace_cmd =
           (Trace_io.writer_bytes w);
         let parts =
           Obs.phase obs "trace/split" (fun () ->
-              let src = Trace_io.source_of_file path in
-              src.Trace_io.run (fun events ->
-                  Trace_io.split_seq ~dir ~prefix:app.App.name ~format events))
+              let ic = open_in_bin path in
+              Fun.protect
+                ~finally:(fun () -> close_in ic)
+                (fun () ->
+                  Trace_io.split_seq ~dir ~prefix:app.App.name ~format
+                    (Trace_io.events_of_channel ic)))
         in
         Printf.printf "wrote %d region-instance pieces under %s\n"
           (List.length parts) dir
@@ -244,8 +247,8 @@ let trace_cmd =
             Obs.count obs "trace/bytes" (Unix.stat path).Unix.st_size;
             let parts =
               Obs.phase obs "trace/split" (fun () ->
-                  Trace_io.split_by_region_instance ~dir ~prefix:app.App.name
-                    ~format t)
+                  Trace_io.split_seq ~dir ~prefix:app.App.name ~format
+                    (Trace.to_seq t))
             in
             Printf.printf
               "wrote %s (%s, %d bytes) and %d region-instance pieces under \

@@ -10,9 +10,6 @@
    the CI gate on the hardening pipeline's output IR.
    [ft_dev sites] prints per-app static pattern-site counts and
    [ft_dev radd APP] the repeated-addition sites of one app.
-   [ft_dev trace-roundtrip [APP]] saves APP's trace (default IS) in
-   both encodings, reads both back, and exits nonzero unless each
-   round-trip is event-for-event exact.
    [ft_dev acl-parity [APP...]] checks replayed ACL analysis against
    stored traces (see [acl_parity]).
    [ft_dev alloc-gate] prints the minor words a compiled IS@opt trial
@@ -91,45 +88,6 @@ let sites () =
         (List.length r.Static_detect.overwrites)
         (List.length r.Static_detect.repeated_adds))
     Registry.all
-
-let trace_roundtrip name =
-  let app = Registry.find name in
-  let _, trace = App.trace app in
-  let n = Trace.length trace in
-  let failed = ref false in
-  let sizes =
-    List.map
-      (fun (label, fmt) ->
-        let path = Filename.temp_file "ft_rt" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Trace_io.save ~format:fmt path trace;
-            let size = (Unix.stat path).Unix.st_size in
-            let back = Trace_io.load path in
-            let ok = ref (Trace.length back = n) in
-            if !ok then
-              Trace.iteri
-                (fun i e -> if compare e (Trace.get back i) <> 0 then ok := false)
-                trace;
-            Printf.printf "%-8s %-6s %10d bytes  roundtrip %s\n" app.App.name
-              label size
-              (if !ok then "OK" else "MISMATCH");
-            if not !ok then failed := true;
-            size))
-      [ ("text", Trace_io.Text); ("binary", Trace_io.Binary) ]
-  in
-  (match sizes with
-  | [ text; bin ] when bin > 0 ->
-      Printf.printf "%-8s ratio  %10.2fx (%d events)\n" app.App.name
-        (float_of_int text /. float_of_int bin)
-        n
-  | _ -> ());
-  if !failed then begin
-    print_endline "trace-roundtrip: FAILED";
-    exit 1
-  end
-  else print_endline "trace-roundtrip: OK"
 
 let opt_report name =
   let app = Registry.find name in
@@ -754,8 +712,6 @@ let () =
       let app = Registry.find name in
       let prog = Opt.transform Opt.all (App.program app) in
       Fmt.pr "%a@." Prog.pp prog
-  | _ :: "trace-roundtrip" :: rest ->
-      trace_roundtrip (match rest with name :: _ -> name | [] -> "IS")
   | _ :: "journal" :: action :: path :: _ -> journal_cmd action path
   | _ :: "journal" :: _ ->
       Printf.eprintf "usage: ft_dev journal inspect|verify|compact PATH\n";

@@ -69,10 +69,7 @@ let () =
     prog.Prog.mem_size;
 
   (* 1. fault-free traced run *)
-  let clean_trace = Trace.create () in
-  let clean =
-    Machine.run prog { Machine.default_config with trace = Some clean_trace }
-  in
+  let clean, clean_trace = Machine.run_traced prog in
   Printf.printf "fault-free: %d dynamic instructions, output:\n%s\n"
     clean.Machine.instructions clean.Machine.output;
 

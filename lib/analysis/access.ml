@@ -106,7 +106,6 @@ let index (iter : (Trace.event -> unit) -> unit) : t =
 
 let events (t : t) = t.events
 let build (tr : Trace.t) : t = index (fun f -> Trace.iter f tr)
-let build_seq (events : Trace.event Seq.t) : t = index (fun f -> Seq.iter f events)
 
 (* [loc]'s accesses are [t.data.(lo t id) .. t.data.(hi t id - 1)], where
    [id = slot t loc]; both bounds are 0 for an untouched location *)

@@ -26,10 +26,7 @@ val index : ((Trace.event -> unit) -> unit) -> t
     and reuses it for the next one. *)
 
 val build : Trace.t -> t
-
-val build_seq : Trace.event Seq.t -> t
-(** Build the index in one pass over an event stream (events are
-    indexed by their position in the sequence). *)
+(** [index] over a stored trace. *)
 
 val events : t -> int
 (** The number of events indexed. *)

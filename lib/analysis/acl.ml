@@ -89,14 +89,11 @@ let mask_kind_to_string = function
   | Repeated_add _ -> "repeated-addition"
   | Other_mask -> "other"
 
-(* The ACL walk over the faulty events [replay] pushes, parameterized
-   over the liveness oracle: [fate loc ~after:idx] answers what happens
-   to the value in [loc] established at event [idx] of the faulty run.
-   The replay path backs it with a random-access index
-   ({!Access.fate}); the streaming path with a pre-resolved answer
-   table. *)
+(* The ACL walk over the faulty events [replay] pushes; [access] indexes
+   the same events and answers the liveness side: what happens to the
+   value in a location established at a given event of the faulty run. *)
 let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
-    (fate : Loc.t -> after:int -> Access.fate) : result =
+    (access : Access.t) : result =
   let statuses : status Loc_store.t = Loc_store.create no_status in
   let nstatuses = ref 0 in
   let scheduled : (Loc.t * bool) list Itbl.t = Itbl.create 64 in
@@ -129,7 +126,7 @@ let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
           incr nstatuses;
           st
     in
-    match fate loc ~after:idx with
+    match Access.fate access loc ~after:idx with
     | `Dies_after_read (r, next_write) ->
         if not st.alive then begin
           st.alive <- true;
@@ -341,123 +338,7 @@ let analyze_replay ?fault ~(clean : Trace.t)
         f ev);
     if !i < n then mismatch ()
   in
-  walk (Align.create ?fault ~clean ()) again (fun loc ~after ->
-      Access.fate access loc ~after)
+  walk (Align.create ?fault ~clean ()) again access
 
 let analyze ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : result =
   analyze_replay ?fault ~clean ~replay:(fun f -> Trace.iter f faulty) ()
-
-(* --- streaming (constant-memory) path ----------------------------------- *)
-
-(* Per-location state of the single-pass fate resolver (pass 2):
-   [pending] holds the query event indices collected in pass 1, sorted
-   ascending; [next] is the first not-yet-activated one; [active] are
-   queries whose index has passed and whose fate is still undecided,
-   paired with the last read seen so far (-1 = none).  A write resolves
-   every active query, so [active] stays tiny (one entry in practice:
-   a new query is only created by a later corrupting write, which first
-   resolves its predecessor). *)
-type fate_state = {
-  pending : int array;
-  mutable next : int;
-  mutable active : (int * int ref) list;
-}
-
-(** [analyze] over restartable event sources, never materializing a
-    trace.  Three passes: (1) an alignment walk collects the (event
-    index, location) liveness queries the ACL walk will ask; (2) one
-    forward scan of the faulty stream resolves every query exactly as
-    {!Access.fate} would; (3) the ACL walk runs against the answer
-    table.  Peak memory is proportional to distinct written locations
-    plus corruption events — independent of the trace length.  The
-    result is identical to [analyze] by construction. *)
-let analyze_stream ?fault ~(clean : Trace_io.source)
-    ~(faulty : Trace_io.source) () : result =
-  (* pass 1: which (idx, loc) fates will the ACL walk ask for? *)
-  let queries : int list ref Loc.Tbl.t = Loc.Tbl.create 64 in
-  let replay_faulty f = faulty.Trace_io.run (Seq.iter f) in
-  clean.Trace_io.run (fun clean_seq ->
-      let w = Align.create_seq ?fault ~clean:clean_seq () in
-      ignore
-        (Align.drive w replay_faulty (function
-          | Align.Step { index; changed; _ } ->
-              List.iter
-                (fun loc ->
-                  if Align.is_corrupted w loc then
-                    match Loc.Tbl.find_opt queries loc with
-                    | Some l -> l := index :: !l
-                    | None -> Loc.Tbl.add queries loc (ref [ index ]))
-                changed
-          | Align.Diverged _ | Align.End -> ())));
-  (* pass 2: resolve every query in one forward scan of the faulty
-     stream, replicating Access.fate's strictly-after, reads-before-
-     writes-within-an-event semantics *)
-  let states : fate_state Loc.Tbl.t = Loc.Tbl.create (Loc.Tbl.length queries) in
-  Loc.Tbl.iter
-    (fun loc l ->
-      Loc.Tbl.add states loc
-        { pending = Array.of_list (List.rev !l); next = 0; active = [] })
-    queries;
-  let answers : (int * Loc.t, Access.fate) Hashtbl.t = Hashtbl.create 256 in
-  let activate (st : fate_state) (i : int) =
-    while
-      st.next < Array.length st.pending && st.pending.(st.next) < i
-    do
-      st.active <- (st.pending.(st.next), ref (-1)) :: st.active;
-      st.next <- st.next + 1
-    done
-  in
-  faulty.Trace_io.run (fun faulty_seq ->
-      let i = ref 0 in
-      Seq.iter
-        (fun (e : Trace.event) ->
-          Array.iter
-            (fun (loc, _) ->
-              match Loc.Tbl.find_opt states loc with
-              | None -> ()
-              | Some st ->
-                  activate st !i;
-                  List.iter (fun (_, last_read) -> last_read := !i) st.active)
-            e.reads;
-          Array.iter
-            (fun (loc, _) ->
-              match Loc.Tbl.find_opt states loc with
-              | None -> ()
-              | Some st ->
-                  activate st !i;
-                  List.iter
-                    (fun (q, last_read) ->
-                      Hashtbl.replace answers (q, loc)
-                        (if !last_read >= 0 then
-                           `Dies_after_read (!last_read, Some !i)
-                         else `Overwritten_at !i))
-                    st.active;
-                  st.active <- [])
-            e.writes;
-          incr i)
-        faulty_seq);
-  (* end of stream: still-active queries die with their last read (or
-     were never referenced); never-activated ones saw no later access *)
-  Loc.Tbl.iter
-    (fun loc st ->
-      List.iter
-        (fun (q, last_read) ->
-          Hashtbl.replace answers (q, loc)
-            (if !last_read >= 0 then `Dies_after_read (!last_read, None)
-             else `Never_used))
-        st.active;
-      for k = st.next to Array.length st.pending - 1 do
-        Hashtbl.replace answers (st.pending.(k), loc) `Never_used
-      done)
-    states;
-  (* pass 3: the ACL walk proper, fed by the answer table *)
-  let fate loc ~after =
-    match Hashtbl.find_opt answers (after, loc) with
-    | Some f -> f
-    | None ->
-        (* pass 1 and pass 3 walk identical streams, so every query is
-           pre-answered; a miss means the source is not restartable *)
-        invalid_arg "Acl.analyze_stream: non-restartable event source"
-  in
-  clean.Trace_io.run (fun clean_seq ->
-      walk (Align.create_seq ?fault ~clean:clean_seq ()) replay_faulty fate)

@@ -69,16 +69,3 @@ val analyze :
   ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> result
 (** [analyze_replay] over a stored faulty trace.  [fault] as for
     [analyze_replay]. *)
-
-val analyze_stream :
-  ?fault:Machine.fault ->
-  clean:Trace_io.source ->
-  faulty:Trace_io.source ->
-  unit ->
-  result
-(** [analyze] over restartable event sources (e.g. trace files),
-    never materializing a trace: three streaming passes whose peak
-    memory is proportional to the number of distinct written locations
-    plus corruption events, independent of trace length.  Identical
-    results to [analyze] by construction.  [fault] as for
-    [analyze_replay]. *)

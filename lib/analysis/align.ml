@@ -24,13 +24,8 @@
     remainder as control-flow divergence, which the paper detects the
     same way (by comparing operations between the two DDDGs). *)
 
-(* where the clean event matching the next faulty event comes from *)
-type clean_source =
-  | Indexed of Trace.t  (** read at the faulty event's index *)
-  | Pulled of (unit -> Trace.event)  (** next clean event, or [eos] *)
-
 type t = {
-  clean_src : clean_source;
+  clean_trace : Trace.t;  (** read at the faulty event's index *)
   mutable pos : int;  (** next event index to process *)
   clean : Value.t Loc_store.t;  (** the clean run's shadow state *)
   faulty : Value.t Loc_store.t;
@@ -60,9 +55,9 @@ let same : Value.t = Int64.of_string "0"
 (* [writer]'s default: never the op of a traced event *)
 let no_writer = Trace.OIntr "<no writer>"
 
-let create_with ?fault clean_src : t =
+let create ?fault ~(clean : Trace.t) () : t =
   {
-    clean_src;
+    clean_trace = clean;
     pos = 0;
     clean = Loc_store.create Value.zero;
     faulty = Loc_store.create same;
@@ -73,20 +68,6 @@ let create_with ?fault clean_src : t =
     fault_applied = false;
     diverged_at = None;
   }
-
-let puller (s : Trace.event Seq.t) : unit -> Trace.event =
-  let cur = ref s in
-  fun () ->
-    match !cur () with
-    | Seq.Nil -> eos
-    | Seq.Cons (e, rest) ->
-        cur := rest;
-        e
-
-let create ?fault ~(clean : Trace.t) () : t = create_with ?fault (Indexed clean)
-
-let create_seq ?fault ~(clean : Trace.event Seq.t) () : t =
-  create_with ?fault (Pulled (puller clean))
 
 let pos (w : t) = w.pos
 let clean_value (w : t) loc = Loc_store.get w.clean loc
@@ -196,12 +177,8 @@ let feed (w : t) (ef : Trace.event) : step =
   match w.diverged_at with
   | Some i -> Diverged i
   | None ->
-      let ec =
-        match w.clean_src with
-        | Indexed t ->
-            if w.pos < Trace.length t then Trace.get t w.pos else eos
-        | Pulled next -> next ()
-      in
+      let t = w.clean_trace in
+      let ec = if w.pos < Trace.length t then Trace.get t w.pos else eos in
       if ec == eos && ef == eos then End
       else if ec == eos || ef == eos || not (Trace.same_control ec ef) then begin
         (* a control-path difference, or one run is shorter/longer

@@ -21,12 +21,6 @@ type t
 val create : ?fault:Machine.fault -> clean:Trace.t -> unit -> t
 (** A walker fed by [feed] against the clean trace. *)
 
-val create_seq : ?fault:Machine.fault -> clean:Trace.event Seq.t -> unit -> t
-(** A walker fed by [feed] against a clean event stream: memory stays
-    proportional to the machine state the runs touch (addresses and
-    activations), not the trace length.  The stream is consumed one
-    event per fed event. *)
-
 val pos : t -> int
 (** The next event index to process (the number of aligned steps). *)
 

@@ -15,10 +15,10 @@ type instance = {
   iter : int;      (** main-loop iteration the instance started in *)
 }
 
-(** Extract the chain of region instances from an event stream in one
-    pass, in execution order.  Events with effective region -1 (outside
-    all regions) are not part of any instance. *)
-let instances_seq (events : Trace.event Seq.t) : instance list =
+(** Extract the chain of region instances from a trace in one pass, in
+    execution order.  Events with effective region -1 (outside all
+    regions) are not part of any instance. *)
+let instances (t : Trace.t) : instance list =
   let acc = ref [] in
   let cur = ref None in
   let flush upto =
@@ -28,22 +28,18 @@ let instances_seq (events : Trace.event Seq.t) : instance list =
         acc := { rid; number; lo; hi = upto; iter } :: !acc;
         cur := None
   in
-  let i = ref 0 in
-  Seq.iter
-    (fun (e : Trace.event) ->
-      (match !cur with
+  Trace.iteri
+    (fun i (e : Trace.event) ->
+      match !cur with
       | Some (rid, number, _, _)
         when e.region = rid && e.instance = number ->
           ()
       | Some _ | None ->
-          flush !i;
-          if e.region >= 0 then cur := Some (e.region, e.instance, !i, e.iter));
-      incr i)
-    events;
-  flush !i;
+          flush i;
+          if e.region >= 0 then cur := Some (e.region, e.instance, i, e.iter))
+    t;
+  flush (Trace.length t);
   List.rev !acc
-
-let instances (t : Trace.t) : instance list = instances_seq (Trace.to_seq t)
 
 (** Instances of one region, in instance order. *)
 let instances_of (t : Trace.t) (rid : int) : instance list =

@@ -13,10 +13,6 @@ type instance = {
 val instances : Trace.t -> instance list
 (** The chain of region instances, in execution order. *)
 
-val instances_seq : Trace.event Seq.t -> instance list
-(** Same, in one pass over an event stream; memory proportional to the
-    number of instances, not the trace length. *)
-
 val instances_of : Trace.t -> int -> instance list
 val find_instance : Trace.t -> rid:int -> number:int -> instance option
 val size : instance -> int

@@ -4,17 +4,16 @@
     process, and FlipTracker's implementation splits those files into
     per-code-region-instance pieces for parallel analysis
     (Section IV-A).  This module provides the same artifacts in two
-    interchangeable encodings plus the streaming plumbing that lets
-    analyses consume trace files without materializing a
-    [Trace.event list]:
+    interchangeable encodings plus the streaming plumbing that lets a
+    trace file be written and split without materializing a
+    [Trace.t]:
 
     {ul
     {- a line-oriented {e text} format, kept for debugging and diffing;}
     {- a compact {e binary} format (varint + delta encoded, versioned
        header) that is several times smaller and faster to decode;}
     {- channel writers/readers for both, a [Seq.t] event reader that
-       sniffs the format, restartable {!source}s for multi-pass
-       streaming analyses, and region-instance splitting that works
+       sniffs the format, and region-instance splitting that works
        directly on an event stream.}}
 
     Text format, one event per line, space-separated:
@@ -827,23 +826,6 @@ let load (path : string) : Trace.t =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
 
-(* --- restartable sources ------------------------------------------------ *)
-
-type source = { run : 'a. (Trace.event Seq.t -> 'a) -> 'a }
-
-let source_of_trace (t : Trace.t) : source =
-  { run = (fun k -> k (Trace.to_seq t)) }
-
-let source_of_file (path : string) : source =
-  {
-    run =
-      (fun k ->
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> k (events_of_channel ic)));
-  }
-
 (* --- region-instance splitting ------------------------------------------ *)
 
 (** Split an event stream into one file per code-region instance under
@@ -887,8 +869,3 @@ let split_seq ~(dir : string) ?(prefix = "trace") ?(format = Text)
           | None -> ())
         events);
   List.rev !paths
-
-(** [split_seq] over a materialized trace. *)
-let split_by_region_instance ~(dir : string) ?(prefix = "trace")
-    ?(format = Text) (t : Trace.t) : string list =
-  split_seq ~dir ~prefix ~format (Trace.to_seq t)

@@ -68,15 +68,6 @@ val read_channel : in_channel -> Trace.t
 val load : string -> Trace.t
 (** Both accept either encoding. *)
 
-type source = { run : 'a. (Trace.event Seq.t -> 'a) -> 'a }
-(** A restartable event stream: each [run] invocation feeds a fresh
-    sequence, so multi-pass analyses ({!Acl.analyze_stream}) can replay
-    it.  File-backed sources open and close the file per [run]; the
-    sequence must not escape the callback. *)
-
-val source_of_trace : Trace.t -> source
-val source_of_file : string -> source
-
 (* --- region-instance splitting --- *)
 
 val split_seq :
@@ -89,10 +80,6 @@ val split_seq :
     [<prefix>_r<region>_i<instance>.trace]; returns the paths in
     encounter order.  Streaming: single pass, one open piece at a time.
     Events outside any region (region [-1]) are dropped, as before. *)
-
-val split_by_region_instance :
-  dir:string -> ?prefix:string -> ?format:format -> Trace.t -> string list
-(** {!split_seq} over a materialized trace. *)
 
 (* --- low-level binary codec (bench/test instrumentation) --- *)
 

@@ -126,36 +126,19 @@ let verify (_app : t) : Machine.result -> bool =
 (** Fault-free traced run (with iteration marking). *)
 let trace (app : t) : Machine.result * Trace.t =
   let b = bake app in
-  let t = Trace.create () in
-  let r =
-    Machine.run b.prog
-      { Machine.default_config with trace = Some t; iter_mark = b.iter_mark }
-  in
-  (r, t)
-
-(* one faulty run, its events retained in [trace] or streamed to [sink] *)
-let run_with_fault (app : t) (fault : Machine.fault) ~budget ~trace ~sink =
-  let b = bake app in
-  Machine.run b.prog
-    {
-      Machine.default_config with
-      trace;
-      sink;
-      iter_mark = b.iter_mark;
-      fault = Some fault;
-      budget;
-    }
+  Machine.run_traced ~iter_mark:b.iter_mark b.prog
 
 (** Faulty traced run. *)
 let trace_with_fault (app : t) (fault : Machine.fault) ~(budget : int) :
     Machine.result * Trace.t =
-  let t = Trace.create () in
-  (run_with_fault app fault ~budget ~trace:(Some t) ~sink:None, t)
+  let b = bake app in
+  Machine.run_traced ~budget ~iter_mark:b.iter_mark ~fault b.prog
 
 (** Faulty run streaming its events into [sink], keeping none. *)
 let replay_with_fault (app : t) (fault : Machine.fault) ~(budget : int)
     (sink : Trace.event -> unit) : Machine.result =
-  run_with_fault app fault ~budget ~trace:None ~sink:(Some sink)
+  let b = bake app in
+  Machine.run_sink ~budget ~iter_mark:b.iter_mark ~fault ~sink b.prog
 
 (* --- shared program-construction helpers ------------------------------ *)
 

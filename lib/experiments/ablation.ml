@@ -71,8 +71,7 @@ let heap_slack ?(trials = 150) () : campaign_pair =
   let ref_value = App.reference_value Is.app in
   let run_with slack =
     let prog = Compile.compile ~heap_slack:slack (Is.make ~ref_value:(Some ref_value)) in
-    let t = Trace.create () in
-    let clean = Machine.run prog { Machine.default_config with trace = Some t } in
+    let clean, t = Machine.run_traced prog in
     let target = Campaign.whole_program_target prog t in
     Campaign.run prog
       ~verify:(fun r -> App.verified r.Machine.output)

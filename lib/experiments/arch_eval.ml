@@ -15,10 +15,6 @@ type report = {
   ar_cells : cell list;
 }
 
-let sdc_rate = Recovery_eval.sdc_rate
-let crash_rate = Recovery_eval.crash_rate
-let recovered_rate = Recovery_eval.recovered_rate
-
 let evaluate ?(seed = Campaign.default_config.Campaign.seed) ?(trials = 150)
     ?(structures = Structure.all) ?(geom = Cache_model.default_geometry)
     ?(backend = Backend.default) ?(jobs = 1) (app : App.t) : report =
@@ -82,7 +78,8 @@ let pp_report ppf (r : report) =
         (Structure.to_string c.ac_structure)
         c.ac_population k.Campaign.trials k.Campaign.success
         k.Campaign.failed k.Campaign.crashed k.Campaign.recovered
-        (sdc_rate k) (crash_rate k) (recovered_rate k))
+        (Campaign.sdc_rate k) (Campaign.crash_rate k)
+        (Campaign.recovered_rate k))
     r.ar_cells;
   Fmt.pf ppf "@]"
 
@@ -100,6 +97,7 @@ let to_csv (r : report) : string =
            (Cache_model.geometry_to_string r.ar_geometry)
            c.ac_population k.Campaign.trials k.Campaign.success
            k.Campaign.failed k.Campaign.crashed k.Campaign.recovered
-           (sdc_rate k) (crash_rate k) (recovered_rate k)))
+           (Campaign.sdc_rate k) (Campaign.crash_rate k)
+           (Campaign.recovered_rate k)))
     r.ar_cells;
   Buffer.contents b

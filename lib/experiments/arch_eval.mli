@@ -45,10 +45,6 @@ val evaluate :
 
 val find_cell : report -> Structure.t -> cell option
 
-val sdc_rate : Campaign.counts -> float
-val crash_rate : Campaign.counts -> float
-val recovered_rate : Campaign.counts -> float
-
 val pp_report : Format.formatter -> report -> unit
 (** One row per structure: population, counts, and rates. *)
 

@@ -15,20 +15,10 @@ type report = {
   he_variants : variant list;
 }
 
-let rate part (c : Campaign.counts) =
-  if c.Campaign.trials = 0 then 0.0
-  else float_of_int part /. float_of_int c.Campaign.trials
-
-let sdc_rate (c : Campaign.counts) = rate c.Campaign.failed c
-let crash_rate (c : Campaign.counts) = rate c.Campaign.crashed c
-
 let run_variant ~label ~passes ~pass_reports ~verify ~cfg ~exec
     (prog : Prog.t) : variant =
-  let t = Trace.create () in
   let iter_mark = Prog.mark_id prog App.iter_mark_name in
-  let clean =
-    Machine.run prog { Machine.default_config with trace = Some t; iter_mark }
-  in
+  let clean, t = Machine.run_traced ~iter_mark prog in
   (match clean.Machine.outcome with
   | Machine.Finished -> ()
   | _ ->
@@ -108,8 +98,8 @@ let pp_report ppf (r : report) =
       let c = v.hv_report.Campaign.counts in
       Fmt.pf ppf "%-22s %6d %6d %6d %6d  %8.4f %+8.4f  %9d %8.1f%%@,"
         v.hv_label c.Campaign.trials c.Campaign.failed c.Campaign.crashed
-        c.Campaign.success (sdc_rate c)
-        (sdc_rate c -. sdc_rate bc)
+        c.Campaign.success (Campaign.sdc_rate c)
+        (Campaign.sdc_rate c -. Campaign.sdc_rate bc)
         v.hv_clean_instructions
         (100.0 *. overhead v.hv_clean_instructions base.hv_clean_instructions))
     r.he_variants;
@@ -140,7 +130,8 @@ let to_csv (r : report) : string =
            v.hv_label
            (String.concat "+" v.hv_passes)
            c.Campaign.trials c.Campaign.success c.Campaign.failed
-           c.Campaign.crashed c.Campaign.infra (sdc_rate c) (crash_rate c)
+           c.Campaign.crashed c.Campaign.infra (Campaign.sdc_rate c)
+           (Campaign.crash_rate c)
            v.hv_clean_instructions v.hv_static_instrs))
     r.he_variants;
   Buffer.contents b

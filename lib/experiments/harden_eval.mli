@@ -29,11 +29,6 @@ type report = {
   he_variants : variant list;  (** baseline first, combined last *)
 }
 
-val sdc_rate : Campaign.counts -> float
-(** Verification-failed fraction of classified trials. *)
-
-val crash_rate : Campaign.counts -> float
-
 val evaluate :
   ?effort:Effort.t ->
   ?opts:Pass.opts ->

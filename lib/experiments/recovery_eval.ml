@@ -33,14 +33,6 @@ type report = {
   re_messages : message_cell list;
 }
 
-let rate part (c : Campaign.counts) =
-  if c.Campaign.trials = 0 then 0.0
-  else float_of_int part /. float_of_int c.Campaign.trials
-
-let sdc_rate (c : Campaign.counts) = rate c.Campaign.failed c
-let crash_rate (c : Campaign.counts) = rate c.Campaign.crashed c
-let recovered_rate (c : Campaign.counts) = rate c.Campaign.recovered c
-
 let default_models =
   [
     Fault_model.Single_bit;
@@ -69,11 +61,8 @@ let evaluate ?(seed = Campaign.default_config.Campaign.seed)
     ?(recv_timeout_s = 2.0) (app : App.t) : report =
   let prog = wrapped_program app in
   let verify = App.verify app in
-  let t = Trace.create () in
   let iter_mark = Prog.mark_id prog App.iter_mark_name in
-  let clean =
-    Machine.run prog { Machine.default_config with trace = Some t; iter_mark }
-  in
+  let clean, t = Machine.run_traced ~iter_mark prog in
   (match clean.Machine.outcome with
   | Machine.Finished -> ()
   | _ ->
@@ -213,8 +202,8 @@ let pp_report ppf (r : report) =
         (Fault_model.to_string c.rc_model)
         (Campaign.recovery_to_string c.rc_recovery)
         k.Campaign.trials k.Campaign.success k.Campaign.failed
-        k.Campaign.crashed k.Campaign.recovered (sdc_rate k) (crash_rate k)
-        (recovered_rate k))
+        k.Campaign.crashed k.Campaign.recovered (Campaign.sdc_rate k)
+        (Campaign.crash_rate k) (Campaign.recovered_rate k))
     r.re_cells;
   (* the headline pairing: how much crash rate does rollback buy, per
      fault model and execution mode *)
@@ -241,8 +230,10 @@ let pp_report ppf (r : report) =
                   Fmt.pf ppf "  %-8s %-15s %8.4f -> %8.4f (%+.4f)@,"
                     (mode_to_string mode)
                     (Fault_model.to_string model)
-                    (crash_rate n.rc_counts) (crash_rate b.rc_counts)
-                    (crash_rate b.rc_counts -. crash_rate n.rc_counts)
+                    (Campaign.crash_rate n.rc_counts)
+                    (Campaign.crash_rate b.rc_counts)
+                    (Campaign.crash_rate b.rc_counts
+                    -. Campaign.crash_rate n.rc_counts)
               | _ -> ())
             (List.sort_uniq compare
                (List.map (fun c -> c.rc_model) r.re_cells)))
@@ -280,8 +271,8 @@ let to_csv (r : report) : string =
            (Fault_model.to_string c.rc_model)
            (Campaign.recovery_to_string c.rc_recovery)
            k.Campaign.trials k.Campaign.success k.Campaign.failed
-           k.Campaign.crashed k.Campaign.recovered (sdc_rate k)
-           (crash_rate k) (recovered_rate k)))
+           k.Campaign.crashed k.Campaign.recovered (Campaign.sdc_rate k)
+           (Campaign.crash_rate k) (Campaign.recovered_rate k)))
     r.re_cells;
   List.iter
     (fun m ->
@@ -294,7 +285,8 @@ let to_csv (r : report) : string =
            m.rm_kind
            (if m.rm_reliable then "reliable" else "raw")
            k.Campaign.trials k.Campaign.success k.Campaign.failed
-           k.Campaign.crashed k.Campaign.recovered (sdc_rate k)
-           (crash_rate k) (recovered_rate k) m.rm_injected m.rm_resent))
+           k.Campaign.crashed k.Campaign.recovered (Campaign.sdc_rate k)
+           (Campaign.crash_rate k) (Campaign.recovered_rate k) m.rm_injected
+           m.rm_resent))
     r.re_messages;
   Buffer.contents b

@@ -48,10 +48,6 @@ type report = {
   re_messages : message_cell list;
 }
 
-val sdc_rate : Campaign.counts -> float
-val crash_rate : Campaign.counts -> float
-val recovered_rate : Campaign.counts -> float
-
 val default_models : Fault_model.t list
 (** single-bit, double-adjacent, burst-8, stuck-at. *)
 

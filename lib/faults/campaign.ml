@@ -44,13 +44,19 @@ let add_outcome (c : counts) = function
   | Crashed -> { c with crashed = c.crashed + 1; trials = c.trials + 1 }
   | Recovered -> { c with recovered = c.recovered + 1; trials = c.trials + 1 }
 
+(* [part] as a fraction of the classified trials *)
+let rate part (c : counts) : float =
+  if c.trials = 0 then 0.0 else Float.of_int part /. Float.of_int c.trials
+
 (** Success rate (Equation 1).  Infra errors are not trials: they say
     nothing about the application's resilience.  Recovered runs are not
     successes either: they measure the recovery mechanism, not the
     application's {e natural} resilience. *)
-let success_rate (c : counts) : float =
-  if c.trials = 0 then 0.0
-  else Float.of_int c.success /. Float.of_int c.trials
+let success_rate (c : counts) : float = rate c.success c
+
+let sdc_rate (c : counts) = rate c.failed c
+let crash_rate (c : counts) = rate c.crashed c
+let recovered_rate (c : counts) = rate c.recovered c
 
 let pp_counts ppf (c : counts) =
   Fmt.pf ppf "success=%d failed=%d crashed=%d trials=%d rate=%.3f" c.success

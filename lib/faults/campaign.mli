@@ -26,6 +26,14 @@ val success_rate : counts -> float
 (** Equation 1 of the paper (infra errors excluded; recovered runs are
     not natural successes and do not count). *)
 
+val sdc_rate : counts -> float
+(** Verification-failed (silent data corruption) fraction of classified
+    trials. *)
+
+val crash_rate : counts -> float
+val recovered_rate : counts -> float
+(** Crashed and recovered fractions of classified trials. *)
+
 val pp_counts : Format.formatter -> counts -> unit
 
 (** Recovery policy of a campaign: [No_recovery] reproduces historical

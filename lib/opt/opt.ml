@@ -44,12 +44,10 @@ let fixpoint ~rounds (round : round) (f : Prog.func) : Pass.work =
   if Array.length f.Prog.code = 0 then Pass.keep f
   else go f (Array.init (Array.length f.Prog.code) Fun.id) [] 0 rounds
 
-(* A single-round pass: an unchanged function reports nothing
-   considered. *)
+(* A single-round pass: [fixpoint] over one round, so an unchanged
+   function still reports the sites the round considered. *)
 let once (f : Prog.func) repl changes considered : Pass.work =
-  match round_result f repl changes considered with
-  | None, _ -> Pass.keep f
-  | Some (f', map, ch), c -> Pass.rewritten f' map ch c
+  fixpoint ~rounds:1 (fun f -> round_result f repl changes considered) f
 
 (* --- constant folding (sparse constant propagation) --------------------- *)
 

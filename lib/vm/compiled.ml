@@ -1370,10 +1370,8 @@ let plan_for (prog : Prog.t) : plan =
 (* --- execution ----------------------------------------------------------- *)
 
 let supported (cfg : Machine.config) : bool =
-  match
-    (cfg.Machine.trace, cfg.Machine.sink, cfg.Machine.mpi, cfg.Machine.recover)
-  with
-  | None, None, None, None -> (
+  match (cfg.Machine.sink, cfg.Machine.mpi, cfg.Machine.recover) with
+  | None, None, None -> (
       (* cache faults need the simulated cache between every memory
          access — only the interpreter carries one *)
       match cfg.Machine.fault with
@@ -1453,7 +1451,7 @@ let release (st : dstate) (rt : rt) : unit =
 let run (p : plan) (cfg : Machine.config) : Machine.result =
   if not (supported cfg) then
     invalid_arg
-      "Compiled.run: config needs the interpreter (trace, sink, MPI hooks, \
+      "Compiled.run: config needs the interpreter (sink, MPI hooks, \
        recovery, or a cache fault attached)";
   let prog = p.p_prog in
   let mem_len = prog.Prog.mem_size in

@@ -28,8 +28,8 @@ val prog : plan -> Prog.t
 (** The program a plan was compiled from. *)
 
 val supported : Machine.config -> bool
-(** [true] iff the configuration carries no trace, no sink, no MPI
-    hooks and no recovery — the envelope within which [run] is
+(** [true] iff the configuration carries no sink, no MPI hooks, no
+    recovery and no cache fault — the envelope within which [run] is
     bit-identical to the interpreter. *)
 
 val run : plan -> Machine.config -> Machine.result

@@ -103,11 +103,10 @@ type mpi_hooks = {
 type config = {
   budget : int;  (** max dynamic instructions before declaring a hang *)
   fault : fault option;
-  trace : Trace.t option;
   sink : (Trace.event -> unit) option;
-      (** streaming alternative to [trace]: each event is passed to the
-          callback and not retained, like a tracer writing to a file;
-          exceptions it raises propagate to the caller unclassified *)
+      (** each event is passed to the callback, like a tracer writing to
+          a file; exceptions it raises propagate to the caller
+          unclassified *)
   iter_mark : int;  (** mark id that delimits main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   tick : (unit -> unit) option;
@@ -127,7 +126,6 @@ let default_config =
   {
     budget = 500_000_000;
     fault = None;
-    trace = None;
     sink = None;
     iter_mark = -1;
     mpi = None;
@@ -359,17 +357,14 @@ let run (prog : Prog.t) (cfg : config) : result =
     | None ->
         ()
   in
-  let trace = cfg.trace in
-  (* when neither a retained trace nor a sink consumes events, plain
-     instructions skip building the read/write arrays of [record], the
-     dominant allocation of a traced run.  An untraced run still
-     allocates: intrinsics build their argument arrays, and registers
-     and memory hold boxed values, so each computed value costs a box.
-     Campaigns, whose minor GCs synchronize every domain in OCaml 5,
-     take the compiled backend instead. *)
-  let recording =
-    match (trace, cfg.sink) with None, None -> false | _, _ -> true
-  in
+  (* without a sink, plain instructions skip building the read/write
+     arrays of [record], the dominant allocation of a traced run.  An
+     untraced run still allocates: intrinsics build their argument
+     arrays, and registers and memory hold boxed values, so each
+     computed value costs a box.  Campaigns, whose minor GCs
+     synchronize every domain in OCaml 5, take the compiled backend
+     instead. *)
+  let recording = Option.is_some cfg.sink in
   let tick = match cfg.tick with Some f -> f | None -> fun () -> () in
   let restores = ref 0 in
   let rec exec_fun fidx (args : int64 array) (inherited : int) (depth : int) :
@@ -443,10 +438,10 @@ let run (prog : Prog.t) (cfg : config) : result =
        defined inside the dispatch loop it would allocate a closure for
        every instruction, recorded or not *)
     let record seq i eff op reads writes =
-      match (trace, cfg.sink) with
-      | None, None -> ()
-      | _, _ ->
-          let e =
+      match cfg.sink with
+      | None -> ()
+      | Some k ->
+          k
             {
               Trace.seq;
               fidx;
@@ -460,9 +455,6 @@ let run (prog : Prog.t) (cfg : config) : result =
               reads;
               writes;
             }
-          in
-          (match trace with Some t -> Trace.push t e | None -> ());
-          (match cfg.sink with Some k -> k e | None -> ())
     in
     let body () =
     while !running do
@@ -687,17 +679,15 @@ let run (prog : Prog.t) (cfg : config) : result =
 let run_plain ?(budget = default_config.budget) (prog : Prog.t) : result =
   run prog { default_config with budget }
 
-(** Convenience: run with a fresh trace; returns the result and trace. *)
-let run_traced ?(budget = default_config.budget) ?(iter_mark = -1) ?fault
-    (prog : Prog.t) : result * Trace.t =
-  let t = Trace.create () in
-  let r = run prog { default_config with budget; iter_mark; fault; trace = Some t } in
-  (r, t)
-
 (** Convenience: run streaming every event into [sink] without
-    retaining any of them — the constant-memory counterpart of
-    [run_traced] (e.g. a [Trace_io] writer over a file). *)
+    retaining any of them (e.g. a [Trace_io] writer over a file). *)
 let run_sink ?(budget = default_config.budget) ?(iter_mark = -1) ?fault
     ~(sink : Trace.event -> unit) (prog : Prog.t) : result =
   run prog
     { default_config with budget; iter_mark; fault; sink = Some sink }
+
+(** Convenience: run with a fresh trace; returns the result and trace. *)
+let run_traced ?budget ?iter_mark ?fault (prog : Prog.t) : result * Trace.t =
+  let t = Trace.create () in
+  let r = run_sink ?budget ?iter_mark ?fault ~sink:(Trace.push t) prog in
+  (r, t)

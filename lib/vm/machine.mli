@@ -72,13 +72,12 @@ type mpi_hooks = {
 type config = {
   budget : int;  (** max dynamic instructions before declaring a hang *)
   fault : fault option;
-  trace : Trace.t option;  (** retained trace, for the analyses *)
   sink : (Trace.event -> unit) option;
-      (** streaming alternative: each event is passed to the callback
-          and not retained, like a tracer writing to a file.  An
-          exception the sink raises stops the run and propagates out of
-          [run] unclassified (it is not a trap), which is how a
-          consumer ends a replay early *)
+      (** the one event output: each event is passed to the callback,
+          like a tracer writing to a file ({!run_traced} keeps them in
+          a {!Trace.t}).  An exception the sink raises stops the run
+          and propagates out of [run] unclassified (it is not a trap),
+          which is how a consumer ends a replay early *)
   iter_mark : int;  (** mark id delimiting main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   tick : (unit -> unit) option;
@@ -175,14 +174,6 @@ val run : Prog.t -> config -> result
 val run_plain : ?budget:int -> Prog.t -> result
 (** Fault-free, untraced execution. *)
 
-val run_traced :
-  ?budget:int ->
-  ?iter_mark:int ->
-  ?fault:fault ->
-  Prog.t ->
-  result * Trace.t
-(** Execution with a fresh retained trace. *)
-
 val run_sink :
   ?budget:int ->
   ?iter_mark:int ->
@@ -190,5 +181,12 @@ val run_sink :
   sink:(Trace.event -> unit) ->
   Prog.t ->
   result
-(** Execution streaming each event into [sink] without retaining it:
-    the constant-memory counterpart of [run_traced]. *)
+(** Execution passing each event to [sink] without retaining it. *)
+
+val run_traced :
+  ?budget:int ->
+  ?iter_mark:int ->
+  ?fault:fault ->
+  Prog.t ->
+  result * Trace.t
+(** [run_sink] into a fresh trace that keeps every event. *)

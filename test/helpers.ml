@@ -13,14 +13,11 @@ let main_program ?(globals = []) ?(funs = []) ?(locals = []) body : Ast.program
     entry = "main";
   }
 
-let run ?fault ?trace ?(iter_mark = -1) ?(budget = 10_000_000) prog =
-  Machine.run prog
-    { Machine.default_config with fault; trace; iter_mark; budget }
+let run ?fault ?(iter_mark = -1) ?(budget = 10_000_000) prog =
+  Machine.run prog { Machine.default_config with fault; iter_mark; budget }
 
-let run_traced ?fault ?(iter_mark = -1) prog =
-  let t = Trace.create () in
-  let r = run ?fault ~trace:t ~iter_mark prog in
-  (r, t)
+let run_traced ?fault ?iter_mark prog =
+  Machine.run_traced ?fault ?iter_mark ~budget:10_000_000 prog
 
 (* read a named global scalar out of a final memory image *)
 let mem_scalar (prog : Prog.t) (r : Machine.result) name : Value.t =

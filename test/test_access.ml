@@ -2,7 +2,7 @@
    generated programs, every query [Access] answers — [accesses],
    [fate], [alive], [read_in], [written_in] — at every event index must
    equal a forward scan of the trace itself, and [build] must equal
-   [build_seq].  Rates, Weighted_rates, Dddg and Campaign.input_target
+   [index] over the trace's event sequence.  Rates, Weighted_rates, Dddg and Campaign.input_target
    all rest on these answers. *)
 
 (* per-location read/write flags by event index *)
@@ -66,10 +66,14 @@ let touched_locs (t : Trace.t) : Loc.t list =
     t;
   Loc.Tbl.fold (fun l () acc -> l :: acc) locs []
 
+(* the index of the events of a sequence, in order *)
+let index_seq (s : Trace.event Seq.t) : Access.t =
+  Access.index (fun f -> Seq.iter f s)
+
 (* every query on every touched location (plus one never touched) at
-   every index agrees with the reference, for [build] and [build_seq] *)
+   every index agrees with the reference, for [build] and [index_seq] *)
 let index_matches_reference (t : Trace.t) : bool =
-  let a = Access.build t and b = Access.build_seq (Trace.to_seq t) in
+  let a = Access.build t and b = index_seq (Trace.to_seq t) in
   let n = Trace.length t in
   List.for_all
     (fun loc ->
@@ -113,7 +117,7 @@ let trace_of (stmts : Ast.stmt list) : Trace.t =
   snd (Helpers.run_traced (Compile.compile prog_ast))
 
 let prop_index =
-  QCheck.Test.make ~count:100 ~name:"access index = forward scan, build = build_seq"
+  QCheck.Test.make ~count:100 ~name:"access index = forward scan, build = index"
     (QCheck.make
        ~print:(fun stmts -> Printf.sprintf "<%d statements>" (List.length stmts))
        Test_differential.gen_program)
@@ -168,7 +172,7 @@ let test_nested_build () =
         Trace.iteri
           (fun i e ->
             if i = Trace.length t / 2 then
-              inner := Some (Access.build_seq (half ()));
+              inner := Some (index_seq (half ()));
             f e)
           t)
   in
@@ -182,7 +186,7 @@ let test_nested_build () =
       (touched_locs t)
   in
   check "outer" outer (Access.build t);
-  check "inner" (Option.get !inner) (Access.build_seq (half ()));
+  check "inner" (Option.get !inner) (index_seq (half ()));
   check "after" (Access.build t) outer
 
 (* the dense store is total: negative ids, ids past its dense range (a

@@ -2,9 +2,8 @@
    fixture ([Acl_fixture.rows]) names six faults — a single-bit write
    flip, a memory flip, a stuck-at mask, a burst mask, a run that
    diverges and a run that crashes — and the digest of the full ACL
-   result each one produced when the fixture was recorded.  Both
-   [Acl.analyze] and [Acl.analyze_stream] (over [Trace_io] sources)
-   must reproduce every digest bit for bit.
+   result each one produced when the fixture was recorded.
+   [Acl.analyze] must reproduce every digest bit for bit.
 
    To record a fixture, run [fixture_rows] over [Registry.all] and
    print each row with [fixture_line]. *)
@@ -218,13 +217,7 @@ let check_app (name : string) () =
         let _, faulty = App.trace_with_fault app fault ~budget:(budget clean) in
         let what = Printf.sprintf "%s %s (%s)" name label fault_s in
         Alcotest.(check string) (what ^ ": analyze") expected
-          (digest (Acl.analyze ~fault ~clean ~faulty ()));
-        Alcotest.(check string) (what ^ ": analyze_stream") expected
-          (digest
-             (Acl.analyze_stream ~fault
-                ~clean:(Trace_io.source_of_trace clean)
-                ~faulty:(Trace_io.source_of_trace faulty)
-                ()))
+          (digest (Acl.analyze ~fault ~clean ~faulty ()))
       end)
     Acl_fixture.rows
 

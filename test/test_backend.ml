@@ -110,19 +110,18 @@ let test_campaign_counts_identical () =
 let test_fallback () =
   let app = Registry.find "IS" in
   let prog = App.program app in
+  let traced t = { Machine.default_config with sink = Some (Trace.push t) } in
   Alcotest.check_raises "Compiled.run refuses a traced config"
     (Invalid_argument
-       "Compiled.run: config needs the interpreter (trace, sink, MPI hooks, \
+       "Compiled.run: config needs the interpreter (sink, MPI hooks, \
         recovery, or a cache fault attached)")
     (fun () ->
       ignore
-        (Compiled.run (Compiled.plan_for prog)
-           { Machine.default_config with trace = Some (Trace.create ()) }));
+        (Compiled.run (Compiled.plan_for prog) (traced (Trace.create ()))));
   Alcotest.(check bool) "supported: plain" true
     (Compiled.supported Machine.default_config);
   Alcotest.(check bool) "supported: traced" false
-    (Compiled.supported
-       { Machine.default_config with trace = Some (Trace.create ()) });
+    (Compiled.supported (traced (Trace.create ())));
   Alcotest.(check bool) "supported: recovery" false
     (Compiled.supported
        { Machine.default_config with
@@ -130,10 +129,7 @@ let test_fallback () =
        });
   (* the backend switch still produces a trace by falling back *)
   let t = Trace.create () in
-  let r =
-    Backend.run Backend.Compiled prog
-      { Machine.default_config with trace = Some t }
-  in
+  let r = Backend.run Backend.Compiled prog (traced t) in
   Alcotest.(check bool) "fallback run finished" true
     (r.Machine.outcome = Machine.Finished);
   Alcotest.(check bool) "fallback produced events" true (Trace.length t > 0)

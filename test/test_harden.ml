@@ -351,7 +351,7 @@ let test_differential_ordering () =
   in
   let sdc label =
     let v = List.find (fun v -> String.equal v.Harden_eval.hv_label label) r.Harden_eval.he_variants in
-    Harden_eval.sdc_rate v.Harden_eval.hv_report.Campaign.counts
+    Campaign.sdc_rate v.Harden_eval.hv_report.Campaign.counts
   in
   let base = sdc "baseline" in
   let dup = sdc "+duplicate-compare" in

@@ -48,7 +48,7 @@ let test_split_by_region () =
   let _, t = run_traced prog in
   let dir = Filename.temp_file "fliptracker" ".d" in
   Sys.remove dir;
-  let files = Trace_io.split_by_region_instance ~dir t in
+  let files = Trace_io.split_seq ~dir (Trace.to_seq t) in
   Fun.protect
     ~finally:(fun () ->
       List.iter Sys.remove files;

@@ -90,6 +90,21 @@ let test_reports_sane () =
     (Opt.static_instruction_count base)
     (Sitemap.surviving map + Sitemap.deleted map)
 
+(* a single-round pass that changes nothing still reports the sites it
+   considered, as the fixpoint passes do: local-cse alone on CG finds no
+   recomputation to reuse but inspects every pure instruction *)
+let test_single_round_considered () =
+  let base = App.program (Registry.find "CG") in
+  List.iter
+    (fun (p : Pass.t) ->
+      match Opt.optimize [ p ] base with
+      | _, [ r ], _ ->
+          Alcotest.(check bool)
+            (r.Pass.pass_name ^ " considered sites")
+            true (r.Pass.sites_considered > 0)
+      | _ -> Alcotest.fail "expected one report")
+    [ Opt.cse_pass; Opt.copy_pass ]
+
 (* --- fault-site map round-trip ------------------------------------------- *)
 
 let test_sitemap_roundtrip () =
@@ -200,6 +215,8 @@ let suite =
         test_identity_composed;
       Alcotest.test_case "reports: sane and accounted" `Quick
         test_reports_sane;
+      Alcotest.test_case "reports: single-round passes count considered"
+        `Quick test_single_round_considered;
       Alcotest.test_case "sitemap: round-trip on a total map" `Quick
         test_sitemap_roundtrip;
       Alcotest.test_case "sitemap: refusal on a deleting pipeline" `Quick

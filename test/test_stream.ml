@@ -1,7 +1,7 @@
-(* Streaming analysis = materialized analysis: the constant-memory
-   consumers (region chain, access index, ACL over event sources) must
-   produce results identical to the array-backed paths, including on
-   real application traces read back from both trace encodings. *)
+(* Events that leave the VM by another route than a stored trace must
+   be the same events: a [Machine.run_sink] stream equals the retained
+   trace, and ACL over trace files read back from both encodings equals
+   ACL over the in-memory traces. *)
 
 open Helpers
 
@@ -38,38 +38,9 @@ let mid_write_fault (clean : Trace.t) : Machine.fault =
   Alcotest.(check bool) "found a writing site" true (!seq >= 0);
   Machine.Flip_write { seq = !seq; bit = 40 }
 
-let test_stream_acl_small () =
-  let prog = compile (two_region_program ()) in
-  let _, clean = run_traced prog in
-  let fault = mid_write_fault clean in
-  let _, faulty = run_traced ~fault prog in
-  let materialized = Acl.analyze ~fault ~clean ~faulty () in
-  let streamed =
-    Acl.analyze_stream ~fault
-      ~clean:(Trace_io.source_of_trace clean)
-      ~faulty:(Trace_io.source_of_trace faulty)
-      ()
-  in
-  check_result_equal "two-region" materialized streamed
-
-(* the paper-scale differential: CG and MG faulty traces, streaming ACL
-   event-for-event equal to the materialized path *)
-let app_differential (app : App.t) () =
-  let _, clean = App.trace app in
-  let fault = mid_write_fault clean in
-  let _, faulty = App.trace_with_fault app fault ~budget:10_000_000 in
-  let materialized = Acl.analyze ~fault ~clean ~faulty () in
-  let streamed =
-    Acl.analyze_stream ~fault
-      ~clean:(Trace_io.source_of_trace clean)
-      ~faulty:(Trace_io.source_of_trace faulty)
-      ()
-  in
-  check_result_equal app.App.name materialized streamed
-
-(* same, but through trace files in both encodings: the sources replay
-   the decoded streams across the three ACL passes *)
-let test_stream_acl_from_files () =
+(* ACL over trace files in both encodings, read back with
+   [Trace_io.load], equals the analysis of the in-memory traces *)
+let test_acl_from_files () =
   let app = Mg.app in
   let _, clean = App.trace app in
   let fault = mid_write_fault clean in
@@ -83,44 +54,12 @@ let test_stream_acl_from_files () =
     (fun () ->
       Trace_io.save ~format:Trace_io.Text clean_path clean;
       Trace_io.save ~format:Trace_io.Binary faulty_path faulty;
-      let materialized = Acl.analyze ~fault ~clean ~faulty () in
-      let streamed =
-        Acl.analyze_stream ~fault
-          ~clean:(Trace_io.source_of_file clean_path)
-          ~faulty:(Trace_io.source_of_file faulty_path)
-          ()
+      let in_memory = Acl.analyze ~fault ~clean ~faulty () in
+      let from_files =
+        Acl.analyze ~fault ~clean:(Trace_io.load clean_path)
+          ~faulty:(Trace_io.load faulty_path) ()
       in
-      check_result_equal "mg-files" materialized streamed)
-
-let test_region_instances_seq () =
-  let prog = compile (loop_program ~iters:7) in
-  let _, t = run_traced ~iter_mark:(Prog.mark_id prog "main_iter") prog in
-  let a = Region.instances t in
-  let b = Region.instances_seq (Trace.to_seq t) in
-  Alcotest.(check bool) "instance chains equal" true (compare a b = 0)
-
-let test_access_build_seq () =
-  let prog = compile (loop_program ~iters:5) in
-  let _, t = run_traced ~iter_mark:(Prog.mark_id prog "main_iter") prog in
-  let a = Access.build t in
-  let b = Access.build_seq (Trace.to_seq t) in
-  (* every location touched by the trace has identical access chains
-     and fates in both indexes *)
-  let locs = Loc.Tbl.create 64 in
-  Trace.iter
-    (fun (e : Trace.event) ->
-      Array.iter (fun (l, _) -> Loc.Tbl.replace locs l ()) e.reads;
-      Array.iter (fun (l, _) -> Loc.Tbl.replace locs l ()) e.writes)
-    t;
-  Loc.Tbl.iter
-    (fun loc () ->
-      Alcotest.(check bool) "accesses equal" true
-        (Access.accesses a loc = Access.accesses b loc);
-      for i = 0 to min 40 (Trace.length t - 1) do
-        Alcotest.(check bool) "fate equal" true
-          (Access.fate a loc ~after:i = Access.fate b loc ~after:i)
-      done)
-    locs
+      check_result_equal "mg-files" in_memory from_files)
 
 let test_run_sink_matches_trace () =
   let prog = compile (loop_program ~iters:4) in
@@ -140,13 +79,6 @@ let test_run_sink_matches_trace () =
 let suite =
   ( "stream",
     [
-      Alcotest.test_case "stream acl: two-region" `Quick test_stream_acl_small;
-      Alcotest.test_case "stream acl: CG" `Slow (app_differential Cg.app);
-      Alcotest.test_case "stream acl: MG" `Slow (app_differential Mg.app);
-      Alcotest.test_case "stream acl: MG via files" `Slow
-        test_stream_acl_from_files;
-      Alcotest.test_case "region instances over seq" `Quick
-        test_region_instances_seq;
-      Alcotest.test_case "access index over seq" `Quick test_access_build_seq;
+      Alcotest.test_case "stream acl: MG via files" `Slow test_acl_from_files;
       Alcotest.test_case "run_sink = trace" `Quick test_run_sink_matches_trace;
     ] )
