@@ -10,11 +10,12 @@
    the CI gate on the hardening pipeline's output IR.
    [ft_dev sites] prints per-app static pattern-site counts and
    [ft_dev radd APP] the repeated-addition sites of one app.
-   [ft_dev acl-parity [APP...]] checks replayed ACL analysis against
-   stored traces (see [acl_parity]).
+   [ft_dev acl-parity [APP...]] checks streamed ACL analysis (one run
+   of the faulty program into a sink) against stored traces (see
+   [acl_parity]).
    [ft_dev alloc-gate] prints the minor words a compiled IS@opt trial
-   allocates and exits nonzero when they drift from the checked-in
-   value (see [alloc_gate]). *)
+   and a mined LULESH injection allocate and exits nonzero when either
+   drifts from its checked-in value (see [alloc_gate]). *)
 
 let dedup_apps (apps : App.t list) : App.t list =
   let seen = Hashtbl.create 16 in
@@ -160,15 +161,37 @@ let trial_cost name =
 
 (* The allocation gate.  Minor words are a deterministic function of
    the code path, unlike wall time on a shared runner, so CI gates on
-   them: [alloc_gate_words] is the checked-in reading, and a change
-   that moves it by more than [alloc_gate_tolerance] must update it
-   (and say why).  The loop is perfbench's trial-kernel replay:
-   [Rng.derive] + [Campaign.sample_fault] + [Campaign.run_one_with] on
-   the compiled IS@opt plan, one domain, counting the words allocated
-   inside the run calls. *)
+   them: each reading has a checked-in value, and a change that moves
+   it by more than [alloc_gate_tolerance] must update it (and say why).
+   Both readings run on one domain and count the words allocated inside
+   the measured calls only.
+   - Trials: perfbench's trial-kernel replay, [Rng.derive] +
+     [Campaign.sample_fault] + [Campaign.run_one_with] on the compiled
+     IS@opt plan, over the first [alloc_gate_trials] trials.
+   - Mining: [Experiments.replay_acl] on LULESH over the faults
+     [acl-parity] draws ([seeded_faults]): one streamed faulty run and
+     its ACL analysis per injection, so a second run of the faulty
+     program or an index of it per injection shows up here. *)
 let alloc_gate_words = 13_399.
+let alloc_gate_mining_words = 9_764_131.
 let alloc_gate_tolerance = 0.05
 let alloc_gate_trials = 128
+
+(* the eight whole-program faults drawn from seed 11 in [c]'s app *)
+let seeded_faults (c : Experiments.app_ctx) : Machine.fault list =
+  let target =
+    Campaign.whole_program_target c.Experiments.prog c.Experiments.trace
+  in
+  let rng = Rng.create ~seed:11 in
+  List.init 8 (fun _ -> Campaign.sample_fault rng target)
+
+(* print one reading against its checked-in value; [true] within bound *)
+let alloc_reading name ~what ~measured ~pinned =
+  let drift = Float.abs (measured -. pinned) /. pinned in
+  Printf.printf
+    "%s %.0f (%s; checked-in %.0f, drift %.1f%%, bound %.0f%%)\n" name
+    measured what pinned (100. *. drift) (100. *. alloc_gate_tolerance);
+  drift <= alloc_gate_tolerance
 
 let alloc_gate () =
   let app =
@@ -183,9 +206,9 @@ let alloc_gate () =
   let budget = cfg.Campaign.budget_factor * max 1 clean.Machine.instructions in
   let run = Backend.runner Backend.Compiled prog in
   let words = ref 0.0 in
-  let counted conf =
+  let counted f x =
     let w0 = Gc.minor_words () in
-    let r = run conf in
+    let r = f x in
     words := !words +. (Gc.minor_words () -. w0);
     r
   in
@@ -194,19 +217,36 @@ let alloc_gate () =
       Campaign.sample_fault (Rng.derive ~seed:cfg.Campaign.seed ~index:i) target
     in
     ignore
-      (Campaign.run_one_with counted ~budget ~verify:(App.verify app) fault)
+      (Campaign.run_one_with (counted run) ~budget ~verify:(App.verify app)
+         fault)
   done;
-  let per_trial = !words /. float_of_int alloc_gate_trials in
-  let drift = Float.abs (per_trial -. alloc_gate_words) /. alloc_gate_words in
-  Printf.printf
-    "vm.compiled.minor_words_per_trial %.0f (IS@opt, first %d trials, one \
-     domain; checked-in %.0f, drift %.1f%%, bound %.0f%%)\n"
-    per_trial alloc_gate_trials alloc_gate_words (100. *. drift)
-    (100. *. alloc_gate_tolerance);
-  if drift > alloc_gate_tolerance then begin
+  let trials_ok =
+    alloc_reading "vm.compiled.minor_words_per_trial"
+      ~what:
+        (Printf.sprintf "IS@opt, first %d trials, one domain" alloc_gate_trials)
+      ~measured:(!words /. float_of_int alloc_gate_trials)
+      ~pinned:alloc_gate_words
+  in
+  let app = Registry.find "LULESH" in
+  let c = Experiments.context app in
+  let budget = 10 * c.Experiments.clean.Machine.instructions in
+  let faults = seeded_faults c in
+  words := 0.0;
+  List.iter
+    (counted (fun fault ->
+         ignore
+           (Experiments.replay_acl app ~clean:c.Experiments.trace fault ~budget)))
+    faults;
+  let mining_ok =
+    alloc_reading "analysis.minor_words_per_injection"
+      ~what:"LULESH replay_acl, the 8 seed-11 acl-parity faults, one domain"
+      ~measured:(!words /. float_of_int (List.length faults))
+      ~pinned:alloc_gate_mining_words
+  in
+  if not (trials_ok && mining_ok) then begin
     Printf.printf
-      "alloc-gate: FAILED (update alloc_gate_words in bin/ft_dev.ml if the \
-       change is intended)\n";
+      "alloc-gate: FAILED (update the checked-in value in bin/ft_dev.ml if \
+       the change is intended)\n";
     exit 1
   end
 
@@ -631,11 +671,11 @@ let seq_parity (names : string list) =
 (* [ft_dev acl-parity [APP...]] — the replay gate for ACL analysis.
    For each app, eight whole-program faults drawn from seed 11 are
    analyzed both ways: from a stored faulty trace ([App.trace_with_fault]
-   then [Acl.analyze]) and by replaying the faulty run twice
-   ([Experiments.replay_acl], the path Table I, Figure 7 and the facade
-   take).  Prints the mean wall time per injection of each path and
-   exits nonzero unless every run result and ACL result is identical.
-   Defaults to LULESH. *)
+   then [Acl.analyze]) and by running the faulty program once into the
+   analysis ([Experiments.replay_acl], the path Table I, Figure 7 and
+   the facade take).  Prints the mean wall time per injection of each
+   path and exits nonzero unless every run result and ACL result is
+   identical.  Defaults to LULESH. *)
 let acl_parity (names : string list) =
   let failed = ref 0 in
   List.iter
@@ -650,9 +690,7 @@ let acl_parity (names : string list) =
       let c = Experiments.context app in
       let clean = c.Experiments.trace in
       let budget = 10 * c.Experiments.clean.Machine.instructions in
-      let target = Campaign.whole_program_target c.Experiments.prog clean in
-      let rng = Rng.create ~seed:11 in
-      let faults = List.init 8 (fun _ -> Campaign.sample_fault rng target) in
+      let faults = seeded_faults c in
       (* each path runs over all faults from a compacted heap, so each
          pays for its own garbage *)
       let timed path =

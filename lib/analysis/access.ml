@@ -7,13 +7,12 @@
 
     Layout: every access is one packed int, [index lsl 1 lor is_write],
     so within an event a read sorts before a write, as the trace lists
-    them.  Building appends each access, tagged with its location's id
-    in the high bits, to one flat buffer in trace order; a stable
-    counting sort then lays each location's accesses out contiguously
-    in [data]: location [id] owns [data.(off.(id)) .. data.(off.(id + 1)
-    - 1)].  Location ids come from a dense {!Loc_store}.  Nothing is
-    allocated per access: only the buffers, which double as needed,
-    and the unsorted one is reused by the domain's next build. *)
+    them.  A counting sort over two passes of the trace lays each
+    location's accesses out contiguously in [data], in trace order:
+    location [id] owns [data.(off.(id)) .. data.(off.(id + 1) - 1)].
+    Location ids come from a dense {!Loc_store}.  Nothing is allocated
+    per access: the first pass counts each location's accesses, the
+    second fills [data]. *)
 
 type kind = Read | Write
 
@@ -26,86 +25,58 @@ type t = {
   ids : int Loc_store.t;  (** location -> id, -1 for untouched ones *)
   off : int array;  (** [nlocs + 1] offsets into [data] *)
   data : int array;  (** packed accesses, grouped by location id *)
-  events : int;  (** events indexed *)
 }
 
-(* The unsorted access list is garbage once the sort has run, and
-   mining builds an index per analyzed injection: each domain keeps the
-   largest list it has needed and reuses it, so an index allocates only
-   its sorted [data] and [off].  The slot is [None] while a build holds
-   the list; a build that finds it empty (nested in another build's
-   event source, or after a build that raised) starts a new one. *)
-let spare : int array option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* the index of the events [iter] feeds, in order *)
-let index (iter : (Trace.event -> unit) -> unit) : t =
+let build (tr : Trace.t) : t =
   let ids = Loc_store.create (-1) in
-  let nlocs = ref 0 in
-  let slot = Domain.DLS.get spare in
-  (* every access as [id lsl 32 lor packed], in trace order *)
-  let pairs =
-    match !slot with
-    | Some buf ->
-        slot := None;
-        ref buf
-    | None -> ref (Array.make 8192 0)
-  in
-  let len = ref 0 in
-  let add loc packed =
+  (* [counts.(id + 1)]: the accesses of location [id] *)
+  let counts = ref (Array.make 1024 0) and nlocs = ref 0 in
+  let count (loc, _) =
     let id =
       match Loc_store.get ids loc with
       | -1 ->
           let id = !nlocs in
           Loc_store.set ids loc id;
           incr nlocs;
+          if id + 1 = Array.length !counts then begin
+            let c = Array.make (2 * (id + 1)) 0 in
+            Array.blit !counts 0 c 0 (id + 1);
+            counts := c
+          end;
           id
       | id -> id
     in
-    if !len = Array.length !pairs then begin
-      let b = Array.make (2 * !len) 0 in
-      Array.blit !pairs 0 b 0 !len;
-      pairs := b
-    end;
-    Array.unsafe_set !pairs !len ((id lsl 32) lor packed);
-    incr len
+    Array.unsafe_set !counts (id + 1) (Array.unsafe_get !counts (id + 1) + 1)
   in
-  let i = ref 0 in
-  iter (fun (e : Trace.event) ->
-      if !i >= 1 lsl 31 then invalid_arg "Access: more than 2^31 events";
-      let r = !i lsl 1 in
-      for k = 0 to Array.length e.reads - 1 do
-        add (fst (Array.unsafe_get e.reads k)) r
-      done;
-      for k = 0 to Array.length e.writes - 1 do
-        add (fst (Array.unsafe_get e.writes k)) (r lor 1)
-      done;
-      incr i);
-  slot := Some !pairs;
-  let pairs = !pairs and len = !len and nlocs = !nlocs in
-  let mask = (1 lsl 32) - 1 in
-  (* counting sort by id; stable, so each slice stays in trace order *)
-  let off = Array.make (nlocs + 1) 0 in
-  for k = 0 to len - 1 do
-    let id = Array.unsafe_get pairs k lsr 32 in
-    Array.unsafe_set off (id + 1) (Array.unsafe_get off (id + 1) + 1)
-  done;
+  Trace.iter
+    (fun (e : Trace.event) ->
+      Array.iter count e.reads;
+      Array.iter count e.writes)
+    tr;
+  let nlocs = !nlocs in
+  let off = Array.sub !counts 0 (nlocs + 1) in
   for id = 1 to nlocs do
     off.(id) <- off.(id) + off.(id - 1)
   done;
-  let data = Array.make len 0 in
+  let data = Array.make off.(nlocs) 0 in
   let fill = Array.sub off 0 nlocs in
-  for k = 0 to len - 1 do
-    let p = Array.unsafe_get pairs k in
-    let id = p lsr 32 in
+  let put packed (loc, _) =
+    let id = Loc_store.get ids loc in
     let at = Array.unsafe_get fill id in
-    Array.unsafe_set data at (p land mask);
+    Array.unsafe_set data at packed;
     Array.unsafe_set fill id (at + 1)
-  done;
-  { ids; off; data; events = !i }
-
-let events (t : t) = t.events
-let build (tr : Trace.t) : t = index (fun f -> Trace.iter f tr)
+  in
+  Trace.iteri
+    (fun i (e : Trace.event) ->
+      let r = i lsl 1 in
+      for k = 0 to Array.length e.reads - 1 do
+        put r (Array.unsafe_get e.reads k)
+      done;
+      for k = 0 to Array.length e.writes - 1 do
+        put (r lor 1) (Array.unsafe_get e.writes k)
+      done)
+    tr;
+  { ids; off; data }
 
 (* [loc]'s accesses are [t.data.(lo t id) .. t.data.(hi t id - 1)], where
    [id = slot t loc]; both bounds are 0 for an untouched location *)
@@ -157,32 +128,3 @@ let fate (t : t) (loc : Loc.t) ~(after : int) : fate =
       else `Overwritten_at (p lsr 1)
   in
   scan (first_after data (lo t id) b after) (-1)
-
-(** Is the value in [loc] established at event [after] referenced again
-    before being overwritten? *)
-let alive (t : t) (loc : Loc.t) ~(after : int) : bool =
-  let id = slot t loc in
-  let b = hi t id in
-  let k = first_after t.data (lo t id) b after in
-  k < b && t.data.(k) land 1 = 0
-
-(* is there an access of parity [w] to [loc] in events [lo_i, hi_i)? *)
-let accessed_in (t : t) (loc : Loc.t) ~(w : int) ~(lo_i : int) ~(hi_i : int)
-    : bool =
-  let id = slot t loc in
-  let b = hi t id in
-  let data = t.data in
-  let rec scan k =
-    k < b
-    && (let p = Array.unsafe_get data k in
-        p lsr 1 < hi_i && (p land 1 = w || scan (k + 1)))
-  in
-  scan (first_after data (lo t id) b (lo_i - 1))
-
-(** Is [loc] read anywhere in the event interval [lo, hi)? *)
-let read_in (t : t) (loc : Loc.t) ~(lo : int) ~(hi : int) : bool =
-  accessed_in t loc ~w:0 ~lo_i:lo ~hi_i:hi
-
-(** Is [loc] written anywhere in the event interval [lo, hi)? *)
-let written_in (t : t) (loc : Loc.t) ~(lo : int) ~(hi : int) : bool =
-  accessed_in t loc ~w:1 ~lo_i:lo ~hi_i:hi

@@ -18,18 +18,9 @@ type fate =
   | `Overwritten_at of int  (** a write comes before any read *)
   | `Never_used ]
 
-val index : ((Trace.event -> unit) -> unit) -> t
-(** [index iter] indexes the events [iter] passes to its callback, in
-    order (events are indexed by their position), e.g. a replay of a
-    run streaming into a {!Machine} sink.  Each domain keeps the
-    unsorted access buffer of its largest build (one word per access)
-    and reuses it for the next one. *)
-
 val build : Trace.t -> t
-(** [index] over a stored trace. *)
-
-val events : t -> int
-(** The number of events indexed. *)
+(** The index of a stored trace's events (events are indexed by their
+    position). *)
 
 val accesses : t -> Loc.t -> (int * kind) array
 (** Sorted (event index, kind) accesses, decoded from the packed slice;
@@ -42,11 +33,3 @@ val fate : t -> Loc.t -> after:int -> fate
     before the next write (at [next_write], if any), [`Overwritten_at w]
     when a write at [w] comes first, [`Never_used] when no access
     follows. *)
-
-val alive : t -> Loc.t -> after:int -> bool
-(** Will the value established at [after] be read again before being
-    overwritten? *)
-
-val read_in : t -> Loc.t -> lo:int -> hi:int -> bool
-val written_in : t -> Loc.t -> lo:int -> hi:int -> bool
-(** Is [loc] read (written) at some event index in [[lo, hi)]? *)

@@ -65,22 +65,6 @@ type result = {
   final : int;   (** ACL count when alignment ended *)
 }
 
-(* Status of a corrupted location in the ACL bookkeeping: liveness,
-   scheduled death index, and error magnitude as of its latest
-   corrupting write. *)
-type status = { mutable alive : bool; mutable sched : int; mutable mag : float }
-
-(* the empty slot of the status store, compared physically *)
-let no_status = { alive = false; sched = -1; mag = 0.0 }
-
-(* death schedule keyed by event index; indices hash to themselves *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
-
 let mask_kind_to_string = function
   | Shift_mask -> "shift"
   | Trunc_mask -> "truncation"
@@ -89,120 +73,184 @@ let mask_kind_to_string = function
   | Repeated_add _ -> "repeated-addition"
   | Other_mask -> "other"
 
-(* The ACL walk over the faulty events [replay] pushes; [access] indexes
-   the same events and answers the liveness side: what happens to the
-   value in a location established at a given event of the faulty run. *)
-let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
-    (access : Access.t) : result =
-  let statuses : status Loc_store.t = Loc_store.create no_status in
-  let nstatuses = ref 0 in
-  let scheduled : (Loc.t * bool) list Itbl.t = Itbl.create 64 in
-  let count = ref 0 in
-  let peak = ref 0 in
-  let series = ref [] in
-  let deaths = ref [] in
-  let maskings = ref [] in
-  let record_count seq =
-    (match !series with
-    | (_, c) :: _ when c = !count -> ()
-    | _ ->
-        series := (seq, !count) :: !series;
-        if !count > !peak then peak := !count)
+(* The faulty run's accesses to a location since its latest faulty
+   write, shared by every record opened in that span: the last read, and
+   whether a faulty write has ended the span. *)
+type chain = { mutable last_read : int; mutable written : bool }
+
+(* One corrupting write: the corrupted value that the write at step
+   [opened] left in [loc], and its error magnitude.  The record is the
+   location's current one until a later write of either run replaces it
+   with a new record or kills it (makes the location clean) at step
+   [ended].  Its value is alive from [opened] until its last read, the
+   chain's last read if that comes after [opened]; nothing about that
+   is known before the faulty run has moved past the read. *)
+type record = {
+  loc : Loc.t;
+  chain : chain;
+  opened : int;
+  mag : float;
+  mutable ended : int;  (** [max_int] while current *)
+  mutable killed : bool;
+}
+
+(* the empty slots of the chain and record stores, compared physically;
+   never mutated *)
+let no_chain = { last_read = -1; written = false }
+
+let no_record =
+  { loc = Loc.Mem (-1); chain = no_chain; opened = 0; mag = 0.0;
+    ended = max_int; killed = false }
+
+let read_later (r : record) = r.chain.last_read > r.opened
+
+(* Does [r] die as a dead corrupted location, and not by a later write?
+   It does when it is still current the step after its last read, in
+   the aligned part of the run ([steps] steps), and no faulty write to
+   its location ever follows.  A record replaced at that very step dies
+   first; one killed there was overwritten by a clean value. *)
+let dies ~steps (r : record) =
+  let s = r.chain.last_read + 1 in
+  read_later r && (not r.chain.written) && s < steps
+  && (s < r.ended || (s = r.ended && not r.killed))
+
+(* The ACL table, from records settled by the whole faulty run: the
+   count rises at each record that will be read when it opens and falls
+   when that record stops being alive; deaths and repeated-addition
+   maskings that a dead corrupted location rules out are dropped. *)
+let settle ~(clean : Trace.t) ~steps ~divergence (records : record list)
+    (killed : record list) (maskings : (masking * record) list) : result =
+  let dies = dies ~steps in
+  (* (step lsl 1) lor 1 for a rise, step lsl 1 for a fall *)
+  let changes =
+    List.fold_left
+      (fun acc r ->
+        if not (read_later r) then acc
+        else
+          let fall = min (r.chain.last_read + 1) r.ended in
+          let acc = ((r.opened lsl 1) lor 1) :: acc in
+          if fall < steps then (fall lsl 1) :: acc else acc)
+      [] records
+    |> Array.of_list
   in
-  let schedule idx loc ~has_write =
-    Itbl.replace scheduled idx
-      ((loc, has_write) :: (try Itbl.find scheduled idx with Not_found -> []))
-  in
-  let make_alive idx loc ~mag =
-    (* the location is corrupted as of event [idx]; decide liveness *)
-    let st =
-      match Loc_store.get statuses loc with
-      | st when st != no_status ->
-          st.mag <- mag;
-          st
+  Array.sort Int.compare changes;
+  let n = Array.length changes in
+  let series = ref [] and count = ref 0 and peak = ref 0 in
+  (* the count after every step from 0 on, at each step where it moves *)
+  let rec sweep k step =
+    if k < n && changes.(k) lsr 1 = step then begin
+      count := !count + (2 * (changes.(k) land 1)) - 1;
+      sweep (k + 1) step
+    end
+    else begin
+      (match !series with
+      | (_, c) :: _ when c = !count -> ()
       | _ ->
-          let st = { alive = false; sched = -1; mag } in
-          Loc_store.set statuses loc st;
-          incr nstatuses;
-          st
+          (* an aligned step's two events share seq, line and region *)
+          series := ((Trace.get clean step).seq, !count) :: !series;
+          if !count > !peak then peak := !count);
+      if k < n then sweep k (changes.(k) lsr 1)
+    end
+  in
+  if steps > 0 then sweep 0 0;
+  let death cause r index =
+    let ev = Trace.get clean index in
+    {
+      d_index = index;
+      d_loc = r.loc;
+      d_cause = cause;
+      d_fed_forward = read_later r;
+      d_line = ev.line;
+      d_region = ev.region;
+    }
+  in
+  (* in each step, the dead corrupted locations come first, the latest
+     opened record first, then the overwrites in the order they ran: a
+     stable sort keeps that order within a step *)
+  let deaths =
+    List.filter_map
+      (fun r ->
+        if dies r then Some (death Dead r (r.chain.last_read + 1)) else None)
+      records
+    @ List.filter_map
+        (fun r -> if dies r then None else Some (death Overwritten r r.ended))
+        (List.rev killed)
+    |> List.stable_sort (fun a b -> Int.compare a.d_index b.d_index)
+  in
+  {
+    series = Array.of_list (List.rev !series);
+    deaths;
+    maskings =
+      List.rev maskings
+      |> List.filter_map (fun (m, r) -> if dies r then None else Some m);
+    divergence;
+    peak = !peak;
+    final = !count;
+  }
+
+(** The ACL table of the faulty run [replay] pushes, in one run.
+    Alignment against [clean] decides which locations each step
+    corrupts and which reads mask; a corrupted value's fate is settled
+    by the faulty run's later accesses to its location, so the run is
+    followed to its end, past any divergence. *)
+let analyze_replay ?fault ~(clean : Trace.t)
+    ~(replay : (Trace.event -> unit) -> unit) () : result =
+  let w = Align.create ?fault ~clean () in
+  (* each location's current record and open chain *)
+  let current : record Loc_store.t = Loc_store.create no_record in
+  let ncurrent = ref 0 in
+  let chains : chain Loc_store.t = Loc_store.create no_chain in
+  let nchains = ref 0 in
+  (* newest first; each masking with the record that may rule it out *)
+  let records = ref [] and killed = ref [] and maskings = ref [] in
+  let open_record index loc mag =
+    let chain =
+      match Loc_store.get chains loc with
+      | c when c != no_chain -> c
+      | _ ->
+          let c = { last_read = -1; written = false } in
+          Loc_store.set chains loc c;
+          incr nchains;
+          c
     in
-    match Access.fate access loc ~after:idx with
-    | `Dies_after_read (r, next_write) ->
-        if not st.alive then begin
-          st.alive <- true;
-          incr count
-        end;
-        st.sched <- r + 1;
-        schedule (r + 1) loc ~has_write:(next_write <> None)
-    | `Overwritten_at _ ->
-        (* not referenced before the next write: corrupted but never
-           alive; the overwrite event will decide its death cause *)
-        if st.alive then begin
-          st.alive <- false;
-          decr count
-        end;
-        st.sched <- -1
-    | `Never_used ->
-        if st.alive then begin
-          st.alive <- false;
-          decr count
-        end;
-        st.sched <- -1
+    let prev = Loc_store.get current loc in
+    if prev != no_record then prev.ended <- index else incr ncurrent;
+    let r = { loc; chain; opened = index; mag; ended = max_int; killed = false } in
+    Loc_store.set current loc r;
+    records := r :: !records
   in
-  let kill idx loc ~cause ~(ev : Trace.event) =
-    match Loc_store.get statuses loc with
-    | st when st == no_status -> ()
-    | st ->
-        if st.alive then begin
-          st.alive <- false;
-          decr count
-        end;
-        Loc_store.set statuses loc no_status;
-        decr nstatuses;
-        let fed =
-          (* it was read while corrupted iff its fate from its corruption
-             point included a read; approximated by: it was alive at some
-             point (scheduled) *)
-          st.sched >= 0
-        in
-        deaths :=
-          {
-            d_index = idx;
-            d_loc = loc;
-            d_cause = cause;
-            d_fed_forward = fed;
-            d_line = ev.line;
-            d_region = ev.region;
-          }
-          :: !deaths
+  let kill index loc =
+    match Loc_store.get current loc with
+    | r when r == no_record -> ()
+    | r ->
+        r.ended <- index;
+        r.killed <- true;
+        Loc_store.set current loc no_record;
+        decr ncurrent;
+        killed := r :: !killed
   in
-  (* 1. scheduled deaths: locations whose last read has passed *)
-  let scheduled_deaths index (faulty_ev : Trace.event) =
-    match Itbl.find_opt scheduled index with
-    | None -> ()
-    | Some locs ->
-        Itbl.remove scheduled index;
-        List.iter
-          (fun (loc, has_write) ->
-            match Loc_store.get statuses loc with
-            | st when st.alive && st.sched = index ->
-                if Align.is_corrupted w loc then
-                  if has_write then begin
-                    (* the value's last use has passed but a write
-                       follows: it stops being alive now, and the
-                       overwrite event decides the death cause *)
-                    st.alive <- false;
-                    decr count
-                  end
-                  else kill index loc ~cause:Dead ~ev:faulty_ev
-            | _ -> ())
-          locs
+  (* the faulty event [index]'s accesses, against the open chains *)
+  let follow index (ev : Trace.event) =
+    if !nchains > 0 then begin
+      for k = 0 to Array.length ev.reads - 1 do
+        let c = Loc_store.get chains (fst ev.reads.(k)) in
+        if c != no_chain then c.last_read <- index
+      done;
+      for k = 0 to Array.length ev.writes - 1 do
+        let loc = fst ev.writes.(k) in
+        let c = Loc_store.get chains loc in
+        if c != no_chain then begin
+          c.written <- true;
+          Loc_store.set chains loc no_chain;
+          decr nchains
+        end
+      done
+    end
   in
-  let is_corrupted_status loc =
-    Loc_store.get statuses loc != no_status && Align.is_corrupted w loc
+  let read_corrupted (loc, _) =
+    Loc_store.get current loc != no_record && Align.is_corrupted w loc
   in
-  let read_corrupted (loc, _) = is_corrupted_status loc in
-  (* 2. masking detection on reads of corrupted locations *)
+  (* masking detection on reads of corrupted locations *)
   let detect_masking index (clean_ev : Trace.event) (faulty_ev : Trace.event)
       =
     let corrupted_reads =
@@ -216,14 +264,15 @@ let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
     in
     let emit kind loc =
       maskings :=
-        {
-          m_index = index;
-          m_loc = loc;
-          m_kind = kind;
-          m_line = faulty_ev.line;
-          m_region = faulty_ev.region;
-          m_instance = faulty_ev.instance;
-        }
+        ( {
+            m_index = index;
+            m_loc = loc;
+            m_kind = kind;
+            m_line = faulty_ev.line;
+            m_region = faulty_ev.region;
+            m_instance = faulty_ev.instance;
+          },
+          no_record )
         :: !maskings
     in
     match (faulty_ev.op, clean_ev.op) with
@@ -254,41 +303,41 @@ let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
         if outputs_clean then
           List.iter (fun (loc, _) -> emit Other_mask loc) corrupted_reads
   in
-  (* 3. corruption status update for one written location *)
+  (* corruption status update for one written location *)
   let update_written index (faulty_ev : Trace.event) loc =
-    let st = Loc_store.get statuses loc in
-    let was = st != no_status in
     if Align.is_corrupted w loc then begin
-      (* repeated-addition check before refreshing the magnitude *)
+      let prev = Loc_store.get current loc in
       let new_mag =
         match Align.magnitude w loc with Some m -> m | None -> 0.0
       in
+      (* repeated-addition check against the magnitude it replaces *)
       (match faulty_ev.op with
-      | Trace.OStore when was && Array.length faulty_ev.reads > 0 ->
-          let old_mag = st.mag in
+      | Trace.OStore when prev != no_record && Array.length faulty_ev.reads > 0
+        ->
           let is_add =
             match Align.last_writer w (fst faulty_ev.reads.(0)) with
             | Some (Trace.OBin (Op.Fadd | Op.Fsub)) -> true
             | Some _ | None -> false
           in
           if
-            is_add && Float.is_finite old_mag && Float.is_finite new_mag
-            && new_mag < old_mag
+            is_add && Float.is_finite prev.mag && Float.is_finite new_mag
+            && new_mag < prev.mag
           then
             maskings :=
-              {
-                m_index = index;
-                m_loc = loc;
-                m_kind = Repeated_add { before = old_mag; after = new_mag };
-                m_line = faulty_ev.line;
-                m_region = faulty_ev.region;
-                m_instance = faulty_ev.instance;
-              }
+              ( {
+                  m_index = index;
+                  m_loc = loc;
+                  m_kind = Repeated_add { before = prev.mag; after = new_mag };
+                  m_line = faulty_ev.line;
+                  m_region = faulty_ev.region;
+                  m_instance = faulty_ev.instance;
+                },
+                prev )
               :: !maskings
       | _ -> ());
-      make_alive index loc ~mag:new_mag
+      open_record index loc new_mag
     end
-    else if was then kill index loc ~cause:Overwritten ~ev:faulty_ev
+    else kill index loc
   in
   let rec update_all index faulty_ev = function
     | [] -> ()
@@ -296,49 +345,24 @@ let walk (w : Align.t) (replay : (Trace.event -> unit) -> unit)
         update_written index faulty_ev loc;
         update_all index faulty_ev rest
   in
-  let divergence =
-    Align.drive w replay (function
+  let events = ref 0 in
+  replay (fun ev ->
+      follow !events ev;
+      incr events;
+      (* once diverged, [feed] only reports the divergence again *)
+      match Align.feed w ev with
       | Align.Step { index; clean_ev; faulty_ev; changed } ->
-          if Itbl.length scheduled > 0 then scheduled_deaths index faulty_ev;
           (* reads matter only while some location is corrupted *)
-          if !nstatuses > 0 && Array.exists read_corrupted faulty_ev.reads then
+          if !ncurrent > 0 && Array.exists read_corrupted faulty_ev.reads then
             detect_masking index clean_ev faulty_ev;
-          update_all index faulty_ev changed;
-          record_count faulty_ev.seq
-      | Align.Diverged _ | Align.End -> ())
+          update_all index faulty_ev changed
+      | Align.Diverged _ | Align.End -> ());
+  let divergence =
+    match Align.finish w with
+    | Align.Diverged i -> Some i
+    | Align.End | Align.Step _ -> None
   in
-  {
-    series = Array.of_list (List.rev !series);
-    deaths = List.rev !deaths;
-    maskings = List.rev !maskings;
-    divergence;
-    peak = !peak;
-    final = !count;
-  }
-
-(** The ACL table of a faulty run that [replay] can run again: the
-    first run builds the faulty run's access index, the second feeds
-    the walk and is stopped once alignment diverges or ends.  Neither
-    keeps the faulty trace.  A deterministic producer (the VM is one)
-    delivers the same events both times; a second run that delivers
-    more or fewer events than the first is refused rather than
-    analyzed against the wrong index. *)
-let analyze_replay ?fault ~(clean : Trace.t)
-    ~(replay : (Trace.event -> unit) -> unit) () : result =
-  let access = Access.index replay in
-  let n = Access.events access in
-  let mismatch () =
-    invalid_arg "Acl.analyze_replay: the second run differs in length from the first"
-  in
-  let again f =
-    let i = ref 0 in
-    replay (fun ev ->
-        if !i >= n then mismatch ();
-        incr i;
-        f ev);
-    if !i < n then mismatch ()
-  in
-  walk (Align.create ?fault ~clean ()) again access
+  settle ~clean ~steps:(Align.pos w) ~divergence !records !killed !maskings
 
 let analyze ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : result =
   analyze_replay ?fault ~clean ~replay:(fun f -> Trace.iter f faulty) ()

@@ -54,16 +54,13 @@ val analyze_replay :
   unit ->
   result
 (** Build the ACL table of a faulty run without keeping its trace.
-    [replay f] runs the faulty program again, passing each event to [f]
-    (e.g. {!Machine.run} with [f] as its sink); it is called twice.  The
-    first run builds the faulty run's access index; the second feeds
-    the alignment walk and is stopped, by an exception raised from [f],
-    as soon as alignment diverges or ends.  [replay] must let that
-    exception through.  [fault] must be the fault of the faulty run when
-    it was a [Flip_mem] or a [Mask_mem]: memory faults leave no write
-    event in the trace, so the walk applies them itself.
-    @raise Invalid_argument if the second run delivers more or fewer
-    events than the first (the producer is not deterministic). *)
+    [replay f] runs the faulty program, passing each event to [f] (e.g.
+    {!Machine.run} with [f] as its sink); it is called once and followed
+    to its end, since whether a corrupted value is alive depends on the
+    faulty run's later accesses to its location, after a divergence
+    too.  [fault] must be the fault of the faulty run when it was a
+    [Flip_mem] or a [Mask_mem]: memory faults leave no write event in
+    the trace, so the walk applies them itself. *)
 
 val analyze :
   ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> result

@@ -81,9 +81,6 @@ let is_corrupted (w : t) loc =
 
 let corrupted_count (w : t) = w.ncorrupted
 
-let corrupted_locs (w : t) : Loc.t list =
-  Loc_store.fold (fun loc _ acc -> loc :: acc) w.faulty []
-
 (** Error magnitude (Equation 2) of a corrupted location right now. *)
 let magnitude (w : t) loc : float option =
   let faulty = Loc_store.get w.faulty loc in

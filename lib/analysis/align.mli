@@ -28,7 +28,6 @@ val clean_value : t -> Loc.t -> Value.t
 val faulty_value : t -> Loc.t -> Value.t
 val is_corrupted : t -> Loc.t -> bool
 val corrupted_count : t -> int
-val corrupted_locs : t -> Loc.t list
 
 val magnitude : t -> Loc.t -> float option
 (** Error magnitude (Equation 2) of a corrupted location right now. *)

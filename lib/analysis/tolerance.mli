@@ -27,9 +27,10 @@ val classify :
   classification
 (** [inputs]/[outputs] come from the fault-free DDDG of the instance;
     [lo]/[hi] is its event span.  [replay] is a producer of the faulty
-    run, as for {!Acl.analyze_replay}, called once and stopped as soon
-    as the classification is known (so it must let the exception
-    through).  [fault] as for {!Acl.analyze_replay}. *)
+    run, as for {!Acl.analyze_replay}.  It is called once and, unlike
+    there, stopped by an exception from its callback as soon as the
+    classification is known, so it must let that exception through.
+    [fault] as for {!Acl.analyze_replay}. *)
 
 val magnitude_by_iteration :
   ?fault:Machine.fault ->

@@ -62,8 +62,9 @@ val replay_with_fault :
   t -> Machine.fault -> budget:int -> (Trace.event -> unit) -> Machine.result
 (** The faulty run of [trace_with_fault] with each event passed to the
     sink instead of kept: the same events, the same result.  The VM is
-    deterministic, so calling it again replays the run, which is what
-    [Acl.analyze_replay] needs.  Exceptions the sink raises propagate. *)
+    deterministic, so calling it again replays the run: the analyses
+    take it as the producer of the faulty run ([Acl.analyze_replay]
+    runs it once).  Exceptions the sink raises propagate. *)
 
 val verification_block :
   ?result_var:string ->

@@ -102,7 +102,7 @@ let acl_vs_taint ?(app = Lulesh.app) () : acl_vs_taint =
   let c = Experiments.context app in
   let fault = series.Experiments.as_fault in
   let budget = 10 * c.Experiments.clean.Machine.instructions in
-  let replay, _ = Experiments.faulty_replay app fault ~budget in
+  let replay = Experiments.faulty_replay app fault ~budget in
   (* liveness-unaware walk: just track the corrupted-set size *)
   let w = Align.create ~fault ~clean:c.Experiments.trace () in
   let peak = ref 0 in

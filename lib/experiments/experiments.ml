@@ -43,22 +43,19 @@ let first_instance (c : app_ctx) rid =
     (fun (i : Region.instance) -> i.rid = rid && i.number = 0)
     c.instances
 
-(** The faulty run of [app] under [fault] as a replay producer, and the
-    result of its latest run that was not stopped. *)
+(** The faulty run of [app] under [fault] as a replay producer. *)
 let faulty_replay (app : App.t) (fault : Machine.fault) ~(budget : int) :
-    ((Trace.event -> unit) -> unit) * (unit -> Machine.result) =
-  let result = ref None in
-  ( (fun f -> result := Some (App.replay_with_fault app fault ~budget f)),
-    fun () -> Option.get !result )
+    (Trace.event -> unit) -> unit =
+ fun f -> ignore (App.replay_with_fault app fault ~budget f)
 
-(** One injection's run result and ACL table.  The faulty run is
-    replayed rather than traced, so its trace is never kept. *)
+(** One injection's run result and ACL table.  The faulty run is run
+    once, streaming into the analysis, so its trace is never kept. *)
 let replay_acl (app : App.t) ~(clean : Trace.t) (fault : Machine.fault)
     ~(budget : int) : Machine.result * Acl.result =
-  let replay, result = faulty_replay app fault ~budget in
-  (* the first replay always runs to the end; the second may be stopped *)
+  let result = ref None in
+  let replay f = result := Some (App.replay_with_fault app fault ~budget f) in
   let acl = Acl.analyze_replay ~fault ~clean ~replay () in
-  (result (), acl)
+  (Option.get !result, acl)
 
 (* --- Figure 5: per-code-region success rates --------------------------- *)
 
@@ -280,7 +277,7 @@ let table2 ?(bit = 40) ?(element = [ 3; 3; 3 ]) () : table2_row list =
   let seq = (Trace.get c.trace inst.hi).Trace.seq in
   let fault = Machine.Flip_mem { seq; addr; bit } in
   let budget = 10 * c.clean.Machine.instructions in
-  let replay, _ = faulty_replay app fault ~budget in
+  let replay = faulty_replay app fault ~budget in
   Tolerance.magnitude_by_iteration ~fault ~clean:c.trace ~replay ~addr ()
   |> List.map (fun (it, cv, fv, m) ->
          {

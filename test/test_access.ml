@@ -1,9 +1,8 @@
 (* The packed access index against a naive reference: on traces of
-   generated programs, every query [Access] answers — [accesses],
-   [fate], [alive], [read_in], [written_in] — at every event index must
-   equal a forward scan of the trace itself, and [build] must equal
-   [index] over the trace's event sequence.  Rates, Weighted_rates, Dddg and Campaign.input_target
-   all rest on these answers. *)
+   generated programs, every query [Access] answers — [accesses] and
+   [fate] — at every event index must equal a forward scan of the trace
+   itself.  Rates, Weighted_rates, Dddg and Campaign.input_target all
+   rest on these answers. *)
 
 (* per-location read/write flags by event index *)
 let flags (t : Trace.t) (loc : Loc.t) : bool array * bool array =
@@ -44,19 +43,6 @@ let naive_fate (reads, writes) ~after : Access.fate =
   in
   go (max 0 (after + 1)) None
 
-(* [next.(i)]: the first index >= i whose flag is set, or the length *)
-let next_set (a : bool array) : int array =
-  let n = Array.length a in
-  let next = Array.make (n + 1) n in
-  for i = n - 1 downto 0 do
-    next.(i) <- (if a.(i) then i else next.(i + 1))
-  done;
-  next
-
-let exists_in (next : int array) ~lo ~hi =
-  let n = Array.length next - 1 in
-  lo < n && next.(max 0 lo) < min hi n
-
 let touched_locs (t : Trace.t) : Loc.t list =
   let locs = Loc.Tbl.create 64 in
   Trace.iter
@@ -66,40 +52,18 @@ let touched_locs (t : Trace.t) : Loc.t list =
     t;
   Loc.Tbl.fold (fun l () acc -> l :: acc) locs []
 
-(* the index of the events of a sequence, in order *)
-let index_seq (s : Trace.event Seq.t) : Access.t =
-  Access.index (fun f -> Seq.iter f s)
-
 (* every query on every touched location (plus one never touched) at
-   every index agrees with the reference, for [build] and [index_seq] *)
+   every index agrees with the reference *)
 let index_matches_reference (t : Trace.t) : bool =
-  let a = Access.build t and b = index_seq (Trace.to_seq t) in
+  let ix = Access.build t in
   let n = Trace.length t in
   List.for_all
     (fun loc ->
-      let ((reads, writes) as fl) = flags t loc in
-      let reads = next_set reads and writes = next_set writes in
-      let expect = naive_accesses t loc in
-      List.for_all
-        (fun ix ->
-          Access.accesses ix loc = expect
-          && List.for_all
-               (fun after ->
-                 let f = naive_fate fl ~after in
-                 Access.fate ix loc ~after = f
-                 && Access.alive ix loc ~after
-                    = (match f with
-                      | `Dies_after_read _ -> true
-                      | `Overwritten_at _ | `Never_used -> false)
-                 && List.for_all
-                      (fun hi ->
-                        let lo = after + 1 in
-                        Access.read_in ix loc ~lo ~hi = exists_in reads ~lo ~hi
-                        && Access.written_in ix loc ~lo ~hi
-                           = exists_in writes ~lo ~hi)
-                      [ after + 1; after + 2; after + 8; n; n + 1 ])
-               (List.init (n + 2) (fun i -> i - 1)))
-        [ a; b ])
+      let fl = flags t loc in
+      Access.accesses ix loc = naive_accesses t loc
+      && List.for_all
+           (fun after -> Access.fate ix loc ~after = naive_fate fl ~after)
+           (List.init (n + 2) (fun i -> i - 1)))
     (Loc.Mem 1_000_000 :: touched_locs t)
 
 let trace_of (stmts : Ast.stmt list) : Trace.t =
@@ -159,35 +123,6 @@ let calls_and_arrays_trace () =
 let test_calls_and_arrays () =
   Alcotest.(check bool) "calls and arrays" true
     (index_matches_reference (calls_and_arrays_trace ()))
-
-(* builds on one domain share a reused buffer: one started inside
-   another's event source, here over the trace's second half, must not
-   touch the outer build's, and a build after both gets the same index *)
-let test_nested_build () =
-  let t = calls_and_arrays_trace () in
-  let half () = Seq.drop (Trace.length t / 2) (Trace.to_seq t) in
-  let inner = ref None in
-  let outer =
-    Access.index (fun f ->
-        Trace.iteri
-          (fun i e ->
-            if i = Trace.length t / 2 then
-              inner := Some (index_seq (half ()));
-            f e)
-          t)
-  in
-  let check label ix reference =
-    List.iter
-      (fun loc ->
-        Alcotest.(check bool)
-          (label ^ " " ^ Fmt.to_to_string Loc.pp loc)
-          true
-          (Access.accesses ix loc = Access.accesses reference loc))
-      (touched_locs t)
-  in
-  check "outer" outer (Access.build t);
-  check "inner" (Option.get !inner) (index_seq (half ()));
-  check "after" (Access.build t) outer
 
 (* the dense store is total: negative ids, ids past its dense range (a
    hand-made or hostile trace file) and untouched slots all behave like
@@ -255,6 +190,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_index;
       Alcotest.test_case "dense location store is total" `Quick test_loc_store;
       Alcotest.test_case "far locations spill" `Quick test_loc_store_far;
-      Alcotest.test_case "nested builds keep their own buffer" `Quick
-        test_nested_build;
     ] )

@@ -212,6 +212,133 @@ let test_series_counts_nonnegative () =
   Alcotest.(check bool) "peak is the max" true
     (Array.for_all (fun (_, c) -> c <= acl.Acl.peak) acl.Acl.series)
 
+(* A corrupted value's fate is settled by the faulty run's later
+   accesses to its location, so each case below depends on steps after
+   the one that corrupted it.  The expected values are pinned. *)
+
+let global_loc prog name =
+  match Prog.find_symbol prog name with
+  | Some s -> Loc.Mem s.Prog.sym_addr
+  | None -> Alcotest.failf "no symbol %s" name
+
+let cause =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | Acl.Dead -> "dead"
+      | Acl.Overwritten -> "overwritten"))
+    ( = )
+
+(* a store through a corrupted index: the clean run writes u[0] where
+   the faulty run writes u[1].  Clean-only writes corrupt u[0], replace
+   its record and finally make it clean; whether its value was alive
+   all that time, and whether its overwrite fed a value forward, hang
+   on a faulty read of u[0] after all three *)
+let test_corrupted_index () =
+  let analyze ~read =
+    let prog =
+      let open Ast in
+      compile
+        (main_program
+           ~globals:
+             [ DScalar ("k", Ty.I64); DArr ("u", Ty.F64, [ 2 ]); DScalar ("t", Ty.F64) ]
+           ([
+              SAssign ("k", i 0);
+              SStore ("u", [ v "k" ], f 5.0);
+              SStore ("u", [ v "k" ], f 6.0);
+              SStore ("u", [ v "k" ], f 0.0);
+            ]
+           @ if read then [ SAssign ("t", idx1 "u" (i 0)) ] else []))
+    in
+    let _, clean = run_traced prog in
+    (* bit 0 of the store of k: the faulty run indexes u[1] *)
+    let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
+    let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 0 }) in
+    let u0 = global_loc prog "u" in
+    ( acl.Acl.peak,
+      List.filter_map
+        (fun (d : Acl.death) ->
+          if Loc.equal d.Acl.d_loc u0 then Some (d.Acl.d_cause, d.Acl.d_fed_forward)
+          else None)
+        acl.Acl.deaths )
+  in
+  let expect = Alcotest.(pair int (list (pair cause bool))) in
+  Alcotest.check expect "read after the overwrite" (4, [ (Acl.Overwritten, true) ])
+    (analyze ~read:true);
+  Alcotest.check expect "never read" (3, [ (Acl.Overwritten, false) ])
+    (analyze ~read:false)
+
+(* a corrupted value whose only later read comes after the divergence
+   is alive when alignment stops: it counts in [final] *)
+let test_read_after_divergence () =
+  let analyze ~read =
+    let prog =
+      let open Ast in
+      compile
+        (main_program
+           ~globals:
+             [ DScalar ("a", Ty.I64); DScalar ("z", Ty.I64); DScalar ("w", Ty.I64);
+               DScalar ("r", Ty.I64) ]
+           ([
+              SAssign ("a", i 5);
+              SAssign ("z", v "a" * i 2);
+              SIf (v "a" > i 10, [ SAssign ("w", i 1) ], [ SAssign ("w", i 2) ]);
+            ]
+           @ if read then [ SAssign ("r", v "z" + i 1) ] else []))
+    in
+    let _, clean = run_traced prog in
+    (* bit 3 of the store of a: 5 becomes 13, and the branch flips *)
+    let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
+    let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 3 }) in
+    let z = global_loc prog "z" in
+    ( acl.Acl.divergence,
+      acl.Acl.final,
+      List.exists (fun (d : Acl.death) -> Loc.equal d.Acl.d_loc z) acl.Acl.deaths )
+  in
+  let expect = Alcotest.(triple (option int) int bool) in
+  Alcotest.check expect "z read after the divergence" (Some 14, 2, false)
+    (analyze ~read:true);
+  Alcotest.check expect "z never read" (Some 14, 1, false) (analyze ~read:false)
+
+(* dead corrupted locations die the step after their last read, before
+   that step's overwrites, the latest corrupted first: x - y reads two
+   corrupted registers that are never written again, and the next step
+   overwrites a register still holding a corrupted copy of y *)
+let test_dead_order () =
+  let prog =
+    let open Ast in
+    compile
+      (main_program
+         ~globals:
+           [ DScalar ("x", Ty.I64); DScalar ("y", Ty.I64); DScalar ("z", Ty.I64);
+             DScalar ("w", Ty.I64) ]
+         [
+           SAssign ("x", i 7);
+           SAssign ("y", v "x" + i 0);
+           SAssign ("z", (v "x" + i 0) + (v "y" + i 0));
+           SAssign ("w", v "x" - v "y");
+         ])
+  in
+  let _, clean = run_traced prog in
+  let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
+  let fault = Machine.Flip_write { seq; bit = 2 } in
+  let _, faulty = run_traced ~fault prog in
+  let acl = Acl.analyze ~fault ~clean ~faulty () in
+  let sub = ref (-1) in
+  Trace.iteri
+    (fun k (e : Trace.event) -> if e.op = Trace.OBin Op.Sub then sub := k)
+    faulty;
+  let step = !sub + 1 in
+  let operand k = fst (Trace.get faulty !sub).Trace.reads.(k) in
+  let overwritten = fst (Trace.get faulty step).Trace.writes.(0) in
+  let loc = Alcotest.testable Loc.pp Loc.equal in
+  Alcotest.(check (list (pair cause loc)))
+    "deaths at the step after x - y"
+    [ (Acl.Dead, operand 1); (Acl.Dead, operand 0); (Acl.Overwritten, overwritten) ]
+    (List.filter_map
+       (fun (d : Acl.death) ->
+         if d.Acl.d_index = step then Some (d.Acl.d_cause, d.Acl.d_loc) else None)
+       acl.Acl.deaths)
+
 (* no fault: the ACL stays empty *)
 let test_no_fault_no_corruption () =
   let prog = compile (loop_program ~iters:3) in
@@ -252,5 +379,10 @@ let suite =
       Alcotest.test_case "repeated additions" `Quick test_repeated_addition_event;
       Alcotest.test_case "series nonnegative" `Quick test_series_counts_nonnegative;
       Alcotest.test_case "no fault, no corruption" `Quick test_no_fault_no_corruption;
+      Alcotest.test_case "store through a corrupted index" `Quick
+        test_corrupted_index;
+      Alcotest.test_case "read after the divergence" `Quick
+        test_read_after_divergence;
+      Alcotest.test_case "dead deaths before overwrites" `Quick test_dead_order;
       QCheck_alcotest.to_alcotest prop_series_well_formed;
     ] )

@@ -98,20 +98,9 @@ let test_fate_never_used () =
       if !w < 0 && Array.exists (fun (l, _) -> Loc.equal l dead) e.writes then
         w := k)
     t;
-  (match Access.fate access dead ~after:!w with
+  match Access.fate access dead ~after:!w with
   | `Never_used -> ()
-  | `Dies_after_read _ | `Overwritten_at _ -> Alcotest.fail "dead is dead");
-  Alcotest.(check bool) "not alive" false (Access.alive access dead ~after:!w)
-
-let test_read_written_in () =
-  let prog = compile (liveness_program ()) in
-  let _, t = run_traced prog in
-  let access = Access.build t in
-  let tloc = addr_of prog "t" in
-  Alcotest.(check bool) "read somewhere" true
-    (Access.read_in access tloc ~lo:0 ~hi:(Trace.length t));
-  Alcotest.(check bool) "written somewhere" true
-    (Access.written_in access tloc ~lo:0 ~hi:(Trace.length t))
+  | `Dies_after_read _ | `Overwritten_at _ -> Alcotest.fail "dead is dead"
 
 (* --- alignment ------------------------------------------------------------ *)
 
@@ -325,7 +314,6 @@ let suite =
       Alcotest.test_case "iteration spans" `Quick test_iteration_spans;
       Alcotest.test_case "fate: dies after read" `Quick test_fate_dies_after_read;
       Alcotest.test_case "fate: never used" `Quick test_fate_never_used;
-      Alcotest.test_case "read/written in range" `Quick test_read_written_in;
       Alcotest.test_case "align identical runs" `Quick test_align_identical_runs;
       Alcotest.test_case "align corruption + overwrite" `Quick
         test_align_detects_corruption_and_masking;

@@ -1,12 +1,9 @@
-(* Replaying a faulty run = keeping its trace.  [Acl.analyze_replay]
-   runs the faulty program twice instead of storing its events; on
-   every registry app, and for every kind of fault, it must return the
-   result [Acl.analyze] computes from the stored trace.  The replay
-   contracts are checked too: the second run stops right after the
-   divergence, and a producer whose second run differs in length from
-   its first is refused. *)
-
-open Helpers
+(* Streaming a faulty run = keeping its trace.  [Acl.analyze_replay]
+   follows the faulty program's events as it runs instead of storing
+   them; on every registry app, and for every kind of fault, it must
+   return the result [Acl.analyze] computes from the stored trace.  The
+   stored trace's access index checks the deaths independently, and the
+   producer must be run exactly once. *)
 
 let budget (clean : Trace.t) = 10 * Trace.length clean
 
@@ -59,6 +56,33 @@ let check_app (name : string) () =
         && String.equal replayed.Machine.output traced.Machine.output);
       Alcotest.(check bool) (what ^ ": same ACL result") true
         (compare stored acl = 0);
+      (* a dead corrupted location is never touched again by the faulty
+         run; an overwrite writes its location in one run or the other *)
+      let access = Access.build faulty in
+      let writes (t : Trace.t) (d : Acl.death) =
+        d.Acl.d_index < Trace.length t
+        && Array.exists
+             (fun (l, _) -> Loc.equal l d.Acl.d_loc)
+             (Trace.get t d.Acl.d_index).Trace.writes
+      in
+      List.iter
+        (fun (d : Acl.death) ->
+          let ok =
+            match d.Acl.d_cause with
+            | Acl.Dead ->
+                Array.for_all
+                  (fun (i, _) -> i < d.Acl.d_index)
+                  (Access.accesses access d.Acl.d_loc)
+            | Acl.Overwritten -> writes clean d || writes faulty d
+          in
+          if not ok then
+            Alcotest.failf "%s: %s death of %s at %d" what
+              (match d.Acl.d_cause with
+              | Acl.Dead -> "dead"
+              | Acl.Overwritten -> "overwrite")
+              (Fmt.to_to_string Loc.pp d.Acl.d_loc)
+              d.Acl.d_index)
+        stored.Acl.deaths;
       (* each case exercises the kind it is named for *)
       let kind_ok =
         match (label, traced.Machine.outcome) with
@@ -71,73 +95,38 @@ let check_app (name : string) () =
       Alcotest.(check bool) (what ^ ": exercises its kind") true kind_ok)
     (cases name clean)
 
-(* the second run delivers events up to the divergence index and one
-   more at most; the first runs to the end *)
-let test_stops_at_divergence () =
+(* the producer runs once and is followed to its end, past the
+   divergence; [replay_acl] returns that run's result with its table *)
+let test_one_run () =
   let app = Registry.find "CG" in
   let _, clean = App.trace app in
   let fault = fixture_fault "CG" "divergent" in
   let budget = budget clean in
-  let _, faulty = App.trace_with_fault app fault ~budget in
-  let counts = ref [] in
+  let traced, faulty = App.trace_with_fault app fault ~budget in
+  let calls = ref 0 and events = ref 0 in
   let replay f =
-    let n = ref 0 in
-    counts := n :: !counts;
+    incr calls;
     ignore
       (App.replay_with_fault app fault ~budget (fun e ->
-           incr n;
+           incr events;
            f e))
   in
   let acl = Acl.analyze_replay ~fault ~clean ~replay () in
-  match (acl.Acl.divergence, List.rev_map ( ! ) !counts) with
-  | Some d, [ first; second ] ->
-      Alcotest.(check int) "first run is complete" (Trace.length faulty) first;
-      Alcotest.(check bool)
-        (Printf.sprintf "second run stops at %d (divergence %d)" second d)
-        true
-        (d <= second && second <= d + 1);
-      Alcotest.(check bool) "stopped well before the end" true
-        (second < first)
-  | None, _ -> Alcotest.fail "the divergent fault did not diverge"
-  | Some _, l -> Alcotest.failf "%d replays, expected 2" (List.length l)
-
-(* a producer whose second run is longer or shorter than its first is
-   refused, not analyzed against the first run's index *)
-let test_refuses_changed_second_run () =
-  let prog = compile (loop_program ~iters:4) in
-  let _, clean = run_traced prog in
-  let n = Trace.length clean in
-  let refused what ~first ~second =
-    let calls = ref 0 in
-    let replay f =
-      incr calls;
-      for i = 0 to (if !calls = 1 then first else second) - 1 do
-        f (Trace.get clean i)
-      done
-    in
-    match Acl.analyze_replay ~clean ~replay () with
-    | _ -> Alcotest.failf "%s: analyzed" what
-    | exception Invalid_argument _ -> ()
-  in
-  refused "longer second run" ~first:(n / 2) ~second:n;
-  refused "shorter second run" ~first:n ~second:(n / 2);
-  (* the same events twice are accepted *)
-  let calls = ref 0 in
-  let replay f =
-    incr calls;
-    Trace.iter f clean
-  in
-  let r = Acl.analyze_replay ~clean ~replay () in
-  Alcotest.(check int) "two runs" 2 !calls;
-  Alcotest.(check bool) "fault-free: no corruption" true
-    (r.Acl.peak = 0 && r.Acl.divergence = None)
+  Alcotest.(check int) "one run" 1 !calls;
+  Alcotest.(check int) "followed to the end" (Trace.length faulty) !events;
+  Alcotest.(check bool) "diverged before the end" true
+    (match acl.Acl.divergence with Some d -> d < !events | None -> false);
+  let result, acl' = Experiments.replay_acl app ~clean fault ~budget in
+  Alcotest.(check bool) "replay_acl: the run's result" true
+    (result.Machine.outcome = traced.Machine.outcome
+    && result.Machine.instructions = traced.Machine.instructions
+    && String.equal result.Machine.output traced.Machine.output);
+  Alcotest.(check bool) "replay_acl: the same table" true (compare acl acl' = 0)
 
 let suite =
   ( "acl replay",
-    Alcotest.test_case "second run stops at divergence" `Quick
-      test_stops_at_divergence
-    :: Alcotest.test_case "changed second run refused" `Quick
-         test_refuses_changed_second_run
+    Alcotest.test_case "one run, followed past divergence" `Quick
+      test_one_run
     :: List.map
          (fun (app : App.t) ->
            Alcotest.test_case ("replay = stored: " ^ app.App.name) `Slow
