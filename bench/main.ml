@@ -445,7 +445,9 @@ let perf _effort =
   let cg_access = Access.build cg_trace in
   let cg_inst = List.hd (Region.instances cg_trace) in
   let _, mg_clean = App.trace Mg.app in
-  let mg_fault = Machine.Flip_write { seq = 100_000; bit = 40 } in
+  let mg_fault =
+    Machine.Write { seq = 100_000; corruption = Machine.flip 40 }
+  in
   let reg_rng = Rng.create ~seed:1 in
   let reg_x =
     Array.init 64 (fun _ -> Array.init 6 (fun _ -> Rng.float reg_rng))

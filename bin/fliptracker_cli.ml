@@ -273,8 +273,24 @@ let inject_cmd =
   in
   let run name seq bit =
     let app = find_app name in
+    let corruption =
+      match Machine.flip bit with
+      | c -> c
+      | exception Invalid_argument _ ->
+          Printf.eprintf "inject: --bit %d is out of range (0-63)\n" bit;
+          exit 2
+    in
+    (* a seq the fault-free run never reaches leaves the fault unfired *)
+    let n = (App.reference app).Machine.instructions in
+    if seq < 0 || seq >= n then begin
+      Printf.eprintf
+        "inject: --seq %d is out of range: %s runs %d instructions \
+         fault-free\n"
+        seq app.App.name n;
+      exit 2
+    end;
     let report =
-      Fliptracker.inject_and_analyze app (Machine.Flip_write { seq; bit })
+      Fliptracker.inject_and_analyze app (Machine.Write { seq; corruption })
     in
     Fmt.pr "%a@." Fliptracker.pp_injection_report report
   in
@@ -361,6 +377,11 @@ let campaign_cmd =
       resume watchdog early_stop model recovery metrics opt_spec site_level
       backend structure geom =
     let base_app = find_app name in
+    (match trials with
+    | Some n when n < 0 ->
+        Printf.eprintf "campaign: --trials %d is negative\n" n;
+        exit 2
+    | Some _ | None -> ());
     if
       structure <> Structure.Reg
       && (region <> None || func <> None || memory_during <> None

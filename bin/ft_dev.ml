@@ -644,7 +644,7 @@ let seq_parity (names : string list) =
       let budget = 20 * max 1 ru.Machine.instructions in
       List.iter
         (fun seq ->
-          let fault = Machine.Flip_write { seq; bit = 3 } in
+          let fault = Machine.Write { seq; corruption = Machine.flip 3 } in
           let ft, _ = App.trace_with_fault app fault ~budget in
           let fu =
             Machine.run prog

@@ -93,7 +93,7 @@ let () =
 
   (* 3. inject a bit flip into the data array mid-fill and analyze *)
   let addr = Prog.addr_of_element prog "data" [ 7 ] in
-  let fault = Machine.Flip_mem { seq = 400; addr; bit = 51 } in
+  let fault = Machine.Mem { seq = 400; addr; corruption = Machine.flip 51 } in
   let faulty = ref None in
   (* the VM is deterministic: the analysis replays the faulty run into a
      sink rather than keeping its trace *)

@@ -59,8 +59,8 @@ val analyze_replay :
     to its end, since whether a corrupted value is alive depends on the
     faulty run's later accesses to its location, after a divergence
     too.  [fault] must be the fault of the faulty run when it was a
-    [Flip_mem] or a [Mask_mem]: memory faults leave no write event in
-    the trace, so the walk applies them itself. *)
+    [Machine.Mem]: memory faults leave no write event in the trace, so
+    the walk applies them itself. *)
 
 val analyze :
   ?fault:Machine.fault -> clean:Trace.t -> faulty:Trace.t -> unit -> result

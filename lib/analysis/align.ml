@@ -106,30 +106,20 @@ let set_faulty (w : t) loc fv =
     Loc_store.set w.faulty loc fv
   end
 
-(** Force a pending [Flip_mem] or [Mask_mem] fault whose trigger
-    sequence has been reached into the faulty shadow state.  Memory
-    faults leave no write event in the trace, so the walker applies
-    them itself: [feed] does this before each event; analyses
-    that snapshot state between events (e.g. at a region entry) call it
-    explicitly with the next event's sequence number. *)
+(** Force a pending [Mem] fault whose trigger sequence has been
+    reached into the faulty shadow state.  Memory faults leave no write
+    event in the trace, so the walker applies them itself: [feed] does
+    this before each event; analyses that snapshot state between events
+    (e.g. at a region entry) call it explicitly with the next event's
+    sequence number. *)
 let apply_pending_fault (w : t) ~(next_seq : int) : unit =
   match w.fault with
-  | Some (Machine.Flip_mem { seq; addr; bit })
+  | Some (Machine.Mem { seq; addr; corruption })
     when (not w.fault_applied) && next_seq >= seq ->
       w.fault_applied <- true;
       let loc = Loc.Mem addr in
-      set_faulty w loc (Value.flip_bit (faulty_value w loc) bit)
-  | Some (Machine.Mask_mem { seq; addr; and_mask; or_mask; xor_mask })
-    when (not w.fault_applied) && next_seq >= seq ->
-      w.fault_applied <- true;
-      let loc = Loc.Mem addr in
-      set_faulty w loc
-        (Machine.apply_masks (faulty_value w loc) ~and_mask ~or_mask ~xor_mask)
-  | Some
-      ( Machine.Flip_mem _ | Machine.Flip_write _ | Machine.Mask_mem _
-      | Machine.Mask_write _ | Machine.Cache_fault _ )
-  | None ->
-      ()
+      set_faulty w loc (Machine.corrupt corruption (faulty_value w loc))
+  | Some (Machine.Mem _ | Machine.Write _ | Machine.Cache_fault _) | None -> ()
 
 type step =
   | Step of {

@@ -38,7 +38,7 @@ val last_writer : t -> Loc.t -> Trace.opclass option
     that event reads; [None] if no earlier aligned event wrote it. *)
 
 val apply_pending_fault : t -> next_seq:int -> unit
-(** Force a pending [Flip_mem] or [Mask_mem] whose trigger has been
+(** Force a pending [Machine.Mem] fault whose trigger has been
     reached into the faulty shadow state (memory faults leave no write
     event in the trace).  [feed] does this automatically; analyses
     that snapshot state between events (e.g. at a region entry) call it

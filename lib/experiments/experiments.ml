@@ -275,7 +275,7 @@ let table2 ?(bit = 40) ?(element = [ 3; 3; 3 ]) () : table2_row list =
     | None -> invalid_arg "table2: MG has no mg_d instance"
   in
   let seq = (Trace.get c.trace inst.hi).Trace.seq in
-  let fault = Machine.Flip_mem { seq; addr; bit } in
+  let fault = Machine.Mem { seq; addr; corruption = Machine.flip bit } in
   let budget = 10 * c.clean.Machine.instructions in
   let replay = faulty_replay app fault ~budget in
   Tolerance.magnitude_by_iteration ~fault ~clean:c.trace ~replay ~addr ()
@@ -382,7 +382,7 @@ let table4 ?(effort = Effort.default) ?(apps = Registry.all) () : table4 =
         let c = context app in
         let verify = App.verify app in
         let rates = Rates.compute c.trace c.access in
-        let wrates = Weighted_rates.compute c.trace c.access in
+        let wrates = Weighted_rates.compute c.trace rates in
         let target = Campaign.whole_program_target c.prog c.trace in
         let counts =
           Campaign.run c.prog ~verify

@@ -12,10 +12,10 @@
     {- Crashed — trap, or hang detected by the instruction budget.}}
 
     Targets: the {e internal locations} of a code-region instance are
-    the destinations of its dynamic instructions (a [Flip_write] at a
-    dynamic sequence number inside the instance); its {e input
+    the destinations of its dynamic instructions (a [Machine.Write] at
+    a dynamic sequence number inside the instance); its {e input
     locations} are the memory words the fault-free DDDG classifies as
-    region inputs (a [Flip_mem] at the instance entry). *)
+    region inputs (a [Machine.Mem] at the instance entry). *)
 
 type outcome_class = Success | Failed | Crashed | Recovered
 
@@ -286,26 +286,21 @@ let sample_fault ?(model = Fault_model.Single_bit) (rng : Rng.t) (t : target) :
   match t with
   | Internal { sites } ->
       let s = Rng.choose rng sites in
-      (match Fault_model.sample model rng ~bits:s.bits with
-      | Fault_model.Bit bit -> Machine.Flip_write { seq = s.seq; bit }
-      | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-          Machine.Mask_write { seq = s.seq; and_mask; or_mask; xor_mask })
+      Machine.Write
+        { seq = s.seq; corruption = Fault_model.sample model rng ~bits:s.bits }
   | Input { entry_seq; sites } ->
       let s = Rng.choose rng sites in
-      (match Fault_model.sample model rng ~bits:s.bits with
-      | Fault_model.Bit bit ->
-          Machine.Flip_mem { seq = entry_seq; addr = s.addr; bit }
-      | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-          Machine.Mask_mem
-            { seq = entry_seq; addr = s.addr; and_mask; or_mask; xor_mask })
+      Machine.Mem
+        {
+          seq = entry_seq;
+          addr = s.addr;
+          corruption = Fault_model.sample model rng ~bits:s.bits;
+        }
   | Mem_over_time { seqs; sites } ->
       let s = Rng.choose rng sites in
-      let c = Fault_model.sample model rng ~bits:s.bits in
+      let corruption = Fault_model.sample model rng ~bits:s.bits in
       let seq = Rng.choose rng seqs in
-      (match c with
-      | Fault_model.Bit bit -> Machine.Flip_mem { seq; addr = s.addr; bit }
-      | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-          Machine.Mask_mem { seq; addr = s.addr; and_mask; or_mask; xor_mask })
+      Machine.Mem { seq; addr = s.addr; corruption }
   | Cache_struct { geom; meta; seq_hi; mem_words } ->
       (* draw order (pinned for these structures from their first
          release): set, way, field slot / data word, corruption, seq.
@@ -325,22 +320,10 @@ let sample_fault ?(model = Fault_model.Single_bit) (rng : Rng.t) (t : target) :
         end
         else (Cache_model.Word (Rng.int rng geom.Cache_model.line_words), 64)
       in
-      let and_mask, or_mask, xor_mask =
-        match Fault_model.sample model rng ~bits with
-        | Fault_model.Bit bit -> (-1L, 0L, Int64.shift_left 1L bit)
-        | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-            (and_mask, or_mask, xor_mask)
-      in
+      let corruption = Fault_model.sample model rng ~bits in
       let seq = Rng.int rng (max 1 seq_hi) in
       Machine.Cache_fault
-        {
-          seq;
-          geom;
-          loc = { Cache_model.set; way; field };
-          and_mask;
-          or_mask;
-          xor_mask;
-        }
+        { seq; geom; loc = { Cache_model.set; way; field }; corruption }
   | Istore_struct _ ->
       invalid_arg
         "Campaign.sample_fault: instruction-store faults mutate the program, \
@@ -354,9 +337,7 @@ type injection =
   | Vm_fault of Machine.fault
   | Istore_flip of {
       widx : int;  (** global word index into the encoded program *)
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
+      corruption : Machine.corruption;
     }
 
 (** {!sample_fault} generalized to every target.  Draw order for the
@@ -366,13 +347,7 @@ let sample_injection ?(model = Fault_model.Single_bit) (rng : Rng.t)
   match t with
   | Istore_struct { enc } ->
       let widx = Rng.int rng (Icodec.total_words enc) in
-      let and_mask, or_mask, xor_mask =
-        match Fault_model.sample model rng ~bits:64 with
-        | Fault_model.Bit bit -> (-1L, 0L, Int64.shift_left 1L bit)
-        | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-            (and_mask, or_mask, xor_mask)
-      in
-      Istore_flip { widx; and_mask; or_mask; xor_mask }
+      Istore_flip { widx; corruption = Fault_model.sample model rng ~bits:64 }
   | Internal _ | Input _ | Mem_over_time _ | Cache_struct _ ->
       Vm_fault (sample_fault ~model rng t)
 
@@ -738,7 +713,7 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
     match injection with
     | Vm_fault fault ->
         run_one_with run ~budget ?watchdog ~recovery:cfg.recovery ~verify fault
-    | Istore_flip { widx; and_mask; or_mask; xor_mask } ->
+    | Istore_flip { widx; corruption } ->
         (* re-bake the mutated program and run it fault-free: under the
            compiled backend the mutant re-keys the content-addressed
            plan cache; the corrupted word decodes to a different legal
@@ -747,10 +722,7 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
           match t with Istore_struct { enc } -> enc | _ -> assert false
         in
         let fidx, pc = Icodec.locate enc widx in
-        let word =
-          Machine.apply_masks (Icodec.word enc ~fidx ~pc) ~and_mask ~or_mask
-            ~xor_mask
-        in
+        let word = Machine.corrupt corruption (Icodec.word enc ~fidx ~pc) in
         let mutated = Icodec.mutate prog enc ~fidx ~pc ~word in
         classify_run
           (Backend.runner backend mutated)

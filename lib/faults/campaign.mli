@@ -153,15 +153,13 @@ val sample_fault : ?model:Fault_model.t -> Rng.t -> target -> Machine.fault
     is not a VM fault; use {!sample_injection}. *)
 
 (** One sampled corruption, of either kind: a seq-keyed VM fault, or a
-    bit flip in the program's binary encoding (word index + masks) that
-    the trial bakes into a mutated program before running. *)
+    corruption of one word of the program's binary encoding that the
+    trial bakes into a mutated program before running. *)
 type injection =
   | Vm_fault of Machine.fault
   | Istore_flip of {
       widx : int;  (** global word index into the {!Icodec.t} encoding *)
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
+      corruption : Machine.corruption;
     }
 
 val sample_injection : ?model:Fault_model.t -> Rng.t -> target -> injection

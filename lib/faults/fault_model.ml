@@ -5,8 +5,8 @@
     single-bit flip.  Real upsets are not always single-bit: multi-cell
     upsets flip physically adjacent bits, long transients corrupt a
     burst of bits, and latch defects hold a line at a fixed level.
-    Each model samples a {!corruption} for a datum of a given bit
-    width; the sampling of {e where} the fault lands (which dynamic
+    Each model samples a {!Machine.corruption} for a datum of a given
+    bit width; the sampling of {e where} the fault lands (which dynamic
     instruction, which memory word) stays in [Campaign] and is shared
     by every model, so paired campaigns under a common RNG stream
     differ only in the corruption applied.
@@ -48,29 +48,19 @@ let of_string (s : string) : (t, string) result =
       | Some _ -> Error (Printf.sprintf "burst width out of range [2,64]: %s" s)
       | None -> Error (Printf.sprintf "unknown fault model %S" s))
 
-type corruption =
-  | Bit of int  (** flip this one bit (the legacy fault constructors) *)
-  | Masks of { and_mask : int64; or_mask : int64; xor_mask : int64 }
-      (** generalized corruption, applied by [Machine.apply_masks] *)
-
 (** Sample a corruption for a [bits]-wide datum.  Every model confines
     its corruption to the low [bits] bits, mirroring how single-bit
     flips always targeted the datum's own width. *)
-let sample (m : t) (rng : Rng.t) ~(bits : int) : corruption =
+let sample (m : t) (rng : Rng.t) ~(bits : int) : Machine.corruption =
   match m with
-  | Single_bit -> Bit (Rng.int rng bits)
+  | Single_bit -> Machine.flip (Rng.int rng bits)
   | Double_adjacent ->
       (* a 1-bit datum cannot hold an adjacent pair; degrade to the
          only flip it supports rather than reject the site *)
-      if bits < 2 then Bit 0
+      if bits < 2 then Machine.flip 0
       else
         let b = Rng.int rng (bits - 1) in
-        Masks
-          {
-            and_mask = -1L;
-            or_mask = 0L;
-            xor_mask = Int64.shift_left 3L b;
-          }
+        { and_mask = -1L; or_mask = 0L; xor_mask = Int64.shift_left 3L b }
   | Burst k ->
       let k = max 1 (min k bits) in
       let start = Rng.int rng (bits - k + 1) in
@@ -83,22 +73,19 @@ let sample (m : t) (rng : Rng.t) ~(bits : int) : corruption =
             (Int64.sub (Int64.shift_left 1L k) 1L)
       in
       let pattern = Int64.logor pattern 1L in
-      Masks
-        {
-          and_mask = -1L;
-          or_mask = 0L;
-          xor_mask = Int64.shift_left pattern start;
-        }
+      {
+        and_mask = -1L;
+        or_mask = 0L;
+        xor_mask = Int64.shift_left pattern start;
+      }
   | Stuck_at ->
       let b = Rng.int rng bits in
       let stuck_high = Rng.int rng 2 = 1 in
       if stuck_high then
-        Masks
-          { and_mask = -1L; or_mask = Int64.shift_left 1L b; xor_mask = 0L }
+        { and_mask = -1L; or_mask = Int64.shift_left 1L b; xor_mask = 0L }
       else
-        Masks
-          {
-            and_mask = Int64.lognot (Int64.shift_left 1L b);
-            or_mask = 0L;
-            xor_mask = 0L;
-          }
+        {
+          and_mask = Int64.lognot (Int64.shift_left 1L b);
+          or_mask = 0L;
+          xor_mask = 0L;
+        }

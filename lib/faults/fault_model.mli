@@ -1,7 +1,9 @@
-(** Fault models: what one injected fault does to its target datum.
-    Site selection (which instruction / memory word) stays in
-    {!Campaign} and is shared by all models, so paired campaigns under
-    a common RNG stream differ only in the corruption applied.
+(** Fault models: what one injected fault does to its target datum,
+    as one {!Machine.corruption} (an and/or/xor mask; a single-bit
+    flip is the mask [Machine.flip b]).  Site selection (which
+    instruction / memory word) stays in {!Campaign} and is shared by
+    all models, so paired campaigns under a common RNG stream differ
+    only in the corruption applied.
     [Single_bit] draws exactly one [Rng.int], keeping default-model
     campaigns count-identical to their historical results. *)
 
@@ -22,10 +24,6 @@ val names : string list
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [burst-K] accepts any K in [2,64]. *)
 
-type corruption =
-  | Bit of int  (** flip this one bit (the legacy fault constructors) *)
-  | Masks of { and_mask : int64; or_mask : int64; xor_mask : int64 }
-      (** generalized corruption, applied by [Machine.apply_masks] *)
-
-val sample : t -> Rng.t -> bits:int -> corruption
-(** Sample a corruption confined to the low [bits] bits of the datum. *)
+val sample : t -> Rng.t -> bits:int -> Machine.corruption
+(** Sample a corruption confined to the low [bits] bits of the datum.
+    [Single_bit] returns [Machine.flip b]. *)

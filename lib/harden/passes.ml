@@ -110,10 +110,10 @@ let accumulator_guard : Pass.t =
           (fun pc ->
             match f.Prog.code.(pc) with
             | Instr.Store (src, addr) ->
-                (* Flip_write on a store corrupts the memory word but
-                   not the source register, so loading the word back
-                   and comparing against [src] is a sound check of
-                   the store's data path. *)
+                (* a [Machine.Write] fault on a store corrupts the
+                   memory word but not the source register, so loading
+                   the word back and comparing against [src] is a
+                   sound check of the store's data path. *)
                 let lb = !nreg and eq = !nreg + 1 in
                 let one = !nreg + 2 and chk = !nreg + 3 in
                 nreg := !nreg + 4;

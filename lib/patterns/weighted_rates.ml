@@ -26,8 +26,9 @@
        relative margin;}
     {- truncating prints mask the mantissa bits below the printed
        precision;}
-    {- overwrites and dead stores always mask fully: weight 1 (so these
-       two features coincide with the unweighted rates).}} *)
+    {- overwrites, dead stores and repeated additions always mask
+       fully: weight 1, so these three features are the unweighted
+       rates.}} *)
 
 type t = {
   w_condition : float;
@@ -118,22 +119,17 @@ let print_weight (fmt : string) : float =
   | None -> 0.0
   | Some digits -> clamp01 ((52.0 -. (float_of_int digits *. 3.322)) /. 52.0)
 
-(** Weighted rates from a fault-free trace.  [access] indexes the same
-    trace. *)
-let compute (trace : Trace.t) (access : Access.t) : t =
+(** Weighted rates from a fault-free trace.  [rates] are the same
+    trace's unweighted rates, whose dead-location, repeated-addition
+    and overwrite features each instance masks fully (weight 1). *)
+let compute (trace : Trace.t) (rates : Rates.t) : t =
   let total = max 1 (Trace.length trace) in
   let cond = ref 0.0 in
   let shift = ref 0.0 in
   let trunc = ref 0.0 in
-  let dead = ref 0.0 in
-  let radd = ref 0.0 in
-  let over = ref 0.0 in
-  let written : unit Loc.Tbl.t = Loc.Tbl.create 4096 in
-  let last_writer : Trace.opclass Loc.Tbl.t = Loc.Tbl.create 4096 in
-  let last_load : int Loc.Tbl.t = Loc.Tbl.create 4096 in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-      (match e.op with
+  Trace.iter
+    (fun (e : Trace.event) ->
+      match e.op with
       | Trace.OBin op when Op.bin_is_compare op ->
           if Array.length e.reads = 2 then
             cond :=
@@ -151,49 +147,19 @@ let compute (trace : Trace.t) (access : Access.t) : t =
       | Trace.OIntr s
         when String.length s > 6 && String.equal (String.sub s 0 6) "print:" ->
           trunc := !trunc +. print_weight (String.sub s 6 (String.length s - 6))
-      | Trace.OStore -> (
-          match e.writes with
-          | [| (loc, _) |] when Array.length e.reads > 0 -> (
-              let src_loc = fst e.reads.(0) in
-              match
-                ( Loc.Tbl.find_opt last_writer src_loc,
-                  Loc.Tbl.find_opt last_load loc )
-              with
-              | Some (Trace.OBin (Op.Fadd | Op.Fsub)), Some l when i - l < 64 ->
-                  radd := !radd +. 1.0
-              | _, _ -> ())
-          | _ -> ())
-      | Trace.OConst | Trace.OBin _ | Trace.OUn _ | Trace.OLoad | Trace.OJmp
-      | Trace.OBr _ | Trace.OCall | Trace.ORet | Trace.OIntr _
+      | Trace.OConst | Trace.OBin _ | Trace.OUn _ | Trace.OLoad | Trace.OStore
+      | Trace.OJmp | Trace.OBr _ | Trace.OCall | Trace.ORet | Trace.OIntr _
       | Trace.OMark _ ->
-          ());
-      (match e.op with
-      | Trace.OLoad ->
-          Array.iter
-            (fun (loc, _) ->
-              match loc with
-              | Loc.Mem _ -> Loc.Tbl.replace last_load loc i
-              | Loc.Reg _ -> ())
-            e.reads
-      | _ -> ());
-      Array.iter
-        (fun (loc, _) ->
-          if Loc.Tbl.mem written loc then over := !over +. 1.0
-          else Loc.Tbl.add written loc ();
-          Loc.Tbl.replace last_writer loc e.op;
-          match Access.fate access loc ~after:i with
-          | `Overwritten_at _ | `Never_used -> dead := !dead +. 1.0
-          | `Dies_after_read _ -> ())
-        e.writes)
+          ())
     trace;
   let norm x = x /. Float.of_int total in
   {
     w_condition = norm !cond;
     w_shift = norm !shift;
     w_truncation = norm !trunc;
-    w_dead_location = norm !dead;
-    w_repeated_addition = norm !radd;
-    w_overwrite = norm !over;
+    w_dead_location = rates.Rates.dead_location;
+    w_repeated_addition = rates.Rates.repeated_addition;
+    w_overwrite = rates.Rates.overwrite;
   }
 
 let pp ppf (r : t) =

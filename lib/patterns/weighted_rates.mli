@@ -27,5 +27,10 @@ val print_weight : string -> float
 (** Mantissa bits below the printed precision; 0 for non-truncating
     formats. *)
 
-val compute : Trace.t -> Access.t -> t
+val compute : Trace.t -> Rates.t -> t
+(** [compute trace rates] weighs the condition, shift and truncation
+    instances of a fault-free trace; the dead-location,
+    repeated-addition and overwrite features are [rates]' own, which
+    must be {!Rates.compute} of the same trace. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1376,11 +1376,7 @@ let supported (cfg : Machine.config) : bool =
          access — only the interpreter carries one *)
       match cfg.Machine.fault with
       | Some (Machine.Cache_fault _) -> false
-      | Some
-          ( Machine.Flip_write _ | Machine.Flip_mem _ | Machine.Mask_write _
-          | Machine.Mask_mem _ )
-      | None ->
-          true)
+      | Some (Machine.Write _ | Machine.Mem _) | None -> true)
   | _ -> false
 
 (* Per-domain run state: the memory buffer, the register stack and the
@@ -1457,23 +1453,15 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
   let mem_len = prog.Prog.mem_size in
   let wf_seq, wf =
     match cfg.Machine.fault with
-    | Some (Machine.Flip_write { seq; bit }) ->
-        (seq, fun v -> Value.flip_bit v bit)
-    | Some (Machine.Mask_write { seq; and_mask; or_mask; xor_mask }) ->
-        (seq, fun v -> Machine.apply_masks v ~and_mask ~or_mask ~xor_mask)
-    | Some (Machine.Flip_mem _ | Machine.Mask_mem _ | Machine.Cache_fault _)
-    | None ->
-        (min_int, Fun.id)
+    | Some (Machine.Write { seq; corruption }) ->
+        (seq, Machine.corrupt corruption)
+    | Some (Machine.Mem _ | Machine.Cache_fault _) | None -> (min_int, Fun.id)
   in
   let mf_seq, mf_addr, mf =
     match cfg.Machine.fault with
-    | Some (Machine.Flip_mem { seq; addr; bit }) ->
-        (seq, addr, fun v -> Value.flip_bit v bit)
-    | Some (Machine.Mask_mem { seq; addr; and_mask; or_mask; xor_mask }) ->
-        (seq, addr, fun v -> Machine.apply_masks v ~and_mask ~or_mask ~xor_mask)
-    | Some
-        (Machine.Flip_write _ | Machine.Mask_write _ | Machine.Cache_fault _)
-    | None ->
+    | Some (Machine.Mem { seq; addr; corruption }) ->
+        (seq, addr, Machine.corrupt corruption)
+    | Some (Machine.Write _ | Machine.Cache_fault _) | None ->
         (min_int, 0, Fun.id)
   in
   let tick, has_tick =

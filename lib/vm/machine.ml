@@ -5,10 +5,11 @@
     {ul
     {- an optional {e tracer} that records one {!Trace.event} per
        executed instruction (the LLVM-Tracer substitute);}
-    {- an optional {e fault}: a single-bit flip applied either to the
-       value written by the n-th dynamic instruction, or to a memory
-       word when the dynamic instruction counter reaches n (used for
-       region-entry input injections);}
+    {- an optional {e fault}: a {!corruption} (a single-bit flip, or
+       any and/or/xor mask) applied either to the value written by the
+       n-th dynamic instruction, or to a memory word when the dynamic
+       instruction counter reaches n (used for region-entry input
+       injections);}
     {- optional {e MPI hooks} connecting the MPI intrinsics to the
        simulated runtime of [ft_mpi].}}
 
@@ -16,29 +17,28 @@
     traps, arithmetic traps, stack overflow, and hangs (instruction
     budget exceeded). *)
 
+type corruption = { and_mask : int64; or_mask : int64; xor_mask : int64 }
+
+let flip (b : int) : corruption =
+  if b < 0 || b > 63 then invalid_arg "Machine.flip: bit out of range";
+  { and_mask = -1L; or_mask = 0L; xor_mask = Int64.shift_left 1L b }
+
+let corrupt (c : corruption) (v : int64) : int64 =
+  Int64.logxor (Int64.logor (Int64.logand v c.and_mask) c.or_mask) c.xor_mask
+
+let flipped_bit (c : corruption) : int option =
+  List.find_opt (fun b -> flip b = c) (List.init 64 Fun.id)
+
 type fault =
-  | Flip_write of { seq : int; bit : int }
-      (** flip [bit] of the value written by dynamic instruction [seq] *)
-  | Flip_mem of { seq : int; addr : int; bit : int }
-      (** flip [bit] of [mem.(addr)] just before instruction [seq] runs *)
-  | Mask_write of { seq : int; and_mask : int64; or_mask : int64; xor_mask : int64 }
-      (** generalized corruption of the value written by dynamic
-          instruction [seq]: [((v land and) lor or) lxor xor].  Encodes
-          multi-bit upsets (xor), stuck-at-0 (and) and stuck-at-1 (or). *)
-  | Mask_mem of {
-      seq : int;
-      addr : int;
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
-    }  (** the memory-resident counterpart of [Mask_write] *)
+  | Write of { seq : int; corruption : corruption }
+      (** corrupt the value written by dynamic instruction [seq] *)
+  | Mem of { seq : int; addr : int; corruption : corruption }
+      (** corrupt [mem.(addr)] just before instruction [seq] runs *)
   | Cache_fault of {
       seq : int;
       geom : Cache_model.geometry;
       loc : Cache_model.loc;
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
+      corruption : corruption;
     }
       (** corrupt one cache metadata field or data word just before
           instruction [seq] runs.  Arming this fault makes the VM route
@@ -54,32 +54,31 @@ type outcome =
   | Trapped of string  (** segfault, arithmetic trap, stack overflow *)
   | Budget_exceeded    (** the hang of the fault-manifestation model *)
 
-(** Corruption applied by the mask faults. *)
-let apply_masks (v : int64) ~(and_mask : int64) ~(or_mask : int64)
-    ~(xor_mask : int64) : int64 =
-  Int64.logxor (Int64.logor (Int64.logand v and_mask) or_mask) xor_mask
+let masks_to_string (c : corruption) : string =
+  Printf.sprintf "and=%Lx or=%Lx xor=%Lx" c.and_mask c.or_mask c.xor_mask
 
 let fault_to_string = function
-  | Flip_write { seq; bit } ->
-      Printf.sprintf "flip bit %d of the value written at instruction %d" bit
-        seq
-  | Flip_mem { seq; addr; bit } ->
-      Printf.sprintf "flip bit %d of memory word %d before instruction %d" bit
-        addr seq
-  | Mask_write { seq; and_mask; or_mask; xor_mask } ->
-      Printf.sprintf
-        "corrupt the value written at instruction %d (and=%Lx or=%Lx xor=%Lx)"
-        seq and_mask or_mask xor_mask
-  | Mask_mem { seq; addr; and_mask; or_mask; xor_mask } ->
-      Printf.sprintf
-        "corrupt memory word %d before instruction %d (and=%Lx or=%Lx xor=%Lx)"
-        addr seq and_mask or_mask xor_mask
-  | Cache_fault { seq; geom; loc; and_mask; or_mask; xor_mask } ->
-      Printf.sprintf
-        "corrupt cache (%s) %s before instruction %d (and=%Lx or=%Lx xor=%Lx)"
+  | Write { seq; corruption = c } -> (
+      match flipped_bit c with
+      | Some bit ->
+          Printf.sprintf "flip bit %d of the value written at instruction %d"
+            bit seq
+      | None ->
+          Printf.sprintf "corrupt the value written at instruction %d (%s)" seq
+            (masks_to_string c))
+  | Mem { seq; addr; corruption = c } -> (
+      match flipped_bit c with
+      | Some bit ->
+          Printf.sprintf "flip bit %d of memory word %d before instruction %d"
+            bit addr seq
+      | None ->
+          Printf.sprintf "corrupt memory word %d before instruction %d (%s)"
+            addr seq (masks_to_string c))
+  | Cache_fault { seq; geom; loc; corruption = c } ->
+      Printf.sprintf "corrupt cache (%s) %s before instruction %d (%s)"
         (Cache_model.geometry_to_string geom)
         (Cache_model.loc_to_string loc)
-        seq and_mask or_mask xor_mask
+        seq (masks_to_string c)
 
 type recover = {
   max_restores : int;
@@ -316,8 +315,7 @@ let run (prog : Prog.t) (cfg : config) : result =
   let cache =
     match cfg.fault with
     | Some (Cache_fault { geom; _ }) -> Some (Cache_model.create geom)
-    | Some (Flip_write _ | Flip_mem _ | Mask_write _ | Mask_mem _) | None ->
-        None
+    | Some (Write _ | Mem _) | None -> None
   in
   let mread a =
     match cache with None -> mem.(a) | Some c -> Cache_model.read c mem a
@@ -329,33 +327,19 @@ let run (prog : Prog.t) (cfg : config) : result =
   in
   let maybe_flip seq v =
     match cfg.fault with
-    | Some (Flip_write { seq = s; bit }) when s = seq -> Value.flip_bit v bit
-    | Some (Mask_write { seq = s; and_mask; or_mask; xor_mask }) when s = seq
-      ->
-        apply_masks v ~and_mask ~or_mask ~xor_mask
-    | Some (Flip_write _ | Flip_mem _ | Mask_write _ | Mask_mem _ | Cache_fault _)
-    | None ->
-        v
+    | Some (Write { seq = s; corruption }) when s = seq -> corrupt corruption v
+    | Some (Write _ | Mem _ | Cache_fault _) | None -> v
   in
   let apply_mem_fault seq =
     match cfg.fault with
-    | Some (Flip_mem { seq = s; addr; bit }) when s = seq ->
+    | Some (Mem { seq = s; addr; corruption }) when s = seq ->
         check_addr addr;
-        mem.(addr) <- Value.flip_bit mem.(addr) bit
-    | Some (Mask_mem { seq = s; addr; and_mask; or_mask; xor_mask })
-      when s = seq ->
-        check_addr addr;
-        mem.(addr) <- apply_masks mem.(addr) ~and_mask ~or_mask ~xor_mask
-    | Some (Cache_fault { seq = s; loc; and_mask; or_mask; xor_mask; _ })
-      when s = seq -> (
+        mem.(addr) <- corrupt corruption mem.(addr)
+    | Some (Cache_fault { seq = s; loc; corruption; _ }) when s = seq -> (
         match cache with
-        | Some c ->
-            Cache_model.corrupt c loc ~f:(fun v ->
-                apply_masks v ~and_mask ~or_mask ~xor_mask)
+        | Some c -> Cache_model.corrupt c loc ~f:(corrupt corruption)
         | None -> ())
-    | Some (Flip_mem _ | Flip_write _ | Mask_write _ | Mask_mem _ | Cache_fault _)
-    | None ->
-        ()
+    | Some (Write _ | Mem _ | Cache_fault _) | None -> ()
   in
   (* without a sink, plain instructions skip building the read/write
      arrays of [record], the dominant allocation of a traced run.  An

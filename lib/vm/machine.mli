@@ -1,32 +1,37 @@
 (** The FlipTracker virtual machine: an IR interpreter with optional
-    instruction tracing (the LLVM-Tracer substitute), single-bit fault
-    hooks (the FlipIt substitute), MPI hooks, and the crash model of
-    the paper's fault-manifestation taxonomy. *)
+    instruction tracing (the LLVM-Tracer substitute), fault hooks that
+    corrupt one written value or memory word (the FlipIt substitute),
+    MPI hooks, and the crash model of the paper's fault-manifestation
+    taxonomy. *)
+
+type corruption = { and_mask : int64; or_mask : int64; xor_mask : int64 }
+(** What a fault does to its target datum [v]:
+    [((v land and_mask) lor or_mask) lxor xor_mask].  A single-bit
+    flip is [xor_mask = 1 lsl b]; multi-bit upsets set more xor bits,
+    stuck-at-0 clears an [and_mask] bit and stuck-at-1 sets an
+    [or_mask] bit. *)
+
+val flip : int -> corruption
+(** [flip b] flips bit [b] (0 = least significant).
+    @raise Invalid_argument unless [0 <= b <= 63]. *)
+
+val corrupt : corruption -> int64 -> int64
+(** Apply a corruption to a value. *)
+
+val flipped_bit : corruption -> int option
+(** [Some b] when the corruption is [flip b], else [None]. *)
 
 type fault =
-  | Flip_write of { seq : int; bit : int }
-      (** flip [bit] of the value written by dynamic instruction [seq] *)
-  | Flip_mem of { seq : int; addr : int; bit : int }
-      (** flip [bit] of [mem.(addr)] just before instruction [seq] runs
+  | Write of { seq : int; corruption : corruption }
+      (** corrupt the value written by dynamic instruction [seq] *)
+  | Mem of { seq : int; addr : int; corruption : corruption }
+      (** corrupt [mem.(addr)] just before instruction [seq] runs
           (region-entry input injections) *)
-  | Mask_write of { seq : int; and_mask : int64; or_mask : int64; xor_mask : int64 }
-      (** generalized corruption of the value written by dynamic
-          instruction [seq]: [((v land and) lor or) lxor xor].  Encodes
-          multi-bit upsets (xor), stuck-at-0 (and) and stuck-at-1 (or). *)
-  | Mask_mem of {
-      seq : int;
-      addr : int;
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
-    }  (** the memory-resident counterpart of [Mask_write] *)
   | Cache_fault of {
       seq : int;
       geom : Cache_model.geometry;
       loc : Cache_model.loc;
-      and_mask : int64;
-      or_mask : int64;
-      xor_mask : int64;
+      corruption : corruption;
     }
       (** corrupt one cache metadata field (tag/valid/dirty) or data
           word just before instruction [seq] runs.  Arming this fault
@@ -36,13 +41,10 @@ type fault =
           uncached run exactly.  Interpreter-only: the compiled backend
           reports these configs unsupported and [Backend] falls back. *)
 
-val apply_masks :
-  int64 -> and_mask:int64 -> or_mask:int64 -> xor_mask:int64 -> int64
-(** [((v land and_mask) lor or_mask) lxor xor_mask] — the corruption
-    the mask faults apply, exposed for tests and fault-model sampling. *)
-
 val fault_to_string : fault -> string
-(** Human-readable one-line description of a fault (for reports). *)
+(** Human-readable one-line description of a fault (for reports): a
+    [Write] or [Mem] fault whose corruption is a {!flip} reads
+    "flip bit [b] ...", any other corruption prints its masks. *)
 
 type outcome =
   | Finished

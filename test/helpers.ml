@@ -13,6 +13,13 @@ let main_program ?(globals = []) ?(funs = []) ?(locals = []) body : Ast.program
     entry = "main";
   }
 
+(* single-bit faults: flip [bit] of the value written by dynamic
+   instruction [seq], or of memory word [addr] just before [seq] runs *)
+let flip_write ~seq bit = Machine.Write { seq; corruption = Machine.flip bit }
+
+let flip_mem ~seq ~addr bit =
+  Machine.Mem { seq; addr; corruption = Machine.flip bit }
+
 let run ?fault ?(iter_mark = -1) ?(budget = 10_000_000) prog =
   Machine.run prog { Machine.default_config with fault; iter_mark; budget }
 

@@ -1,8 +1,8 @@
 (* The packed access index against a naive reference: on traces of
    generated programs, every query [Access] answers — [accesses] and
    [fate] — at every event index must equal a forward scan of the trace
-   itself.  Rates, Weighted_rates, Dddg and Campaign.input_target all
-   rest on these answers. *)
+   itself.  Rates, Dddg and Campaign.input_target all rest on these
+   answers. *)
 
 (* per-location read/write flags by event index *)
 let flags (t : Trace.t) (loc : Loc.t) : bool array * bool array =

@@ -36,7 +36,7 @@ let test_count_rises_and_falls () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 3 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 3) in
   Alcotest.(check bool) "peak at least 2" true (acl.Acl.peak >= 2);
   Alcotest.(check int) "all corruption gone" 0 acl.Acl.final;
   Alcotest.(check bool) "overwrite deaths observed" true
@@ -60,7 +60,7 @@ let test_dcl_death () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 30 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 30) in
   Alcotest.(check bool) "dead death observed" true
     (List.exists (fun (d : Acl.death) -> d.Acl.d_cause = Acl.Dead)
        acl.Acl.deaths)
@@ -83,7 +83,7 @@ let test_shift_masking_event () =
     first_seq_of_op clean (fun e ->
         e.op = Trace.OStore && Array.length e.writes = 1)
   in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 1 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 1) in
   Alcotest.(check bool) "shift mask recorded" true
     (List.exists
        (fun (m : Acl.masking) -> m.Acl.m_kind = Acl.Shift_mask)
@@ -104,7 +104,7 @@ let test_trunc_masking_event () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 45 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 45) in
   Alcotest.(check bool) "trunc mask recorded" true
     (List.exists
        (fun (m : Acl.masking) -> m.Acl.m_kind = Acl.Trunc_mask)
@@ -126,7 +126,7 @@ let test_cond_masking_event () =
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
   (* bit 1: 100 -> 102, still > 10, same direction *)
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 1 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 1) in
   Alcotest.(check bool) "cond mask recorded" true
     (List.exists
        (fun (m : Acl.masking) -> m.Acl.m_kind = Acl.Cond_mask)
@@ -147,7 +147,7 @@ let test_print_masking_event () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 0 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 0) in
   Alcotest.(check bool) "print mask recorded" true
     (List.exists
        (fun (m : Acl.masking) -> m.Acl.m_kind = Acl.Print_mask)
@@ -176,7 +176,7 @@ let test_repeated_addition_event () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 40 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 40) in
   Alcotest.(check bool) "repeated-addition events recorded" true
     (List.exists
        (fun (m : Acl.masking) ->
@@ -205,7 +205,7 @@ let test_series_counts_nonnegative () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 20 }) in
+  let acl = analyze_with_fault prog (flip_write ~seq 20) in
   Array.iter
     (fun (_, c) -> Alcotest.(check bool) "count >= 0" true (c >= 0))
     acl.Acl.series;
@@ -252,7 +252,7 @@ let test_corrupted_index () =
     let _, clean = run_traced prog in
     (* bit 0 of the store of k: the faulty run indexes u[1] *)
     let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-    let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 0 }) in
+    let acl = analyze_with_fault prog (flip_write ~seq 0) in
     let u0 = global_loc prog "u" in
     ( acl.Acl.peak,
       List.filter_map
@@ -288,7 +288,7 @@ let test_read_after_divergence () =
     let _, clean = run_traced prog in
     (* bit 3 of the store of a: 5 becomes 13, and the branch flips *)
     let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-    let acl = analyze_with_fault prog (Machine.Flip_write { seq; bit = 3 }) in
+    let acl = analyze_with_fault prog (flip_write ~seq 3) in
     let z = global_loc prog "z" in
     ( acl.Acl.divergence,
       acl.Acl.final,
@@ -320,7 +320,7 @@ let test_dead_order () =
   in
   let _, clean = run_traced prog in
   let seq = first_seq_of_op clean (fun e -> e.op = Trace.OStore) in
-  let fault = Machine.Flip_write { seq; bit = 2 } in
+  let fault = flip_write ~seq 2 in
   let _, faulty = run_traced ~fault prog in
   let acl = Acl.analyze ~fault ~clean ~faulty () in
   let sub = ref (-1) in
@@ -356,7 +356,7 @@ let prop_series_well_formed =
     QCheck.(pair (int_bound 2000) (int_bound 63))
     (fun (seq, bit) ->
       let prog = compile (loop_program ~iters:4) in
-      let fault = Machine.Flip_write { seq; bit } in
+      let fault = flip_write ~seq bit in
       let _, clean = run_traced prog in
       let _, faulty = run_traced ~fault prog in
       let acl = Acl.analyze ~fault ~clean ~faulty () in

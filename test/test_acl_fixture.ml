@@ -10,34 +10,41 @@
 
 (* --- fault spelling ------------------------------------------------------- *)
 
+let masks_to_string (c : Machine.corruption) =
+  Printf.sprintf "%Ld:%Ld:%Ld" c.Machine.and_mask c.Machine.or_mask
+    c.Machine.xor_mask
+
 let fault_to_string : Machine.fault -> string = function
-  | Machine.Flip_write { seq; bit } -> Printf.sprintf "flip-write:%d:%d" seq bit
-  | Machine.Flip_mem { seq; addr; bit } ->
-      Printf.sprintf "flip-mem:%d:%d:%d" seq addr bit
-  | Machine.Mask_write { seq; and_mask; or_mask; xor_mask } ->
-      Printf.sprintf "mask-write:%d:%Ld:%Ld:%Ld" seq and_mask or_mask xor_mask
-  | Machine.Mask_mem { seq; addr; and_mask; or_mask; xor_mask } ->
-      Printf.sprintf "mask-mem:%d:%d:%Ld:%Ld:%Ld" seq addr and_mask or_mask
-        xor_mask
+  | Machine.Write { seq; corruption = c } -> (
+      match Machine.flipped_bit c with
+      | Some bit -> Printf.sprintf "flip-write:%d:%d" seq bit
+      | None -> Printf.sprintf "mask-write:%d:%s" seq (masks_to_string c))
+  | Machine.Mem { seq; addr; corruption = c } -> (
+      match Machine.flipped_bit c with
+      | Some bit -> Printf.sprintf "flip-mem:%d:%d:%d" seq addr bit
+      | None -> Printf.sprintf "mask-mem:%d:%d:%s" seq addr (masks_to_string c))
   | Machine.Cache_fault _ -> invalid_arg "fault_to_string: cache fault"
 
 let fault_of_string (s : string) : Machine.fault =
+  let masks a o x =
+    { Machine.and_mask = Int64.of_string a; or_mask = Int64.of_string o;
+      xor_mask = Int64.of_string x }
+  in
   match String.split_on_char ':' s with
   | [ "flip-write"; seq; bit ] ->
-      Machine.Flip_write { seq = int_of_string seq; bit = int_of_string bit }
+      Machine.Write
+        { seq = int_of_string seq;
+          corruption = Machine.flip (int_of_string bit) }
   | [ "flip-mem"; seq; addr; bit ] ->
-      Machine.Flip_mem
+      Machine.Mem
         { seq = int_of_string seq; addr = int_of_string addr;
-          bit = int_of_string bit }
+          corruption = Machine.flip (int_of_string bit) }
   | [ "mask-write"; seq; a; o; x ] ->
-      Machine.Mask_write
-        { seq = int_of_string seq; and_mask = Int64.of_string a;
-          or_mask = Int64.of_string o; xor_mask = Int64.of_string x }
+      Machine.Write { seq = int_of_string seq; corruption = masks a o x }
   | [ "mask-mem"; seq; addr; a; o; x ] ->
-      Machine.Mask_mem
+      Machine.Mem
         { seq = int_of_string seq; addr = int_of_string addr;
-          and_mask = Int64.of_string a; or_mask = Int64.of_string o;
-          xor_mask = Int64.of_string x }
+          corruption = masks a o x }
   | _ -> invalid_arg ("fault_of_string: " ^ s)
 
 (* --- canonical rendering -------------------------------------------------- *)
@@ -143,19 +150,20 @@ let fault_set (app : App.t) (clean : Trace.t) : (string * Machine.fault) list =
   let stuck =
     let v = snd bin.Trace.writes.(0) in
     let m = Int64.shift_left 1L 30 in
-    if Int64.equal (Int64.logand v m) 0L then
-      Machine.Mask_write
-        { seq = bin.Trace.seq; and_mask = -1L; or_mask = m; xor_mask = 0L }
-    else
-      Machine.Mask_write
-        { seq = bin.Trace.seq; and_mask = Int64.lognot m; or_mask = 0L;
-          xor_mask = 0L }
+    let corruption =
+      if Int64.equal (Int64.logand v m) 0L then
+        { Machine.and_mask = -1L; or_mask = m; xor_mask = 0L }
+      else { Machine.and_mask = Int64.lognot m; or_mask = 0L; xor_mask = 0L }
+    in
+    Machine.Write { seq = bin.Trace.seq; corruption }
   in
   let burst =
     let e = first (n / 4) (fun e -> Array.length e.Trace.writes > 0) in
-    Machine.Mask_write
-      { seq = e.Trace.seq; and_mask = -1L; or_mask = 0L;
-        xor_mask = Int64.shift_left 0b1011L 44 }
+    Machine.Write
+      { seq = e.Trace.seq;
+        corruption =
+          { and_mask = -1L; or_mask = 0L;
+            xor_mask = Int64.shift_left 0b1011L 44 } }
   in
   (* flip the low bit of a branch condition's producer *)
   let divergent =
@@ -163,7 +171,7 @@ let fault_set (app : App.t) (clean : Trace.t) : (string * Machine.fault) list =
       ~p:(is_op (function Trace.OBr _ -> true | _ -> false))
       ~fault_of:(fun pos e ->
         match writer_before clean pos (fst e.Trace.reads.(0)) with
-        | Some w -> Some (Machine.Flip_write { seq = w.Trace.seq; bit = 0 })
+        | Some w -> Some (Helpers.flip_write ~seq:w.Trace.seq 0)
         | None -> None)
       ~ok:(fun fault _ faulty ->
         (Acl.analyze ~fault ~clean ~faulty ()).Acl.divergence <> None)
@@ -174,15 +182,15 @@ let fault_set (app : App.t) (clean : Trace.t) : (string * Machine.fault) list =
       ~p:(is_op (function Trace.OLoad -> true | _ -> false))
       ~fault_of:(fun pos e ->
         match writer_before clean pos (fst e.Trace.reads.(0)) with
-        | Some w -> Some (Machine.Flip_write { seq = w.Trace.seq; bit = 62 })
+        | Some w -> Some (Helpers.flip_write ~seq:w.Trace.seq 62)
         | None -> None)
       ~ok:(fun _ (r : Machine.result) _ ->
         match r.Machine.outcome with Machine.Trapped _ -> true | _ -> false)
   in
   [
-    ("flip-write", Machine.Flip_write { seq = store.Trace.seq; bit = 20 });
+    ("flip-write", Helpers.flip_write ~seq:store.Trace.seq 20);
     ("flip-mem",
-      Machine.Flip_mem { seq = load.Trace.seq; addr = load_addr; bit = 51 });
+      Helpers.flip_mem ~seq:load.Trace.seq ~addr:load_addr 51);
     ("stuck-at", stuck);
     ("burst", burst);
     ("divergent", divergent);

@@ -140,7 +140,7 @@ let test_align_detects_corruption_and_masking () =
     (fun (e : Trace.event) ->
       if !store_seq < 0 && e.op = Trace.OStore then store_seq := e.seq)
     clean;
-  let fault = Machine.Flip_write { seq = !store_seq; bit = 5 } in
+  let fault = flip_write ~seq:!store_seq 5 in
   let _, faulty = run_traced ~fault prog in
   let w = Align.create ~fault ~clean () in
   let xloc = addr_of prog "x" in
@@ -175,7 +175,7 @@ let test_align_divergence () =
       | Trace.OBin Op.Eq when !cmp_seq < 0 -> cmp_seq := e.seq
       | _ -> ())
     clean;
-  let fault = Machine.Flip_write { seq = !cmp_seq; bit = 0 } in
+  let fault = flip_write ~seq:!cmp_seq 0 in
   let _, faulty = run_traced ~fault prog in
   let div =
     Align.drive (Align.create ~fault ~clean ()) (replay_of faulty) ignore
@@ -209,7 +209,7 @@ let test_align_misdirected_stores () =
           store_seq := e.seq
       | _ -> ())
     clean;
-  let fault = Machine.Flip_write { seq = !store_seq; bit = 0 } in
+  let fault = flip_write ~seq:!store_seq 0 in
   let faulty_r, faulty = run_traced ~fault prog in
   let w = Align.create ~fault ~clean () in
   if Align.drive w (replay_of faulty) ignore <> None then

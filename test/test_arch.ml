@@ -207,9 +207,7 @@ let test_compiled_rejects_cache_faults () =
         seq = 100;
         geom = Cache_model.default_geometry;
         loc = { Cache_model.set = 0; way = 0; field = Cache_model.Dirty };
-        and_mask = -1L;
-        or_mask = 0L;
-        xor_mask = 1L;
+        corruption = Machine.flip 0;
       }
   in
   Alcotest.(check bool) "unsupported" false

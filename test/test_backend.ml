@@ -48,18 +48,20 @@ let sample_faults (prog : Prog.t) ~(instructions : int) : Machine.fault list =
   let at k = k * (n - 1) / 7 in
   let addr = prog.Prog.mem_size / 2 in
   [
-    Machine.Flip_write { seq = at 1; bit = 5 };
-    Machine.Flip_write { seq = at 6; bit = 62 };
-    Machine.Flip_mem { seq = at 3; addr; bit = 17 };
-    Machine.Mask_write
-      { seq = at 4; and_mask = -1L; or_mask = 0L; xor_mask = 0xF0L };
-    Machine.Mask_mem
+    Helpers.flip_write ~seq:(at 1) 5;
+    Helpers.flip_write ~seq:(at 6) 62;
+    Helpers.flip_mem ~seq:(at 3) ~addr 17;
+    Machine.Write
+      {
+        seq = at 4;
+        corruption = { and_mask = -1L; or_mask = 0L; xor_mask = 0xF0L };
+      };
+    Machine.Mem
       {
         seq = at 5;
         addr;
-        and_mask = Int64.lognot 0xFFL;
-        or_mask = 1L;
-        xor_mask = 0L;
+        corruption =
+          { and_mask = Int64.lognot 0xFFL; or_mask = 1L; xor_mask = 0L };
       };
   ]
 
@@ -183,11 +185,9 @@ let test_reuse_after_memory_fault () =
   (* a corrupted word, a corrupted write, then a wild memory fault that
      traps mid-run: each leaves the domain's buffers dirty *)
   let size = prog.Prog.mem_size in
-  ignore (faulty (Machine.Flip_mem { seq = n / 10; addr = size / 2; bit = 40 }));
-  ignore (faulty (Machine.Flip_write { seq = n / 3; bit = 62 }));
-  let trapped =
-    faulty (Machine.Flip_mem { seq = n / 2; addr = size; bit = 1 })
-  in
+  ignore (faulty (Helpers.flip_mem ~seq:(n / 10) ~addr:(size / 2) 40));
+  ignore (faulty (Helpers.flip_write ~seq:(n / 3) 62));
+  let trapped = faulty (Helpers.flip_mem ~seq:(n / 2) ~addr:size 1) in
   Alcotest.(check string) "wild fault traps"
     (Printf.sprintf "trapped: segfault at address %d" size)
     (outcome_str trapped.Machine.outcome);
@@ -218,7 +218,7 @@ let test_alternating_mem_sizes () =
               Machine.default_config with
               budget;
               fault =
-                Some (Machine.Flip_mem { seq = n / 4; addr = 7; bit = 33 });
+                Some (Helpers.flip_mem ~seq:(n / 4) ~addr:7 33);
             } );
         ])
       [ ("IS@opt", is_opt); ("CG", cg) ]

@@ -198,19 +198,19 @@ let gen_program : Ast.stmt list QCheck.Gen.t =
 
 let is_float v = List.mem v fvars
 
-let run_both (stmts : Ast.stmt list) : (string * Value.t * Value.t) list =
-  let prog_ast : Ast.program =
+let program_of (body : Ast.stmt list) : Prog.t =
+  Compile.compile
     {
       Ast.globals =
         List.map (fun v -> Ast.DScalar (v, Ty.I64)) ivars
         @ List.map (fun v -> Ast.DScalar (v, Ty.F64)) fvars
         @ [ Ast.DScalar ("i", Ty.I64) ];
-      funs =
-        [ { Ast.fname = "main"; params = []; ret = None; locals = []; body = stmts } ];
+      funs = [ { Ast.fname = "main"; params = []; ret = None; locals = []; body } ];
       entry = "main";
     }
-  in
-  let prog = Compile.compile prog_ast in
+
+let run_both (stmts : Ast.stmt list) : (string * Value.t * Value.t) list =
+  let prog = program_of stmts in
   let r = Machine.run_plain ~budget:5_000_000 prog in
   (match r.Machine.outcome with
   | Machine.Finished -> ()
@@ -260,9 +260,89 @@ let test_fixed_program () =
       Alcotest.(check int64) name ref_value vm_value)
     (run_both stmts)
 
+(* --- interpreter = compiled backend under faults ---------------------------- *)
+
+(* a generated program with a mark after each statement and a final
+   print of every variable, so iteration counts and output can differ *)
+let observed_program (stmts : Ast.stmt list) : Prog.t * int =
+  let body =
+    List.concat_map (fun s -> [ s; Ast.SMark "step" ]) stmts
+    @ [
+        Ast.SPrint
+          ( "%d %d %d %d %.17g %.17g %.17g\n",
+            List.map (fun v -> Ast.Var v) (ivars @ fvars) );
+      ]
+  in
+  let prog = program_of body in
+  (prog, Prog.mark_id prog "step")
+
+let models =
+  [
+    Fault_model.Single_bit; Fault_model.Double_adjacent; Fault_model.Burst 4;
+    Fault_model.Burst 64; Fault_model.Stuck_at;
+  ]
+
+(* the memory words the fault-free run loads, with the seq of each
+   load: a memory fault at such a seq corrupts a value about to be read *)
+let loads (trace : Trace.t) : (int * int) array =
+  Trace.fold
+    (fun acc (e : Trace.event) ->
+      Array.fold_left
+        (fun acc (loc, _) ->
+          match loc with Loc.Mem a -> (e.Trace.seq, a) :: acc | Loc.Reg _ -> acc)
+        acc e.Trace.reads)
+    [] trace
+  |> Array.of_list
+
+(* every model's corruption of a written value at a random seq and of a
+   memory word just before a random load of it (or, for a program
+   without loads, any word at any seq): both backends must give the
+   same outcome, output, memory, instruction and iteration counts *)
+let prop_faulty_backends_agree =
+  QCheck.Test.make ~count:60
+    ~name:"interp = compiled under random write and memory corruptions"
+    (QCheck.make
+       ~print:(fun (stmts, seed) ->
+         Printf.sprintf "<%d statements, seed %d>" (List.length stmts) seed)
+       QCheck.Gen.(pair gen_program nat))
+    (fun (stmts, seed) ->
+      let prog, iter_mark = observed_program stmts in
+      let clean, trace = Machine.run_traced ~iter_mark prog in
+      let n = clean.Machine.instructions in
+      let loads = loads trace in
+      let plan = Compiled.plan_for prog in
+      let rng = Rng.create ~seed in
+      let agree fault =
+        let cfg =
+          { Machine.default_config with
+            iter_mark; fault = Some fault; budget = 20 * n }
+        in
+        let ri = Machine.run prog cfg and rc = Compiled.run plan cfg in
+        ri.Machine.outcome = rc.Machine.outcome
+        && String.equal ri.Machine.output rc.Machine.output
+        && Machine.mem_equal ri.Machine.mem rc.Machine.mem
+        && ri.Machine.instructions = rc.Machine.instructions
+        && ri.Machine.iterations = rc.Machine.iterations
+      in
+      List.for_all
+        (fun model ->
+          let corruption =
+            Fault_model.sample model rng ~bits:(1 + Rng.int rng 64)
+          in
+          let seq = Rng.int rng n in
+          let mseq, addr =
+            if Array.length loads = 0 then
+              (seq, Rng.int rng prog.Prog.mem_size)
+            else Rng.choose rng loads
+          in
+          agree (Machine.Write { seq; corruption })
+          && agree (Machine.Mem { seq = mseq; addr; corruption }))
+        models)
+
 let suite =
   ( "differential",
     [
       Alcotest.test_case "fixed program" `Quick test_fixed_program;
       QCheck_alcotest.to_alcotest prop_differential;
+      QCheck_alcotest.to_alcotest prop_faulty_backends_agree;
     ] )

@@ -36,7 +36,7 @@ let test_fig7_structure () =
   (* the fault sits in the targeted late iteration *)
   Alcotest.(check bool) "fault placed" true
     (match s.Experiments.as_fault with
-    | Machine.Flip_write { seq; _ } -> seq > 0
+    | Machine.Write { seq; _ } -> seq > 0
     | _ -> false)
 
 let test_table1_structure () =
@@ -102,7 +102,7 @@ let test_fig4_structure () =
 let test_facade_inject_and_analyze () =
   let report =
     Fliptracker.inject_and_analyze Is.app
-      (Machine.Flip_write { seq = 5_000; bit = 7 })
+      (Helpers.flip_write ~seq:5_000 7)
   in
   (match report.Fliptracker.outcome with
   | Machine.Finished | Machine.Trapped _ | Machine.Budget_exceeded -> ());

@@ -149,22 +149,19 @@ let prop_fault_model_confined =
         ]
       in
       let high = if bits >= 64 then 0L else Int64.shift_left (-1L) bits in
-      (* [apply_masks] is bitwise, so invariance on the all-zeros and
-         all-ones inputs implies invariance on every input *)
-      let confined ~and_mask ~or_mask ~xor_mask =
+      (* [Machine.corrupt] is bitwise, so invariance on the all-zeros
+         and all-ones inputs implies invariance on every input *)
+      let confined c =
         List.for_all
           (fun v ->
-            let v' = Machine.apply_masks v ~and_mask ~or_mask ~xor_mask in
+            let v' = Machine.corrupt c v in
             Int64.logand (Int64.logxor v v') high = 0L)
           [ 0L; -1L ]
       in
       List.for_all
         (fun model ->
           let rng = Rng.derive ~seed ~index in
-          match Fault_model.sample model rng ~bits with
-          | Fault_model.Bit b -> b >= 0 && b < bits
-          | Fault_model.Masks { and_mask; or_mask; xor_mask } ->
-              confined ~and_mask ~or_mask ~xor_mask)
+          confined (Fault_model.sample model rng ~bits))
         models)
 
 let prop_wilson_shrinks_with_trials =
@@ -359,8 +356,7 @@ let test_hang_classified_as_crashed () =
   in
   (* corrupt the loop bound mid-flight: bit 20 ~ a million iterations *)
   let fault =
-    Machine.Flip_mem
-      { seq = clean.Machine.instructions / 2; addr = n_addr; bit = 20 }
+    flip_mem ~seq:(clean.Machine.instructions / 2) ~addr:n_addr 20
   in
   let budget = 20 * clean.Machine.instructions in
   let outcome =

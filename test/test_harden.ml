@@ -117,7 +117,7 @@ let sdc_count (prog : Prog.t) ~(bit : int) : int =
       Machine.run prog
         {
           Machine.default_config with
-          fault = Some (Machine.Flip_write { seq; bit });
+          fault = Some (Helpers.flip_write ~seq bit);
           budget = 100 * n;
         }
     in

@@ -24,7 +24,7 @@ let test_align_with_crashing_fault () =
     (fun (e : Trace.event) ->
       if !seq < 0 && e.op = Trace.OBin Op.Add then seq := e.seq)
     clean;
-  let fault = Machine.Flip_write { seq = !seq; bit = 62 } in
+  let fault = flip_write ~seq:!seq 62 in
   let r, faulty = run_traced ~fault prog in
   (match r.Machine.outcome with
   | Machine.Trapped _ -> ()
@@ -54,7 +54,7 @@ let test_acl_reports_control_divergence_position () =
     (fun (e : Trace.event) ->
       if !seq < 0 && e.op = Trace.OStore then seq := e.seq)
     clean;
-  let fault = Machine.Flip_write { seq = !seq; bit = 63 } in
+  let fault = flip_write ~seq:!seq 63 in
   let _, faulty = run_traced ~fault prog in
   let acl = Acl.analyze ~fault ~clean ~faulty () in
   match acl.Acl.divergence with
@@ -107,7 +107,7 @@ let test_mg_region_tolerance_classification () =
       let addr =
         match List.hd inputs with Loc.Mem a -> a | Loc.Reg _ -> assert false
       in
-      let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 44 } in
+      let fault = flip_mem ~seq:entry_seq ~addr 44 in
       let replay f =
         ignore (App.replay_with_fault app fault ~budget:10_000_000 f)
       in
@@ -153,7 +153,7 @@ let test_facade_masked_fault_verifies () =
   let e = Trace.get trace 0 in
   let report =
     Fliptracker.inject_and_analyze app
-      (Machine.Flip_write { seq = e.Trace.seq; bit = 0 })
+      (flip_write ~seq:e.Trace.seq 0)
   in
   Alcotest.(check bool) "printable" true
     (String.length (Fmt.str "%a" Fliptracker.pp_injection_report report) > 10)

@@ -109,7 +109,7 @@ let test_svg_export () =
 let test_events_csv () =
   let prog = compile (two_region_program ()) in
   let _, clean = run_traced prog in
-  let fault = Machine.Flip_write { seq = 10; bit = 7 } in
+  let fault = flip_write ~seq:10 7 in
   let _, faulty = run_traced ~fault prog in
   let acl = Acl.analyze ~fault ~clean ~faulty () in
   let csv = Export.events_to_csv acl in

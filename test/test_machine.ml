@@ -123,7 +123,7 @@ let test_flip_write_changes_result () =
       match e.op with Trace.OBin Op.Add -> seq := e.seq | _ -> ())
     t;
   Alcotest.(check bool) "found the add" true (!seq >= 0);
-  let r = run ~fault:(Machine.Flip_write { seq = !seq; bit = 4 }) prog in
+  let r = run ~fault:(flip_write ~seq:!seq 4) prog in
   Alcotest.(check int) "flipped bit 4 of 11" (11 lxor 16) (mem_int prog r "r")
 
 let test_flip_mem () =
@@ -147,12 +147,12 @@ let test_flip_mem () =
       if !store_seq < 0 && e.op = Trace.OStore then store_seq := e.seq)
     t;
   let r =
-    run ~fault:(Machine.Flip_mem { seq = !store_seq + 1; addr; bit = 1 }) prog
+    run ~fault:(flip_mem ~seq:(!store_seq + 1) ~addr 1) prog
   in
   Alcotest.(check int) "memory flip propagates" 3 (mem_int prog r "r")
 
 let test_single_fault_applied_once () =
-  (* a Flip_write at a seq executed once must not fire again *)
+  (* a write fault at a seq executed once must not fire again *)
   let prog =
     let open Ast in
     compile
@@ -164,7 +164,7 @@ let test_single_fault_applied_once () =
          ])
   in
   let clean = run prog in
-  let faulty = run ~fault:(Machine.Flip_write { seq = max_int; bit = 0 }) prog in
+  let faulty = run ~fault:(flip_write ~seq:max_int 0) prog in
   Alcotest.(check int) "out-of-range seq is inert" (mem_int prog clean "s")
     (mem_int prog faulty "s")
 
@@ -252,7 +252,7 @@ let test_seq_parity_traced_untraced () =
   List.iteri
     (fun i seq ->
       if i < 5 then begin
-        let fault = Machine.Flip_write { seq; bit = 3 } in
+        let fault = flip_write ~seq 3 in
         let ft, _ = App.trace_with_fault app fault ~budget in
         let fu =
           Machine.run prog
@@ -299,9 +299,32 @@ let prop_faults_always_classified =
     QCheck.(pair (int_bound 5_000) (int_bound 63))
     (fun (seq, bit) ->
       let prog = compile (loop_program ~iters:4) in
-      let r = run ~fault:(Machine.Flip_write { seq; bit }) prog in
+      let r = run ~fault:(flip_write ~seq bit) prog in
       match r.Machine.outcome with
       | Machine.Finished | Machine.Trapped _ | Machine.Budget_exceeded -> true)
+
+(* property: the single-bit corruption is exactly [Value.flip_bit] *)
+let prop_flip_is_flip_bit =
+  QCheck.Test.make ~count:500 ~name:"corrupt (flip b) v = Value.flip_bit v b"
+    QCheck.(pair int64 (int_bound 63))
+    (fun (v, b) ->
+      Int64.equal (Machine.corrupt (Machine.flip b) v) (Value.flip_bit v b))
+
+(* property: [flip] refuses every bit outside [0, 63]; the neighbours
+   -1 and 64 are each drawn a quarter of the time *)
+let prop_flip_refuses_out_of_range =
+  QCheck.Test.make ~count:200 ~name:"flip refuses bits outside 0-63"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [
+             return (-1); return 64;
+             map (fun k -> -1 - k) nat; map (fun k -> 64 + k) nat;
+           ]))
+    (fun b ->
+      match Machine.flip b with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
 
 let suite =
   ( "machine",
@@ -325,4 +348,6 @@ let suite =
       Alcotest.test_case "seq parity traced/untraced" `Quick
         test_seq_parity_traced_untraced;
       QCheck_alcotest.to_alcotest prop_faults_always_classified;
+      QCheck_alcotest.to_alcotest prop_flip_is_flip_bit;
+      QCheck_alcotest.to_alcotest prop_flip_refuses_out_of_range;
     ] )

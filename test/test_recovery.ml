@@ -39,21 +39,25 @@ let test_model_sampling_is_deterministic () =
 
 let test_single_bit_sampling_matches_historical () =
   (* the default model must consume the RNG exactly as the historical
-     code did: one site draw, one bit draw, a Flip_write *)
+     code did: one site draw, one bit draw, a write fault whose mask is
+     one xor bit *)
   let prog = Helpers.compile (Helpers.two_region_program ()) in
   let _, trace = Helpers.run_traced prog in
   let target = Campaign.whole_program_target prog trace in
   let rng = Rng.derive ~seed:11 ~index:0 in
   let fault = Campaign.sample_fault rng target in
   (match fault with
-  | Machine.Flip_write _ -> ()
+  | Machine.Write { corruption; _ }
+    when Machine.flipped_bit corruption <> None ->
+      ()
   | f ->
-      Alcotest.failf "single-bit sampled %s, not a Flip_write"
+      Alcotest.failf
+        "single-bit sampled %s, not a write fault whose mask is one xor bit"
         (Machine.fault_to_string f));
   (* site selection is shared across models: the same stream picks the
      same dynamic site under every model *)
   let seq_of = function
-    | Machine.Flip_write { seq; _ } | Machine.Mask_write { seq; _ } -> seq
+    | Machine.Write { seq; _ } -> seq
     | f -> Alcotest.failf "unexpected fault %s" (Machine.fault_to_string f)
   in
   let base = seq_of (Campaign.sample_fault (Rng.derive ~seed:11 ~index:5) target) in

@@ -26,10 +26,12 @@ let cases (name : string) (clean : Trace.t) =
   let f = fixture_fault name in
   let mask_mem =
     match f "flip-mem" with
-    | Machine.Flip_mem { seq; addr; _ } ->
-        Machine.Mask_mem
-          { seq; addr; and_mask = -1L; or_mask = 0L;
-            xor_mask = Int64.shift_left 0b1011L 44 }
+    | Machine.Mem { seq; addr; _ } ->
+        Machine.Mem
+          { seq; addr;
+            corruption =
+              { and_mask = -1L; or_mask = 0L;
+                xor_mask = Int64.shift_left 0b1011L 44 } }
     | _ -> Alcotest.fail "the fixture's flip-mem fault is not a memory flip"
   in
   [

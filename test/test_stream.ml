@@ -36,7 +36,7 @@ let mid_write_fault (clean : Trace.t) : Machine.fault =
         seq := e.seq)
     clean;
   Alcotest.(check bool) "found a writing site" true (!seq >= 0);
-  Machine.Flip_write { seq = !seq; bit = 40 }
+  flip_write ~seq:!seq 40
 
 (* ACL over trace files in both encodings, read back with
    [Trace_io.load], equals the analysis of the in-memory traces *)

@@ -31,7 +31,7 @@ let test_case1_masked () =
   let x = addr_of prog "x" and out = addr_of prog "out" in
   let entry_seq = (Trace.get clean lo).Trace.seq in
   let addr = match x with Loc.Mem a -> a | Loc.Reg _ -> assert false in
-  let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 2 } in
+  let fault = flip_mem ~seq:entry_seq ~addr 2 in
   let _, faulty = run_traced ~fault prog in
   let replay f = Trace.iter f faulty in
   match
@@ -75,7 +75,7 @@ let test_case2_diminished () =
   let addr = match x with Loc.Mem a -> a | Loc.Reg _ -> assert false in
   let entry_seq = (Trace.get clean lo).Trace.seq in
   (* mantissa corruption: 8.0 -> 8+eps *)
-  let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 44 } in
+  let fault = flip_mem ~seq:entry_seq ~addr 44 in
   let _, faulty = run_traced ~fault prog in
   let replay f = Trace.iter f faulty in
   match
@@ -104,7 +104,7 @@ let test_propagated () =
   let x = addr_of prog "x" in
   let addr = match x with Loc.Mem a -> a | Loc.Reg _ -> assert false in
   let entry_seq = (Trace.get clean lo).Trace.seq in
-  let fault = Machine.Flip_mem { seq = entry_seq; addr; bit = 40 } in
+  let fault = flip_mem ~seq:entry_seq ~addr 40 in
   let _, faulty = run_traced ~fault prog in
   let replay f = Trace.iter f faulty in
   match
@@ -142,7 +142,7 @@ let test_magnitude_by_iteration_decreasing () =
     | Some s -> s.Prog.sym_addr
     | None -> Alcotest.fail "no x"
   in
-  let fault = Machine.Flip_mem { seq = 10; addr; bit = 48 } in
+  let fault = flip_mem ~seq:10 ~addr 48 in
   let _, faulty = run_traced ~iter_mark ~fault prog in
   let replay f = Trace.iter f faulty in
   let rows = Tolerance.magnitude_by_iteration ~fault ~clean ~replay ~addr () in

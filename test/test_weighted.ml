@@ -53,7 +53,9 @@ let test_compute_bounds () =
   List.iter
     (fun (app : App.t) ->
       let _, trace = App.trace app in
-      let w = Weighted_rates.compute trace (Access.build trace) in
+      let w =
+        Weighted_rates.compute trace (Rates.compute trace (Access.build trace))
+      in
       Array.iter
         (fun x ->
           Alcotest.(check bool)
@@ -69,7 +71,7 @@ let test_weighted_le_unweighted () =
   let _, trace = App.trace Dc.app in
   let access = Access.build trace in
   let u = Rates.compute trace access in
-  let w = Weighted_rates.compute trace access in
+  let w = Weighted_rates.compute trace u in
   Alcotest.(check bool) "shift" true (w.Weighted_rates.w_shift <= u.Rates.shift +. 1e-12);
   Alcotest.(check bool) "truncation" true
     (w.Weighted_rates.w_truncation <= u.Rates.truncation +. 1e-12)
@@ -87,7 +89,7 @@ let test_shifty_program_weights () =
          ])
   in
   let _, t = run_traced prog in
-  let w = Weighted_rates.compute t (Access.build t) in
+  let w = Weighted_rates.compute t (Rates.compute t (Access.build t)) in
   (* two shifts: 12/32 + 1/32 over the instruction count *)
   Alcotest.(check bool) "positive" true (w.Weighted_rates.w_shift > 0.0);
   Alcotest.(check (float 1e-9)) "weighted sum"
