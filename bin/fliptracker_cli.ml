@@ -41,6 +41,13 @@ let find_app name =
       Printf.eprintf "%s\n" msg;
       exit 2
 
+(* worker domains: refused below one, like a negative --trials *)
+let check_jobs (cmd : string) (jobs : int) : unit =
+  if jobs < 1 then begin
+    Printf.eprintf "%s: --jobs %d is below 1\n" cmd jobs;
+    exit 2
+  end
+
 (* enum-ish converters that answer a typo with the Registry's
    did-you-mean helper instead of a bare "invalid value" *)
 let enumish_conv ~what ~candidates ~(of_string : string -> ('a, string) result)
@@ -263,6 +270,25 @@ let trace_cmd =
 
 (* --- inject ------------------------------------------------------------ *)
 
+(* the fault-free run's events at [seq]: the instruction's own and, for
+   a call, the return-value write that follows the callee's events *)
+let clean_events (app : App.t) (seq : int) : Trace.event list =
+  let events = ref [] in
+  let sink (e : Trace.event) =
+    if e.Trace.seq = seq then events := e :: !events
+    else if e.Trace.seq > seq then
+      (* past [seq]: done, unless a call made at [seq] has not returned *)
+      match List.rev !events with
+      | { Trace.op = Trace.OCall; act; _ } :: _ when e.Trace.act <> act -> ()
+      | _ -> raise Exit
+  in
+  (try
+     ignore
+       (Machine.run_sink ~iter_mark:(App.iter_mark app) ~sink
+          (App.program app))
+   with Exit -> ());
+  List.rev !events
+
 let inject_cmd =
   let seq =
     Arg.(value & opt int 10_000 & info [ "seq" ] ~docv:"N"
@@ -289,6 +315,16 @@ let inject_cmd =
         seq app.App.name n;
       exit 2
     end;
+    (* a Write fault fires only on an instruction that writes *)
+    (match clean_events app seq with
+    | first :: _ as events
+      when List.for_all (fun e -> Array.length e.Trace.writes = 0) events ->
+        Fmt.epr
+          "inject: --seq %d writes nothing: the fault-free run's instruction \
+           %d in %s is %a, so the fault would never fire@."
+          seq seq app.App.name Trace.pp_opclass first.Trace.op;
+        exit 2
+    | _ -> ());
     let report =
       Fliptracker.inject_and_analyze app (Machine.Write { seq; corruption })
     in
@@ -382,6 +418,7 @@ let campaign_cmd =
         Printf.eprintf "campaign: --trials %d is negative\n" n;
         exit 2
     | Some _ | None -> ());
+    check_jobs "campaign" jobs;
     if
       structure <> Structure.Reg
       && (region <> None || func <> None || memory_during <> None
@@ -1077,6 +1114,7 @@ let arch_campaign_cmd =
   in
   let run name trials seed jobs structures geom backend csv =
     let app = find_app name in
+    check_jobs "arch-campaign" jobs;
     let r =
       Arch_eval.evaluate ~seed ~trials ~structures ~geom ~backend ~jobs app
     in

@@ -13,9 +13,12 @@
    [ft_dev acl-parity [APP...]] checks streamed ACL analysis (one run
    of the faulty program into a sink) against stored traces (see
    [acl_parity]).
+   [ft_dev ckpt-parity [APP...]] checks checkpointed compiled trials
+   against the interpreter (see [ckpt_parity]).
    [ft_dev alloc-gate] prints the minor words a compiled IS@opt trial
-   and a mined LULESH injection allocate and exits nonzero when either
-   drifts from its checked-in value (see [alloc_gate]). *)
+   allocates, the instructions it executes, and the minor words a mined
+   LULESH injection allocates, and exits nonzero when any drifts from
+   its checked-in value (see [alloc_gate]). *)
 
 let dedup_apps (apps : App.t list) : App.t list =
   let seen = Hashtbl.create 16 in
@@ -163,16 +166,21 @@ let trial_cost name =
    the code path, unlike wall time on a shared runner, so CI gates on
    them: each reading has a checked-in value, and a change that moves
    it by more than [alloc_gate_tolerance] must update it (and say why).
-   Both readings run on one domain and count the words allocated inside
-   the measured calls only.
+   Every reading runs on one domain and counts inside the measured
+   calls only.
    - Trials: perfbench's trial-kernel replay, [Rng.derive] +
      [Campaign.sample_fault] + [Campaign.run_one_with] on the compiled
-     IS@opt plan, over the first [alloc_gate_trials] trials.
+     IS@opt plan, over the first [alloc_gate_trials] trials: the minor
+     words they allocate and the instructions they execute
+     ([Compiled.executed], the two clean runs that record the plan's
+     checkpoints included).  Run from instruction 0 to the end, these
+     trials would execute 126,007 instructions each.
    - Mining: [Experiments.replay_acl] on LULESH over the faults
      [acl-parity] draws ([seeded_faults]): one streamed faulty run and
      its ACL analysis per injection, so a second run of the faulty
      program or an index of it per injection shows up here. *)
-let alloc_gate_words = 13_399.
+let alloc_gate_words = 1_634.
+let alloc_gate_executed = 28_718.
 let alloc_gate_mining_words = 9_764_131.
 let alloc_gate_tolerance = 0.05
 let alloc_gate_trials = 128
@@ -212,6 +220,7 @@ let alloc_gate () =
     words := !words +. (Gc.minor_words () -. w0);
     r
   in
+  let executed0 = Compiled.executed () in
   for i = 0 to alloc_gate_trials - 1 do
     let fault =
       Campaign.sample_fault (Rng.derive ~seed:cfg.Campaign.seed ~index:i) target
@@ -226,6 +235,17 @@ let alloc_gate () =
         (Printf.sprintf "IS@opt, first %d trials, one domain" alloc_gate_trials)
       ~measured:(!words /. float_of_int alloc_gate_trials)
       ~pinned:alloc_gate_words
+  in
+  let executed_ok =
+    alloc_reading "vm.compiled.executed_per_trial"
+      ~what:
+        (Printf.sprintf
+           "IS@opt, first %d trials, checkpoint recording included"
+           alloc_gate_trials)
+      ~measured:
+        (float_of_int (Compiled.executed () - executed0)
+        /. float_of_int alloc_gate_trials)
+      ~pinned:alloc_gate_executed
   in
   let app = Registry.find "LULESH" in
   let c = Experiments.context app in
@@ -243,7 +263,7 @@ let alloc_gate () =
       ~measured:(!words /. float_of_int (List.length faults))
       ~pinned:alloc_gate_mining_words
   in
-  if not (trials_ok && mining_ok) then begin
+  if not (trials_ok && executed_ok && mining_ok) then begin
     Printf.printf
       "alloc-gate: FAILED (update the checked-in value in bin/ft_dev.ml if \
        the change is intended)\n";
@@ -668,6 +688,93 @@ let seq_parity (names : string list) =
     exit 1
   end
 
+(* [ft_dev ckpt-parity [APP...] [--trials N]] — the checkpoint gate.
+   For each app, N faults (alternately a whole-program register fault
+   drawn as campaigns draw them and a memory fault just before a load
+   of the corrupted word, seed 5) run on a fresh compiled plan, which
+   starts each trial at the last clean snapshot before its fault and
+   stops it once its state rejoins the clean run, and on the
+   interpreter, which runs every trial from instruction 0.  Prints the
+   share of the trials' instructions the compiled runs executed
+   (recording the snapshots included) and exits nonzero unless outcome,
+   output, final memory, instruction and iteration counts all agree.
+   Defaults to IS@opt, CG and MG at 300 trials. *)
+let ckpt_parity (names : string list) ~(trials : int) =
+  let failed = ref 0 in
+  List.iter
+    (fun name ->
+      let app =
+        match Fliptracker.resolve_app name with
+        | Ok a -> a
+        | Error msg ->
+            Printf.eprintf "ckpt-parity: %s\n" msg;
+            exit 2
+      in
+      let prog = App.program app in
+      let iter_mark = App.iter_mark app in
+      let clean, trace = App.trace app in
+      let target = Campaign.whole_program_target prog trace in
+      let loads =
+        Trace.fold
+          (fun acc (e : Trace.event) ->
+            Array.fold_left
+              (fun acc (loc, _) ->
+                match loc with
+                | Loc.Mem a -> (e.Trace.seq, a) :: acc
+                | Loc.Reg _ -> acc)
+              acc e.Trace.reads)
+          [] trace
+        |> Array.of_list
+      in
+      let budget = 20 * max 1 clean.Machine.instructions in
+      let plan = Compiled.compile prog in
+      let rng = Rng.create ~seed:5 in
+      let executed = ref 0 and instructions = ref 0 and bad = ref 0 in
+      for i = 0 to trials - 1 do
+        let fault =
+          if i mod 2 = 0 || Array.length loads = 0 then
+            Campaign.sample_fault rng target
+          else
+            let seq, addr = Rng.choose rng loads in
+            Machine.Mem
+              { seq; addr; corruption = Machine.flip (Rng.int rng 64) }
+        in
+        let cfg =
+          { Machine.default_config with iter_mark; budget; fault = Some fault }
+        in
+        let ri = Machine.run prog cfg in
+        let e0 = Compiled.executed () in
+        let rc = Compiled.run plan cfg in
+        executed := !executed + (Compiled.executed () - e0);
+        instructions := !instructions + ri.Machine.instructions;
+        if
+          not
+            (ri.Machine.outcome = rc.Machine.outcome
+            && String.equal ri.Machine.output rc.Machine.output
+            && ri.Machine.instructions = rc.Machine.instructions
+            && ri.Machine.iterations = rc.Machine.iterations
+            && Machine.mem_equal ri.Machine.mem rc.Machine.mem)
+        then begin
+          incr bad;
+          Printf.printf "ckpt-parity: %-10s FAILED (%s)\n" name
+            (Machine.fault_to_string fault)
+        end
+      done;
+      failed := !failed + !bad;
+      Printf.printf
+        "ckpt-parity: %-10s %s (%d trials; compiled executed %.1f%% of their \
+         %d instructions)\n"
+        name
+        (if !bad = 0 then "OK" else "checked")
+        trials
+        (100. *. float_of_int !executed /. float_of_int (max 1 !instructions))
+        !instructions)
+    names;
+  if !failed > 0 then begin
+    Printf.printf "ckpt-parity: %d trial(s) FAILED\n" !failed;
+    exit 1
+  end
+
 (* [ft_dev acl-parity [APP...]] — the replay gate for ACL analysis.
    For each app, eight whole-program faults drawn from seed 11 are
    analyzed both ways: from a stored faulty trace ([App.trace_with_fault]
@@ -774,6 +881,16 @@ let () =
         ~tenants:(max 1 !tenants) ~kills:!kills ~trials:!trials
   | _ :: "seq-parity" :: rest ->
       seq_parity (match rest with [] -> [ "kmeans"; "kmeans@opt" ] | l -> l)
+  | _ :: "ckpt-parity" :: rest ->
+      let trials = ref 300 and names = ref [] in
+      let rec parse = function
+        | [] -> ()
+        | "--trials" :: n :: r -> trials := int_of_string n; parse r
+        | n :: r -> names := n :: !names; parse r
+      in
+      parse rest;
+      ckpt_parity ~trials:!trials
+        (match List.rev !names with [] -> [ "IS@opt"; "CG"; "MG" ] | l -> l)
   | _ :: "acl-parity" :: rest ->
       acl_parity (match rest with [] -> [ "LULESH" ] | l -> l)
   | _ :: "sites" :: _ -> sites ()

@@ -141,8 +141,8 @@ let run_one_with (run : Machine.config -> Machine.result) ~(budget : int)
     classifies as Recovered: correct output, but not naturally so.
     [backend] picks the execution engine; the compiled default is
     count- and outcome-identical to the interpreter, and a [Rollback]
-    policy falls back to the interpreter automatically (checkpointing
-    is interpreter-only machinery). *)
+    policy falls back to the interpreter automatically (recovery
+    rollback is interpreter-only machinery). *)
 let run_one ?(backend = Backend.default) (prog : Prog.t) ~(budget : int)
     ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
     ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class

@@ -6,9 +6,12 @@
     interpreter wherever it applies and several times faster per
     trial — and it degrades to the interpreter {e per run} whenever a
     configuration needs interpreter-only machinery (tracing, sinks,
-    MPI hooks, checkpoint/rollback), so callers can pick a backend
-    once and attach a trace or recovery policy later without breaking
-    anything. *)
+    MPI hooks, recovery rollback, cache faults), so callers can pick a
+    backend once and attach a trace or recovery policy later without
+    breaking anything.  The compiled backend's own trial checkpoints
+    (start at the last clean snapshot before the fault, stop once the
+    state rejoins the clean run) are not rollback: they apply to every
+    compiled fault trial without a [tick] and change no result. *)
 
 type t = Interp | Compiled
 

@@ -1,7 +1,8 @@
 (** Execution-backend selection: the interpreter ({!Machine.run}) or
     the closure-compiled backend ({!Compiled}), with automatic per-run
     fallback to the interpreter for configurations the compiled
-    backend does not support (tracing, sinks, MPI hooks, recovery). *)
+    backend does not support (tracing, sinks, MPI hooks, recovery
+    rollback, cache faults). *)
 
 type t = Interp | Compiled
 

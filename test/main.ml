@@ -10,6 +10,7 @@ let () =
       Test_compile.suite;
       Test_machine.suite;
       Test_backend.suite;
+      Test_checkpoint.suite;
       Test_trace.suite;
       Test_static.suite;
       Test_analysis.suite;

@@ -297,7 +297,8 @@ let loads (trace : Trace.t) : (int * int) array =
 (* every model's corruption of a written value at a random seq and of a
    memory word just before a random load of it (or, for a program
    without loads, any word at any seq): both backends must give the
-   same outcome, output, memory, instruction and iteration counts *)
+   same outcome, output, memory, instruction and iteration counts.  The
+   compiled runs start from, and compare against, clean snapshots *)
 let prop_faulty_backends_agree =
   QCheck.Test.make ~count:60
     ~name:"interp = compiled under random write and memory corruptions"
@@ -312,11 +313,9 @@ let prop_faulty_backends_agree =
       let loads = loads trace in
       let plan = Compiled.plan_for prog in
       let rng = Rng.create ~seed in
+      let base = { Machine.default_config with iter_mark; budget = 20 * n } in
       let agree fault =
-        let cfg =
-          { Machine.default_config with
-            iter_mark; fault = Some fault; budget = 20 * n }
-        in
+        let cfg = { base with fault = Some fault } in
         let ri = Machine.run prog cfg and rc = Compiled.run plan cfg in
         ri.Machine.outcome = rc.Machine.outcome
         && String.equal ri.Machine.output rc.Machine.output
@@ -324,20 +323,23 @@ let prop_faulty_backends_agree =
         && ri.Machine.instructions = rc.Machine.instructions
         && ri.Machine.iterations = rc.Machine.iterations
       in
-      List.for_all
-        (fun model ->
-          let corruption =
-            Fault_model.sample model rng ~bits:(1 + Rng.int rng 64)
-          in
-          let seq = Rng.int rng n in
-          let mseq, addr =
-            if Array.length loads = 0 then
-              (seq, Rng.int rng prog.Prog.mem_size)
-            else Rng.choose rng loads
-          in
-          agree (Machine.Write { seq; corruption })
-          && agree (Machine.Mem { seq = mseq; addr; corruption }))
-        models)
+      (* the compiled runs restore from, and compare with, at least two
+         snapshots past seq 0 *)
+      Array.length (Compiled.checkpoint_seqs plan base) >= 3
+      && List.for_all
+           (fun model ->
+             let corruption =
+               Fault_model.sample model rng ~bits:(1 + Rng.int rng 64)
+             in
+             let seq = Rng.int rng n in
+             let mseq, addr =
+               if Array.length loads = 0 then
+                 (seq, Rng.int rng prog.Prog.mem_size)
+               else Rng.choose rng loads
+             in
+             agree (Machine.Write { seq; corruption })
+             && agree (Machine.Mem { seq = mseq; addr; corruption }))
+           models)
 
 let suite =
   ( "differential",
