@@ -379,11 +379,6 @@ let campaign_cmd =
     Arg.(value & flag & info [ "resume" ]
            ~doc:"Resume from --journal, skipping already-journaled trials.")
   in
-  let watchdog =
-    Arg.(value & opt (some float) None & info [ "watchdog" ] ~docv:"S"
-           ~doc:"Per-trial wall-clock deadline in seconds (supplements the \
-                 instruction budget; a tripped watchdog counts as Crashed).")
-  in
   let early_stop =
     Arg.(value & flag & info [ "early-stop" ]
            ~doc:"Stop once the Wilson interval on the success rate is within \
@@ -410,7 +405,7 @@ let campaign_cmd =
                    site's instruction was deleted).")
   in
   let run name region kind func memory_during vars trials seed jobs journal
-      resume watchdog early_stop model recovery metrics opt_spec site_level
+      resume early_stop model recovery metrics opt_spec site_level
       backend structure geom =
     let base_app = find_app name in
     (match trials with
@@ -471,7 +466,6 @@ let campaign_cmd =
         jobs;
         journal;
         resume;
-        watchdog_s = watchdog;
         early_stop;
         on_progress = Some progress;
         metrics = (if metrics then Some obs else None);
@@ -583,9 +577,9 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Run a fault-injection campaign on the resilient executor \
-          (parallel workers, journal + resume, watchdog, early stopping).")
+          (parallel workers, journal + resume, early stopping).")
     Term.(const run $ app_arg $ region $ kind $ func $ memory_during $ vars
-          $ trials $ seed $ jobs $ journal $ resume $ watchdog $ early_stop
+          $ trials $ seed $ jobs $ journal $ resume $ early_stop
           $ fault_model_arg $ recover_arg $ metrics_arg $ opt_spec
           $ site_level $ backend_arg $ structure_arg $ geom_arg)
 

@@ -529,7 +529,10 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
         s.Sched.ts_state s.Sched.ts_completed s.Sched.ts_planned
         s.Sched.ts_leases s.Sched.ts_steals)
     (Sched.stats eng);
-  List.iter (fun (k, v) -> Printf.printf "  %-28s %d\n" k v) (Obs.counters obs);
+  (* by name: first-use order depends on which worker spoke first *)
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)
+    (List.sort compare (Obs.counters obs));
   let failures = ref 0 in
   let fail fmt = Printf.ksprintf (fun m -> incr failures; print_endline m) fmt in
   let killed =

@@ -28,8 +28,8 @@
     {- analyses: {!Region}, {!Access}, {!Align}, {!Acl}, {!Dddg},
        {!Tolerance}}
     {- fault injection: {!Rng}, {!Stats}, {!Campaign}}
-    {- resilient execution: {!Csexp}, {!Journal}, {!Watchdog}, {!Pool},
-       {!Executor}}
+    {- resilient execution: {!Csexp}, {!Journal}, {!Pool}, {!Executor},
+       and {!Watchdog}'s worker deadlines for the campaign server}
     {- patterns: {!Pattern}, {!Static_detect}, {!Dynamic_detect},
        {!Rates}}
     {- prediction: {!Linalg}, {!Regression}}
@@ -111,8 +111,8 @@ let inject_and_analyze (app : App.t) (fault : Machine.fault) :
 (** Success rate of [app] under uniform whole-program injection, with
     the full execution provenance (planned vs completed trials, early
     stopping, resume, wall time).  [exec] selects the resilient
-    executor's knobs: worker domains, journal + resume, wall-clock
-    watchdog, early stopping. *)
+    executor's knobs: worker domains, journal + resume, early
+    stopping. *)
 let measure_resilience_report ?(cfg = Campaign.default_config)
     ?(exec = Campaign.default_exec) (app : App.t) : Campaign.run_report =
   let clean, trace = App.trace app in

@@ -8,7 +8,8 @@
     [Liveness]/[Verify]/[Vuln]; analyses: [Region]/[Access]/[Align]/[Acl]/
     [Dddg]/[Tolerance]/[Trace_io]/[Export]; faults:
     [Rng]/[Stats]/[Campaign]; resilient execution:
-    [Csexp]/[Journal]/[Watchdog]/[Pool]/[Executor]; patterns:
+    [Csexp]/[Journal]/[Pool]/[Executor], [Watchdog] (the campaign
+    server's worker deadlines); patterns:
     [Pattern]/[Static_detect]/
     [Dynamic_detect]/[Rates]/[Weighted_rates]; prediction:
     [Linalg]/[Regression]; benchmarks: [App]/[Registry]; MPI:
@@ -38,7 +39,7 @@ val inject_and_analyze : App.t -> Machine.fault -> injection_report
 val measure_resilience_report :
   ?cfg:Campaign.config -> ?exec:Campaign.exec -> App.t -> Campaign.run_report
 (** Whole-program campaign on the resilient executor ([exec]: worker
-    domains, journal + resume, wall-clock watchdog, early stopping),
+    domains, journal + resume, early stopping),
     with the execution provenance alongside the counts. *)
 
 val measure_resilience :

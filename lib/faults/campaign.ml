@@ -102,53 +102,45 @@ let machine_recover = function
     the corruption already lives in the (mutated) program the runner
     was resolved for, so the run itself is fault-free. *)
 let classify_run (run : Machine.config -> Machine.result) ~(budget : int)
-    ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
-    ~(verify : Machine.result -> bool) (fault : Machine.fault option) :
-    outcome_class =
-  let tick = Option.map (fun w () -> Watchdog.check w) watchdog in
-  match
+    ?(recovery = No_recovery) ~(verify : Machine.result -> bool)
+    (fault : Machine.fault option) : outcome_class =
+  let r =
     run
       {
         Machine.default_config with
         budget;
         fault;
-        tick;
         recover = machine_recover recovery;
       }
-  with
-  | r -> (
-      match r.outcome with
-      | Machine.Finished ->
-          if not (verify r) then Failed
-          else if r.restores > 0 then Recovered
-          else Success
-      | Machine.Trapped _ | Machine.Budget_exceeded -> Crashed)
-  | exception Watchdog.Timeout _ -> Crashed
+  in
+  match r.outcome with
+  | Machine.Finished ->
+      if not (verify r) then Failed
+      else if r.restores > 0 then Recovered
+      else Success
+  | Machine.Trapped _ | Machine.Budget_exceeded -> Crashed
 
 (** {!classify_run} with a mandatory VM fault: the historical kernel
     {!trial_fun} classifies register/memory-surface trials through. *)
 let run_one_with (run : Machine.config -> Machine.result) ~(budget : int)
-    ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
-    ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class
-    =
-  classify_run run ~budget ?watchdog ~recovery ~verify (Some fault)
+    ?(recovery = No_recovery) ~(verify : Machine.result -> bool)
+    (fault : Machine.fault) : outcome_class =
+  classify_run run ~budget ~recovery ~verify (Some fault)
 
 (** Run one faulty execution and classify it.  [verify] receives the
     machine result of a {e finished} run and decides Success/Failed;
-    traps, budget exhaustion, and a tripped wall-clock [watchdog]
-    classify as Crashed without consulting it.  Under a [Rollback]
-    policy, a run that finishes verified but took at least one restore
-    classifies as Recovered: correct output, but not naturally so.
+    traps and budget exhaustion (a hang) classify as Crashed without
+    consulting it.  Under a [Rollback] policy, a run that finishes
+    verified but took at least one restore classifies as Recovered:
+    correct output, but not naturally so.
     [backend] picks the execution engine; the compiled default is
     count- and outcome-identical to the interpreter, and a [Rollback]
     policy falls back to the interpreter automatically (recovery
     rollback is interpreter-only machinery). *)
 let run_one ?(backend = Backend.default) (prog : Prog.t) ~(budget : int)
-    ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
-    ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class
-    =
-  run_one_with (Backend.runner backend prog) ~budget ?watchdog ~recovery
-    ~verify fault
+    ?(recovery = No_recovery) ~(verify : Machine.result -> bool)
+    (fault : Machine.fault) : outcome_class =
+  run_one_with (Backend.runner backend prog) ~budget ~recovery ~verify fault
 
 (* --- fault-site populations ------------------------------------------ *)
 
@@ -593,17 +585,14 @@ let trials_for (cfg : config) (t : target) : int =
 (* --- resilient execution (ft_runtime) ---------------------------------- *)
 
 (** Execution knobs of a campaign, orthogonal to the statistical design
-    in {!config}: parallelism, checkpointing, hang watchdog, retry
-    policy, and early stopping.  All defaults reproduce the historical
-    sequential in-memory behavior. *)
+    in {!config}: parallelism, checkpointing, retry policy, and early
+    stopping.  All defaults reproduce the historical sequential
+    in-memory behavior. *)
 type exec = {
   jobs : int;  (** worker domains; results are identical for any value *)
   journal : string option;
       (** append-only on-disk trial log (csexp, fsync'd per batch) *)
   resume : bool;  (** skip trials already in the journal *)
-  watchdog_s : float option;
-      (** per-trial wall-clock deadline supplementing the instruction
-          budget; a tripped watchdog classifies as Crashed *)
   early_stop : bool;
       (** stop at a batch boundary once the Wilson interval on the
           success rate is within the configured margin *)
@@ -622,7 +611,6 @@ let default_exec =
     jobs = 1;
     journal = None;
     resume = false;
-    watchdog_s = None;
     early_stop = false;
     batch = Executor.default_config.Executor.batch;
     on_progress = None;
@@ -696,8 +684,7 @@ let campaign_tag (cfg : config) ~(population : int) ~(trials : int) : string =
     regardless of which process computed which index. *)
 let trial_fun ?(backend = Backend.default) (prog : Prog.t)
     ~(verify : Machine.result -> bool) ~(clean_instructions : int)
-    ?(cfg = default_config) ?(watchdog_s : float option) (t : target) :
-    int -> outcome_class =
+    ?(cfg = default_config) (t : target) : int -> outcome_class =
   let budget = cfg.budget_factor * max 1 clean_instructions in
   (* resolve the runner here, not per trial: under the compiled backend
      this compiles (or fetches) the plan in the submitting domain, so
@@ -707,12 +694,9 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
   fun i ->
     let rng = Rng.derive ~seed:cfg.seed ~index:i in
     let injection = sample_injection ~model:cfg.model rng t in
-    let watchdog =
-      Option.map (fun s -> Watchdog.create ~seconds:s ()) watchdog_s
-    in
     match injection with
     | Vm_fault fault ->
-        run_one_with run ~budget ?watchdog ~recovery:cfg.recovery ~verify fault
+        run_one_with run ~budget ~recovery:cfg.recovery ~verify fault
     | Istore_flip { widx; corruption } ->
         (* re-bake the mutated program and run it fault-free: under the
            compiled backend the mutant re-keys the content-addressed
@@ -726,7 +710,7 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
         let mutated = Icodec.mutate prog enc ~fidx ~pc ~word in
         classify_run
           (Backend.runner backend mutated)
-          ~budget ?watchdog ~recovery:cfg.recovery ~verify None
+          ~budget ~recovery:cfg.recovery ~verify None
 
 let counts_of_outcomes (outcomes : outcome_class Executor.outcome array) :
     counts =
@@ -737,7 +721,7 @@ let counts_of_outcomes (outcomes : outcome_class Executor.outcome array) :
     zero_counts outcomes
 
 (** The executor spec of a campaign against one target: the journal
-    tag, the per-trial kernel under [exec]'s backend and watchdog, the
+    tag, the per-trial kernel under [exec]'s backend, the
     outcome codec and, when [exec.early_stop] is set, the
     Wilson-interval stop predicate.  Every engine that schedules
     campaign trials builds its spec here, which is what keeps served
@@ -766,8 +750,7 @@ let executor_spec (prog : Prog.t) ~(verify : Machine.result -> bool)
     Executor.tag = campaign_tag cfg ~population ~trials;
     total = trials;
     run_trial =
-      trial_fun ~backend:exec.backend prog ~verify ~clean_instructions ~cfg
-        ?watchdog_s:exec.watchdog_s t;
+      trial_fun ~backend:exec.backend prog ~verify ~clean_instructions ~cfg t;
     encode = encode_outcome;
     decode = decode_outcome;
     should_stop;

@@ -57,22 +57,20 @@ val run_one :
   ?backend:Backend.t ->
   Prog.t ->
   budget:int ->
-  ?watchdog:Watchdog.t ->
   ?recovery:recovery ->
   verify:(Machine.result -> bool) ->
   Machine.fault ->
   outcome_class
-(** One faulty execution, classified.  Traps, instruction-budget
-    exhaustion, and a tripped wall-clock [watchdog] are Crashed.  Under
-    [Rollback], a finished verified run that took at least one restore
-    is Recovered.  [backend] (default {!Backend.default}) picks the
-    execution engine; outcomes are identical either way — a [Rollback]
-    policy falls back to the interpreter automatically. *)
+(** One faulty execution, classified.  Traps and instruction-budget
+    exhaustion (a hang) are Crashed.  Under [Rollback], a finished
+    verified run that took at least one restore is Recovered.
+    [backend] (default {!Backend.default}) picks the execution engine;
+    outcomes are identical either way — a [Rollback] policy falls back
+    to the interpreter automatically. *)
 
 val run_one_with :
   (Machine.config -> Machine.result) ->
   budget:int ->
-  ?watchdog:Watchdog.t ->
   ?recovery:recovery ->
   verify:(Machine.result -> bool) ->
   Machine.fault ->
@@ -80,20 +78,6 @@ val run_one_with :
 (** The classification kernel over an already-resolved execution
     function (see {!Backend.runner}); what {!trial_fun} uses so the
     compiled plan is resolved once, not per trial. *)
-
-val classify_run :
-  (Machine.config -> Machine.result) ->
-  budget:int ->
-  ?watchdog:Watchdog.t ->
-  ?recovery:recovery ->
-  verify:(Machine.result -> bool) ->
-  Machine.fault option ->
-  outcome_class
-(** The same kernel over an {e optional} VM fault: [None] means the
-    corruption is already baked into the program being run (the
-    instruction-store surface, where a flipped encoding word is decoded
-    back into a mutated program).  [run_one_with] is [classify_run]
-    with the fault always present. *)
 
 (** A fault site carries the width of the datum it corrupts: the
     paper's subjects are C programs whose integers are 32-bit, so
@@ -256,17 +240,14 @@ val default_config : config
 val trials_for : config -> target -> int
 
 (** Execution knobs, orthogonal to the statistical design: worker
-    domains, on-disk journal + resume, wall-clock watchdog and
-    Wilson-interval early stopping; retries use
-    {!Executor.default_config}'s policy.  Defaults reproduce the
-    sequential in-memory behavior. *)
+    domains, on-disk journal + resume and Wilson-interval early
+    stopping; retries use {!Executor.default_config}'s policy.
+    Defaults reproduce the sequential in-memory behavior. *)
 type exec = {
   jobs : int;  (** worker domains; counts are identical for any value *)
   journal : string option;
       (** append-only trial log (csexp, fsync'd per batch) *)
   resume : bool;  (** skip trials already journaled *)
-  watchdog_s : float option;
-      (** per-trial wall-clock deadline; tripping it is Crashed *)
   early_stop : bool;
       (** stop once the Wilson interval half-width reaches the
           configured margin (evaluated at batch boundaries) *)
@@ -340,7 +321,6 @@ val trial_fun :
   verify:(Machine.result -> bool) ->
   clean_instructions:int ->
   ?cfg:config ->
-  ?watchdog_s:float ->
   target ->
   int ->
   outcome_class
@@ -361,7 +341,7 @@ val executor_spec :
   target ->
   outcome_class Executor.spec
 (** The executor spec of a campaign: {!campaign_tag}, {!trial_fun}
-    under [exec]'s backend and watchdog, the outcome codec, and the
+    under [exec]'s backend, the outcome codec, and the
     Wilson-interval stop predicate when [exec.early_stop] is set.
     {!run_report} and the campaign server both build their specs here,
     the byte-identity contract between served and [--jobs 1] counts. *)

@@ -1,49 +1,10 @@
-(** Wall-clock watchdog for a single trial.
+(** Refreshable wall-clock deadlines for supervising workers.
 
-    The instruction budget catches hangs that retire instructions, but
-    a fault can also make a run pathologically slow without exceeding
-    the budget (e.g. a loop bound corrupted to a huge-but-finite
-    value).  The watchdog supplements the budget with a wall-clock
-    deadline: the VM calls [check] from its event sink and the check
-    raises {!Timeout} once the deadline passes.  Sampling the clock is
-    strided so the common case costs one increment and compare. *)
-
-exception Timeout of float
-(** The deadline (in seconds) that was exceeded. *)
-
-type t = {
-  deadline : float;       (* absolute, Unix.gettimeofday scale *)
-  seconds : float;
-  mutable countdown : int;
-  stride : int;
-}
-
-let create ?(stride = 4096) ~(seconds : float) () : t =
-  {
-    deadline = Unix.gettimeofday () +. seconds;
-    seconds;
-    countdown = (if seconds <= 0.0 then 0 else stride);
-    stride = max 1 stride;
-  }
-
-let expired (w : t) : bool = Unix.gettimeofday () > w.deadline
-
-let check (w : t) : unit =
-  if w.countdown <= 0 then begin
-    if expired w then raise (Timeout w.seconds);
-    w.countdown <- w.stride
-  end
-  else w.countdown <- w.countdown - 1
-
-(** Refreshable deadlines: the per-worker half of the watchdog.
-
-    A trial watchdog ({!t}) is armed once and only ever trips; a
-    campaign server supervising workers needs the complementary shape —
-    a deadline that is pushed out every time the worker proves liveness
-    (a heartbeat, a result) and is polled, not raised, because the
-    supervisor owns the control flow.  [remaining] feeds the server's
-    select timeout so a stalled worker is noticed as soon as its
-    deadline passes, not at the next unrelated event. *)
+    A hung trial is caught by the VM's instruction budget, which is
+    deterministic; wall-clock time only decides whether a {e worker} is
+    still alive.  A campaign server needs a deadline that is pushed out
+    every time the worker proves liveness (any frame it sends) and is
+    polled, not raised, because the supervisor owns the control flow. *)
 
 type deadline = {
   d_seconds : float;
@@ -57,6 +18,3 @@ let refresh (d : deadline) : unit =
   d.d_expires <- Unix.gettimeofday () +. d.d_seconds
 
 let deadline_expired (d : deadline) : bool = Unix.gettimeofday () > d.d_expires
-
-let remaining (d : deadline) : float =
-  Float.max 0.0 (d.d_expires -. Unix.gettimeofday ())

@@ -1,22 +1,8 @@
-(** Wall-clock watchdog supplementing the VM's instruction budget for
-    hang detection.  Wire [check] into the VM's event sink; it raises
-    {!Timeout} once the deadline passes (clock sampled every [stride]
-    calls, so the common case is an increment and a compare). *)
+(** Refreshable polled wall-clock deadlines, for supervising workers:
+    armed with a period, pushed out on every proof of liveness, and
+    polled by the supervisor (never raises).  Trial hangs are the
+    instruction budget's business, not this module's. *)
 
-exception Timeout of float
-(** Carries the exceeded deadline in seconds. *)
-
-type t
-
-val create : ?stride:int -> seconds:float -> unit -> t
-val expired : t -> bool
-
-val check : t -> unit
-(** @raise Timeout once the wall-clock deadline has passed. *)
-
-(** Refreshable polled deadlines, for supervising workers: armed with a
-    period, pushed out on every proof of liveness, and polled by the
-    supervisor (never raises). *)
 type deadline
 
 val arm : seconds:float -> deadline
@@ -25,6 +11,3 @@ val refresh : deadline -> unit
 (** Push the deadline out by its full period again. *)
 
 val deadline_expired : deadline -> bool
-
-val remaining : deadline -> float
-(** Seconds until expiry, clamped at zero (a select timeout). *)

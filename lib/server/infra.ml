@@ -17,7 +17,7 @@ type cause =
   | Worker_lost of { pid : int; batch : int option }
       (** a worker process died (crash or SIGKILL) holding a lease *)
   | Lease_expired of { batch : int; pid : int; heartbeat_s : float }
-      (** a worker stopped heartbeating before its wall-clock deadline *)
+      (** a leased worker sent nothing for a whole deadline period *)
   | Wire_fault of { message : string }
       (** the transport gave up: corruption past the resend window *)
   | Load_failed of { cid : string; reason : string }

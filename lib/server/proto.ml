@@ -209,7 +209,6 @@ type from_worker =
   | Load_failed of { cid : string; reason : string }
       (** also the answer to a [Lease] for a campaign the worker cannot
           serve — the scheduler steals the batch back *)
-  | Heartbeat of { idx : int }  (** about to run trial [idx] *)
   | Trial of { cid : string; record : Csexp.t }
       (** one {!Executor.trial_record} — appended to [cid]'s shard
           journal verbatim, which is what keeps server-mode journals
@@ -248,7 +247,6 @@ let from_worker_to_csexp (m : from_worker) : Csexp.t =
   | Loaded { cid } -> List [ Atom "loaded"; Atom cid ]
   | Load_failed { cid; reason } ->
       List [ Atom "loadfail"; Atom cid; Atom reason ]
-  | Heartbeat { idx } -> List [ Atom "hb"; Atom (i idx) ]
   | Trial { cid; record } -> List [ Atom "T"; Atom cid; record ]
   | Batch_done { cid; batch; retries } ->
       List [ Atom "done"; Atom cid; Atom (i batch); Atom (i retries) ]
@@ -263,10 +261,6 @@ let from_worker_of_csexp (c : Csexp.t) : (from_worker, string) result =
   | List [ Atom "loaded"; Atom cid ] -> Ok (Loaded { cid })
   | List [ Atom "loadfail"; Atom cid; Atom reason ] ->
       Ok (Load_failed { cid; reason })
-  | List [ Atom "hb"; Atom idx ] -> (
-      match int_of_string_opt idx with
-      | Some idx -> Ok (Heartbeat { idx })
-      | None -> Error "hb: bad index")
   | List [ Atom "T"; Atom cid; record ] -> Ok (Trial { cid; record })
   | List [ Atom "done"; Atom cid; Atom b; Atom r ] -> (
       match (int_of_string_opt b, int_of_string_opt r) with

@@ -58,7 +58,6 @@ type from_worker =
   | Ready of { pid : int }
   | Loaded of { cid : string }
   | Load_failed of { cid : string; reason : string }
-  | Heartbeat of { idx : int }
   | Trial of { cid : string; record : Csexp.t }
   | Batch_done of { cid : string; batch : int; retries : int }
 

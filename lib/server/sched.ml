@@ -5,11 +5,12 @@
     attachments), and the engine interleaves their fixed contiguous
     batches under leases exactly the way the single-campaign server
     did — a batch is leased to one worker with a refreshable
-    wall-clock deadline ({!Watchdog.deadline}); a worker that dies or
-    stops heartbeating is SIGKILLed, its lease {e stolen} back after a
-    jittered exponential backoff ({!Executor.backoff_s}); a batch
-    whose lease keeps failing poisons {e its own campaign only} — the
-    other tenants keep running on the same pool.
+    wall-clock deadline ({!Watchdog.deadline}) that every frame from
+    the worker pushes out; a worker that dies or goes quiet is
+    SIGKILLed, its lease {e stolen} back after a jittered exponential
+    backoff ({!Executor.backoff_s}); a batch whose lease keeps failing
+    poisons {e its own campaign only} — the other tenants keep running
+    on the same pool.
 
     The engine is type-erased: a job delivers trial records to its
     owner through an [jb_accept] callback (the owner keeps the typed
@@ -420,10 +421,28 @@ let attach_remote (t : t) (conn : Wire.conn) : unit =
   obs_count t "server/workers-attached" 1;
   ignore (add_slot t Remote 0 conn)
 
-(** A dead or stalled worker: kill, reap, steal its lease back (with
-    the jittered backoff before re-assignment), drop the slot.  The
-    steal only poisons the lease's {e own} campaign; every other
-    tenant — and the replacement worker — is untouched. *)
+(** Take worker [s]'s lease on batch [b] of [cid] back: count the
+    attempt and the steal, and make the batch eligible again after the
+    jittered backoff — or poison the batch's {e own} campaign with
+    [cause] once its attempts run out. *)
+let steal (t : t) (s : wslot) ((cid, b) : string * int) (cause : Infra.cause) =
+  s.ws_assign <- None;
+  match Hashtbl.find_opt t.tenants cid with
+  | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id ->
+      ten.attempts.(b) <- ten.attempts.(b) + 1;
+      ten.steals <- ten.steals + 1;
+      obs_count t "server/leases-stolen" 1;
+      ten.lease.(b) <- Todo;
+      ten.eligible.(b) <-
+        Unix.gettimeofday ()
+        +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
+      if ten.attempts.(b) > t.cfg.max_lease_attempts then
+        poison t ten b cause
+  | _ -> ()
+
+(** A dead or stalled worker: kill, reap, steal its lease back, drop
+    the slot.  Every other tenant — and the replacement worker — is
+    untouched. *)
 let worker_down (t : t) (s : wslot) (cause : Infra.cause) =
   if not s.ws_dead then begin
     s.ws_dead <- true;
@@ -432,23 +451,7 @@ let worker_down (t : t) (s : wslot) (cause : Infra.cause) =
     (match s.ws_kind with
     | Fork -> reap ~force:true s.ws_pid
     | Remote -> ());
-    match s.ws_assign with
-    | None -> ()
-    | Some (cid, b) -> (
-        s.ws_assign <- None;
-        match Hashtbl.find_opt t.tenants cid with
-        | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id
-          ->
-            ten.attempts.(b) <- ten.attempts.(b) + 1;
-            ten.steals <- ten.steals + 1;
-            obs_count t "server/leases-stolen" 1;
-            ten.lease.(b) <- Todo;
-            ten.eligible.(b) <-
-              Unix.gettimeofday ()
-              +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
-            if ten.attempts.(b) > t.cfg.max_lease_attempts then
-              poison t ten b cause
-        | _ -> ())
+    Option.iter (fun lease -> steal t s lease cause) s.ws_assign
   end
 
 (** A worker answered that it cannot serve this campaign: take the
@@ -460,20 +463,8 @@ let load_failed (t : t) (s : wslot) (cid : string) (reason : string) =
   Hashtbl.remove s.ws_loaded cid;
   Hashtbl.replace s.ws_noload cid ();
   match s.ws_assign with
-  | Some (c, b) when c = cid -> (
-      s.ws_assign <- None;
-      match Hashtbl.find_opt t.tenants cid with
-      | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id ->
-          ten.attempts.(b) <- ten.attempts.(b) + 1;
-          ten.steals <- ten.steals + 1;
-          obs_count t "server/leases-stolen" 1;
-          ten.lease.(b) <- Todo;
-          ten.eligible.(b) <-
-            Unix.gettimeofday ()
-            +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
-          if ten.attempts.(b) > t.cfg.max_lease_attempts then
-            poison t ten b (Infra.Load_failed { cid; reason })
-      | _ -> ())
+  | Some ((c, _) as lease) when c = cid ->
+      steal t s lease (Infra.Load_failed { cid; reason })
   | _ -> ()
 
 (* --- message handling ---------------------------------------------------- *)
@@ -487,7 +478,6 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
   | Ok (Proto.Ready { pid }) ->
       if s.ws_kind = Remote then s.ws_pid <- pid;
       true
-  | Ok (Proto.Heartbeat _) -> true
   | Ok (Proto.Loaded { cid }) ->
       Hashtbl.replace s.ws_loaded cid ();
       true

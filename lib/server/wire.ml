@@ -80,10 +80,12 @@ let close (t : conn) : unit = try Unix.close t.fd with Unix.Unix_error _ -> ()
 (* FNV-1a 64-bit, the same family Comm uses for payload checksums *)
 let checksum (s : string) : int64 =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 let rtx_keep = 64

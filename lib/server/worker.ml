@@ -10,8 +10,9 @@
     same index.  Each leased trial runs through {!Executor.attempt}
     (the {e same} bounded-jittered-retry policy the in-process executor
     uses, so a raising trial produces the same [Infra_error] record
-    either way), streaming a heartbeat before and a trial record after
-    every trial.
+    either way), streaming a trial record after every trial.  Those
+    records are also the worker's proof of liveness: the scheduler
+    pushes the lease deadline out on every frame it receives.
 
     The streaming granularity is the crash-tolerance contract: when the
     server SIGKILLs a stalled worker, the kernel OOM-kills one, or a
@@ -38,9 +39,6 @@ let plan_loader ?(cache_dir : string option) : loader =
   Result.map
     (runner_of_exec_spec ~retry)
     (Plan.spec_of_submission ?cache_dir spec)
-
-let heartbeat (conn : Wire.conn) (idx : int) : unit =
-  Wire.send conn (Proto.from_worker_to_csexp (Proto.Heartbeat { idx }))
 
 (** Serve leases until [Quit] or the server hangs up.  [recv_timeout_s]
     bounds how long an idle worker waits for its next command before
@@ -79,9 +77,6 @@ let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
     | Error _ -> loop ()  (* not for us; a dead server shows up as Closed *)
     | Ok Proto.Quit -> ()
     | Ok (Proto.Load { cid; spec }) ->
-        (* heartbeat first: baking a cold plan can take a while, and the
-           scheduler's deadline must see life before the work starts *)
-        heartbeat conn 0;
         (match load_campaign cid spec with
         | Ok () -> send (Proto.Loaded { cid })
         | Error reason -> send (Proto.Load_failed { cid; reason }));
@@ -93,7 +88,6 @@ let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
               (Proto.Load_failed { cid; reason = "campaign is not loaded" })
         | Some runner ->
             for i = lo to hi - 1 do
-              heartbeat conn i;
               send (Proto.Trial { cid; record = runner i })
             done;
             if stall_batch_done_s > 0.0 then Unix.sleepf stall_batch_done_s;

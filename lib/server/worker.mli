@@ -3,9 +3,9 @@
     only as wire specs ([Load]), built into runners by the worker's
     {!loader} — in production {!plan_loader}, which rebuilds them
     through {!Plan} (cache warm).  Each leased trial runs through
-    {!Executor.attempt} and streams a heartbeat before and a trial
-    record after — so a SIGKILL or a vanished machine loses at most the
-    in-flight trial. *)
+    {!Executor.attempt} and streams its trial record after — so a
+    SIGKILL or a vanished machine loses at most the in-flight trial,
+    and the records themselves keep the lease deadline fresh. *)
 
 type runner = int -> Csexp.t
 (** A loaded campaign: index -> journal-ready trial record. *)

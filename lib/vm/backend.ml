@@ -11,7 +11,7 @@
     breaking anything.  The compiled backend's own trial checkpoints
     (start at the last clean snapshot before the fault, stop once the
     state rejoins the clean run) are not rollback: they apply to every
-    compiled fault trial without a [tick] and change no result. *)
+    compiled fault trial and change no result. *)
 
 type t = Interp | Compiled
 

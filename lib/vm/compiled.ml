@@ -16,14 +16,14 @@
     output buffer and resets them at the start of every run (memory
     by dirty page), so a trial allocates none of them; the result's
     {!Machine.mem} is a view of the domain's buffer, valid until the
-    domain's next compiled run.  The
-    per-instruction dynamic-seq accounting (budget check, [tick],
-    memory-fault application, write-fault application, iteration
-    markers) is preserved {e exactly}: a compiled run is bit-identical
-    to the interpreter on outcome, output, final memory, instruction
-    count, iteration count, and fault firing — the differential
-    harness in [test_backend] pins this on every registry app,
-    optimized and hardened variants included.
+    domain's next compiled run.  The per-instruction dynamic-seq
+    accounting (budget check, memory-fault application, write-fault
+    application, iteration markers) is preserved {e exactly}: a
+    compiled run is bit-identical to the interpreter on outcome,
+    output, final memory, instruction count, iteration count, and
+    fault firing — the differential harness in [test_backend] pins
+    this on every registry app, optimized and hardened variants
+    included.
 
     What the backend deliberately does not support — and why falling
     back is safe:
@@ -40,8 +40,8 @@
     silently diverging.
 
     Trial checkpoints are a different thing from recovery rollback:
-    they change no result.  A run with a [Write] or [Mem] fault and no
-    [tick] restores the last snapshot of the clean run at or before its
+    they change no result.  A run with a [Write] or [Mem] fault
+    restores the last snapshot of the clean run at or before its
     fault, and ends with the clean run's result once its state equals
     the clean run's at a later snapshot (DESIGN.md, "Checkpointed
     trials").
@@ -209,8 +209,6 @@ type rt = {
           still-pending memory-fault seq and [probe_at] *)
   probe : probe;
   mutable probe_at : int;  (** next seq for [probe], or [max_int] *)
-  tick : unit -> unit;
-  has_tick : bool;
   wf_seq : int;  (** seq whose written value is corrupted, or [min_int] *)
   wf : int64 -> int64;
   mf_seq : int;  (** seq before which a memory word is corrupted *)
@@ -411,13 +409,12 @@ let stop_after (rt : rt) (seq : int) : int =
 (* cold half of the per-instruction prologue: runs only when a step's
    seq reaches [next_stop], i.e. the budget boundary, a pending memory
    fault or a checkpoint probe.  Replicates the interpreter's exact
-   order — budget check, tick, counter advance, memory-fault
-   application — so that instruction counts and trap points stay
-   bit-identical; the probe sees the state before the instruction. *)
+   order — budget check, counter advance, memory-fault application —
+   so that instruction counts and trap points stay bit-identical; the
+   probe sees the state before the instruction. *)
 let slow_pre (rt : rt) (seq : int) (pc : int) (depth : int) : unit =
   if seq >= rt.budget then raise Machine.Budget;
   if seq >= rt.probe_at then probe rt seq pc depth;
-  if rt.has_tick then rt.tick ();
   rt.count <- seq + 1;
   if seq = rt.mf_seq then apply_mem rt;
   rt.next_stop <- stop_after rt seq
@@ -425,15 +422,12 @@ let slow_pre (rt : rt) (seq : int) (pc : int) (depth : int) : unit =
 (* the per-instruction prologue of the instruction at [pc] of a frame at
    call depth [depth].  The fast path pays one compare against
    [next_stop] (folding the budget, memory-fault and checkpoint
-   checks), the tick test, and the counter advance; [pc] and [depth]
-   only reach the slow path.  Returns this instruction's dynamic seq. *)
+   checks) and the counter advance; [pc] and [depth] only reach the
+   slow path.  Returns this instruction's dynamic seq. *)
 let[@inline] pre (rt : rt) (pc : int) (depth : int) : int =
   let seq = rt.count in
-  (if seq >= rt.next_stop then slow_pre rt seq pc depth
-   else begin
-     if rt.has_tick then rt.tick ();
-     rt.count <- seq + 1
-   end);
+  if seq >= rt.next_stop then slow_pre rt seq pc depth
+  else rt.count <- seq + 1;
   seq
 
 (* mirrors the interpreter's [addr_of_value] byte for byte *)
@@ -544,7 +538,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             | _ -> false) -> (
       (* loop-control superinstruction: an integer compare immediately
          consumed by a conditional branch on its result.  Both dynamic
-         seqs keep their full prologues (budget, tick, memory fault)
+         seqs keep their full prologues (budget, memory fault)
          and the branch reads the {e stored} register — a write fault
          on the compare's seq still steers the branch — so the fused
          pair is observably identical to the two separate steps, minus
@@ -1726,8 +1720,9 @@ let supported (cfg : Machine.config) : bool =
    needs no reset (a frame zeroes its registers on entry).  [runs]
    stamps the memory views handed out in results: it advances before
    the buffer is touched again.  [busy] is set for the length of a
-   run; a run that starts while another is in flight on the same
-   domain (a [tick] hook running a program) gets private state. *)
+   run: nothing a compiled run calls can start another on its domain
+   (sinks and MPI hooks take the interpreter), so a run that finds it
+   set is refused. *)
 type dstate = {
   mutable dmem : ba;
   mutable ddirty : Bytes.t;
@@ -1766,10 +1761,10 @@ let out_keep = 1 lsl 16
 
 (* claim the domain's state and reset its memory to [img] *)
 let acquire (img : image) : dstate =
-  let st =
-    let st = Domain.DLS.get dstate_key in
-    if st.busy then fresh_dstate () else st
-  in
+  let st = Domain.DLS.get dstate_key in
+  if st.busy then
+    invalid_arg
+      "Compiled.run: another compiled run is in flight on this domain";
   st.busy <- true;
   Atomic.incr st.runs;
   if img.bad then begin
@@ -1887,11 +1882,6 @@ let execute (p : plan) (cfg : Machine.config) (probe : probe)
     | Some (Machine.Write _ | Machine.Cache_fault _) | None ->
         (min_int, 0, Fun.id)
   in
-  let tick, has_tick =
-    match cfg.Machine.tick with
-    | Some f -> (f, true)
-    | None -> ((fun () -> ()), false)
-  in
   let st = acquire p.p_img in
   let rt =
     {
@@ -1904,8 +1894,6 @@ let execute (p : plan) (cfg : Machine.config) (probe : probe)
       next_stop = 0;
       probe;
       probe_at;
-      tick;
-      has_tick;
       wf_seq;
       wf;
       mf_seq;
@@ -1948,7 +1936,7 @@ let execute (p : plan) (cfg : Machine.config) (probe : probe)
     | exception Op.Trap msg -> Ok (Machine.Trapped msg)
     | exception Rejoined j -> Error j
     | exception e ->
-        (* a [tick] or fetch exception escapes unclassified, as in the
+        (* a fetch exception escapes unclassified, as in the
            interpreter; the domain's state stays usable *)
         settle ();
         raise e
@@ -2115,7 +2103,7 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
     invalid_arg
       "Compiled.run: config needs the interpreter (sink, MPI hooks, \
        recovery, or a cache fault attached)";
-  match (cfg.Machine.tick, cfg.Machine.fault) with
-  | None, Some (Machine.Write { seq; _ } | Machine.Mem { seq; _ }) ->
-      trial p cfg seq
-  | _ -> execute p cfg Quiet ~probe_at:max_int ~from:None
+  match cfg.Machine.fault with
+  | Some (Machine.Write { seq; _ } | Machine.Mem { seq; _ }) -> trial p cfg seq
+  | Some (Machine.Cache_fault _) | None ->
+      execute p cfg Quiet ~probe_at:max_int ~from:None

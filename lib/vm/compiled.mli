@@ -2,7 +2,7 @@
 
     A one-time closure compilation of a {!Prog.t}: each instruction
     becomes a pre-resolved thunk (operands, branch targets, opcode
-    semantics, fault/budget/tick checks specialized at compile time),
+    semantics, fault and budget checks specialized at compile time),
     so campaign trials pay no per-step instruction dispatch and
     allocate no trace events.  Bit-identical to {!Machine.run} on the
     fixed seq contract — outcome, output, final memory, instruction
@@ -15,8 +15,8 @@
     Recovery rollback ({!Machine.config.recover}) is a fault-tolerance
     policy that changes a run's result, and stays interpreter-only.
     Trial checkpoints are this backend's own and change no result: a
-    run with a [Write] or [Mem] fault and no [tick] starts at the last
-    clean snapshot at or before its fault and stops once its state
+    run with a [Write] or [Mem] fault starts at the last clean
+    snapshot at or before its fault and stops once its state
     equals the clean run's at a later snapshot (DESIGN.md,
     "Checkpointed trials"). *)
 
@@ -43,13 +43,14 @@ val supported : Machine.config -> bool
     bit-identical to the interpreter. *)
 
 val run : plan -> Machine.config -> Machine.result
-(** Execute.  Faults, budgets, ticks, iteration marks and the trap
-    taxonomy behave exactly as in {!Machine.run}; [restores] is 0.
-    The first faulty run of a plan under an iteration mark also runs
-    the clean program twice, to take its checkpoints.
+(** Execute.  Faults, budgets, iteration marks and the trap taxonomy
+    behave exactly as in {!Machine.run}; [restores] is 0.  The first
+    faulty run of a plan under an iteration mark also runs the clean
+    program twice, to take its checkpoints.
     @raise Invalid_argument if the config is not {!supported} —
     callers decide the fallback, this module never silently changes
-    semantics. *)
+    semantics — or if another compiled run is in flight on the calling
+    domain (nothing a compiled run calls can start one). *)
 
 val checkpoint_seqs : plan -> Machine.config -> int array
 (** The seqs of the clean snapshots faulty runs under [cfg]'s iteration

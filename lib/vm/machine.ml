@@ -108,10 +108,6 @@ type config = {
           unclassified *)
   iter_mark : int;  (** mark id that delimits main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
-  tick : (unit -> unit) option;
-      (** called once per dynamic instruction, with nothing allocated —
-          the hook for wall-clock watchdogs; exceptions it raises
-          propagate to the caller unclassified *)
   recover : recover option;
       (** checkpoint/rollback: snapshot the entry frame at region
           boundaries (rate-limited by [snapshot_interval]) and, when a
@@ -128,7 +124,6 @@ let default_config =
     sink = None;
     iter_mark = -1;
     mpi = None;
-    tick = None;
     recover = None;
   }
 
@@ -349,7 +344,6 @@ let run (prog : Prog.t) (cfg : config) : result =
      synchronize every domain in OCaml 5, take the compiled backend
      instead. *)
   let recording = Option.is_some cfg.sink in
-  let tick = match cfg.tick with Some f -> f | None -> fun () -> () in
   let restores = ref 0 in
   let rec exec_fun fidx (args : int64 array) (inherited : int) (depth : int) :
       int64 option =
@@ -366,9 +360,8 @@ let run (prog : Prog.t) (cfg : config) : result =
        captures everything a replay from [pc] needs (memory, entry-frame
        registers, region bookkeeping, output length).  The dynamic
        instruction counter stays monotonic across restores so a
-       seq-keyed transient fault never re-fires, and [Budget] /
-       [Watchdog.Timeout] are never caught — rollback recovers traps,
-       not hangs. *)
+       seq-keyed transient fault never re-fires, and [Budget] is never
+       caught — rollback recovers traps, not hangs. *)
     let protected = depth = 0 && cfg.recover <> None in
     let max_restores, snap_interval =
       match cfg.recover with
@@ -446,7 +439,6 @@ let run (prog : Prog.t) (cfg : config) : result =
       let ins = f.code.(i) in
       let seq = !count in
       if seq >= cfg.budget then raise Budget;
-      tick ();
       count := seq + 1;
       apply_mem_fault seq;
       let static_r = f.regions.(i) in

@@ -82,19 +82,14 @@ type config = {
           which is how a consumer ends a replay early *)
   iter_mark : int;  (** mark id delimiting main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
-  tick : (unit -> unit) option;
-      (** called once per dynamic instruction with nothing allocated —
-          the hook wall-clock watchdogs use; exceptions it raises
-          propagate to the caller unclassified *)
   recover : recover option;
       (** checkpoint/rollback: snapshot the entry frame at region
           boundaries (rate-limited by [snapshot_interval]); a trap
           escaping to the entry frame restores the last snapshot
           instead of crashing, up to [max_restores] times.  The dynamic
           instruction counter is {e not} rolled back, so a seq-keyed
-          transient fault never re-fires on replay; [Budget] and
-          watchdog timeouts are never caught — rollback recovers traps,
-          not hangs. *)
+          transient fault never re-fires on replay; [Budget] is never
+          caught — rollback recovers traps, not hangs. *)
 }
 
 val default_config : config

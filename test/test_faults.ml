@@ -397,24 +397,6 @@ let test_campaign_budget_factor_bounds_hangs () =
   Alcotest.(check bool) "high-bit flips of the bound hang" true
     (counts.Campaign.crashed > 0)
 
-let test_campaign_watchdog_never_aborts () =
-  let prog = compile (dead_store_program ()) in
-  let r, t = run_traced prog in
-  let target = Campaign.whole_program_target prog t in
-  let counts =
-    Campaign.run prog
-      ~verify:(fun res -> App.verified res.Machine.output)
-      ~clean_instructions:r.Machine.instructions
-      ~cfg:{ Campaign.default_config with max_trials = Some 30 }
-      ~exec:{ Campaign.default_exec with watchdog_s = Some (-1.0) }
-      target
-  in
-  (* an already-expired watchdog trips every trial: all Crashed, none
-     aborts the campaign, none counts as infrastructure failure *)
-  Alcotest.(check int) "all trials ran" 30 counts.Campaign.trials;
-  Alcotest.(check int) "all classified Crashed" 30 counts.Campaign.crashed;
-  Alcotest.(check int) "watchdog is not an infra error" 0 counts.Campaign.infra
-
 let test_campaign_jobs_and_resume_invariance () =
   let prog = compile (dead_store_program ()) in
   let r, t = run_traced prog in
@@ -547,8 +529,6 @@ let suite =
         test_hang_classified_as_crashed;
       Alcotest.test_case "budget factor bounds hangs" `Quick
         test_campaign_budget_factor_bounds_hangs;
-      Alcotest.test_case "watchdog never aborts" `Quick
-        test_campaign_watchdog_never_aborts;
       Alcotest.test_case "jobs and resume invariance" `Quick
         test_campaign_jobs_and_resume_invariance;
       Alcotest.test_case "early stop honest report" `Quick

@@ -1,7 +1,7 @@
 (* The resilient campaign executor and its parts: csexp wire format,
-   append-only journal with torn-tail healing, domain pool, wall-clock
-   watchdog, and the engine's determinism / resume / retry / early-stop
-   contracts. *)
+   append-only journal with torn-tail healing, domain pool, refreshable
+   worker deadlines, and the engine's determinism / resume / retry /
+   early-stop contracts. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -125,22 +125,24 @@ let test_pool_propagates_exception () =
   | _ -> Alcotest.fail "expected the worker exception to re-raise"
   | exception Failure m -> Alcotest.(check string) "first exception" "boom" m
 
-(* --- watchdog ------------------------------------------------------------ *)
+(* --- worker deadlines ---------------------------------------------------- *)
 
-let test_watchdog_trips_past_deadline () =
-  let w = Watchdog.create ~stride:1 ~seconds:(-1.0) () in
-  Alcotest.(check bool) "already expired" true (Watchdog.expired w);
-  match Watchdog.check w with
-  | () -> Alcotest.fail "expected Timeout"
-  | exception Watchdog.Timeout s ->
-      Alcotest.(check (float 0.0)) "carries the deadline" (-1.0) s
-
-let test_watchdog_quiet_before_deadline () =
-  let w = Watchdog.create ~stride:4 ~seconds:60.0 () in
-  for _ = 1 to 1000 do
-    Watchdog.check w
-  done;
-  Alcotest.(check bool) "not expired" false (Watchdog.expired w)
+let test_deadline_refresh () =
+  let d = Watchdog.arm ~seconds:0.5 in
+  Alcotest.(check bool) "fresh deadline holds" false
+    (Watchdog.deadline_expired d);
+  Unix.sleepf 0.6;
+  Alcotest.(check bool) "lapses after its period" true
+    (Watchdog.deadline_expired d);
+  Watchdog.refresh d;
+  Alcotest.(check bool) "refresh pushes it out a full period" false
+    (Watchdog.deadline_expired d);
+  let gone = Watchdog.arm ~seconds:(-1.0) in
+  Alcotest.(check bool) "negative period: expired at once" true
+    (Watchdog.deadline_expired gone);
+  Watchdog.refresh gone;
+  Alcotest.(check bool) "and refresh cannot revive it" true
+    (Watchdog.deadline_expired gone)
 
 (* --- executor ------------------------------------------------------------ *)
 
@@ -375,9 +377,8 @@ let suite =
       Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
       Alcotest.test_case "pool propagates exceptions" `Quick
         test_pool_propagates_exception;
-      Alcotest.test_case "watchdog trips" `Quick test_watchdog_trips_past_deadline;
-      Alcotest.test_case "watchdog quiet before deadline" `Quick
-        test_watchdog_quiet_before_deadline;
+      Alcotest.test_case "deadline arm, refresh, expiry" `Quick
+        test_deadline_refresh;
       Alcotest.test_case "executor jobs invariance" `Quick
         test_executor_jobs_invariance;
       Alcotest.test_case "journal heals at every byte boundary" `Quick

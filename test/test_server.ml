@@ -101,6 +101,18 @@ let test_wire_closed_peer () =
   | _ -> Alcotest.fail "expected Closed"
   | exception Wire.Closed -> Wire.close b
 
+let test_wire_checksum_fnv1a () =
+  (* the published FNV-1a 64 vectors: cache keys and campaign ids
+     derive from this function, so its values may never move *)
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "%S" s) h (Wire.checksum s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
 (* --- cache --------------------------------------------------------------- *)
 
 let test_cache_roundtrip_and_corruption () =
@@ -232,7 +244,6 @@ let test_proto_roundtrips () =
       Proto.Ready { pid = 42 };
       Proto.Loaded { cid = "c0000-0011223344" };
       Proto.Load_failed { cid = "c0000-0011223344"; reason = "no such app" };
-      Proto.Heartbeat { idx = 17 };
       Proto.Trial
         {
           cid = "c0000-0011223344";
@@ -425,6 +436,34 @@ let test_server_chaos_kills_preserve_outcomes () =
   let completed, _ = finished events "job" in
   Alcotest.(check int) "all trials ran" 60 completed;
   Alcotest.(check bool) "SIGKILLs cannot change the outcome sequence" true
+    (outcomes_equal reference (final completed))
+
+let test_server_records_keep_lease_alive () =
+  (* a lease that runs longer than the deadline stays alive on its
+     trial records alone: 16 trials of 50 ms against a 0.5 s deadline *)
+  let s = spec ~total:16 (fun i -> Unix.sleepf 0.05; pure_trial i) in
+  let reference = reference_outcomes (spec ~total:16 pure_trial) in
+  let job, final = Sched.tenant ~id:"job" (wire "sleepy") s in
+  let obs = Obs.create () in
+  let _, events, _ =
+    run_pool
+      ~cfg:
+        {
+          Sched.default_config with
+          Sched.workers = 1;
+          batch = 16;
+          heartbeat_s = 0.5;
+          metrics = Some obs;
+        }
+      ~load:(fake_loader [ ("sleepy", s) ]) [ job ]
+  in
+  let counter n = Option.value ~default:0 (Obs.counter_value obs n) in
+  Alcotest.(check int) "no deadline missed" 0
+    (counter "server/heartbeats-missed");
+  Alcotest.(check int) "no lease stolen" 0 (counter "server/leases-stolen");
+  let completed, _ = finished events "job" in
+  Alcotest.(check int) "all trials ran" 16 completed;
+  Alcotest.(check bool) "identical outcome sequence" true
     (outcomes_equal reference (final completed))
 
 let test_server_kill_at_batch_boundary () =
@@ -940,6 +979,8 @@ let suite =
         test_wire_corruption_recovers_by_resend;
       Alcotest.test_case "wire recv deadline" `Quick test_wire_recv_deadline;
       Alcotest.test_case "wire closed peer" `Quick test_wire_closed_peer;
+      Alcotest.test_case "wire checksum is FNV-1a 64" `Quick
+        test_wire_checksum_fnv1a;
       Alcotest.test_case "cache roundtrip + corruption" `Quick
         test_cache_roundtrip_and_corruption;
       Alcotest.test_case "infra kinds roundtrip" `Quick test_infra_kinds_roundtrip;
@@ -954,6 +995,8 @@ let suite =
         test_server_matches_executor;
       Alcotest.test_case "chaos kills preserve outcomes" `Quick
         test_server_chaos_kills_preserve_outcomes;
+      Alcotest.test_case "trial records keep a long lease alive" `Quick
+        test_server_records_keep_lease_alive;
       Alcotest.test_case "kill at batch boundary keeps full prefix" `Quick
         test_server_kill_at_batch_boundary;
       Alcotest.test_case "journal resume after torn shard" `Quick
