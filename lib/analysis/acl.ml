@@ -114,6 +114,13 @@ let dies ~steps (r : record) =
   read_later r && (not r.chain.written) && s < steps
   && (s < r.ended || (s = r.ended && not r.killed))
 
+(* The net change of the ACL count at each step, for [settle]: slot [s]
+   holds it while one analysis runs and 0 at any other time.  One buffer
+   per domain, grown to the longest aligned run the domain has settled,
+   so an injection allocates no steps-sized array. *)
+let deltas_key : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
 (* The ACL table, from records settled by the whole faulty run: the
    count rises at each record that will be read when it opens and falls
    when that record stops being alive; deaths and repeated-addition
@@ -121,38 +128,30 @@ let dies ~steps (r : record) =
 let settle ~(clean : Trace.t) ~steps ~divergence (records : record list)
     (killed : record list) (maskings : (masking * record) list) : result =
   let dies = dies ~steps in
-  (* (step lsl 1) lor 1 for a rise, step lsl 1 for a fall *)
-  let changes =
-    List.fold_left
-      (fun acc r ->
-        if not (read_later r) then acc
-        else
-          let fall = min (r.chain.last_read + 1) r.ended in
-          let acc = ((r.opened lsl 1) lor 1) :: acc in
-          if fall < steps then (fall lsl 1) :: acc else acc)
-      [] records
-    |> Array.of_list
-  in
-  Array.sort Int.compare changes;
-  let n = Array.length changes in
+  let buf = Domain.DLS.get deltas_key in
+  if Array.length !buf < steps then buf := Array.make steps 0;
+  let delta = !buf in
+  List.iter
+    (fun r ->
+      if read_later r then begin
+        delta.(r.opened) <- delta.(r.opened) + 1;
+        let fall = min (r.chain.last_read + 1) r.ended in
+        if fall < steps then delta.(fall) <- delta.(fall) - 1
+      end)
+    records;
   let series = ref [] and count = ref 0 and peak = ref 0 in
-  (* the count after every step from 0 on, at each step where it moves *)
-  let rec sweep k step =
-    if k < n && changes.(k) lsr 1 = step then begin
-      count := !count + (2 * (changes.(k) land 1)) - 1;
-      sweep (k + 1) step
+  (* the count after every step from 0 on, at step 0 and at each step
+     where it moves; the sweep leaves the buffer zero *)
+  for step = 0 to steps - 1 do
+    let d = delta.(step) in
+    if d <> 0 || step = 0 then begin
+      delta.(step) <- 0;
+      count := !count + d;
+      (* an aligned step's two events share seq, line and region *)
+      series := ((Trace.get clean step).seq, !count) :: !series;
+      if !count > !peak then peak := !count
     end
-    else begin
-      (match !series with
-      | (_, c) :: _ when c = !count -> ()
-      | _ ->
-          (* an aligned step's two events share seq, line and region *)
-          series := ((Trace.get clean step).seq, !count) :: !series;
-          if !count > !peak then peak := !count);
-      if k < n then sweep k (changes.(k) lsr 1)
-    end
-  in
-  if steps > 0 then sweep 0 0;
+  done;
   let death cause r index =
     let ev = Trace.get clean index in
     {

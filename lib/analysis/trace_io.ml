@@ -560,6 +560,21 @@ let read_fixed8 (ic : in_channel) : int64 =
   done;
   !v
 
+(* [n] bytes, read in bounded chunks so that a corrupt length ends in
+   a truncation error instead of one huge allocation *)
+let read_string what (ic : in_channel) n : string =
+  let b = Buffer.create (min n 256) in
+  let rec go left =
+    if left > 0 then begin
+      let k = min left 4096 in
+      (try Buffer.add_channel b ic k
+       with End_of_file -> binary_error ("truncated " ^ what));
+      go (left - k)
+    end
+  in
+  go n;
+  Buffer.contents b
+
 let decode_access (st : bstate) (ic : in_channel) ~(act : int) :
     Loc.t * Value.t =
   let tag = read_byte "access tag" ic in
@@ -647,11 +662,7 @@ let decode_event (st : bstate) (ic : in_channel) : Trace.event option =
         else if tag = op_intr then begin
           let n = read_varint ic in
           if n < 0 then binary_error "negative intrinsic length"
-          else
-            let b = Bytes.create n in
-            (try really_input ic b 0 n
-             with End_of_file -> binary_error "truncated intrinsic name");
-            Trace.OIntr (Bytes.unsafe_to_string b)
+          else Trace.OIntr (read_string "intrinsic name" ic n)
         end
         else binary_error (Printf.sprintf "unknown opclass tag %d" tag)
       in
@@ -663,15 +674,22 @@ let decode_event (st : bstate) (ic : in_channel) : Trace.event option =
           if n < 3 then binary_error "invalid escaped access count" else n
       in
       (* decode strictly in stream order: each access mutates the
-         shadow table *)
+         shadow table.  The array grows as accesses decode, so a count
+         past the end of the file ends in a truncation error *)
       let read_accesses n =
         if n = 0 then [||]
         else begin
-          let a = Array.make n (decode_access st ic ~act) in
+          let a = ref (Array.make (min n 8) (decode_access st ic ~act)) in
           for k = 1 to n - 1 do
-            a.(k) <- decode_access st ic ~act
+            let x = decode_access st ic ~act in
+            if k = Array.length !a then begin
+              let b = Array.make (min n (2 * k)) x in
+              Array.blit !a 0 b 0 k;
+              a := b
+            end;
+            !a.(k) <- x
           done;
-          a
+          !a
         end
       in
       let reads = read_accesses (count 4) in

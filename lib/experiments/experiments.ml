@@ -43,6 +43,26 @@ let first_instance (c : app_ctx) rid =
     (fun (i : Region.instance) -> i.rid = rid && i.number = 0)
     c.instances
 
+let targets_cache : (string * int, Campaign.target * Campaign.target) Hashtbl.t =
+  Hashtbl.create 64
+
+(** The internal and input targets of [inst], a region's instance 0.
+    They depend only on the app, so they are built on first use and
+    cached per app name and region; like [ctx_cache], the cache is a
+    plain [Hashtbl] for one domain. *)
+let region_targets (c : app_ctx) (inst : Region.instance) :
+    Campaign.target * Campaign.target =
+  let key = (c.app.App.name, inst.Region.rid) in
+  match Hashtbl.find_opt targets_cache key with
+  | Some t -> t
+  | None ->
+      let t =
+        ( Campaign.internal_target c.prog c.trace inst,
+          Campaign.input_target c.prog c.trace c.access inst )
+      in
+      Hashtbl.replace targets_cache key t;
+      t
+
 (** The faulty run of [app] under [fault] as a replay producer. *)
 let faulty_replay (app : App.t) (fault : Machine.fault) ~(budget : int) :
     (Trace.event -> unit) -> unit =
@@ -83,8 +103,7 @@ let fig5 ?(effort = Effort.default) (app : App.t) : region_rates_row list =
             rr_input = Campaign.zero_counts;
           }
       | Some inst ->
-          let internal = Campaign.internal_target c.prog c.trace inst in
-          let input = Campaign.input_target c.prog c.trace c.access inst in
+          let internal, input = region_targets c inst in
           let run t =
             Campaign.run c.prog ~verify
               ~clean_instructions:c.clean.Machine.instructions
@@ -217,8 +236,7 @@ let table1 ?(effort = Effort.default) ?(seed = 11) (app : App.t) :
       | Some inst ->
           (* the paper mines patterns from injections into both the
              internal and the input locations of the region instance *)
-          let internal = Campaign.internal_target c.prog c.trace inst in
-          let input = Campaign.input_target c.prog c.trace c.access inst in
+          let internal, input = region_targets c inst in
           let n_input = effort.Effort.acl_injections / 2 in
           let n_internal = effort.Effort.acl_injections - n_input in
           let observe target n =

@@ -349,6 +349,125 @@ let test_no_fault_no_corruption () =
   Alcotest.(check int) "no deaths" 0 (List.length acl.Acl.deaths);
   Alcotest.(check int) "no maskings" 0 (List.length acl.Acl.maskings)
 
+(* --- the count series, from hand-made traces ------------------------------
+
+   Event [k] of each trace is step [k]; the faulty run differs from the
+   clean one only in the values it writes, so every step aligns.  A
+   value the faulty run writes differently opens a record; the series
+   is (seq, count) at step 0 and wherever the count moves. *)
+
+let ev ?(reads = [||]) ?(writes = [||]) k op =
+  { Trace.seq = k; fidx = 0; pc = k; act = 0; line = k; region = -1;
+    instance = -1; iter = -1; op; reads; writes }
+
+let trace_of events =
+  let t = Trace.create () in
+  List.iter (Trace.push t) events;
+  t
+
+let m1 = Loc.Mem 1
+let m2 = Loc.Mem 2
+
+(* [steps] as (clean event, faulty event) pairs *)
+let analyze_pairs steps =
+  Acl.analyze ~clean:(trace_of (List.map fst steps))
+    ~faulty:(trace_of (List.map snd steps)) ()
+
+(* the same event in both runs *)
+let both e = (e, e)
+
+(* a write of [loc]: [clean] in the clean run, [faulty] in the faulty one *)
+let write k loc ~clean ~faulty =
+  ( ev k Trace.OStore ~writes:[| (loc, Value.of_int clean) |],
+    ev k Trace.OStore ~writes:[| (loc, Value.of_int faulty) |] )
+
+let read k loc v = both (ev k Trace.OLoad ~reads:[| (loc, Value.of_int v) |])
+let jump k = both (ev k Trace.OJmp)
+
+let series = Alcotest.(array (pair int int))
+
+let deaths_of acl =
+  List.map
+    (fun (d : Acl.death) -> (d.Acl.d_index, d.Acl.d_cause))
+    acl.Acl.deaths
+
+let death_list = Alcotest.(list (pair int cause))
+
+(* m1's value falls at step 2, the step after its last read, where m2's
+   corrupted value rises: the count does not move, so step 2 has no
+   point *)
+let test_fall_meets_rise () =
+  let acl =
+    analyze_pairs
+      [
+        write 0 m1 ~clean:1 ~faulty:9;
+        read 1 m1 9;
+        write 2 m2 ~clean:2 ~faulty:8;
+        read 3 m2 8;
+        jump 4;
+      ]
+  in
+  Alcotest.check series "series" [| (0, 1); (4, 0) |] acl.Acl.series;
+  Alcotest.(check (pair int int)) "peak, final" (1, 0) (acl.Acl.peak, acl.Acl.final);
+  Alcotest.check death_list "both die after their last reads"
+    [ (2, Acl.Dead); (4, Acl.Dead) ] (deaths_of acl)
+
+(* a value read at the last aligned step would fall at [steps], past the
+   table: it is still alive at the end and dies no death *)
+let test_fall_at_steps () =
+  let acl = analyze_pairs [ write 0 m1 ~clean:1 ~faulty:9; read 1 m1 9 ] in
+  Alcotest.check series "series" [| (0, 1) |] acl.Acl.series;
+  Alcotest.(check (pair int int)) "peak, final" (1, 1) (acl.Acl.peak, acl.Acl.final);
+  Alcotest.check death_list "no death" [] (deaths_of acl)
+
+(* a corrupted value that is never read is never alive: no rise, and no
+   dead-corrupted-location death *)
+let test_never_read () =
+  let acl = analyze_pairs [ write 0 m1 ~clean:1 ~faulty:9; jump 1; jump 2 ] in
+  Alcotest.check series "series" [| (0, 0) |] acl.Acl.series;
+  Alcotest.(check (pair int int)) "peak, final" (0, 0) (acl.Acl.peak, acl.Acl.final);
+  Alcotest.check death_list "no death" [] (deaths_of acl)
+
+(* no aligned step: an empty series, whether both runs are empty or
+   their control differs from the first event *)
+let test_no_steps () =
+  let empty = analyze_pairs [] in
+  Alcotest.check series "empty runs" [||] empty.Acl.series;
+  Alcotest.(check (pair int int)) "empty runs: peak, final" (0, 0)
+    (empty.Acl.peak, empty.Acl.final);
+  let clean, faulty = write 0 m1 ~clean:1 ~faulty:9 in
+  let diverged =
+    Acl.analyze ~clean:(trace_of [ clean ])
+      ~faulty:(trace_of [ { faulty with Trace.pc = 7 } ])
+      ()
+  in
+  Alcotest.check series "diverged at 0" [||] diverged.Acl.series;
+  Alcotest.(check (option int)) "divergence" (Some 0) diverged.Acl.divergence;
+  Alcotest.(check int) "final" 0 diverged.Acl.final
+
+(* [settle] keeps one count buffer per domain and reuses it: a long
+   LULESH injection grows it, a short one that traps early reuses it,
+   and the long one runs again on it.  Each result must equal the same
+   analysis on a fresh domain, whose buffer is new. *)
+let test_buffer_reuse () =
+  let app = Registry.find "LULESH" in
+  let clean, trace = App.trace app in
+  let budget = 10 * clean.Machine.instructions in
+  let analyze fault = Experiments.replay_acl app ~clean:trace fault ~budget in
+  let long = flip_write ~seq:500 62 and short = flip_write ~seq:140 62 in
+  let _, l = analyze long in
+  let short_run, s = analyze short in
+  Alcotest.(check bool) "the short run traps" true
+    (match short_run.Machine.outcome with Machine.Trapped _ -> true | _ -> false);
+  Alcotest.(check bool) "the long run aligns far past the short one" true
+    (Array.length l.Acl.series > 100 * Array.length s.Acl.series);
+  List.iter
+    (fun (name, fault, here) ->
+      let fresh = Domain.join (Domain.spawn (fun () -> snd (analyze fault))) in
+      Alcotest.(check bool) name true (here = fresh))
+    [ ("long", long, l); ("short", short, s);
+      ("long again", long, snd (analyze long)) ]
+
 (* property: for random faults on a fixed program, the final ACL count
    is between 0 and the peak, and the series is seq-ordered *)
 let prop_series_well_formed =
@@ -384,5 +503,14 @@ let suite =
       Alcotest.test_case "read after the divergence" `Quick
         test_read_after_divergence;
       Alcotest.test_case "dead deaths before overwrites" `Quick test_dead_order;
+      Alcotest.test_case "a fall and a rise at one step" `Quick
+        test_fall_meets_rise;
+      Alcotest.test_case "a fall at the last step is not counted" `Quick
+        test_fall_at_steps;
+      Alcotest.test_case "a value never read never rises" `Quick
+        test_never_read;
+      Alcotest.test_case "no aligned steps" `Quick test_no_steps;
+      Alcotest.test_case "count buffer reuse on one domain" `Quick
+        test_buffer_reuse;
       QCheck_alcotest.to_alcotest prop_series_well_formed;
     ] )

@@ -245,6 +245,46 @@ let test_binary_bad_input () =
       close_out oc;
       check_parse_error "truncated binary" (fun () -> Trace_io.load path))
 
+(* A binary trace with 1-4 bytes changed at random, from a fixed seed,
+   either loads or fails with [Parse_error]: no length read from the
+   file goes unchecked into an allocation, and no other exception
+   escapes the decoder *)
+let test_binary_mutations () =
+  let _, t = App.trace (Registry.find "IS") in
+  let head = Trace.create () in
+  for k = 0 to min 500 (Trace.length t) - 1 do
+    Trace.push head (Trace.get t k)
+  done;
+  let path = Filename.temp_file "ft_mut" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_io.save ~format:Trace_io.Binary path head;
+      let ic = open_in_bin path in
+      let good = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let rng = Random.State.make [| 25 |] in
+      let loaded = ref 0 in
+      for m = 1 to 2000 do
+        let b = Bytes.of_string good in
+        for _ = 1 to 1 + Random.State.int rng 4 do
+          Bytes.set b
+            (Random.State.int rng (Bytes.length b))
+            (Char.chr (Random.State.int rng 256))
+        done;
+        let oc = open_out_bin path in
+        output_bytes oc b;
+        close_out oc;
+        match Trace_io.load path with
+        | _ -> incr loaded
+        | exception Trace_io.Parse_error _ -> ()
+        | exception e ->
+            Alcotest.failf "mutation %d: expected Parse_error, got %s" m
+              (Printexc.to_string e)
+      done;
+      (* most single-byte changes still decode, to other values *)
+      Alcotest.(check bool) "some mutations load" true (!loaded > 0))
+
 (* property: arbitrary synthetic events (random stamps, opclasses,
    access sets, and raw 64-bit values) round-trip bit-exactly through
    both codecs *)
@@ -360,6 +400,8 @@ let suite =
       Alcotest.test_case "binary 4x smaller" `Quick
         test_binary_smaller_than_text;
       Alcotest.test_case "binary bad input" `Quick test_binary_bad_input;
+      Alcotest.test_case "binary mutations fail structured" `Quick
+        test_binary_mutations;
       QCheck_alcotest.to_alcotest prop_codec_roundtrip;
       QCheck_alcotest.to_alcotest prop_serialization_total;
     ] )
