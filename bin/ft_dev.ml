@@ -19,7 +19,10 @@
    allocates, the instructions it executes, and the minor and direct
    major-heap words a mined LULESH injection allocates, and exits
    nonzero when any drifts from its checked-in value (see
-   [alloc_gate]). *)
+   [alloc_gate]).
+   [ft_dev serve-soak [N]] submits N small campaigns to a forked
+   server and exits nonzero when any of its processes keeps growing
+   (see [serve_soak]). *)
 
 let dedup_apps (apps : App.t list) : App.t list =
   let seen = Hashtbl.create 16 in
@@ -610,6 +613,139 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
     exit 1
   end
 
+(* [ft_dev serve-soak [N]] — the served path's memory gate.  Forks a
+   2-worker [Server.serve] with a journal root, submits N warm IS@opt
+   campaigns of 64 trials one after another, and prints the VmRSS of
+   the server and of each worker after submission 10 and after
+   submission N.  Exits 1 when a submission fails, the pool changed,
+   or any process grew by more than [soak_bound_mb]: a server or worker
+   that keeps per-campaign state (a plan copy, a job closure, a loaded
+   kernel) after the campaign is over grows with every submission,
+   which the benchmark's three-submission peak cannot see. *)
+let soak_bound_mb = 16.0
+let soak_mark = 10
+
+let read_proc (path : string) : string =
+  In_channel.with_open_text path In_channel.input_all
+
+let vm_rss_kb (pid : int) : int option =
+  match read_proc (Printf.sprintf "/proc/%d/status" pid) with
+  | exception Sys_error _ -> None
+  | s ->
+      String.split_on_char '\n' s
+      |> List.find_map (fun l ->
+             if String.starts_with ~prefix:"VmRSS:" l then
+               Scanf.sscanf_opt l "VmRSS: %d kB" Fun.id
+             else None)
+
+(* the live children of [pid], by the parent field of /proc/PID/stat *)
+let children_of (pid : int) : int list =
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map (fun d ->
+         match int_of_string_opt d with
+         | None -> None
+         | Some p -> (
+             match read_proc (Printf.sprintf "/proc/%d/stat" p) with
+             | exception Sys_error _ -> None
+             | st -> (
+                 (* the command name may hold spaces: parse after ')' *)
+                 let i = String.rindex st ')' in
+                 match
+                   String.split_on_char ' '
+                     (String.sub st (i + 2) (String.length st - i - 2))
+                 with
+                 | _state :: ppid :: _ when int_of_string_opt ppid = Some pid
+                   ->
+                     Some p
+                 | _ -> None)))
+  |> List.sort compare
+
+let serve_soak ~(n : int) =
+  let n = max (soak_mark + 1) n in
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ft-soak-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir root 0o755;
+  let socket = Filename.concat root "ft.sock" in
+  let cfg =
+    {
+      Server.default_config with
+      Server.workers = 2;
+      journal_dir = Some (Filename.concat root "journals");
+    }
+  in
+  flush_all ();
+  let server =
+    match Unix.fork () with
+    | 0 ->
+        (try
+           Server.serve ~cfg ~cache_dir:(Filename.concat root "cache")
+             ~socket ()
+         with e ->
+           prerr_endline ("serve-soak: server: " ^ Printexc.to_string e);
+           Unix._exit 2);
+        Unix._exit 0
+    | pid -> pid
+  in
+  let spec =
+    {
+      Campaign.default_spec with
+      Campaign.sp_app = "IS@opt";
+      sp_trials = Some 64;
+    }
+  in
+  let sample () =
+    List.map
+      (fun p -> (p, Option.value ~default:0 (vm_rss_kb p)))
+      (server :: children_of server)
+  in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let samples = ref [] in
+  (try
+     for k = 1 to n do
+       match Client.submit ~timeout_s:120.0 ~socket spec with
+       | Error e ->
+           fail "submission %d: %s" k (Client.error_message e);
+           raise Exit
+       | Ok _ ->
+           if k = soak_mark || k = n then samples := (k, sample ()) :: !samples
+     done
+   with Exit -> ());
+  (match Client.shutdown ~socket () with
+  | Ok () -> ()
+  | Error e -> fail "shutdown: %s" (Client.error_message e));
+  (match Unix.waitpid [] server with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> fail "the server exited abnormally");
+  ignore (Sys.command ("rm -rf " ^ Filename.quote root));
+  let role p = if p = server then "server" else Printf.sprintf "worker %d" p in
+  (match List.rev !samples with
+  | [ (k0, first); (k1, last) ] ->
+      Printf.printf "serve-soak: %d IS@opt campaigns of 64 trials, 2 workers\n"
+        n;
+      Printf.printf "  %-14s %10s %10s %10s\n" "process"
+        (Printf.sprintf "RSS@%d" k0) (Printf.sprintf "RSS@%d" k1) "growth";
+      if List.map fst first <> List.map fst last then
+        fail "the pool changed between submission %d and %d" k0 k1;
+      List.iter
+        (fun (p, kb0) ->
+          let kb1 = Option.value ~default:0 (List.assoc_opt p last) in
+          let grew = Float.of_int (kb1 - kb0) /. 1024.0 in
+          Printf.printf "  %-14s %7.1f MB %7.1f MB %+7.1f MB\n" (role p)
+            (Float.of_int kb0 /. 1024.0) (Float.of_int kb1 /. 1024.0) grew;
+          if grew > soak_bound_mb then
+            fail "%s grew by %.1f MB over %d submissions (bound %.0f MB)"
+              (role p) grew (k1 - k0) soak_bound_mb)
+        first
+  | _ -> fail "no RSS samples taken");
+  match List.rev !failures with
+  | [] -> print_endline "serve-soak: OK"
+  | fs ->
+      List.iter (fun m -> print_endline ("serve-soak: FAILED: " ^ m)) fs;
+      exit 1
+
 (* [ft_dev seq-parity [APP...]] — the traced/untraced seq-contract
    gate.  Fault sites are harvested from traced runs and injected into
    untraced campaign runs, keyed by dynamic sequence number; if tracing
@@ -905,6 +1041,9 @@ let () =
       parse rest;
       chaos_campaign !name ~workers:!workers ~tcp:!tcp
         ~tenants:(max 1 !tenants) ~kills:!kills ~trials:!trials
+  | _ :: "serve-soak" :: rest ->
+      serve_soak
+        ~n:(match rest with n :: _ -> int_of_string n | [] -> 200)
   | _ :: "seq-parity" :: rest ->
       seq_parity (match rest with [] -> [ "kmeans"; "kmeans@opt" ] | l -> l)
   | _ :: "ckpt-parity" :: rest ->

@@ -23,21 +23,21 @@ let to_string (x : t) : string =
   to_buffer buf x;
   Buffer.contents buf
 
-(** Decode one value of [s] starting at [pos].  Returns the value and
-    the position just past it, or [None] when the input is malformed or
-    truncated at or after [pos]. *)
-let decode_one (s : string) ~(pos : int) : (t * int) option =
-  let n = String.length s in
+(** Decode one value of [b] between [pos] and [stop].  Returns the
+    value and the position just past it, or [None] when the input is
+    malformed or truncated at or after [pos]. *)
+let decode_sub (b : bytes) ~(pos : int) ~(stop : int) : (t * int) option =
+  let n = stop in
   let rec value pos =
     if pos >= n then None
     else
-      match s.[pos] with
+      match Bytes.get b pos with
       | '(' -> items (pos + 1) []
       | '0' .. '9' -> atom pos 0 pos
       | _ -> None
   and items pos acc =
     if pos >= n then None
-    else if s.[pos] = ')' then Some (List (List.rev acc), pos + 1)
+    else if Bytes.get b pos = ')' then Some (List (List.rev acc), pos + 1)
     else
       match value pos with
       | Some (v, pos') -> items pos' (v :: acc)
@@ -45,18 +45,24 @@ let decode_one (s : string) ~(pos : int) : (t * int) option =
   and atom start len pos =
     if pos >= n then None
     else
-      match s.[pos] with
+      match Bytes.get b pos with
       | '0' .. '9' ->
           (* cap the length before it can overflow or run away *)
           if len > 0x3FFF_FFFF then None
-          else atom start ((len * 10) + (Char.code s.[pos] - Char.code '0')) (pos + 1)
+          else
+            atom start
+              ((len * 10) + (Char.code (Bytes.get b pos) - Char.code '0'))
+              (pos + 1)
       | ':' ->
           if pos = start then None
           else if pos + 1 + len > n then None
-          else Some (Atom (String.sub s (pos + 1) len), pos + 1 + len)
+          else Some (Atom (Bytes.sub_string b (pos + 1) len), pos + 1 + len)
       | _ -> None
   in
   value pos
+
+let decode_one (s : string) ~(pos : int) : (t * int) option =
+  decode_sub (Bytes.unsafe_of_string s) ~pos ~stop:(String.length s)
 
 (** Decode the longest valid prefix of [s]: the records and the byte
     offset where decoding stopped (= [String.length s] iff the whole

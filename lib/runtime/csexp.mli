@@ -11,6 +11,10 @@ val decode_one : string -> pos:int -> (t * int) option
 (** One value starting at [pos] and the position just past it; [None]
     on malformed or truncated input. *)
 
+val decode_sub : bytes -> pos:int -> stop:int -> (t * int) option
+(** [decode_one] over the bytes of a buffer from [pos] up to [stop]
+    (a connection's inbound bytes, decoded in place). *)
+
 val decode_prefix : string -> t list * int
 (** The longest valid prefix: records plus the byte offset where
     decoding stopped (the full length iff the input is well-formed).

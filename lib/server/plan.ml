@@ -29,7 +29,19 @@ type plan = {
    must not be deserialized under the new layout. *)
 let plan_key (app : string) : string = Cache.key ("plan:v2:" ^ app)
 
-let plan_of_app ?(cache_dir : string option) (appname : string) :
+(* Each process keeps the plans it has built or loaded, keyed by app
+   spelling: a repeat submission costs no [Cache.load], every campaign
+   on an app shares one program (so {!Compiled.plan_for} takes its
+   physical-identity fast path), and a long-lived server or worker holds
+   one copy of a plan instead of one per campaign.  Forked workers
+   inherit the server's table.  Bounded like {!Compiled}'s plan cache:
+   plans are pure values, so resetting the table at the cap only costs
+   reloads. *)
+let memo : (string, plan) Hashtbl.t = Hashtbl.create 8
+let memo_mutex = Mutex.create ()
+let memo_cap = 16
+
+let build ?(cache_dir : string option) (appname : string) :
     (plan, string) result =
   let cached =
     Option.bind cache_dir (fun dir ->
@@ -63,6 +75,20 @@ let plan_of_app ?(cache_dir : string option) (appname : string) :
                   ignore (Cache.store ~dir ~key:(plan_key appname) plan))
                 cache_dir;
               Ok plan))
+
+let plan_of_app ?(cache_dir : string option) (appname : string) :
+    (plan, string) result =
+  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo appname) with
+  | Some p -> Ok p
+  | None ->
+      let r = build ?cache_dir appname in
+      Result.iter
+        (fun p ->
+          Mutex.protect memo_mutex (fun () ->
+              if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
+              Hashtbl.replace memo appname p))
+        r;
+      r
 
 (** The injection target a plan exposes for a declared structure: the
     cached whole-program (register-file) target for [Reg], or a

@@ -17,7 +17,10 @@ val plan_key : string -> string
 
 val plan_of_app : ?cache_dir:string -> string -> (plan, string) result
 (** Resolve, bake, trace and (when [cache_dir] is given) cache the
-    plan for an app spelling ([CG], [IS@all], [MG@opt], ...). *)
+    plan for an app spelling ([CG], [IS@all], [MG@opt], ...).  Each
+    process also keeps the plans it has returned, per spelling (up to
+    16, then the table resets), so repeat calls return the physically
+    same plan without touching the cache. *)
 
 val target_of_plan : plan -> Structure.t -> Campaign.target
 (** The injection target a plan exposes for a declared structure:

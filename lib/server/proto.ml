@@ -201,6 +201,9 @@ type to_worker =
           answer [Loaded] or [Load_failed] *)
   | Lease of { cid : string; batch : int; lo : int; hi : int }
       (** run trials [lo, hi) of campaign [cid], streaming each back *)
+  | Forget of { cid : string }
+      (** campaign [cid] is over: drop its trial kernel (a later
+          [Lease] for it is answered with [Load_failed]) *)
   | Quit
 
 type from_worker =
@@ -223,6 +226,7 @@ let to_worker_to_csexp (m : to_worker) : Csexp.t =
       List [ Atom "load"; Atom cid; Campaign.spec_to_csexp spec ]
   | Lease { cid; batch; lo; hi } ->
       List [ Atom "lease"; Atom cid; Atom (i batch); Atom (i lo); Atom (i hi) ]
+  | Forget { cid } -> List [ Atom "forget"; Atom cid ]
   | Quit -> List [ Atom "quit" ]
 
 let to_worker_of_csexp (c : Csexp.t) : (to_worker, string) result =
@@ -236,6 +240,7 @@ let to_worker_of_csexp (c : Csexp.t) : (to_worker, string) result =
       with
       | Some batch, Some lo, Some hi -> Ok (Lease { cid; batch; lo; hi })
       | _ -> Error "lease: bad integers")
+  | List [ Atom "forget"; Atom cid ] -> Ok (Forget { cid })
   | List [ Atom "quit" ] -> Ok Quit
   | other -> Error ("unknown worker command: " ^ Csexp.to_string other)
 

@@ -52,6 +52,8 @@ val server_of_csexp : Csexp.t -> (server_msg, string) result
 type to_worker =
   | Load of { cid : string; spec : Campaign.spec }
   | Lease of { cid : string; batch : int; lo : int; hi : int }
+  | Forget of { cid : string }
+      (** the campaign finished, was poisoned or failed: drop it *)
   | Quit
 
 type from_worker =

@@ -24,7 +24,12 @@
 
     Fair share: a free worker goes to the admitted tenant holding the
     fewest leases (ties broken least-recently-served), so a wide
-    campaign cannot starve a narrow one. *)
+    campaign cannot starve a narrow one.
+
+    A campaign that finishes, is poisoned or fails leaves the pool:
+    its job closure and per-trial arrays are dropped (its stats row
+    stays), every worker that loaded it is told to [Forget] it, and
+    the per-round walks see only the active tenants. *)
 
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
@@ -48,7 +53,7 @@ type config = {
 let default_config =
   {
     workers = 2;
-    batch = 16;
+    batch = Executor.default_config.Executor.batch;
     shards = 4;
     heartbeat_s = 30.0;
     max_lease_attempts = 3;
@@ -95,23 +100,39 @@ type tenant_stats = {
 (* --- internal state ----------------------------------------------------- *)
 
 type lease = Todo | Leased of int  (** worker slot id *) | Done_
-type tstate = Queued | Active | Finished_t | Poisoned_t | Failed_t
 
-type tenant = {
+(* an admitted campaign's per-trial state, dropped when it leaves the
+   pool *)
+type run = {
   job : job;
   nbatches : int;
   filled : bool array;
   lease : lease array;
   attempts : int array;
   eligible : float array;
-  mutable state : tstate;
   mutable journal : Shard.t option;
-  mutable resumed : int;
   mutable open_batches : int;
-  mutable completed_n : int;  (** filled count, maintained incrementally *)
   mutable prefix : int;
-  mutable steals : int;
   mutable last_served : int;
+}
+
+type tstate =
+  | Queued of job
+  | Active of run
+  | Finished_t
+  | Poisoned_t
+  | Failed_t
+
+(* one submitted campaign: its stats row, plus its job or run while it
+   is queued or active *)
+type tenant = {
+  id : string;
+  app : string;
+  total : int;
+  mutable state : tstate;
+  mutable completed_n : int;  (** filled count, maintained incrementally *)
+  mutable resumed : int;
+  mutable steals : int;
 }
 
 type wkind = Fork | Remote
@@ -133,15 +154,15 @@ type t = {
   cfg : config;
   spawn : (close_fds:Unix.file_descr list -> int * Wire.conn) option;
   on_event : string -> event -> unit;
-  tenants : (string, tenant) Hashtbl.t;
+  tenants : (string, tenant) Hashtbl.t;  (** every campaign submitted *)
   mutable submitted : string list;  (** submission order, reversed *)
-  queue : string Queue.t;
+  queue : tenant Queue.t;
+  mutable running : (tenant * run) list;  (** the active tenants *)
   mutable slots : wslot list;
   mutable next_slot : int;
   mutable served : int;  (** fair-share round counter *)
   mutable kills : int list;
   mutable delivered : int;
-  mutable active : int;
 }
 
 let create ?(cfg = default_config) ?spawn
@@ -156,12 +177,12 @@ let create ?(cfg = default_config) ?spawn
     tenants = Hashtbl.create 8;
     submitted = [];
     queue = Queue.create ();
+    running = [];
     slots = [];
     next_slot = 0;
     served = 0;
     kills = List.sort compare cfg.chaos_kills;
     delivered = 0;
-    active = 0;
   }
 
 let obs_count (t : t) name n =
@@ -183,75 +204,99 @@ let record_is_infra (r : Csexp.t) : bool =
   | Csexp.List (Csexp.Atom "t" :: _ :: Csexp.Atom "err" :: _) -> true
   | _ -> false
 
+let live_slots (t : t) = List.filter (fun s -> not s.ws_dead) t.slots
+
+(* the active run of campaign [cid], if any *)
+let active_run (t : t) (cid : string) : (tenant * run) option =
+  match Hashtbl.find_opt t.tenants cid with
+  | Some ({ state = Active r; _ } as ten) -> Some (ten, r)
+  | _ -> None
+
 (* --- per-tenant geometry ------------------------------------------------- *)
 
 let batch_size (t : t) = max 1 t.cfg.batch
 
-let batch_range (t : t) (ten : tenant) b =
+let batch_range (t : t) (r : run) b =
   let bs = batch_size t in
-  (b * bs, min ten.job.jb_total ((b + 1) * bs))
+  (b * bs, min r.job.jb_total ((b + 1) * bs))
 
-let first_unfilled (t : t) (ten : tenant) b =
-  let lo, hi = batch_range t ten b in
+let first_unfilled (t : t) (r : run) b =
+  let lo, hi = batch_range t r b in
   let rec go i =
-    if i >= hi then None else if ten.filled.(i) then go (i + 1) else Some i
+    if i >= hi then None else if r.filled.(i) then go (i + 1) else Some i
   in
   go lo
 
 (* the contiguous filled prefix: what a finished tenant reports *)
-let advance_prefix (ten : tenant) =
-  while ten.prefix < ten.job.jb_total && ten.filled.(ten.prefix) do
-    ten.prefix <- ten.prefix + 1
+let advance_prefix (r : run) =
+  while r.prefix < r.job.jb_total && r.filled.(r.prefix) do
+    r.prefix <- r.prefix + 1
   done
 
 (* --- tenant lifecycle ---------------------------------------------------- *)
 
-let close_journal (ten : tenant) =
-  match ten.journal with
+let close_journal (r : run) =
+  match r.journal with
   | None -> ()
   | Some sh ->
       (try
          Shard.sync_all sh;
          Shard.close sh
        with Sys_error _ | Unix.Unix_error _ -> ());
-      ten.journal <- None
+      r.journal <- None
 
-let emit (t : t) (ten : tenant) (e : event) = t.on_event ten.job.jb_id e
+let emit (t : t) (ten : tenant) (e : event) = t.on_event ten.id e
 
 let progress (t : t) (ten : tenant) =
   emit t ten
     (Progress
        {
          completed = ten.completed_n;
-         planned = ten.job.jb_total;
+         planned = ten.total;
          stolen = ten.steals;
        })
 
-let finish (t : t) (ten : tenant) =
-  close_journal ten;
-  ten.state <- Finished_t;
-  t.active <- t.active - 1;
+(** A campaign leaves the pool in terminal [state]: its journal closes,
+    its job and per-trial arrays go (the stats row stays), and every
+    worker that loaded it is told to forget it.  A worker that died
+    meanwhile surfaces on the next drain, not here. *)
+let release (t : t) (ten : tenant) (state : tstate) =
+  (match ten.state with Active r -> close_journal r | _ -> ());
+  ten.state <- state;
+  t.running <- List.filter (fun (ten', _) -> ten' != ten) t.running;
+  List.iter
+    (fun s ->
+      Hashtbl.remove s.ws_noload ten.id;
+      if Hashtbl.mem s.ws_loaded ten.id then begin
+        Hashtbl.remove s.ws_loaded ten.id;
+        try
+          Wire.send s.ws_conn
+            (Proto.to_worker_to_csexp (Proto.Forget { cid = ten.id }))
+        with Wire.Closed -> ()
+      end)
+    (live_slots t)
+
+let finish (t : t) (ten : tenant) (r : run) =
+  release t ten Finished_t;
   obs_count t "server/tenants-finished" 1;
-  emit t ten (Finished { completed = ten.prefix; resumed = ten.resumed })
+  emit t ten (Finished { completed = r.prefix; resumed = ten.resumed })
 
-let maybe_finish (t : t) (ten : tenant) =
-  if ten.state = Active && ten.open_batches = 0 then finish t ten
+let maybe_finish (t : t) (ten : tenant) (r : run) =
+  if r.open_batches = 0 then finish t ten r
 
-let poison (t : t) (ten : tenant) (b : int) (cause : Infra.cause) =
-  close_journal ten;
-  ten.state <- Poisoned_t;
-  t.active <- t.active - 1;
+let poison (t : t) (ten : tenant) (r : run) (b : int) (cause : Infra.cause) =
+  release t ten Poisoned_t;
   obs_count t "server/tenants-poisoned" 1;
-  emit t ten (Poisoned { batch = b; attempts = ten.attempts.(b); cause })
+  emit t ten (Poisoned { batch = b; attempts = r.attempts.(b); cause })
 
 (** Close batch [b]: mark done, persist, advance the prefix, and tell
     the owner.  Reached from [Batch_done] {e and} from the stolen-batch
     path where every record arrived before the thief ran — both must
     advance the prefix identically. *)
-let close_batch (t : t) (ten : tenant) (b : int) =
-  ten.lease.(b) <- Done_;
-  ten.open_batches <- ten.open_batches - 1;
-  (match ten.journal with
+let close_batch (t : t) (ten : tenant) (r : run) (b : int) =
+  r.lease.(b) <- Done_;
+  r.open_batches <- r.open_batches - 1;
+  (match r.journal with
   | Some sh ->
       Shard.sync sh ~shard:b;
       if Shard.appended sh ~shard:b >= t.cfg.compact_every then begin
@@ -259,39 +304,29 @@ let close_batch (t : t) (ten : tenant) (b : int) =
         obs_count t "server/compactions" 1
       end
   | None -> ());
-  advance_prefix ten;
+  advance_prefix r;
   progress t ten;
-  maybe_finish t ten
+  maybe_finish t ten r
 
 let submit (t : t) (job : job) : (unit, string) result =
   if job.jb_total < 0 then Error "negative trial total"
   else if Hashtbl.mem t.tenants job.jb_id then
     Error (Printf.sprintf "duplicate campaign id %s" job.jb_id)
   else begin
-    let total = job.jb_total in
-    let bs = batch_size t in
-    let nbatches = (total + bs - 1) / bs in
     let ten =
       {
-        job;
-        nbatches;
-        filled = Array.make total false;
-        lease = Array.make nbatches Todo;
-        attempts = Array.make nbatches 0;
-        eligible = Array.make nbatches 0.0;
-        state = Queued;
-        journal = None;
-        resumed = 0;
-        open_batches = 0;
+        id = job.jb_id;
+        app = job.jb_app;
+        total = job.jb_total;
+        state = Queued job;
         completed_n = 0;
-        prefix = 0;
+        resumed = 0;
         steals = 0;
-        last_served = 0;
       }
     in
     Hashtbl.replace t.tenants job.jb_id ten;
     t.submitted <- job.jb_id :: t.submitted;
-    Queue.push job.jb_id t.queue;
+    Queue.push ten t.queue;
     obs_count t "server/tenants-submitted" 1;
     Ok ()
   end
@@ -328,51 +363,64 @@ let tenant ~(id : string) ?(journal : string option) ?(resume = false)
     replay surviving records through the owner's [jb_accept], and
     schedule whatever is still open.  A campaign that resumes complete
     finishes here without ever touching the pool. *)
-let admit (t : t) (ten : tenant) =
+let admit (t : t) (ten : tenant) (job : job) =
+  let total = job.jb_total in
+  let bs = batch_size t in
+  let nbatches = (total + bs - 1) / bs in
+  let r =
+    {
+      job;
+      nbatches;
+      filled = Array.make total false;
+      lease = Array.make nbatches Todo;
+      attempts = Array.make nbatches 0;
+      eligible = Array.make nbatches 0.0;
+      journal = None;
+      open_batches = 0;
+      prefix = 0;
+      last_served = 0;
+    }
+  in
+  ten.state <- Active r;
   match
-    let total = ten.job.jb_total in
-    (match ten.job.jb_journal with
+    (match job.jb_journal with
     | None -> ()
     | Some dir ->
-        if ten.job.jb_resume && Sys.file_exists dir then begin
+        if job.jb_resume && Sys.file_exists dir then begin
           let sh, records =
-            Shard.open_resume ~dir ~shards:t.cfg.shards
-              ~header:ten.job.jb_header
+            Shard.open_resume ~dir ~shards:t.cfg.shards ~header:job.jb_header
           in
-          ten.journal <- Some sh;
+          r.journal <- Some sh;
           List.iter
-            (fun r ->
-              match record_index r with
+            (fun record ->
+              match record_index record with
               | Some i
-                when i >= 0 && i < total && (not ten.filled.(i))
-                     && ten.job.jb_accept i r ->
-                  ten.filled.(i) <- true;
+                when i >= 0 && i < total && (not r.filled.(i))
+                     && job.jb_accept i record ->
+                  r.filled.(i) <- true;
                   ten.completed_n <- ten.completed_n + 1;
                   ten.resumed <- ten.resumed + 1
               | Some _ | None -> ())
             records
         end
         else
-          ten.journal <-
+          r.journal <-
             Some
-              (Shard.create ~dir ~shards:t.cfg.shards
-                 ~header:ten.job.jb_header));
-    for b = 0 to ten.nbatches - 1 do
-      match first_unfilled t ten b with
-      | None -> ten.lease.(b) <- Done_
-      | Some _ -> ten.open_batches <- ten.open_batches + 1
+              (Shard.create ~dir ~shards:t.cfg.shards ~header:job.jb_header));
+    for b = 0 to nbatches - 1 do
+      match first_unfilled t r b with
+      | None -> r.lease.(b) <- Done_
+      | Some _ -> r.open_batches <- r.open_batches + 1
     done;
-    advance_prefix ten
+    advance_prefix r
   with
   | () ->
-      ten.state <- Active;
-      t.active <- t.active + 1;
+      t.running <- t.running @ [ (ten, r) ];
       obs_count t "server/tenants-admitted" 1;
       progress t ten;
-      maybe_finish t ten
+      maybe_finish t ten r
   | exception e ->
-      close_journal ten;
-      ten.state <- Failed_t;
+      release t ten Failed_t;
       emit t ten (Failed { reason = Printexc.to_string e })
 
 (* --- the worker pool ----------------------------------------------------- *)
@@ -382,8 +430,6 @@ let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 let reap ?(force = false) pid =
   if force then sigkill pid;
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
-let live_slots (t : t) = List.filter (fun s -> not s.ws_dead) t.slots
 
 let slot_fds (t : t) =
   List.map (fun s -> Wire.fd s.ws_conn) (live_slots t)
@@ -427,17 +473,16 @@ let attach_remote (t : t) (conn : Wire.conn) : unit =
     [cause] once its attempts run out. *)
 let steal (t : t) (s : wslot) ((cid, b) : string * int) (cause : Infra.cause) =
   s.ws_assign <- None;
-  match Hashtbl.find_opt t.tenants cid with
-  | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id ->
-      ten.attempts.(b) <- ten.attempts.(b) + 1;
+  match active_run t cid with
+  | Some (ten, r) when r.lease.(b) = Leased s.ws_id ->
+      r.attempts.(b) <- r.attempts.(b) + 1;
       ten.steals <- ten.steals + 1;
       obs_count t "server/leases-stolen" 1;
-      ten.lease.(b) <- Todo;
-      ten.eligible.(b) <-
+      r.lease.(b) <- Todo;
+      r.eligible.(b) <-
         Unix.gettimeofday ()
-        +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
-      if ten.attempts.(b) > t.cfg.max_lease_attempts then
-        poison t ten b cause
+        +. Executor.backoff_s t.cfg.retry b (r.attempts.(b) - 1);
+      if r.attempts.(b) > t.cfg.max_lease_attempts then poison t ten r b cause
   | _ -> ()
 
 (** A dead or stalled worker: kill, reap, steal its lease back, drop
@@ -461,7 +506,7 @@ let worker_down (t : t) (s : wslot) (cause : Infra.cause) =
     unbuildable, not the pool broken. *)
 let load_failed (t : t) (s : wslot) (cid : string) (reason : string) =
   Hashtbl.remove s.ws_loaded cid;
-  Hashtbl.replace s.ws_noload cid ();
+  if active_run t cid <> None then Hashtbl.replace s.ws_noload cid ();
   match s.ws_assign with
   | Some ((c, _) as lease) when c = cid ->
       steal t s lease (Infra.Load_failed { cid; reason })
@@ -479,25 +524,25 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
       if s.ws_kind = Remote then s.ws_pid <- pid;
       true
   | Ok (Proto.Loaded { cid }) ->
-      Hashtbl.replace s.ws_loaded cid ();
+      (* a campaign that left the pool meanwhile was already forgotten *)
+      if active_run t cid <> None then Hashtbl.replace s.ws_loaded cid ();
       true
   | Ok (Proto.Load_failed { cid; reason }) ->
       load_failed t s cid reason;
       true
   | Ok (Proto.Trial { cid; record }) -> (
-      match Hashtbl.find_opt t.tenants cid with
-      | Some ten when ten.state = Active -> (
+      match active_run t cid with
+      | Some (ten, r) -> (
           match record_index record with
           | Some i
-            when i >= 0 && i < ten.job.jb_total && (not ten.filled.(i))
-                 && ten.job.jb_accept i record ->
-              ten.filled.(i) <- true;
+            when i >= 0 && i < r.job.jb_total && (not r.filled.(i))
+                 && r.job.jb_accept i record ->
+              r.filled.(i) <- true;
               ten.completed_n <- ten.completed_n + 1;
               if record_is_infra record then
                 obs_count t "server/infra-errors" 1;
-              (match ten.journal with
-              | Some sh ->
-                  Shard.append sh ~shard:(i / batch_size t) record
+              (match r.journal with
+              | Some sh -> Shard.append sh ~shard:(i / batch_size t) record
               | None -> ());
               t.delivered <- t.delivered + 1;
               (match t.kills with
@@ -519,26 +564,25 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
               | _ -> true)
           | Some _ -> true  (* duplicate from a stolen batch: first write wins *)
           | None -> true)
-      | _ -> true  (* tenant finished or poisoned: late records drop *))
+      | None -> true  (* tenant finished or poisoned: late records drop *))
   | Ok (Proto.Batch_done { cid; batch = b; retries }) -> (
       obs_count t "server/retries" retries;
       (match s.ws_assign with
       | Some (c, bb) when c = cid && bb = b -> s.ws_assign <- None
       | _ -> ());
-      match Hashtbl.find_opt t.tenants cid with
-      | Some ten
-        when ten.state = Active && b >= 0 && b < ten.nbatches
-             && ten.lease.(b) = Leased s.ws_id ->
-          close_batch t ten b;
+      match active_run t cid with
+      | Some (ten, r)
+        when b >= 0 && b < r.nbatches && r.lease.(b) = Leased s.ws_id ->
+          close_batch t ten r b;
           true
       | _ -> true)
 
 (* --- assignment ---------------------------------------------------------- *)
 
-let first_ready (ten : tenant) (now : float) : int option =
+let first_ready (r : run) (now : float) : int option =
   let rec go b =
-    if b >= ten.nbatches then None
-    else if ten.lease.(b) = Todo && ten.eligible.(b) <= now then Some b
+    if b >= r.nbatches then None
+    else if r.lease.(b) = Todo && r.eligible.(b) <= now then Some b
     else go (b + 1)
   in
   go 0
@@ -564,43 +608,43 @@ let assign (t : t) =
         let rec try_assign () =
           let now = Unix.gettimeofday () in
           let best =
-            Hashtbl.fold
-              (fun cid ten acc ->
+            List.fold_left
+              (fun acc ((ten, r) as tr) ->
                 if
-                  ten.state = Active && ten.open_batches > 0
-                  && not (Hashtbl.mem s.ws_noload cid)
-                  && first_ready ten now <> None
+                  r.open_batches > 0
+                  && (not (Hashtbl.mem s.ws_noload ten.id))
+                  && first_ready r now <> None
                 then
-                  let k = (held cid, ten.last_served, cid) in
+                  let k = (held ten.id, r.last_served, ten.id) in
                   match acc with
                   | Some (k', _) when compare k' k <= 0 -> acc
-                  | _ -> Some (k, ten)
+                  | _ -> Some (k, tr)
                 else acc)
-              t.tenants None
+              None t.running
           in
           match best with
           | None -> ()
-          | Some (_, ten) -> (
-              let cid = ten.job.jb_id in
-              match first_ready ten now with
+          | Some (_, (ten, r)) -> (
+              let cid = ten.id in
+              match first_ready r now with
               | None -> ()
               | Some b -> (
-                  match first_unfilled t ten b with
+                  match first_unfilled t r b with
                   | None ->
                       (* a stolen batch whose records all arrived before
                          the thief ran: nothing left to compute — but
                          the boundary still closes here, so the prefix
                          must advance exactly as it would on
                          [Batch_done] *)
-                      close_batch t ten b;
+                      close_batch t ten r b;
                       try_assign ()
                   | Some lo -> (
-                      let _, hi = batch_range t ten b in
+                      let _, hi = batch_range t r b in
                       try
                         if not (Hashtbl.mem s.ws_loaded cid) then begin
                           Wire.send s.ws_conn
                             (Proto.to_worker_to_csexp
-                               (Proto.Load { cid; spec = ten.job.jb_spec }));
+                               (Proto.Load { cid; spec = r.job.jb_spec }));
                           (* optimistic: a [Load_failed] reply takes it
                              back out *)
                           Hashtbl.replace s.ws_loaded cid ()
@@ -608,10 +652,10 @@ let assign (t : t) =
                         Wire.send s.ws_conn
                           (Proto.to_worker_to_csexp
                              (Proto.Lease { cid; batch = b; lo; hi }));
-                        ten.lease.(b) <- Leased s.ws_id;
+                        r.lease.(b) <- Leased s.ws_id;
                         s.ws_assign <- Some (cid, b);
                         t.served <- t.served + 1;
-                        ten.last_served <- t.served;
+                        r.last_served <- t.served;
                         Hashtbl.replace leases_held cid (held cid + 1);
                         Watchdog.refresh s.ws_dl
                       with Wire.Closed ->
@@ -627,21 +671,19 @@ let assign (t : t) =
 
 let work_remains (t : t) =
   (not (Queue.is_empty t.queue))
-  || Hashtbl.fold
-       (fun _ ten acc -> acc || (ten.state = Active && ten.open_batches > 0))
-       t.tenants false
+  || List.exists (fun (_, r) -> r.open_batches > 0) t.running
 
 let fork_count (t : t) =
   List.length (List.filter (fun s -> s.ws_kind = Fork) (live_slots t))
 
-let step (t : t) ~(idle_s : float) : unit =
+let step ?(wake : Unix.file_descr list = []) (t : t) ~(idle_s : float) : unit =
   (* admission: pop the queue while there is room on the pool *)
   let rec admit_loop () =
-    if t.active < max 1 t.cfg.max_active && not (Queue.is_empty t.queue) then begin
-      let cid = Queue.pop t.queue in
-      (match Hashtbl.find_opt t.tenants cid with
-      | Some ten when ten.state = Queued -> admit t ten
-      | _ -> ());
+    if List.length t.running < max 1 t.cfg.max_active
+       && not (Queue.is_empty t.queue)
+    then begin
+      let ten = Queue.pop t.queue in
+      (match ten.state with Queued job -> admit t ten job | _ -> ());
       admit_loop ()
     end
   in
@@ -652,9 +694,9 @@ let step (t : t) ~(idle_s : float) : unit =
       fork_slot t
     done;
   assign t;
-  (* wait for worker traffic; select just bounds the idle sleep —
-     every live worker is drained below regardless *)
-  (match slot_fds t with
+  (* wait for worker or caller traffic; select just bounds the idle
+     sleep — every live worker is drained below regardless *)
+  (match slot_fds t @ wake with
   | [] -> if idle_s > 0.0 then Unix.sleepf idle_s
   | fds -> (
       match Unix.select fds [] [] idle_s with
@@ -698,11 +740,7 @@ let step (t : t) ~(idle_s : float) : unit =
       end)
     (live_slots t)
 
-let busy (t : t) =
-  Hashtbl.fold
-    (fun _ ten acc ->
-      acc || ten.state = Queued || ten.state = Active)
-    t.tenants false
+let busy (t : t) = (not (Queue.is_empty t.queue)) || t.running <> []
 
 let drain (t : t) : unit =
   while busy t do
@@ -737,16 +775,14 @@ let shutdown_workers (t : t) : unit =
 (** Emergency stop: close every active tenant's journal (synced) and
     kill the pool — the cleanup path when the caller's loop raises. *)
 let abort (t : t) : unit =
-  Hashtbl.iter
-    (fun _ ten -> if ten.state = Active then close_journal ten)
-    t.tenants;
+  List.iter (fun (_, r) -> close_journal r) t.running;
   shutdown_workers t
 
 (* --- introspection ------------------------------------------------------- *)
 
 let state_name = function
-  | Queued -> "queued"
-  | Active -> "active"
+  | Queued _ -> "queued"
+  | Active _ -> "active"
   | Finished_t -> "done"
   | Poisoned_t -> "poisoned"
   | Failed_t -> "failed"
@@ -766,10 +802,10 @@ let stats (t : t) : tenant_stats list =
       let ten = Hashtbl.find t.tenants cid in
       {
         ts_id = cid;
-        ts_app = ten.job.jb_app;
+        ts_app = ten.app;
         ts_state = state_name ten.state;
         ts_completed = ten.completed_n;
-        ts_planned = ten.job.jb_total;
+        ts_planned = ten.total;
         ts_leases =
           Option.value ~default:0 (Hashtbl.find_opt leases_held cid);
         ts_steals = ten.steals;
@@ -777,5 +813,5 @@ let stats (t : t) : tenant_stats list =
     t.submitted
 
 let queue_depth (t : t) = Queue.length t.queue
-let active_count (t : t) = t.active
+let active_count (t : t) = List.length t.running
 let worker_count (t : t) = List.length (live_slots t)

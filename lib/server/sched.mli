@@ -7,11 +7,16 @@
     is first-write-wins in index order, so its counts are
     byte-identical to its own [--jobs 1] run regardless of
     interleaving or worker deaths.  There is no early stop: a served
-    campaign runs to its planned total. *)
+    campaign runs to its planned total.  A campaign that finishes, is
+    poisoned or fails leaves the pool: its job and per-trial state are
+    dropped (its {!stats} row stays) and every worker that loaded it
+    gets a [Forget]. *)
 
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
-  batch : int;  (** trials per lease; fixed boundaries like the executor *)
+  batch : int;
+      (** trials per lease; fixed boundaries like the executor, whose
+          default (64) it shares *)
   shards : int;  (** journal shards per tenant *)
   heartbeat_s : float;  (** per-worker lease deadline between messages *)
   max_lease_attempts : int;
@@ -94,15 +99,19 @@ val attach_remote : t -> Wire.conn -> unit
 (** Add a remote TCP worker to the pool.  A vanished remote is handled
     exactly like a SIGKILLed fork: lease stolen, pool degrades. *)
 
-val step : t -> idle_s:float -> unit
+val step : ?wake:Unix.file_descr list -> t -> idle_s:float -> unit
 (** One scheduling round: admit, keep the forked pool at strength,
-    assign leases fairly, wait up to [idle_s] for worker traffic,
-    drain messages, enforce heartbeat deadlines. *)
+    assign leases fairly, wait up to [idle_s] for traffic from a worker
+    or on one of the caller's [wake] descriptors (a listening socket,
+    pending clients), drain worker messages, enforce heartbeat
+    deadlines.  The caller reads its own [wake] descriptors. *)
 
 val drain : t -> unit
 (** [step] until no tenant is queued or active. *)
 
 val busy : t -> bool
+(** A campaign is queued or active. *)
+
 val shutdown_workers : t -> unit
 val abort : t -> unit
 (** Close active tenants' journals (synced) and kill the pool: the

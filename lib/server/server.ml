@@ -40,7 +40,7 @@ type config = {
 let default_config =
   {
     workers = 2;
-    batch = 16;
+    batch = Executor.default_config.Executor.batch;
     shards = 4;
     journal_dir = None;
     heartbeat_s = 30.0;
@@ -106,7 +106,9 @@ type watcher = { wt_conn : Wire.conn; mutable wt_dead : bool }
 
 type tenant_entry = {
   te_id : string;
-  te_final : int -> Campaign.outcome_class Executor.outcome array;
+  mutable te_final :
+    (int -> Campaign.outcome_class Executor.outcome array) option;
+      (** the outcomes, until the verdict is stored *)
   mutable te_watchers : watcher list;
 }
 
@@ -227,6 +229,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
       e.te_watchers
   in
   let finish_entry (e : tenant_entry) (m : Proto.server_msg) =
+    e.te_final <- None;
     Hashtbl.replace results e.te_id m;
     persist_result root e.te_id m;
     incr campaigns_done;
@@ -242,8 +245,11 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
         | Sched.Progress { completed; planned; stolen } ->
             broadcast e (Proto.Progress { id; completed; planned; stolen })
         | Sched.Finished { completed; _ } ->
-            let counts = Campaign.counts_of_outcomes (e.te_final completed) in
-            finish_entry e (Proto.Result { id; counts })
+            Option.iter
+              (fun final ->
+                let counts = Campaign.counts_of_outcomes (final completed) in
+                finish_entry e (Proto.Result { id; counts }))
+              e.te_final
         | Sched.Poisoned { batch; attempts; cause } ->
             finish_entry e
               (Proto.Poisoned
@@ -323,7 +329,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
                 | Error e -> reject e
                 | Ok () ->
                     Hashtbl.replace entries id
-                      { te_id = id; te_final = final; te_watchers = [] };
+                      { te_id = id; te_final = Some final; te_watchers = [] };
                     if safe_send conn (Proto.Accepted { id }) then
                       watch_entry id conn
                     else Wire.close conn)))
@@ -431,8 +437,12 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
   in
   while not !shutdown do
-    (* one scheduling round; the engine's select bounds the idle sleep *)
-    Sched.step eng ~idle_s:0.02;
+    (* one scheduling round; its select also wakes on a new client, a
+       remote worker dialing in, or a pending client's request *)
+    let wake =
+      (lfd :: Option.to_list wfd) @ List.map (fun (c, _) -> Wire.fd c) !pending
+    in
+    Sched.step eng ~wake ~idle_s:0.02;
     (* new clients *)
     (match accept_ready lfd with
     | Some fd ->

@@ -34,8 +34,9 @@ type config = {
 }
 
 val default_config : config
-(** 2 workers, batch 16, 4 shards, no journal, 30 s heartbeats, 3 lease
-    attempts, compaction every 4096 records, 4 concurrent campaigns. *)
+(** 2 workers, batch 64 ([Executor.default_config]'s), 4 shards, no
+    journal, 30 s heartbeats, 3 lease attempts, compaction every 4096
+    records, 4 concurrent campaigns. *)
 
 val campaign_id : int -> string -> string
 (** Deterministic campaign id: admission ordinal + tag hash

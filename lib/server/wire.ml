@@ -40,8 +40,14 @@ type conn = {
   fd : Unix.file_descr;
   mutable send_seq : int;
   mutable expect_seq : int;  (** next inbound seqno to deliver *)
-  mutable pending : string;  (** undecoded inbound bytes *)
-  mutable rtx : (int * string) list;  (** retransmit buffer, newest first *)
+  mutable inbuf : Bytes.t;
+      (** inbound bytes, read into place; those from [lo] up to [hi]
+          are not decoded yet *)
+  mutable lo : int;
+  mutable hi : int;
+  rtx : string array;
+      (** retransmit ring: frame [s] sits in slot [s mod rtx_keep] while
+          [s >= send_seq - rtx_keep] *)
   stats : stats;
   mutable inject : (string -> string list) option;
       (** test hook: rewrite an outgoing raw frame into the chunk list
@@ -60,13 +66,17 @@ let () =
     | Corrupt m -> Some (Printf.sprintf "Wire.Corrupt: %s" m)
     | _ -> None)
 
+let rtx_keep = 64
+
 let of_fd (fd : Unix.file_descr) : conn =
   {
     fd;
     send_seq = 0;
     expect_seq = 0;
-    pending = "";
-    rtx = [];
+    inbuf = Bytes.create 65536;
+    lo = 0;
+    hi = 0;
+    rtx = Array.make rtx_keep "";
     stats = zero_stats ();
     inject = None;
   }
@@ -87,8 +97,6 @@ let checksum (s : string) : int64 =
         0x100000001b3L
   done;
   !h
-
-let rtx_keep = 64
 
 let write_all (t : conn) (s : string) : unit =
   let n = String.length s in
@@ -114,9 +122,7 @@ let frame_of (seq : int) (payload : string) : string =
 let send (t : conn) (msg : Csexp.t) : unit =
   let payload = Csexp.to_string msg in
   let raw = frame_of t.send_seq payload in
-  t.rtx <- (t.send_seq, raw) :: t.rtx;
-  (if List.length t.rtx > rtx_keep then
-     t.rtx <- List.filteri (fun i _ -> i < rtx_keep) t.rtx);
+  t.rtx.(t.send_seq mod rtx_keep) <- raw;
   t.send_seq <- t.send_seq + 1;
   t.stats.frames_sent <- t.stats.frames_sent + 1;
   let chunks = match t.inject with None -> [ raw ] | Some f -> f raw in
@@ -129,33 +135,33 @@ let send_nack (t : conn) (expected : int) : unit =
        (Csexp.List [ Csexp.Atom "n"; Csexp.Atom (string_of_int expected) ]))
 
 let resend_from (t : conn) (seq : int) : unit =
-  let frames =
-    List.sort compare (List.filter (fun (s, _) -> s >= seq) t.rtx)
-  in
-  if frames = [] && seq < t.send_seq then
+  if seq < max 0 (t.send_seq - rtx_keep) then
     raise
       (Corrupt
          (Printf.sprintf
             "peer nacked frame %d, which left the retransmit buffer \
              (unrecoverable)"
             seq));
-  List.iter
-    (fun (_, raw) ->
-      t.stats.resent <- t.stats.resent + 1;
-      write_all t raw)
-    frames
+  for s = seq to t.send_seq - 1 do
+    t.stats.resent <- t.stats.resent + 1;
+    write_all t t.rtx.(s mod rtx_keep)
+  done
 
-(* One decoded frame from the pending buffer: [Some payload] delivers
+(* One decoded frame from the inbound buffer: [Some payload] delivers
    the next in-sequence application message; [None] means the buffer
    holds no complete deliverable frame (yet). *)
 let rec take_frame (t : conn) : Csexp.t option =
-  match Csexp.decode_one t.pending ~pos:0 with
+  match Csexp.decode_sub t.inbuf ~pos:t.lo ~stop:t.hi with
   | None ->
-      if String.length t.pending > 1 lsl 24 then
+      if t.hi - t.lo > 1 lsl 24 then
         raise (Corrupt "inbound buffer exceeded 16 MiB without a valid frame");
       None
   | Some (frame, stop) -> (
-      t.pending <- String.sub t.pending stop (String.length t.pending - stop);
+      t.lo <- stop;
+      if t.lo = t.hi then begin
+        t.lo <- 0;
+        t.hi <- 0
+      end;
       match frame with
       | Csexp.List [ Csexp.Atom "n"; Csexp.Atom seq ] ->
           (match int_of_string_opt seq with
@@ -193,12 +199,23 @@ let rec take_frame (t : conn) : Csexp.t option =
           | _ -> raise (Corrupt "frame header fields are not integers"))
       | _ -> raise (Corrupt ("unframed bytes on the wire: " ^ Csexp.to_string frame)))
 
+(* Read into the inbound buffer past its undecoded bytes.  A full
+   buffer first moves them to the front, or doubles when they fill half
+   of it. *)
 let read_some (t : conn) : bool =
-  let buf = Bytes.create 65536 in
-  match Unix.read t.fd buf 0 (Bytes.length buf) with
+  let size = Bytes.length t.inbuf in
+  if t.hi = size then begin
+    let live = t.hi - t.lo in
+    let dst = if live < size / 2 then t.inbuf else Bytes.create (2 * size) in
+    Bytes.blit t.inbuf t.lo dst 0 live;
+    t.inbuf <- dst;
+    t.lo <- 0;
+    t.hi <- live
+  end;
+  match Unix.read t.fd t.inbuf t.hi (Bytes.length t.inbuf - t.hi) with
   | 0 -> raise Closed
   | n ->
-      t.pending <- t.pending ^ Bytes.sub_string buf 0 n;
+      t.hi <- t.hi + n;
       true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed

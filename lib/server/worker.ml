@@ -45,10 +45,11 @@ let plan_loader ?(cache_dir : string option) : loader =
     concluding the server is gone (a worker must never outlive its
     server as an orphan burning CPU).
 
-    Campaigns arrive only as wire specs and are built by [load].  A
-    [Lease] for a campaign the worker cannot load is answered with
-    [Load_failed] — never silently dropped — so the scheduler steals
-    the batch back.
+    Campaigns arrive only as wire specs and are built by [load]; the
+    scheduler's [Forget] drops one once it is over.  A [Lease] for a
+    campaign the worker has not loaded is answered with [Load_failed]
+    — never silently dropped — so the scheduler steals the batch
+    back.
 
     [stall_batch_done_s] is a chaos hook (like {!Wire.set_inject}): it
     widens the otherwise microsecond window between a batch's last
@@ -80,6 +81,9 @@ let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
         (match load_campaign cid spec with
         | Ok () -> send (Proto.Loaded { cid })
         | Error reason -> send (Proto.Load_failed { cid; reason }));
+        loop ()
+    | Ok (Proto.Forget { cid }) ->
+        Hashtbl.remove loaded cid;
         loop ()
     | Ok (Proto.Lease { cid; batch; lo; hi }) ->
         (match Hashtbl.find_opt loaded cid with

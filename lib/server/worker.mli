@@ -32,8 +32,9 @@ val run :
 (** Serve leases until [Quit], the server hangs up, or no command
     arrives within [recv_timeout_s] (default 60 s — a worker must never
     outlive its server).  Every campaign is built by [load] from its
-    wire spec; a lease for a campaign the worker cannot serve is
-    answered with [Load_failed], never silently dropped.
+    wire spec, and dropped again on [Forget]; a lease for a campaign
+    the worker cannot serve (never loaded, unbuildable, or forgotten)
+    is answered with [Load_failed], never silently dropped.
     [stall_batch_done_s] (default 0) is a chaos hook that sleeps
     between a batch's last trial record and its [Batch_done],
     deterministically widening the batch-boundary crash window. *)

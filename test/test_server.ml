@@ -113,6 +113,64 @@ let test_wire_checksum_fnv1a () =
       ("foobar", 0x85944171f73967e8L);
     ]
 
+let test_wire_one_chunk_decodes_in_order () =
+  (* 1,000 frames arrive in a single write: the receiver decodes them
+     in place, in order, across its buffer's compactions *)
+  let a, b = Wire.pair () in
+  let held = Buffer.create 65536 in
+  Wire.set_inject a (Some (fun raw -> Buffer.add_string held raw; []));
+  (* ~140 KB: more than one read, so the inbound buffer must move its
+     undecoded tail or grow *)
+  let sent =
+    List.init 1000 (fun i -> msg (String.make 100 'x' ^ string_of_int i))
+  in
+  List.iter (Wire.send a) sent;
+  Wire.set_inject a None;
+  let chunk = Buffer.contents held in
+  let writer = Unix.fork () in
+  if writer = 0 then begin
+    ignore (Unix.write_substring (Wire.fd a) chunk 0 (String.length chunk));
+    Unix._exit 0
+  end;
+  let got = List.map (fun _ -> Wire.recv b ~timeout_s:5.0) sent in
+  ignore (Unix.waitpid [] writer);
+  Alcotest.(check bool) "all frames in order" true (got = sent);
+  Alcotest.(check int) "every frame delivered once" 1000
+    (Wire.stats b).Wire.frames_delivered;
+  Wire.close a;
+  Wire.close b
+
+let test_wire_nack_resends_ring () =
+  (* after 100 frames the ring holds the last 64: a nack for the
+     oldest of them resends all 64, which the receiver discards as
+     duplicates; a nack for a frame that left the ring is fatal *)
+  let a, b = Wire.pair () in
+  let sent = List.init 100 (fun i -> msg (string_of_int i)) in
+  List.iter (Wire.send a) sent;
+  let nack seq =
+    let raw = Printf.sprintf "(1:n%d:%s)" (String.length seq) seq in
+    ignore (Unix.write_substring (Wire.fd b) raw 0 (String.length raw))
+  in
+  nack "36";
+  (match Wire.recv a ~timeout_s:0.2 with
+  | _ -> Alcotest.fail "a nack is not a message"
+  | exception Wire.Timeout _ -> ());
+  Alcotest.(check int) "the last 64 frames resent" 64
+    (Wire.stats a).Wire.resent;
+  let got = List.map (fun _ -> Wire.recv b ~timeout_s:2.0) sent in
+  Alcotest.(check bool) "all frames in order" true (got = sent);
+  (match Wire.try_recv b with
+  | Some _ -> Alcotest.fail "a resent frame was delivered twice"
+  | None -> ());
+  Alcotest.(check int) "every resent frame discarded" 64
+    (Wire.stats b).Wire.dup_discarded;
+  nack "35";
+  (match Wire.recv a ~timeout_s:1.0 with
+  | _ -> Alcotest.fail "expected Corrupt"
+  | exception Wire.Corrupt _ -> ());
+  Wire.close a;
+  Wire.close b
+
 (* --- cache --------------------------------------------------------------- *)
 
 let test_cache_roundtrip_and_corruption () =
@@ -266,6 +324,7 @@ let test_proto_roundtrips () =
     [
       Proto.Load { cid = "c0000-0011223344"; spec = Campaign.default_spec };
       Proto.Lease { cid = "c0000-0011223344"; batch = 0; lo = 0; hi = 16 };
+      Proto.Forget { cid = "c0000-0011223344" };
       Proto.Quit;
     ]
 
@@ -594,6 +653,69 @@ let test_server_poisons_unrunnable_campaign () =
   | _ -> Alcotest.fail "expected the campaign to be poisoned"
 
 (* --- the multi-tenant scheduler ------------------------------------------ *)
+
+let test_worker_forgets_finished_campaign () =
+  (* once the scheduler forgets a campaign, the worker drops its kernel:
+     a later lease for it is answered with Load_failed *)
+  let s = spec ~total:8 pure_trial in
+  let pid, conn =
+    Worker.spawn ~load:(fake_loader [ ("pure", s) ])
+      ~retry:Executor.default_config ()
+  in
+  let cid = "c0001-0011223344" in
+  let send m = Wire.send conn (Proto.to_worker_to_csexp m) in
+  let recv () =
+    match Proto.from_worker_of_csexp (Wire.recv conn ~timeout_s:10.0) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try send Proto.Quit with Wire.Closed -> ());
+      Wire.close conn;
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      (match recv () with
+      | Proto.Ready _ -> ()
+      | _ -> Alcotest.fail "expected Ready");
+      send (Proto.Load { cid; spec = wire "pure" });
+      (match recv () with
+      | Proto.Loaded { cid = c } -> Alcotest.(check string) "loaded" cid c
+      | _ -> Alcotest.fail "expected Loaded");
+      send (Proto.Lease { cid; batch = 0; lo = 0; hi = 1 });
+      (match recv () with
+      | Proto.Trial _ -> ()
+      | _ -> Alcotest.fail "a loaded campaign runs its lease");
+      (match recv () with
+      | Proto.Batch_done _ -> ()
+      | _ -> Alcotest.fail "expected Batch_done");
+      send (Proto.Forget { cid });
+      send (Proto.Lease { cid; batch = 1; lo = 1; hi = 2 });
+      match recv () with
+      | Proto.Load_failed { cid = c; _ } ->
+          Alcotest.(check string) "the forgotten campaign" cid c
+      | _ -> Alcotest.fail "expected Load_failed for a forgotten campaign")
+
+let test_sched_step_wakes_on_caller_fd () =
+  (* a readable wake descriptor ends the idle wait: the server's new
+     clients do not sit out the select's timeout *)
+  let eng = Sched.create ~on_event:(fun _ _ -> ()) () in
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r; Unix.close w)
+    (fun () ->
+      ignore (Unix.write_substring w "x" 0 1);
+      let t0 = Unix.gettimeofday () in
+      Sched.step eng ~wake:[ r ] ~idle_s:5.0;
+      Alcotest.(check bool) "returned in under 1 s" true
+        (Unix.gettimeofday () -. t0 < 1.0))
+
+let test_plan_memo_shares_one_plan () =
+  (* a process builds or loads each app's plan once: a second call
+     returns the physically same plan, so campaigns share its program *)
+  match (Plan.plan_of_app "IS", Plan.plan_of_app "IS") with
+  | Ok a, Ok b -> Alcotest.(check bool) "physically the same plan" true (a == b)
+  | Error e, _ | _, Error e -> Alcotest.fail e
 
 let test_sched_multi_tenant_interleaving () =
   (* three campaigns interleaved on one pool of two workers, chaos
@@ -981,6 +1103,10 @@ let suite =
       Alcotest.test_case "wire closed peer" `Quick test_wire_closed_peer;
       Alcotest.test_case "wire checksum is FNV-1a 64" `Quick
         test_wire_checksum_fnv1a;
+      Alcotest.test_case "wire decodes 1,000 frames from one chunk" `Quick
+        test_wire_one_chunk_decodes_in_order;
+      Alcotest.test_case "wire nack resends the ring" `Quick
+        test_wire_nack_resends_ring;
       Alcotest.test_case "cache roundtrip + corruption" `Quick
         test_cache_roundtrip_and_corruption;
       Alcotest.test_case "infra kinds roundtrip" `Quick test_infra_kinds_roundtrip;
@@ -1003,6 +1129,12 @@ let suite =
         test_server_journal_resume;
       Alcotest.test_case "unrunnable campaign poisons" `Quick
         test_server_poisons_unrunnable_campaign;
+      Alcotest.test_case "worker forgets a finished campaign" `Quick
+        test_worker_forgets_finished_campaign;
+      Alcotest.test_case "step wakes on a caller fd" `Quick
+        test_sched_step_wakes_on_caller_fd;
+      Alcotest.test_case "plan memo shares one plan" `Quick
+        test_plan_memo_shares_one_plan;
       Alcotest.test_case "multi-tenant interleaving is deterministic" `Quick
         test_sched_multi_tenant_interleaving;
       Alcotest.test_case "poison is isolated to its tenant" `Quick
