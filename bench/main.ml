@@ -240,9 +240,8 @@ let json_out = ref (Some "BENCH_optimize.json")
 (* one throughput sweep over the jobs axis; returns (jobs, trials, wall,
    trials/sec) rows and warns if the counts ever diverge from --jobs 1 *)
 let scale_rows ?(backend = Backend.default) (app : App.t) jobs_list cfg =
-  let clean, trace = App.trace app in
+  let clean, target = Fliptracker.whole_program_target app in
   let prog = App.program app in
-  let target = Campaign.whole_program_target prog trace in
   let base_counts = ref None in
   List.map
     (fun jobs ->

@@ -15,7 +15,8 @@
    [acl_parity]).
    [ft_dev ckpt-parity [APP...]] checks checkpointed compiled trials
    against the interpreter (see [ckpt_parity]).
-   [ft_dev alloc-gate] prints the minor words a compiled IS@opt trial
+   [ft_dev alloc-gate] prints the minor and direct major-heap words a
+   cold IS@opt plan allocates, the minor words a compiled IS@opt trial
    allocates, the instructions it executes, and the minor and direct
    major-heap words a mined LULESH injection allocates, and exits
    nonzero when any drifts from its checked-in value (see
@@ -186,11 +187,20 @@ let trial_cost name =
      pass over the same faults, once the domain's buffers have grown,
      counts the words allocated directly in the major heap (major minus
      promoted), which the minor words do not see: a steps-sized array
-     or a sort's arrays per injection show up there. *)
+     or a sort's arrays per injection show up there.
+   - Cold plan: one [Plan.plan_of_app "IS@opt"] with no cache dir, the
+     first thing the gate runs, so it bakes, optimizes, runs the clean
+     program and collects the fault sites from scratch: the minor words
+     and the direct major words it allocates.  A cold plan that stores
+     the clean trace again, or a reaching-definitions solver that goes
+     back to a set per register, shows up here (48,750,877 minor and
+     1,272,426 direct major words when both did). *)
 let alloc_gate_words = 1_634.
 let alloc_gate_executed = 28_718.
 let alloc_gate_mining_words = 9_764_131.
 let alloc_gate_mining_major_words = 71_658.
+let alloc_gate_plan_words = 18_778_792.
+let alloc_gate_plan_major_words = 764_514.
 let alloc_gate_tolerance = 0.05
 let alloc_gate_trials = 128
 
@@ -210,15 +220,37 @@ let alloc_reading name ~what ~measured ~pinned =
     measured what pinned (100. *. drift) (100. *. alloc_gate_tolerance);
   drift <= alloc_gate_tolerance
 
+(* words allocated directly in the major heap so far (major minus
+   promoted) *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 let alloc_gate () =
+  (* first, before anything in this process has baked IS@opt *)
+  let w0 = Gc.minor_words () and m0 = direct_major () in
+  (match Plan.plan_of_app "IS@opt" with
+  | Ok _ -> ()
+  | Error msg -> failwith msg);
+  let plan_words = Gc.minor_words () -. w0
+  and plan_major = direct_major () -. m0 in
+  let plan_ok =
+    alloc_reading "server.cold_plan_minor_words"
+      ~what:"one cold Plan.plan_of_app IS@opt, no cache dir"
+      ~measured:plan_words ~pinned:alloc_gate_plan_words
+  in
+  let plan_major_ok =
+    alloc_reading "server.cold_plan_major_words"
+      ~what:"the same plan, allocated directly in the major heap"
+      ~measured:plan_major ~pinned:alloc_gate_plan_major_words
+  in
   let app =
     match Fliptracker.resolve_app "IS@opt" with
     | Ok a -> a
     | Error msg -> failwith msg
   in
-  let clean, trace = App.trace app in
+  let clean, target = Fliptracker.whole_program_target app in
   let prog = App.program app in
-  let target = Campaign.whole_program_target prog trace in
   let cfg = Campaign.default_config in
   let budget = cfg.Campaign.budget_factor * max 1 clean.Machine.instructions in
   let run = Backend.runner Backend.Compiled prog in
@@ -273,10 +305,6 @@ let alloc_gate () =
       ~pinned:alloc_gate_mining_words
   in
   (* the same faults again, now that the domain's buffers are grown *)
-  let direct_major () =
-    let _, promoted, major = Gc.counters () in
-    major -. promoted
-  in
   let m0 = direct_major () in
   List.iter
     (fun fault ->
@@ -289,7 +317,11 @@ let alloc_gate () =
       ~measured:((direct_major () -. m0) /. float_of_int (List.length faults))
       ~pinned:alloc_gate_mining_major_words
   in
-  if not (trials_ok && executed_ok && mining_ok && major_ok) then begin
+  if
+    not
+      (plan_ok && plan_major_ok && trials_ok && executed_ok && mining_ok
+     && major_ok)
+  then begin
     Printf.printf
       "alloc-gate: FAILED (update the checked-in value in bin/ft_dev.ml if \
        the change is intended)\n";

@@ -108,6 +108,12 @@ let inject_and_analyze (app : App.t) (fault : Machine.fault) :
     patterns = Dynamic_detect.of_acl acl;
   }
 
+(** The fault-free run of [app] and its whole-program fault-site
+    population, collected in one streamed run (no stored trace). *)
+let whole_program_target (app : App.t) : Machine.result * Campaign.target =
+  Campaign.streamed_whole_program_target ~iter_mark:(App.iter_mark app)
+    (App.program app)
+
 (** Success rate of [app] under uniform whole-program injection, with
     the full execution provenance (planned vs completed trials, early
     stopping, resume, wall time).  [exec] selects the resilient
@@ -115,10 +121,8 @@ let inject_and_analyze (app : App.t) (fault : Machine.fault) :
     stopping. *)
 let measure_resilience_report ?(cfg = Campaign.default_config)
     ?(exec = Campaign.default_exec) (app : App.t) : Campaign.run_report =
-  let clean, trace = App.trace app in
-  let prog = App.program app in
-  let target = Campaign.whole_program_target prog trace in
-  Campaign.run_report prog ~verify:(App.verify app)
+  let clean, target = whole_program_target app in
+  Campaign.run_report (App.program app) ~verify:(App.verify app)
     ~clean_instructions:clean.Machine.instructions ~cfg ~exec target
 
 (** Success rate of [app] under uniform whole-program injection. *)

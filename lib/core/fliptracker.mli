@@ -36,6 +36,11 @@ val inject_and_analyze : App.t -> Machine.fault -> injection_report
 (** One fault, full analysis: outcome classification, the ACL series,
     and the resilience patterns observed per region. *)
 
+val whole_program_target : App.t -> Machine.result * Campaign.target
+(** The fault-free run of [app] and the whole-program target of its
+    trace ({!Campaign.whole_program_target}), from one streamed run
+    that stores no trace ({!Campaign.streamed_whole_program_target}). *)
+
 val measure_resilience_report :
   ?cfg:Campaign.config -> ?exec:Campaign.exec -> App.t -> Campaign.run_report
 (** Whole-program campaign on the resilient executor ([exec]: worker

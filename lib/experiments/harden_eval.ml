@@ -18,13 +18,12 @@ type report = {
 let run_variant ~label ~passes ~pass_reports ~verify ~cfg ~exec
     (prog : Prog.t) : variant =
   let iter_mark = Prog.mark_id prog App.iter_mark_name in
-  let clean, t = Machine.run_traced ~iter_mark prog in
+  let clean, target = Campaign.streamed_whole_program_target ~iter_mark prog in
   (match clean.Machine.outcome with
   | Machine.Finished -> ()
   | _ ->
       invalid_arg
         (Printf.sprintf "Harden_eval: %s fault-free run did not finish" label));
-  let target = Campaign.whole_program_target prog t in
   let r =
     Campaign.run_report prog ~verify
       ~clean_instructions:clean.Machine.instructions ~cfg ~exec target

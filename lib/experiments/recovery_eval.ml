@@ -62,7 +62,7 @@ let evaluate ?(seed = Campaign.default_config.Campaign.seed)
   let prog = wrapped_program app in
   let verify = App.verify app in
   let iter_mark = Prog.mark_id prog App.iter_mark_name in
-  let clean, t = Machine.run_traced ~iter_mark prog in
+  let clean, target = Campaign.streamed_whole_program_target ~iter_mark prog in
   (match clean.Machine.outcome with
   | Machine.Finished -> ()
   | _ ->
@@ -70,7 +70,6 @@ let evaluate ?(seed = Campaign.default_config.Campaign.seed)
         (Printf.sprintf "Recovery_eval: %s fault-free run did not finish"
            app.App.name));
   let clean_instructions = clean.Machine.instructions in
-  let target = Campaign.whole_program_target prog t in
   let budget =
     Campaign.default_config.Campaign.budget_factor * clean_instructions
   in

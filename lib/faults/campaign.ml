@@ -183,17 +183,27 @@ let event_bits (prog : Prog.t) (e : Trace.event) : int =
   | Trace.OMark _ ->
       64
 
+(** The one site collector: [add] takes events in execution order and
+    keeps a site for each that writes a value; [sites ()] returns them
+    in that order.  Fed from a stored trace or from a running VM's
+    sink, it yields the same population. *)
+let site_collector (prog : Prog.t) : (Trace.event -> unit) * (unit -> site array)
+    =
+  let acc = ref [] in
+  ( (fun (e : Trace.event) ->
+      if Array.length e.writes > 0 then
+        acc := { seq = e.seq; bits = event_bits prog e } :: !acc),
+    fun () -> Array.of_list (List.rev !acc) )
+
 (** Fault sites of the value-writing instructions in the event-index
     range [lo, hi) of [trace]. *)
 let writing_sites (prog : Prog.t) (trace : Trace.t) ~(lo : int) ~(hi : int) :
     site array =
-  let acc = ref [] in
-  for i = hi - 1 downto lo do
-    let e = Trace.get trace i in
-    if Array.length e.writes > 0 then
-      acc := { seq = e.seq; bits = event_bits prog e } :: !acc
+  let add, sites = site_collector prog in
+  for i = lo to hi - 1 do
+    add (Trace.get trace i)
   done;
-  Array.of_list !acc
+  sites ()
 
 type target =
   | Internal of { sites : site array }
@@ -370,6 +380,15 @@ let input_target (prog : Prog.t) (trace : Trace.t) (access : Access.t)
 (** Whole-program target: every value-writing dynamic instruction. *)
 let whole_program_target (prog : Prog.t) (trace : Trace.t) : target =
   Internal { sites = writing_sites prog trace ~lo:0 ~hi:(Trace.length trace) }
+
+(** {!whole_program_target} of the fault-free run, collected while the
+    run streams its events instead of from a stored trace: one run,
+    returned with the target. *)
+let streamed_whole_program_target ~(iter_mark : int) (prog : Prog.t) :
+    Machine.result * target =
+  let add, sites = site_collector prog in
+  let clean = Machine.run_sink ~iter_mark ~sink:add prog in
+  (clean, Internal { sites = sites () })
 
 (** Fault sites restricted to the dynamic instructions of one function
     (all its activations).  Used to measure the resilience of a

@@ -155,6 +155,13 @@ val internal_target : Prog.t -> Trace.t -> Region.instance -> target
 val input_target : Prog.t -> Trace.t -> Access.t -> Region.instance -> target
 val whole_program_target : Prog.t -> Trace.t -> target
 
+val streamed_whole_program_target :
+  iter_mark:int -> Prog.t -> Machine.result * target
+(** The fault-free run of [prog] (default budget) and
+    {!whole_program_target} of its trace, collected while the events
+    stream past: the same result and target as [Machine.run_traced]
+    followed by [whole_program_target], without storing the trace. *)
+
 val function_target : Prog.t -> Trace.t -> string -> target
 (** Sites restricted to one function's dynamic instructions. *)
 

@@ -1,11 +1,12 @@
 (** Content-addressed store of expensive campaign artifacts (baked
     programs, golden runs, fault-site populations), keyed by the FNV-1a
-    hash of a canonical description.  Entries carry their own checksum
-    {e and} the writing build's fingerprint (compiler version +
-    executable digest) and are written atomically; corrupt, torn, or
-    other-build entries load as [None] — only a value marshalled by
-    this exact binary is ever unmarshalled, so the cache can never
-    poison a campaign with a type-incompatible deserialization. *)
+    hash of a canonical description.  Entries start with a raw header
+    — the writing build's fingerprint (compiler version + executable
+    digest) and the payload's checksum — and are written atomically;
+    both are checked on the raw bytes before anything is unmarshalled,
+    so corrupt, torn, or other-build entries load as [None] — only a
+    value marshalled by this exact binary is ever unmarshalled, and the
+    cache can never poison or crash a campaign. *)
 
 val key : string -> string
 (** 16-hex-digit content key of a canonical description string. *)

@@ -3,6 +3,12 @@
     program, the golden (fault-free) run's instruction count and
     output, and the whole-program fault-site population.
 
+    A cold plan bakes the app (for [@opt] spellings, the optimizer
+    pipeline) and then makes one fault-free run whose events stream
+    into the site collector ({!Campaign.streamed_whole_program_target}):
+    the golden run and the sites come from the same run, and no trace
+    is ever stored (for IS@opt it would hold 148k events).
+
     Plans live here, outside {!Server}, so that {e workers} can
     rebuild them too.  A multi-tenant pool cannot rely on the
     fork-time copy-on-write image (a worker outlives
@@ -54,12 +60,10 @@ let build ?(cache_dir : string option) (appname : string) :
       | Error e -> Error e
       | Ok app -> (
           match
-            let clean, trace = App.trace app in
-            let prog = App.program app in
-            let target = Campaign.whole_program_target prog trace in
+            let clean, target = Fliptracker.whole_program_target app in
             {
               pl_app = appname;
-              pl_prog = prog;
+              pl_prog = App.program app;
               pl_target = target;
               pl_clean_instructions = clean.Machine.instructions;
               pl_golden_output = clean.Machine.output;

@@ -16,8 +16,9 @@ val plan_key : string -> string
 (** Cache key of an app spelling. *)
 
 val plan_of_app : ?cache_dir:string -> string -> (plan, string) result
-(** Resolve, bake, trace and (when [cache_dir] is given) cache the
-    plan for an app spelling ([CG], [IS@all], [MG@opt], ...).  Each
+(** Resolve, bake, run once fault-free (collecting the fault sites as
+    the run streams, storing no trace) and (when [cache_dir] is given)
+    cache the plan for an app spelling ([CG], [IS@all], [MG@opt], ...).  Each
     process also keeps the plans it has returned, per spelling (up to
     16, then the table resets), so repeat calls return the physically
     same plan without touching the cache. *)

@@ -88,9 +88,10 @@ let set_inject (t : conn) (f : (string -> string list) option) = t.inject <- f
 let close (t : conn) : unit = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* FNV-1a 64-bit, the same family Comm uses for payload checksums *)
-let checksum (s : string) : int64 =
+let checksum ?(off = 0) (s : string) : int64 =
+  if off < 0 || off > String.length s then invalid_arg "Wire.checksum";
   let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
+  for i = off to String.length s - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))

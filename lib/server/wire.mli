@@ -53,6 +53,7 @@ val set_inject : conn -> (string -> string list) option -> unit
 
 val close : conn -> unit
 
-val checksum : string -> int64
-(** FNV-1a 64 of a byte string (exposed for the cache's integrity
-    check). *)
+val checksum : ?off:int -> string -> int64
+(** FNV-1a 64 of a byte string, or of its bytes from [off] on —
+    exposed for the cache's integrity check, which hashes an entry's
+    payload in place. *)

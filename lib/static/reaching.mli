@@ -1,7 +1,13 @@
 (** Reaching definitions over registers, plus reaching stores over
-    memory words whose addresses resolve to compile-time constants. *)
+    memory words whose addresses resolve to compile-time constants.
 
-module S : Set.S with type elt = int
+    Each solution is one bitset per instruction: bit [pc] for the
+    definition (or resolved store) at [pc], plus one bit per register
+    for its entry sentinel (per tracked word for "an unknown writer may
+    occupy it").  Definitions kill by mask and the join is a word-wise
+    [or], so a fixpoint costs a few machine words per instruction
+    instead of a set per register; the queries below decode the bits
+    into the same answers a set-per-register solution gives. *)
 
 val uninit_def : int
 (** Sentinel definition: the register has not been written since

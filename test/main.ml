@@ -35,5 +35,6 @@ let () =
       Test_integration.suite;
       Test_opt.suite;
       Test_differential.suite;
+      Test_reaching.suite;
       Test_arch.suite;
     ]

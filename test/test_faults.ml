@@ -468,16 +468,32 @@ let test_unknown_symbol_is_structured () =
       Alcotest.(check bool) "lists the valid symbols" true
         (List.mem "dead" available && List.mem "live" available)
 
+(* The streamed whole-program target (one run into the site collector,
+   what a cold plan builds) is the target of the stored trace, and the
+   streamed run is the traced run. *)
+let check_streamed_target (app : App.t) ~(clean : Machine.result) ~trace =
+  let name = app.App.name in
+  let sclean, streamed = Fliptracker.whole_program_target app in
+  Alcotest.(check bool)
+    (name ^ ": streamed target = stored") true
+    (Campaign.whole_program_target (App.program app) trace = streamed);
+  Alcotest.(check (triple int int string))
+    (name ^ ": streamed run = traced run")
+    Machine.(clean.instructions, clean.iterations, clean.output)
+    Machine.(sclean.instructions, sclean.iterations, sclean.output)
+
 (* No phantom sites: every fault site harvested from a traced run must
    be reachable in an untraced campaign run — the seq-keyed contract
    between harvesting and injection.  Checked for the whole-program
    target of every registry app against the untraced fault-free
-   instruction count. *)
+   instruction count.  The streamed target is checked against the
+   stored one on the way. *)
 let test_no_phantom_sites () =
   List.iter
     (fun (app : App.t) ->
       let prog = App.program app in
-      let _, trace = App.trace app in
+      let clean, trace = App.trace app in
+      check_streamed_target app ~clean ~trace;
       let untraced = Machine.run_plain prog in
       let target = Campaign.whole_program_target prog trace in
       Alcotest.(check (list int))
@@ -486,6 +502,14 @@ let test_no_phantom_sites () =
         (Campaign.unreachable_sites target
            ~instructions:untraced.Machine.instructions))
     Registry.all
+
+let test_streamed_target_opt () =
+  List.iter
+    (fun name ->
+      let app = Result.get_ok (Fliptracker.resolve_app name) in
+      let clean, trace = App.trace app in
+      check_streamed_target app ~clean ~trace)
+    [ "IS@opt"; "CG@opt" ]
 
 let suite =
   ( "faults",
@@ -521,6 +545,8 @@ let suite =
         test_campaign_classifies_crashes;
       Alcotest.test_case "no phantom sites, ten apps" `Slow
         test_no_phantom_sites;
+      Alcotest.test_case "streamed target = stored: IS@opt, CG@opt" `Slow
+        test_streamed_target_opt;
       Alcotest.test_case "typed population" `Quick test_population_counts_typed_bits;
       Alcotest.test_case "input target types" `Quick test_input_target_types;
       Alcotest.test_case "success rate" `Quick test_success_rate;

@@ -193,6 +193,55 @@ let test_cache_roundtrip_and_corruption () =
       Alcotest.(check bool) "missing key is None" true
         ((Cache.load ~dir ~key:"0000000000000000" : int option) = None))
 
+(* 3,000 mutated copies of one entry: flipped bits, overwritten bytes,
+   truncations and extensions anywhere in the file, header included.
+   Each load must return [None] or the stored value — an entry that
+   reached [Marshal] unchecked could crash the process instead. *)
+let test_cache_mutated_entries () =
+  with_temp_dir (fun dir ->
+      let key = Cache.key "plan:mutants" in
+      let v =
+        ( 7,
+          "golden output",
+          Array.init 64 (fun i -> float_of_int i /. 3.),
+          List.init 40 (fun i -> (i, Some (string_of_int i))),
+          [| Some [ 1; 2 ]; None; Some [] |] )
+      in
+      let path = Cache.store ~dir ~key v in
+      let entry = In_channel.with_open_bin path In_channel.input_all in
+      let n = String.length entry in
+      let rng = Random.State.make [| 2026 |] in
+      let intact = ref 0 in
+      for i = 0 to 2999 do
+        let b = Bytes.of_string entry in
+        let mutant =
+          match i mod 4 with
+          | 0 ->
+              let k = Random.State.int rng (8 * n) in
+              let c = Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8)) in
+              Bytes.set b (k / 8) (Char.chr c);
+              Bytes.to_string b
+          | 1 ->
+              for _ = 0 to Random.State.int rng 4 do
+                Bytes.set b (Random.State.int rng n)
+                  (Char.chr (Random.State.int rng 256))
+              done;
+              Bytes.to_string b
+          | 2 -> String.sub entry 0 (Random.State.int rng n)
+          | _ -> entry ^ String.make (1 + Random.State.int rng 16) '\x00'
+        in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc mutant);
+        match Cache.load ~dir ~key with
+        | None -> ()
+        | Some v' when v' = v -> incr intact
+        | Some _ -> Alcotest.failf "mutant %d loaded as a different value" i
+      done;
+      Alcotest.(check bool) "most mutants rejected" true (!intact < 100);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc entry);
+      Alcotest.(check bool) "the intact entry still loads" true
+        (Cache.load ~dir ~key = Some v))
+
 (* --- infra taxonomy ------------------------------------------------------ *)
 
 let test_infra_kinds_roundtrip () =
@@ -1109,6 +1158,8 @@ let suite =
         test_wire_nack_resends_ring;
       Alcotest.test_case "cache roundtrip + corruption" `Quick
         test_cache_roundtrip_and_corruption;
+      Alcotest.test_case "cache: 3,000 mutated entries" `Quick
+        test_cache_mutated_entries;
       Alcotest.test_case "infra kinds roundtrip" `Quick test_infra_kinds_roundtrip;
       Alcotest.test_case "protocol codecs roundtrip" `Quick test_proto_roundtrips;
       Alcotest.test_case "shard torn tails heal per shard" `Quick
