@@ -211,7 +211,7 @@ let trace_cmd =
             (fun () ->
               Obs.phase obs "trace/run+encode" (fun () ->
                   Machine.run_sink ~iter_mark:(App.iter_mark app)
-                    ~sink:(fun e -> Trace_io.write w e)
+                    ~sink:(fun c -> Trace_io.write w (Trace.event_of_cursor c))
                     prog))
         in
         Obs.count obs "trace/events" (Trace_io.writer_events w);
@@ -274,12 +274,12 @@ let trace_cmd =
    a call, the return-value write that follows the callee's events *)
 let clean_events (app : App.t) (seq : int) : Trace.event list =
   let events = ref [] in
-  let sink (e : Trace.event) =
-    if e.Trace.seq = seq then events := e :: !events
-    else if e.Trace.seq > seq then
+  let sink (c : Trace.cursor) =
+    if c.seq = seq then events := Trace.event_of_cursor c :: !events
+    else if c.seq > seq then
       (* past [seq]: done, unless a call made at [seq] has not returned *)
       match List.rev !events with
-      | { Trace.op = Trace.OCall; act; _ } :: _ when e.Trace.act <> act -> ()
+      | { Trace.op = Trace.OCall; act; _ } :: _ when c.act <> act -> ()
       | _ -> raise Exit
   in
   (try

@@ -12,13 +12,16 @@
    [ft_dev radd APP] the repeated-addition sites of one app.
    [ft_dev acl-parity [APP...]] checks streamed ACL analysis (one run
    of the faulty program into a sink) against stored traces (see
-   [acl_parity]).
+   [acl_parity]), and [ft_dev acl-fuzz [N]] checks it against the
+   reference walk on N generated programs (see [acl_fuzz]).
    [ft_dev ckpt-parity [APP...]] checks checkpointed compiled trials
    against the interpreter (see [ckpt_parity]).
    [ft_dev alloc-gate] prints the minor and direct major-heap words a
    cold IS@opt plan allocates, the minor words a compiled IS@opt trial
-   allocates, the instructions it executes, and the minor and direct
-   major-heap words a mined LULESH injection allocates, and exits
+   allocates, the instructions it executes, the minor and direct
+   major-heap words a mined LULESH injection allocates, the words per
+   event of LULESH's stored clean trace and the minor words per event
+   of a LULESH run into a no-op sink, and exits
    nonzero when any drifts from its checked-in value (see
    [alloc_gate]).
    [ft_dev serve-soak [N]] submits N small campaigns to a forked
@@ -187,20 +190,31 @@ let trial_cost name =
      pass over the same faults, once the domain's buffers have grown,
      counts the words allocated directly in the major heap (major minus
      promoted), which the minor words do not see: a steps-sized array
-     or a sort's arrays per injection show up there.
+     or a sort's arrays per injection show up there.  Before the VM
+     passed a reused cursor to its sink and [Align] kept unboxed shadow
+     values, an injection allocated 9,764,131 minor words.
    - Cold plan: one [Plan.plan_of_app "IS@opt"] with no cache dir, the
      first thing the gate runs, so it bakes, optimizes, runs the clean
      program and collects the fault sites from scratch: the minor words
      and the direct major words it allocates.  A cold plan that stores
      the clean trace again, or a reaching-definitions solver that goes
      back to a set per register, shows up here (48,750,877 minor and
-     1,272,426 direct major words when both did). *)
+     1,272,426 direct major words when both did; 18,778,792 minor words
+     while the sink still received a boxed event per instruction).
+   - Trace: the words per event LULESH's stored clean trace holds
+     ([Trace.footprint_words]: its columns and its value array), 31.1
+     when a trace was an array of boxed events, and the minor words
+     per event a fault-free LULESH run into a no-op sink allocates,
+     29.9 when the sink received a fresh event record with tuple
+     arrays.  What remains is the interpreter's boxed values. *)
 let alloc_gate_words = 1_634.
 let alloc_gate_executed = 28_718.
-let alloc_gate_mining_words = 9_764_131.
-let alloc_gate_mining_major_words = 71_658.
-let alloc_gate_plan_words = 18_778_792.
+let alloc_gate_mining_words = 1_290_715.
+let alloc_gate_mining_major_words = 71_622.
+let alloc_gate_plan_words = 14_532_221.
 let alloc_gate_plan_major_words = 764_514.
+let alloc_gate_trace_words = 10.19
+let alloc_gate_sink_words = 1.29
 let alloc_gate_tolerance = 0.05
 let alloc_gate_trials = 128
 
@@ -215,9 +229,10 @@ let seeded_faults (c : Experiments.app_ctx) : Machine.fault list =
 (* print one reading against its checked-in value; [true] within bound *)
 let alloc_reading name ~what ~measured ~pinned =
   let drift = Float.abs (measured -. pinned) /. pinned in
-  Printf.printf
-    "%s %.0f (%s; checked-in %.0f, drift %.1f%%, bound %.0f%%)\n" name
-    measured what pinned (100. *. drift) (100. *. alloc_gate_tolerance);
+  let digits = if pinned < 100. then 2 else 0 in
+  Printf.printf "%s %.*f (%s; checked-in %.*f, drift %.1f%%, bound %.0f%%)\n"
+    name digits measured what digits pinned (100. *. drift)
+    (100. *. alloc_gate_tolerance);
   drift <= alloc_gate_tolerance
 
 (* words allocated directly in the major heap so far (major minus
@@ -317,10 +332,31 @@ let alloc_gate () =
       ~measured:((direct_major () -. m0) /. float_of_int (List.length faults))
       ~pinned:alloc_gate_mining_major_words
   in
+  let trace = c.Experiments.trace in
+  let trace_ok =
+    alloc_reading "vm.trace_words_per_event"
+      ~what:"LULESH clean trace: its columns and values, per event"
+      ~measured:
+        (float_of_int (Trace.footprint_words trace)
+        /. float_of_int (Trace.length trace))
+      ~pinned:alloc_gate_trace_words
+  in
+  let events = ref 0 in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Machine.run_sink ~iter_mark:(App.iter_mark app)
+       ~sink:(fun _ -> incr events)
+       (App.program app));
+  let sink_ok =
+    alloc_reading "vm.sink_minor_words_per_event"
+      ~what:"LULESH fault-free run into a no-op sink"
+      ~measured:((Gc.minor_words () -. w0) /. float_of_int !events)
+      ~pinned:alloc_gate_sink_words
+  in
   if
     not
       (plan_ok && plan_major_ok && trials_ok && executed_ok && mining_ok
-     && major_ok)
+     && major_ok && trace_ok && sink_ok)
   then begin
     Printf.printf
       "alloc-gate: FAILED (update the checked-in value in bin/ft_dev.ml if \
@@ -1036,6 +1072,26 @@ let acl_parity (names : string list) =
     exit 1
   end
 
+(* [ft_dev acl-fuzz [N]] — [Acl.analyze_replay] against the reference
+   walk ([Acl_ref], the boxed alignment and ACL analysis the columnar
+   walk replaced) on N generated programs (default 2,000), each under a
+   random write fault and a random memory fault.  Program [k] is drawn
+   from a generator seeded with [k], so a failure names a reproducible
+   case.  Exits nonzero on the first difference. *)
+let acl_fuzz (n : int) =
+  for k = 0 to n - 1 do
+    let rand = Random.State.make [| k |] in
+    let stmts = QCheck.Gen.generate1 ~rand Gen_prog.gen_program in
+    match Acl_ref.check_generated ~seed:k stmts with
+    | None -> ()
+    | Some (fault, what) ->
+        Printf.printf "acl-fuzz: program %d (%d statements), %s: %s differs \
+                       from the reference\n"
+          k (List.length stmts) (Machine.fault_to_string fault) what;
+        exit 1
+  done;
+  Printf.printf "acl-fuzz: %d generated programs, 2 faults each: OK\n" n
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "lint-all" :: _ -> lint_all ()
@@ -1088,6 +1144,8 @@ let () =
       parse rest;
       ckpt_parity ~trials:!trials
         (match List.rev !names with [] -> [ "IS@opt"; "CG"; "MG" ] | l -> l)
+  | _ :: "acl-fuzz" :: rest ->
+      acl_fuzz (match rest with n :: _ -> int_of_string n | [] -> 2_000)
   | _ :: "acl-parity" :: rest ->
       acl_parity (match rest with [] -> [ "LULESH" ] | l -> l)
   | _ :: "sites" :: _ -> sites ()

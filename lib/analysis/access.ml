@@ -10,9 +10,10 @@
     them.  A counting sort over two passes of the trace lays each
     location's accesses out contiguously in [data], in trace order:
     location [id] owns [data.(off.(id)) .. data.(off.(id + 1) - 1)].
-    Location ids come from a dense {!Loc_store}.  Nothing is allocated
-    per access: the first pass counts each location's accesses, the
-    second fills [data]. *)
+    Location ids come from a dense {!Loc_store}.  Both passes read the
+    trace's key column and build no event, and nothing is allocated per
+    access: the first pass counts each location's accesses, the second
+    fills [data]. *)
 
 type kind = Read | Write
 
@@ -29,14 +30,18 @@ type t = {
 
 let build (tr : Trace.t) : t =
   let ids = Loc_store.create (-1) in
+  let keys = Trace.keys tr and n = Trace.length tr in
+  (* every access, in trace order, is [keys.(p)] for [p] below [nacc] *)
+  let nacc = Trace.naccesses tr in
   (* [counts.(id + 1)]: the accesses of location [id] *)
   let counts = ref (Array.make 1024 0) and nlocs = ref 0 in
-  let count (loc, _) =
+  for p = 0 to nacc - 1 do
+    let key = Array.unsafe_get keys p in
     let id =
-      match Loc_store.get ids loc with
+      match Loc_store.get_key ids key with
       | -1 ->
           let id = !nlocs in
-          Loc_store.set ids loc id;
+          Loc_store.set_key ids key id;
           incr nlocs;
           if id + 1 = Array.length !counts then begin
             let c = Array.make (2 * (id + 1)) 0 in
@@ -47,12 +52,7 @@ let build (tr : Trace.t) : t =
       | id -> id
     in
     Array.unsafe_set !counts (id + 1) (Array.unsafe_get !counts (id + 1) + 1)
-  in
-  Trace.iter
-    (fun (e : Trace.event) ->
-      Array.iter count e.reads;
-      Array.iter count e.writes)
-    tr;
+  done;
   let nlocs = !nlocs in
   let off = Array.sub !counts 0 (nlocs + 1) in
   for id = 1 to nlocs do
@@ -60,22 +60,21 @@ let build (tr : Trace.t) : t =
   done;
   let data = Array.make off.(nlocs) 0 in
   let fill = Array.sub off 0 nlocs in
-  let put packed (loc, _) =
-    let id = Loc_store.get ids loc in
+  let put packed p =
+    let id = Loc_store.get_key ids (Array.unsafe_get keys p) in
     let at = Array.unsafe_get fill id in
     Array.unsafe_set data at packed;
     Array.unsafe_set fill id (at + 1)
   in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-      let r = i lsl 1 in
-      for k = 0 to Array.length e.reads - 1 do
-        put r (Array.unsafe_get e.reads k)
-      done;
-      for k = 0 to Array.length e.writes - 1 do
-        put (r lor 1) (Array.unsafe_get e.writes k)
-      done)
-    tr;
+  for i = 0 to n - 1 do
+    let r = i lsl 1 and a = Trace.reads_at tr i and w = Trace.writes_at tr i in
+    for p = a to w - 1 do
+      put r p
+    done;
+    for p = w to w + Trace.nwrites tr i - 1 do
+      put (r lor 1) p
+    done
+  done;
   { ids; off; data }
 
 (* [loc]'s accesses are [t.data.(lo t id) .. t.data.(hi t id - 1)], where

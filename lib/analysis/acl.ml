@@ -86,7 +86,7 @@ type chain = { mutable last_read : int; mutable written : bool }
    chain's last read if that comes after [opened]; nothing about that
    is known before the faulty run has moved past the read. *)
 type record = {
-  loc : Loc.t;
+  loc : int;  (** {!Loc.key} *)
   chain : chain;
   opened : int;
   mag : float;
@@ -99,8 +99,14 @@ type record = {
 let no_chain = { last_read = -1; written = false }
 
 let no_record =
-  { loc = Loc.Mem (-1); chain = no_chain; opened = 0; mag = 0.0;
+  { loc = -1; chain = no_chain; opened = 0; mag = 0.0;
     ended = max_int; killed = false }
+
+(* a location's current record and open chain; [no_state] for a
+   location the walk has not opened a record on, never mutated *)
+type state = { mutable current : record; mutable chain : chain }
+
+let no_state = { current = no_record; chain = no_chain }
 
 let read_later (r : record) = r.chain.last_read > r.opened
 
@@ -148,19 +154,18 @@ let settle ~(clean : Trace.t) ~steps ~divergence (records : record list)
       delta.(step) <- 0;
       count := !count + d;
       (* an aligned step's two events share seq, line and region *)
-      series := ((Trace.get clean step).seq, !count) :: !series;
+      series := (Trace.seq clean step, !count) :: !series;
       if !count > !peak then peak := !count
     end
   done;
   let death cause r index =
-    let ev = Trace.get clean index in
     {
       d_index = index;
-      d_loc = r.loc;
+      d_loc = Loc.of_key r.loc;
       d_cause = cause;
       d_fed_forward = read_later r;
-      d_line = ev.line;
-      d_region = ev.region;
+      d_line = Trace.line clean index;
+      d_region = Trace.region clean index;
     }
   in
   (* in each step, the dead corrupted locations come first, the latest
@@ -191,146 +196,159 @@ let settle ~(clean : Trace.t) ~steps ~divergence (records : record list)
     Alignment against [clean] decides which locations each step
     corrupts and which reads mask; a corrupted value's fate is settled
     by the faulty run's later accesses to its location, so the run is
-    followed to its end, past any divergence. *)
+    followed to its end, past any divergence.  Locations are
+    {!Loc.key}s until [settle]. *)
 let analyze_replay ?fault ~(clean : Trace.t)
-    ~(replay : (Trace.event -> unit) -> unit) () : result =
+    ~(replay : (Trace.cursor -> unit) -> unit) () : result =
   let w = Align.create ?fault ~clean () in
-  (* each location's current record and open chain *)
-  let current : record Loc_store.t = Loc_store.create no_record in
-  let ncurrent = ref 0 in
-  let chains : chain Loc_store.t = Loc_store.create no_chain in
-  let nchains = ref 0 in
+  (* each location's current record and open chain, in one lookup *)
+  let states : state Loc_store.t = Loc_store.create no_state in
+  let ncurrent = ref 0 and nchains = ref 0 in
+  let state_for loc =
+    match Loc_store.get_key states loc with
+    | st when st != no_state -> st
+    | _ ->
+        let st = { current = no_record; chain = no_chain } in
+        Loc_store.set_key states loc st;
+        st
+  in
   (* newest first; each masking with the record that may rule it out *)
   let records = ref [] and killed = ref [] and maskings = ref [] in
   let open_record index loc mag =
+    let st = state_for loc in
     let chain =
-      match Loc_store.get chains loc with
-      | c when c != no_chain -> c
-      | _ ->
-          let c = { last_read = -1; written = false } in
-          Loc_store.set chains loc c;
-          incr nchains;
-          c
+      if st.chain != no_chain then st.chain
+      else begin
+        let c = { last_read = -1; written = false } in
+        st.chain <- c;
+        incr nchains;
+        c
+      end
     in
-    let prev = Loc_store.get current loc in
+    let prev = st.current in
     if prev != no_record then prev.ended <- index else incr ncurrent;
     let r = { loc; chain; opened = index; mag; ended = max_int; killed = false } in
-    Loc_store.set current loc r;
+    st.current <- r;
     records := r :: !records
   in
   let kill index loc =
-    match Loc_store.get current loc with
-    | r when r == no_record -> ()
-    | r ->
-        r.ended <- index;
-        r.killed <- true;
-        Loc_store.set current loc no_record;
-        decr ncurrent;
-        killed := r :: !killed
+    let st = Loc_store.get_key states loc in
+    let r = st.current in
+    if r != no_record then begin
+      r.ended <- index;
+      r.killed <- true;
+      st.current <- no_record;
+      decr ncurrent;
+      killed := r :: !killed
+    end
   in
-  (* the faulty event [index]'s accesses, against the open chains *)
-  let follow index (ev : Trace.event) =
-    if !nchains > 0 then begin
-      for k = 0 to Array.length ev.reads - 1 do
-        let c = Loc_store.get chains (fst ev.reads.(k)) in
-        if c != no_chain then c.last_read <- index
+  (* the faulty event [index]'s accesses, against the open chains;
+     [true] when it reads a location that holds a current record, which
+     [reads_corrupted] must then confirm once the step is aligned *)
+  let follow index (ev : Trace.cursor) =
+    let hit = ref false in
+    if !nchains > 0 || !ncurrent > 0 then begin
+      for k = 0 to ev.nreads - 1 do
+        let st = Loc_store.get_key states ev.rkeys.(k) in
+        if st.chain != no_chain then st.chain.last_read <- index;
+        if st.current != no_record then hit := true
       done;
-      for k = 0 to Array.length ev.writes - 1 do
-        let loc = fst ev.writes.(k) in
-        let c = Loc_store.get chains loc in
-        if c != no_chain then begin
-          c.written <- true;
-          Loc_store.set chains loc no_chain;
+      for k = 0 to ev.nwrites - 1 do
+        let st = Loc_store.get_key states ev.wkeys.(k) in
+        if st.chain != no_chain then begin
+          st.chain.written <- true;
+          st.chain <- no_chain;
           decr nchains
         end
       done
-    end
+    end;
+    !hit
   in
-  let read_corrupted (loc, _) =
-    Loc_store.get current loc != no_record && Align.is_corrupted w loc
+  (* a read of a corrupted location that has a record, after the step's
+     writes (an event may write what it reads) *)
+  let read_corrupted loc =
+    (Loc_store.get_key states loc).current != no_record
+    && Align.is_corrupted w loc
   in
-  (* masking detection on reads of corrupted locations *)
-  let detect_masking index (clean_ev : Trace.event) (faulty_ev : Trace.event)
-      =
+  let reads_corrupted (ev : Trace.cursor) =
+    let rec go k = k < ev.nreads && (read_corrupted ev.rkeys.(k) || go (k + 1)) in
+    go 0
+  in
+  let masking index (ev : Trace.cursor) kind loc =
+    {
+      m_index = index;
+      m_loc = Loc.of_key loc;
+      m_kind = kind;
+      m_line = ev.line;
+      m_region = ev.region;
+      m_instance = ev.instance;
+    }
+  in
+  (* masking detection on reads of corrupted locations: the faulty event
+     from the cursor, the clean one's op and reads from the columns *)
+  let detect_masking index (ev : Trace.cursor) =
     let corrupted_reads =
-      Array.to_list faulty_ev.reads |> List.filter read_corrupted
+      List.filter read_corrupted (List.init ev.nreads (fun k -> ev.rkeys.(k)))
     in
     let outputs_clean =
-      Array.length faulty_ev.writes > 0
-      && Array.for_all
-           (fun (loc, _) -> not (Align.is_corrupted w loc))
-           faulty_ev.writes
+      ev.nwrites > 0
+      &&
+      let rec go k = k >= ev.nwrites || ((not (Align.is_corrupted w ev.wkeys.(k))) && go (k + 1)) in
+      go 0
     in
-    let emit kind loc =
-      maskings :=
-        ( {
-            m_index = index;
-            m_loc = loc;
-            m_kind = kind;
-            m_line = faulty_ev.line;
-            m_region = faulty_ev.region;
-            m_instance = faulty_ev.instance;
-          },
-          no_record )
-        :: !maskings
-    in
-    match (faulty_ev.op, clean_ev.op) with
+    let emit kind loc = maskings := (masking index ev kind loc, no_record) :: !maskings in
+    match (ev.op, Trace.op clean index) with
     | Trace.OBr tf, Trace.OBr tc ->
-        if Bool.equal tf tc then
-          List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
+        if Bool.equal tf tc then List.iter (emit Cond_mask) corrupted_reads
     | Trace.OIntr s, _ when String.length s > 6
                             && String.equal (String.sub s 0 6) "print:" ->
         let fmt = String.sub s 6 (String.length s - 6) in
-        let faulty_args = Array.to_list faulty_ev.reads |> List.map snd in
-        let clean_args = Array.to_list clean_ev.reads |> List.map snd in
+        let faulty_args =
+          List.init ev.nreads (fun k -> Bigarray.Array1.get ev.rvals k)
+        in
+        let clean_args =
+          let r = Trace.reads_at clean index and vals = Trace.values clean in
+          List.init (Trace.nreads clean index) (fun k ->
+              Bigarray.Array1.get vals (r + k))
+        in
         let rendered_f = Machine.format_output fmt faulty_args in
         let rendered_c = Machine.format_output fmt clean_args in
         if String.equal rendered_f rendered_c then
-          List.iter (fun (loc, _) -> emit Print_mask loc) corrupted_reads
+          List.iter (emit Print_mask) corrupted_reads
     | Trace.OBin op, _ when outputs_clean && Op.bin_is_shift op ->
-        List.iter (fun (loc, _) -> emit Shift_mask loc) corrupted_reads
+        List.iter (emit Shift_mask) corrupted_reads
     | Trace.OBin op, _ when outputs_clean && Op.bin_is_compare op ->
         (* a compare with a corrupted operand that still resolves to the
            fault-free boolean: the Conditional Statement pattern at its
            decision site *)
-        List.iter (fun (loc, _) -> emit Cond_mask loc) corrupted_reads
+        List.iter (emit Cond_mask) corrupted_reads
     | Trace.OUn op, _ when outputs_clean && Op.un_is_truncation op ->
-        List.iter (fun (loc, _) -> emit Trunc_mask loc) corrupted_reads
+        List.iter (emit Trunc_mask) corrupted_reads
     | (Trace.OBin _ | Trace.OUn _ | Trace.OConst | Trace.OLoad
       | Trace.OStore | Trace.OIntr _ | Trace.OCall | Trace.ORet
       | Trace.OJmp | Trace.OMark _ | Trace.OBr _), _ ->
-        if outputs_clean then
-          List.iter (fun (loc, _) -> emit Other_mask loc) corrupted_reads
+        if outputs_clean then List.iter (emit Other_mask) corrupted_reads
   in
-  (* corruption status update for one written location *)
-  let update_written index (faulty_ev : Trace.event) loc =
-    if Align.is_corrupted w loc then begin
-      let prev = Loc_store.get current loc in
+  (* corruption status update for the step's [k]th written location *)
+  let update_written index (ev : Trace.cursor) k =
+    let loc = Align.changed w k in
+    if Align.changed_corrupted w k then begin
+      let prev = (state_for loc).current in
       let new_mag =
         match Align.magnitude w loc with Some m -> m | None -> 0.0
       in
       (* repeated-addition check against the magnitude it replaces *)
-      (match faulty_ev.op with
-      | Trace.OStore when prev != no_record && Array.length faulty_ev.reads > 0
-        ->
-          let is_add =
-            match Align.last_writer w (fst faulty_ev.reads.(0)) with
-            | Some (Trace.OBin (Op.Fadd | Op.Fsub)) -> true
-            | Some _ | None -> false
-          in
+      (match ev.op with
+      | Trace.OStore when prev != no_record && ev.nreads > 0 ->
           if
-            is_add && Float.is_finite prev.mag && Float.is_finite new_mag
+            Align.last_write_adds w ev.rkeys.(0)
+            && Float.is_finite prev.mag && Float.is_finite new_mag
             && new_mag < prev.mag
           then
             maskings :=
-              ( {
-                  m_index = index;
-                  m_loc = loc;
-                  m_kind = Repeated_add { before = prev.mag; after = new_mag };
-                  m_line = faulty_ev.line;
-                  m_region = faulty_ev.region;
-                  m_instance = faulty_ev.instance;
-                },
+              ( masking index ev
+                  (Repeated_add { before = prev.mag; after = new_mag })
+                  loc,
                 prev )
               :: !maskings
       | _ -> ());
@@ -338,30 +356,26 @@ let analyze_replay ?fault ~(clean : Trace.t)
     end
     else kill index loc
   in
-  let rec update_all index faulty_ev = function
-    | [] -> ()
-    | loc :: rest ->
-        update_written index faulty_ev loc;
-        update_all index faulty_ev rest
-  in
   let events = ref 0 in
   replay (fun ev ->
-      follow !events ev;
+      let reads_current = follow !events ev in
       incr events;
       (* once diverged, [feed] only reports the divergence again *)
       match Align.feed w ev with
-      | Align.Step { index; clean_ev; faulty_ev; changed } ->
-          (* reads matter only while some location is corrupted *)
-          if !ncurrent > 0 && Array.exists read_corrupted faulty_ev.reads then
-            detect_masking index clean_ev faulty_ev;
-          update_all index faulty_ev changed
+      | Align.Step ->
+          let index = Align.pos w - 1 in
+          if reads_current && reads_corrupted ev then detect_masking index ev;
+          if !ncurrent > 0 || Align.corrupted_count w > 0 then
+            for k = 0 to Align.nchanged w - 1 do
+              update_written index ev k
+            done
       | Align.Diverged _ | Align.End -> ());
   let divergence =
     match Align.finish w with
     | Align.Diverged i -> Some i
-    | Align.End | Align.Step _ -> None
+    | Align.End | Align.Step -> None
   in
   settle ~clean ~steps:(Align.pos w) ~divergence !records !killed !maskings
 
 let analyze ?fault ~(clean : Trace.t) ~(faulty : Trace.t) () : result =
-  analyze_replay ?fault ~clean ~replay:(fun f -> Trace.iter f faulty) ()
+  analyze_replay ?fault ~clean ~replay:(Trace.replay faulty) ()

@@ -3,7 +3,12 @@
     corrupted (value differs from the fault-free run) and alive (will
     be read again before being overwritten).  Emits the death and
     masking event streams from which the six resilience computation
-    patterns are recognized. *)
+    patterns are recognized.
+
+    The walk takes the faulty run as the VM's reused
+    {!Trace.cursor}, aligns it with {!Align} against the clean trace's
+    columns, and keeps each corrupting write's record under its
+    location's {!Loc.key}; keys become {!Loc.t}s only in the result. *)
 
 type mask_kind =
   | Shift_mask   (** corrupted bits shifted out *)
@@ -50,7 +55,7 @@ val mask_kind_to_string : mask_kind -> string
 val analyze_replay :
   ?fault:Machine.fault ->
   clean:Trace.t ->
-  replay:((Trace.event -> unit) -> unit) ->
+  replay:((Trace.cursor -> unit) -> unit) ->
   unit ->
   result
 (** Build the ACL table of a faulty run without keeping its trace.

@@ -5,16 +5,18 @@
     taint: a masked value is clean again).  Alignment stops at the
     first control-flow divergence.
 
-    One shadow state is kept, the clean run's, in dense per-address and
-    per-activation arrays; the faulty run's value is held only for
-    corrupted locations, since everywhere else it equals the clean
-    one.
+    Locations are {!Loc.key}s.  Each location the walk touches gets a
+    dense slot; per slot, the clean and faulty values are unboxed int64s
+    next to a corrupted flag, so a step allocates nothing.  The faulty
+    value is kept only for corrupted locations, since everywhere else it
+    equals the clean one.  The clean run is read from the columns of its
+    stored trace.
 
-    Faulty events are pushed one at a time through [feed], so a faulty
-    run can be aligned while it executes, without keeping its trace.
-    [drive] is the way to align a whole faulty run: it feeds a walker
-    from a replay of the run and stops the replay at divergence or
-    end. *)
+    Faulty events are pushed one at a time through [feed], as the
+    {!Trace.cursor} a running VM fills, so a faulty run can be aligned
+    while it executes, without keeping its trace.  [drive] is the way
+    to align a whole faulty run: it feeds a walker from a replay of the
+    run and stops the replay at divergence or end. *)
 
 type t
 
@@ -24,18 +26,19 @@ val create : ?fault:Machine.fault -> clean:Trace.t -> unit -> t
 val pos : t -> int
 (** The next event index to process (the number of aligned steps). *)
 
-val clean_value : t -> Loc.t -> Value.t
-val faulty_value : t -> Loc.t -> Value.t
-val is_corrupted : t -> Loc.t -> bool
+val clean_value : t -> int -> Value.t
+val faulty_value : t -> int -> Value.t
+val is_corrupted : t -> int -> bool
 val corrupted_count : t -> int
 
-val magnitude : t -> Loc.t -> float option
+val magnitude : t -> int -> float option
 (** Error magnitude (Equation 2) of a corrupted location right now. *)
 
-val last_writer : t -> Loc.t -> Trace.opclass option
-(** The op of the faulty run's last write to the location among the
-    events before the latest step's event — the producer of a value
-    that event reads; [None] if no earlier aligned event wrote it. *)
+val last_write_adds : t -> int -> bool
+(** Was the faulty run's last write to the location, up to and
+    including the latest step, an [OBin Fadd] or [OBin Fsub]?  [Acl]
+    asks it of the register a store reads, which the store itself does
+    not write. *)
 
 val apply_pending_fault : t -> next_seq:int -> unit
 (** Force a pending [Machine.Mem] fault whose trigger has been
@@ -45,28 +48,34 @@ val apply_pending_fault : t -> next_seq:int -> unit
     explicitly. *)
 
 type step =
-  | Step of {
-      index : int;
-      clean_ev : Trace.event;
-      faulty_ev : Trace.event;
-      changed : Loc.t list;  (** locations written this step *)
-    }
+  | Step  (** event [pos - 1] was aligned; see {!nchanged} *)
   | Diverged of int  (** control paths differ from this event on *)
   | End
 
-val feed : t -> Trace.event -> step
+val feed : t -> Trace.cursor -> step
 (** Align the faulty run's next event with the clean event at the same
     index.  Once it has returned [Diverged] it keeps returning it. *)
+
+val nchanged : t -> int
+(** The number of locations the latest [Step] wrote, in either run. *)
+
+val changed : t -> int -> int
+(** [changed w k], [k < nchanged w]: the locations only the faulty run
+    wrote, last written first, then the clean run's written locations,
+    last first. *)
+
+val changed_corrupted : t -> int -> bool
+(** Is [changed w k] corrupted after the step? *)
 
 val finish : t -> step
 (** The faulty run has ended: [End] if the clean run ends at the same
     index, [Diverged] otherwise. *)
 
-val drive : t -> ((Trace.event -> unit) -> unit) -> (step -> unit) -> int option
+val drive : t -> ((Trace.cursor -> unit) -> unit) -> (Trace.cursor -> unit) -> int option
 (** [drive w replay f] runs [replay], [feed]ing each event it pushes to
-    [w] and passing every [Step] to [f], then [finish]es [w].  The replay
-    is stopped, by an exception raised from its callback, as soon as
-    alignment diverges or ends, so [replay] must let that exception
-    through; a producer over a stored trace is [fun f -> Trace.iter f t].
-    Exceptions [f] raises propagate.  Returns the divergence index, if
-    any. *)
+    [w] and passing the faulty event of every aligned step to [f], then
+    [finish]es [w].  The replay is stopped, by an exception raised from
+    its callback, as soon as alignment diverges or ends, so [replay]
+    must let that exception through; a producer over a stored trace is
+    [Trace.replay t].  Exceptions [f] raises propagate.  Returns the
+    divergence index, if any. *)

@@ -28,16 +28,14 @@ let instances (t : Trace.t) : instance list =
         acc := { rid; number; lo; hi = upto; iter } :: !acc;
         cur := None
   in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-      match !cur with
-      | Some (rid, number, _, _)
-        when e.region = rid && e.instance = number ->
-          ()
-      | Some _ | None ->
-          flush i;
-          if e.region >= 0 then cur := Some (e.region, e.instance, i, e.iter))
-    t;
+  for i = 0 to Trace.length t - 1 do
+    let region = Trace.region t i and instance = Trace.instance t i in
+    match !cur with
+    | Some (rid, number, _, _) when region = rid && instance = number -> ()
+    | Some _ | None ->
+        flush i;
+        if region >= 0 then cur := Some (region, instance, i, Trace.iter_at t i)
+  done;
   flush (Trace.length t);
   List.rev !acc
 
@@ -57,13 +55,13 @@ let size (i : instance) = i.hi - i.lo
     excluded. *)
 let iteration_spans (t : Trace.t) : (int * (int * int)) list =
   let spans = Hashtbl.create 16 in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-      if e.iter >= 0 then
-        match Hashtbl.find_opt spans e.iter with
-        | None -> Hashtbl.replace spans e.iter (i, i + 1)
-        | Some (lo, _) -> Hashtbl.replace spans e.iter (lo, i + 1))
-    t;
+  for i = 0 to Trace.length t - 1 do
+    let it = Trace.iter_at t i in
+    if it >= 0 then
+      match Hashtbl.find_opt spans it with
+      | None -> Hashtbl.replace spans it (i, i + 1)
+      | Some (lo, _) -> Hashtbl.replace spans it (lo, i + 1)
+  done;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) spans []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 

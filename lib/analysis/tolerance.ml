@@ -35,7 +35,7 @@ let to_string = function
 (* largest finite error magnitude over [locs]; infinite magnitudes
    (corruption of a zero value) are treated as larger than any finite
    one *)
-let max_magnitude (w : Align.t) (locs : Loc.t list) : float =
+let max_magnitude (w : Align.t) (locs : int list) : float =
   List.fold_left
     (fun acc loc ->
       match Align.magnitude w loc with
@@ -48,9 +48,10 @@ let max_magnitude (w : Align.t) (locs : Loc.t list) : float =
     that instance, [lo]/[hi] its event span.  The replay is stopped as
     soon as the classification is known. *)
 let classify ?fault ~(clean : Trace.t)
-    ~(replay : (Trace.event -> unit) -> unit) ~(inputs : Loc.t list)
+    ~(replay : (Trace.cursor -> unit) -> unit) ~(inputs : Loc.t list)
     ~(outputs : Loc.t list) ~(lo : int) ~(hi : int) () : classification =
   let w = Align.create ?fault ~clean () in
+  let inputs = List.map Loc.key inputs and outputs = List.map Loc.key outputs in
   let corrupted locs = List.filter (Align.is_corrupted w) locs in
   let exception Classified of classification in
   (* the largest input magnitude at region entry, once it is reached *)
@@ -77,7 +78,7 @@ let classify ?fault ~(clean : Trace.t)
     | Some m when Align.pos w >= hi -> raise_notrace (Classified (exit_class m))
     | Some _ | None -> ()
   in
-  let sink f (ev : Trace.event) =
+  let sink f (ev : Trace.cursor) =
     if Option.is_none !entry_mag && Align.pos w = lo then begin
       (* a region-entry injection triggers exactly at the first event of
          the region; make it visible before sampling the inputs *)
@@ -104,10 +105,10 @@ let classify ?fault ~(clean : Trace.t)
     iteration of the faulty run [replay] produces, while the runs stay
     aligned. *)
 let magnitude_by_iteration ?fault ~(clean : Trace.t)
-    ~(replay : (Trace.event -> unit) -> unit) ~(addr : int) () :
+    ~(replay : (Trace.cursor -> unit) -> unit) ~(addr : int) () :
     (int * Value.t * Value.t * float) list =
   let w = Align.create ?fault ~clean () in
-  let loc = Loc.Mem addr in
+  let loc = Loc.mem_key addr in
   let samples = ref [] in
   let cur_iter = ref (-1) in
   let sample () =
@@ -118,12 +119,10 @@ let magnitude_by_iteration ?fault ~(clean : Trace.t)
     end
   in
   ignore
-    (Align.drive w replay (function
-      | Align.Step { faulty_ev; _ } ->
-          if faulty_ev.iter <> !cur_iter then begin
-            sample ();
-            cur_iter := faulty_ev.iter
-          end
-      | Align.Diverged _ | Align.End -> ()));
+    (Align.drive w replay (fun (ev : Trace.cursor) ->
+         if ev.iter <> !cur_iter then begin
+           sample ();
+           cur_iter := ev.iter
+         end));
   sample ();
   List.rev !samples

@@ -18,7 +18,7 @@ val to_string : classification -> string
 val classify :
   ?fault:Machine.fault ->
   clean:Trace.t ->
-  replay:((Trace.event -> unit) -> unit) ->
+  replay:((Trace.cursor -> unit) -> unit) ->
   inputs:Loc.t list ->
   outputs:Loc.t list ->
   lo:int ->
@@ -35,7 +35,7 @@ val classify :
 val magnitude_by_iteration :
   ?fault:Machine.fault ->
   clean:Trace.t ->
-  replay:((Trace.event -> unit) -> unit) ->
+  replay:((Trace.cursor -> unit) -> unit) ->
   addr:int ->
   unit ->
   (int * Value.t * Value.t * float) list

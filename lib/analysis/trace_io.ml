@@ -837,7 +837,8 @@ let events_of_channel (ic : in_channel) : Trace.event Seq.t =
 (** Read a whole trace back from a channel (either encoding). *)
 let read_channel (ic : in_channel) : Trace.t =
   let t = Trace.create () in
-  Seq.iter (fun e -> Trace.push t e) (events_of_channel ic);
+  Seq.iter (Trace.push_event t) (events_of_channel ic);
+  Trace.trim t;
   t
 
 let load (path : string) : Trace.t =

@@ -136,7 +136,7 @@ let trace_with_fault (app : t) (fault : Machine.fault) ~(budget : int) :
 
 (** Faulty run streaming its events into [sink], keeping none. *)
 let replay_with_fault (app : t) (fault : Machine.fault) ~(budget : int)
-    (sink : Trace.event -> unit) : Machine.result =
+    (sink : Trace.cursor -> unit) : Machine.result =
   let b = bake app in
   Machine.run_sink ~budget ~iter_mark:b.iter_mark ~fault ~sink b.prog
 

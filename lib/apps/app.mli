@@ -59,7 +59,7 @@ val trace_with_fault : t -> Machine.fault -> budget:int -> Machine.result * Trac
     ({!replay_with_fault}). *)
 
 val replay_with_fault :
-  t -> Machine.fault -> budget:int -> (Trace.event -> unit) -> Machine.result
+  t -> Machine.fault -> budget:int -> (Trace.cursor -> unit) -> Machine.result
 (** The faulty run of [trace_with_fault] with each event passed to the
     sink instead of kept: the same events, the same result.  The VM is
     deterministic, so calling it again replays the run: the analyses

@@ -12,7 +12,9 @@ type t = {
   acl_injections : int;
       (** faulty traced runs per region for pattern mining (Table I) *)
   fig4_ranks : int;  (** simulated MPI ranks for the tracing-overhead run *)
-  timing_runs : int; (** repetitions for Table III execution times *)
+  timing_runs : int;
+      (** repetitions for Table III execution times and Figure 4 wall
+          times *)
   jobs : int;
       (** worker domains per campaign; any value yields identical
           counts (the executor's determinism guarantee) *)

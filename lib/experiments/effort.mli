@@ -6,7 +6,7 @@ type t = {
   campaign : Campaign.config;
   acl_injections : int;  (** faulty traced runs per region (Table I) *)
   fig4_ranks : int;
-  timing_runs : int;     (** repetitions for Table III execution times *)
+  timing_runs : int;     (** repetitions for Table III and Figure 4 times *)
   jobs : int;            (** worker domains per campaign (counts are
                              identical for any value) *)
 }

@@ -16,7 +16,7 @@ val context : App.t -> app_ctx
 (** Fault-free traced context, cached per app. *)
 
 val faulty_replay :
-  App.t -> Machine.fault -> budget:int -> (Trace.event -> unit) -> unit
+  App.t -> Machine.fault -> budget:int -> (Trace.cursor -> unit) -> unit
 (** The faulty run as a replay producer ({!App.replay_with_fault}, for
     {!Align.drive} and the analyses over it). *)
 

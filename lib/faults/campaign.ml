@@ -152,14 +152,17 @@ type site = { seq : int; bits : int }
 
 type input_site = { addr : int; bits : int }
 
-(* bit width of the value written by a trace event *)
-let event_bits (prog : Prog.t) (e : Trace.event) : int =
+(* bit width of the value an event with opclass [op] writes, given the
+   address its store writes ([store_addr]) and the memory address its
+   load reads ([load_addr]), each -1 when there is none *)
+let write_bits (prog : Prog.t) (op : Trace.opclass) ~store_addr ~load_addr :
+    int =
   let of_ty = function Ty.F64 -> 64 | Ty.I64 -> 32 in
-  let of_addr a = match Prog.type_of_addr prog a with
-    | Some t -> of_ty t
-    | None -> 64
+  let of_addr a =
+    if a < 0 then 64
+    else match Prog.type_of_addr prog a with Some t -> of_ty t | None -> 64
   in
-  match e.op with
+  match op with
   | Trace.OBin op -> if Op.bin_is_float op then 64 else 32
   | Trace.OUn op -> (
       match op with
@@ -167,32 +170,59 @@ let event_bits (prog : Prog.t) (e : Trace.event) : int =
       | Op.F32round ->
           64
       | Op.Neg | Op.Not | Op.Trunc32 | Op.IntOfFloat -> 32)
-  | Trace.OStore -> (
-      match e.writes with
-      | [| (Loc.Mem a, _) |] -> of_addr a
-      | _ -> 64)
-  | Trace.OLoad -> (
+  | Trace.OStore -> of_addr store_addr
+  | Trace.OLoad ->
       (* the loaded value's width is that of its memory source *)
-      match
-        Array.find_opt (fun (l, _) -> Loc.is_mem l) e.reads
-      with
-      | Some (Loc.Mem a, _) -> of_addr a
-      | Some _ | None -> 64)
+      of_addr load_addr
   | Trace.OIntr _ -> 64
   | Trace.OConst | Trace.OJmp | Trace.OBr _ | Trace.OCall | Trace.ORet
   | Trace.OMark _ ->
       64
 
+(* the address of the first memory location among keys [keys.(k)],
+   [k < n], or -1 *)
+let first_mem_addr (keys : int array) n =
+  let rec go k =
+    if k >= n then -1
+    else if Loc.key_is_mem keys.(k) then
+      match Loc.of_key keys.(k) with Loc.Mem a -> a | Loc.Reg _ -> go (k + 1)
+    else go (k + 1)
+  in
+  go 0
+
+(* bit width of the value written by a trace event *)
+let event_bits (prog : Prog.t) (e : Trace.event) : int =
+  let addr accs =
+    match Array.find_opt (fun (l, _) -> Loc.is_mem l) accs with
+    | Some (Loc.Mem a, _) -> a
+    | Some _ | None -> -1
+  in
+  let store_addr =
+    match e.writes with [| (Loc.Mem a, _) |] -> a | _ -> -1
+  in
+  write_bits prog e.op ~store_addr ~load_addr:(addr e.reads)
+
 (** The one site collector: [add] takes events in execution order and
     keeps a site for each that writes a value; [sites ()] returns them
     in that order.  Fed from a stored trace or from a running VM's
     sink, it yields the same population. *)
-let site_collector (prog : Prog.t) : (Trace.event -> unit) * (unit -> site array)
-    =
+let site_collector (prog : Prog.t) :
+    (Trace.cursor -> unit) * (unit -> site array) =
   let acc = ref [] in
-  ( (fun (e : Trace.event) ->
-      if Array.length e.writes > 0 then
-        acc := { seq = e.seq; bits = event_bits prog e } :: !acc),
+  ( (fun (c : Trace.cursor) ->
+      if c.nwrites > 0 then begin
+        let store_addr =
+          if c.nwrites = 1 then first_mem_addr c.wkeys 1 else -1
+        in
+        let load_addr =
+          match c.op with
+          | Trace.OLoad -> first_mem_addr c.rkeys c.nreads
+          | _ -> -1
+        in
+        acc :=
+          { seq = c.seq; bits = write_bits prog c.op ~store_addr ~load_addr }
+          :: !acc
+      end),
     fun () -> Array.of_list (List.rev !acc) )
 
 (** Fault sites of the value-writing instructions in the event-index
@@ -200,8 +230,10 @@ let site_collector (prog : Prog.t) : (Trace.event -> unit) * (unit -> site array
 let writing_sites (prog : Prog.t) (trace : Trace.t) ~(lo : int) ~(hi : int) :
     site array =
   let add, sites = site_collector prog in
+  let c = Trace.cursor () in
   for i = lo to hi - 1 do
-    add (Trace.get trace i)
+    Trace.load trace i c;
+    add c
   done;
   sites ()
 
@@ -363,7 +395,7 @@ let internal_target (prog : Prog.t) (trace : Trace.t)
 let input_target (prog : Prog.t) (trace : Trace.t) (access : Access.t)
     (inst : Region.instance) : target =
   let g = Dddg.build trace access ~lo:inst.lo ~hi:inst.hi in
-  let entry_seq = (Trace.get trace inst.lo).seq in
+  let entry_seq = Trace.seq trace inst.lo in
   let sites =
     Dddg.input_mem_addrs g
     |> List.map (fun addr ->

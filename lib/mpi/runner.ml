@@ -61,7 +61,7 @@ let run ?(traced = false) ?(record = false) ?max_live
        them: Figure 4 measures the instrumentation cost, not the
        artifact *)
     let events = ref 0 in
-    let sink = if traced then Some (fun (_ : Trace.event) -> incr events) else None in
+    let sink = if traced then Some (fun (_ : Trace.cursor) -> incr events) else None in
     let rank_fault =
       match fault with
       | Some (r, f) when r = rank -> Some f

@@ -102,10 +102,10 @@ type mpi_hooks = {
 type config = {
   budget : int;  (** max dynamic instructions before declaring a hang *)
   fault : fault option;
-  sink : (Trace.event -> unit) option;
-      (** each event is passed to the callback, like a tracer writing to
-          a file; exceptions it raises propagate to the caller
-          unclassified *)
+  sink : (Trace.cursor -> unit) option;
+      (** each event is passed to the callback in the run's one reused
+          cursor, like a tracer writing to a file; exceptions it raises
+          propagate to the caller unclassified *)
   iter_mark : int;  (** mark id that delimits main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   recover : recover option;
@@ -282,6 +282,35 @@ let format_output (fmt : string) (vals : Value.t list) : string =
 
 let max_call_depth = 4096
 
+let br_taken = Trace.OBr true
+let br_not_taken = Trace.OBr false
+
+(* the opclass an instruction's event carries (a branch's depends on its
+   direction, and a call's return-value write is an [ORet]) *)
+let opclass_of : Instr.t -> Trace.opclass = function
+  | Const _ -> Trace.OConst
+  | Bin (op, _, _, _) -> Trace.OBin op
+  | Un (op, _, _) -> Trace.OUn op
+  | Load _ -> Trace.OLoad
+  | Store _ -> Trace.OStore
+  | Jmp _ -> Trace.OJmp
+  | Bnz _ -> br_taken
+  | Call _ -> Trace.OCall
+  | Ret _ -> Trace.ORet
+  | Intr (intr, _, _) ->
+      Trace.OIntr
+        (match intr with
+        | Randlc -> "randlc"
+        | Print fmt -> "print:" ^ fmt
+        | MpiSend -> "mpi_send"
+        | MpiRecv -> "mpi_recv"
+        | MpiAllreduceSum -> "mpi_allreduce"
+        | MpiBarrier -> "mpi_barrier"
+        | MpiRank -> "mpi_rank"
+        | MpiSize -> "mpi_size"
+        | Illegal msg -> "illegal:" ^ msg)
+  | Mark m -> Trace.OMark m
+
 let run (prog : Prog.t) (cfg : config) : result =
   let mem = Array.make prog.mem_size 0L in
   List.iter (fun (a, v) -> mem.(a) <- v) prog.init_mem;
@@ -336,14 +365,21 @@ let run (prog : Prog.t) (cfg : config) : result =
         | None -> ())
     | Some (Write _ | Mem _ | Cache_fault _) | None -> ()
   in
-  (* without a sink, plain instructions skip building the read/write
-     arrays of [record], the dominant allocation of a traced run.  An
+  (* without a sink, plain instructions skip filling the cursor.  An
      untraced run still allocates: intrinsics build their argument
      arrays, and registers and memory hold boxed values, so each
      computed value costs a box.  Campaigns, whose minor GCs
      synchronize every domain in OCaml 5, take the compiled backend
      instead. *)
   let recording = Option.is_some cfg.sink in
+  (* the one event of the run, refilled for every instruction, and each
+     instruction's opclass built once, so a traced event allocates
+     nothing *)
+  let cur = Trace.cursor () in
+  let opclasses =
+    if not recording then [||]
+    else Array.map (fun (f : Prog.func) -> Array.map opclass_of f.code) prog.funcs
+  in
   let restores = ref 0 in
   let rec exec_fun fidx (args : int64 array) (inherited : int) (depth : int) :
       int64 option =
@@ -413,25 +449,52 @@ let run (prog : Prog.t) (cfg : config) : result =
     in
     (* built once per activation and applied in full, never partially:
        defined inside the dispatch loop it would allocate a closure for
-       every instruction, recorded or not *)
-    let record seq i eff op reads writes =
+       every instruction, recorded or not.  The caller has filled the
+       cursor's accesses.  These helpers are inlined: a call each would
+       cost a traced instruction four calls *)
+    let ops = if recording then opclasses.(fidx) else [||] in
+    let[@inline] record seq i eff op nreads nwrites =
       match cfg.sink with
       | None -> ()
       | Some k ->
-          k
-            {
-              Trace.seq;
-              fidx;
-              pc = i;
-              act;
-              line = f.lines.(i);
-              region = eff;
-              instance = (if eff >= 0 then !cur_inst else -1);
-              iter = !iter;
-              op;
-              reads;
-              writes;
-            }
+          cur.seq <- seq;
+          cur.fidx <- fidx;
+          cur.pc <- i;
+          cur.act <- act;
+          cur.line <- f.lines.(i);
+          cur.region <- eff;
+          cur.instance <- (if eff >= 0 then !cur_inst else -1);
+          cur.iter <- !iter;
+          cur.op <- op;
+          cur.nreads <- nreads;
+          cur.nwrites <- nwrites;
+          k cur
+    in
+    (* register [r]'s key is [kbase + 2r] when the frame's registers
+       all have in-range keys (see [Loc.reg_key]) *)
+    let kbase =
+      if
+        recording && f.nregs > 0
+        && Loc.reg_key act (f.nregs - 1) = Loc.reg_key act 0 + (2 * (f.nregs - 1))
+      then Loc.reg_key act 0
+      else -1
+    in
+    let[@inline] rkey r = if kbase >= 0 then kbase + (r lsl 1) else Loc.reg_key act r in
+    let[@inline] rd k r v =
+      cur.rkeys.(k) <- rkey r;
+      Bigarray.Array1.set cur.rvals k v
+    in
+    let[@inline] rd_mem k a v =
+      cur.rkeys.(k) <- Loc.mem_key a;
+      Bigarray.Array1.set cur.rvals k v
+    in
+    let[@inline] wr k r v =
+      cur.wkeys.(k) <- rkey r;
+      Bigarray.Array1.set cur.wvals k v
+    in
+    let[@inline] wr_mem k a v =
+      cur.wkeys.(k) <- Loc.mem_key a;
+      Bigarray.Array1.set cur.wvals k v
     in
     let body () =
     while !running do
@@ -461,26 +524,31 @@ let run (prog : Prog.t) (cfg : config) : result =
       | Const (d, v) ->
           let v = maybe_flip seq v in
           regs.(d) <- v;
-          if recording then
-            record seq i eff Trace.OConst [||] [| (Loc.Reg (act, d), v) |];
+          if recording then begin
+            wr 0 d v;
+            record seq i eff ops.(i) 0 1
+          end;
           incr pc
       | Bin (op, d, a, b) ->
           let va = regs.(a) and vb = regs.(b) in
           let v = maybe_flip seq (Op.eval_bin op va vb) in
           regs.(d) <- v;
-          if recording then
-            record seq i eff (Trace.OBin op)
-              [| (Loc.Reg (act, a), va); (Loc.Reg (act, b), vb) |]
-              [| (Loc.Reg (act, d), v) |];
+          if recording then begin
+            rd 0 a va;
+            rd 1 b vb;
+            wr 0 d v;
+            record seq i eff ops.(i) 2 1
+          end;
           incr pc
       | Un (op, d, a) ->
           let va = regs.(a) in
           let v = maybe_flip seq (Op.eval_un op va) in
           regs.(d) <- v;
-          if recording then
-            record seq i eff (Trace.OUn op)
-              [| (Loc.Reg (act, a), va) |]
-              [| (Loc.Reg (act, d), v) |];
+          if recording then begin
+            rd 0 a va;
+            wr 0 d v;
+            record seq i eff ops.(i) 1 1
+          end;
           incr pc
       | Load (d, a) ->
           let va = regs.(a) in
@@ -488,38 +556,46 @@ let run (prog : Prog.t) (cfg : config) : result =
           let v0 = mread addr in
           let v = maybe_flip seq v0 in
           regs.(d) <- v;
-          if recording then
-            record seq i eff Trace.OLoad
-              [| (Loc.Reg (act, a), va); (Loc.Mem addr, v0) |]
-              [| (Loc.Reg (act, d), v) |];
+          if recording then begin
+            rd 0 a va;
+            rd_mem 1 addr v0;
+            wr 0 d v;
+            record seq i eff ops.(i) 2 1
+          end;
           incr pc
       | Store (s, a) ->
           let vs = regs.(s) and va = regs.(a) in
           let addr = addr_of_value va in
           let v = maybe_flip seq vs in
           mwrite addr v;
-          if recording then
-            record seq i eff Trace.OStore
-              [| (Loc.Reg (act, s), vs); (Loc.Reg (act, a), va) |]
-              [| (Loc.Mem addr, v) |];
+          if recording then begin
+            rd 0 s vs;
+            rd 1 a va;
+            wr_mem 0 addr v;
+            record seq i eff ops.(i) 2 1
+          end;
           incr pc
       | Jmp l ->
-          if recording then record seq i eff Trace.OJmp [||] [||];
+          if recording then record seq i eff ops.(i) 0 0;
           pc := l
       | Bnz (cnd, l1, l2) ->
           let vc = regs.(cnd) in
           let taken = Value.is_true vc in
-          if recording then
-            record seq i eff (Trace.OBr taken)
-              [| (Loc.Reg (act, cnd), vc) |]
-              [||];
+          if recording then begin
+            rd 0 cnd vc;
+            record seq i eff (if taken then br_taken else br_not_taken) 1 0
+          end;
           pc := if taken then l1 else l2
       | Call (callee, argregs, ret) ->
           let argv = Array.map (fun r -> regs.(r)) argregs in
-          if recording then
-            record seq i eff Trace.OCall
-              (Array.mapi (fun k r -> (Loc.Reg (act, r), argv.(k))) argregs)
-              [||];
+          if recording then begin
+            let n = Array.length argregs in
+            Trace.reserve_cursor cur ~reads:n ~writes:0;
+            for k = 0 to n - 1 do
+              rd k argregs.(k) argv.(k)
+            done;
+            record seq i eff ops.(i) n 0
+          end;
           let rv = exec_fun callee argv eff (depth + 1) in
           (match (ret, rv) with
           | Some d, Some v ->
@@ -533,40 +609,48 @@ let run (prog : Prog.t) (cfg : config) : result =
                  call's seq), traced or not. *)
               let v = maybe_flip seq v in
               regs.(d) <- v;
-              if recording then
-                record seq i eff Trace.ORet [||] [| (Loc.Reg (act, d), v) |]
+              if recording then begin
+                wr 0 d v;
+                record seq i eff Trace.ORet 0 1
+              end
           | Some _, None ->
               raise (Vm_trap "call: callee returned no value")
           | None, (Some _ | None) -> ());
           incr pc
       | Ret r ->
           let v = Option.map (fun r -> regs.(r)) r in
-          if recording then
-            record seq i eff Trace.ORet
-              (match r with
-              | Some r -> [| (Loc.Reg (act, r), regs.(r)) |]
-              | None -> [||])
-              [||];
+          if recording then (
+            match r with
+            | Some r ->
+                rd 0 r regs.(r);
+                record seq i eff ops.(i) 1 0
+            | None -> record seq i eff ops.(i) 0 0);
           result := v;
           running := false
       | Intr (intr, argregs, ret) ->
           let argv = Array.map (fun r -> regs.(r)) argregs in
-          let reads =
-            Array.mapi (fun k r -> (Loc.Reg (act, r), argv.(k))) argregs
+          let nargs = Array.length argregs in
+          (* the arguments, then [extra] more reads; the return value,
+             if any, is write 0 *)
+          let reads extra =
+            if recording then begin
+              Trace.reserve_cursor cur ~reads:(nargs + extra) ~writes:2;
+              for k = 0 to nargs - 1 do
+                rd k argregs.(k) argv.(k)
+              done
+            end
           in
-          let set_ret name v extra_reads extra_writes =
+          let set_ret v nextra =
             let v = maybe_flip seq v in
-            (match ret with
-            | Some d -> regs.(d) <- v
-            | None -> ());
-            let writes =
+            let nw =
               match ret with
-              | Some d -> Array.append [| (Loc.Reg (act, d), v) |] extra_writes
-              | None -> extra_writes
+              | Some d ->
+                  regs.(d) <- v;
+                  if recording then wr 0 d v;
+                  1
+              | None -> 0
             in
-            record seq i eff (Trace.OIntr name)
-              (Array.append reads extra_reads)
-              writes
+            if recording then record seq i eff ops.(i) (nargs + nextra) (nw + nextra)
           in
           (match intr with
           | Randlc ->
@@ -575,21 +659,27 @@ let run (prog : Prog.t) (cfg : config) : result =
               let x = Value.to_float (mread saddr) in
               let x', r = randlc_step x a in
               mwrite saddr (Value.of_float x');
-              set_ret "randlc" (Value.of_float r)
-                [| (Loc.Mem saddr, Value.of_float x) |]
-                [| (Loc.Mem saddr, Value.of_float x') |]
+              reads 1;
+              if recording then begin
+                rd_mem nargs saddr (Value.of_float x);
+                (* after the return value, written below *)
+                wr_mem (if Option.is_none ret then 0 else 1) saddr (Value.of_float x')
+              end;
+              set_ret (Value.of_float r) 1
           | Print fmtstr ->
               Buffer.add_string out (format_output fmtstr (Array.to_list argv));
               (* the format string travels in the opclass so analyses can
                  re-render values and detect output truncation masking *)
-              record seq i eff (Trace.OIntr ("print:" ^ fmtstr)) reads [||]
-          | MpiSend -> (
-              match cfg.mpi with
-              | None -> record seq i eff (Trace.OIntr "mpi_send") reads [||]
+              reads 0;
+              if recording then record seq i eff ops.(i) nargs 0
+          | MpiSend ->
+              (match cfg.mpi with
+              | None -> ()
               | Some m ->
                   m.send ~dest:(Value.to_int argv.(0))
-                    ~tag:(Value.to_int argv.(1)) argv.(2);
-                  record seq i eff (Trace.OIntr "mpi_send") reads [||])
+                    ~tag:(Value.to_int argv.(1)) argv.(2));
+              reads 0;
+              if recording then record seq i eff ops.(i) nargs 0
           | MpiRecv -> (
               match cfg.mpi with
               | None -> raise (Vm_trap "mpi_recv without an MPI runtime")
@@ -598,25 +688,33 @@ let run (prog : Prog.t) (cfg : config) : result =
                     m.recv ~src:(Value.to_int argv.(0))
                       ~tag:(Value.to_int argv.(1))
                   in
-                  set_ret "mpi_recv" v [||] [||])
-          | MpiAllreduceSum -> (
-              match cfg.mpi with
-              | None -> set_ret "mpi_allreduce" argv.(0) [||] [||]
-              | Some m -> set_ret "mpi_allreduce" (m.allreduce_sum argv.(0)) [||] [||])
+                  reads 0;
+                  set_ret v 0)
+          | MpiAllreduceSum ->
+              let v =
+                match cfg.mpi with
+                | None -> argv.(0)
+                | Some m -> m.allreduce_sum argv.(0)
+              in
+              reads 0;
+              set_ret v 0
           | MpiBarrier ->
               (match cfg.mpi with None -> () | Some m -> m.barrier ());
-              record seq i eff (Trace.OIntr "mpi_barrier") reads [||]
+              reads 0;
+              if recording then record seq i eff ops.(i) nargs 0
           | MpiRank ->
               let r = match cfg.mpi with None -> 0 | Some m -> m.rank in
-              set_ret "mpi_rank" (Value.of_int r) [||] [||]
+              reads 0;
+              set_ret (Value.of_int r) 0
           | MpiSize ->
               let s = match cfg.mpi with None -> 1 | Some m -> m.size in
-              set_ret "mpi_size" (Value.of_int s) [||] [||]
+              reads 0;
+              set_ret (Value.of_int s) 0
           | Illegal msg -> raise (Vm_trap ("illegal instruction: " ^ msg)));
           incr pc
       | Mark m ->
           if m = cfg.iter_mark then incr iter;
-          if recording then record seq i eff (Trace.OMark m) [||] [||];
+          if recording then record seq i eff ops.(i) 0 0;
           incr pc);
       if !pc >= Array.length f.code then running := false
     done
@@ -658,7 +756,7 @@ let run_plain ?(budget = default_config.budget) (prog : Prog.t) : result =
 (** Convenience: run streaming every event into [sink] without
     retaining any of them (e.g. a [Trace_io] writer over a file). *)
 let run_sink ?(budget = default_config.budget) ?(iter_mark = -1) ?fault
-    ~(sink : Trace.event -> unit) (prog : Prog.t) : result =
+    ~(sink : Trace.cursor -> unit) (prog : Prog.t) : result =
   run prog
     { default_config with budget; iter_mark; fault; sink = Some sink }
 
@@ -666,4 +764,5 @@ let run_sink ?(budget = default_config.budget) ?(iter_mark = -1) ?fault
 let run_traced ?budget ?iter_mark ?fault (prog : Prog.t) : result * Trace.t =
   let t = Trace.create () in
   let r = run_sink ?budget ?iter_mark ?fault ~sink:(Trace.push t) prog in
+  Trace.trim t;
   (r, t)

@@ -74,12 +74,17 @@ type mpi_hooks = {
 type config = {
   budget : int;  (** max dynamic instructions before declaring a hang *)
   fault : fault option;
-  sink : (Trace.event -> unit) option;
+  sink : (Trace.cursor -> unit) option;
       (** the one event output: each event is passed to the callback,
           like a tracer writing to a file ({!run_traced} keeps them in
-          a {!Trace.t}).  An exception the sink raises stops the run
-          and propagates out of [run] unclassified (it is not a trap),
-          which is how a consumer ends a replay early *)
+          a {!Trace.t}).  The run fills one {!Trace.cursor} and passes
+          that same cursor for every event, so the cursor and its
+          arrays are valid only during the callback: a sink that keeps
+          an event copies it ({!Trace.push}, {!Trace.event_of_cursor}).
+          Filling the cursor allocates nothing.  An exception the sink
+          raises stops the run and propagates out of [run]
+          unclassified (it is not a trap), which is how a consumer ends
+          a replay early *)
   iter_mark : int;  (** mark id delimiting main-loop iterations, or -1 *)
   mpi : mpi_hooks option;
   recover : recover option;
@@ -175,7 +180,7 @@ val run_sink :
   ?budget:int ->
   ?iter_mark:int ->
   ?fault:fault ->
-  sink:(Trace.event -> unit) ->
+  sink:(Trace.cursor -> unit) ->
   Prog.t ->
   result
 (** Execution passing each event to [sink] without retaining it. *)
@@ -186,4 +191,5 @@ val run_traced :
   ?fault:fault ->
   Prog.t ->
   result * Trace.t
-(** [run_sink] into a fresh trace that keeps every event. *)
+(** [run_sink] into a fresh trace that keeps every event, trimmed
+    ({!Trace.trim}) once the run ends. *)

@@ -1,7 +1,25 @@
 (** Dynamic instruction traces: one event per executed instruction,
     carrying the locations read and written with their values, the
     source line, and the effective code region / region instance /
-    main-loop iteration stamps the analyses rely on. *)
+    main-loop iteration stamps the analyses rely on.
+
+    Events travel in three shapes:
+    {ul
+    {- a {!cursor}: the one mutable event the VM fills and hands to its
+       sink for each instruction, locations as {!Loc.key}s and values
+       unboxed.  It is valid only during the sink's callback;}
+    {- a stored trace {!t}, kept in columns: per event, six int words
+       (seq; fidx, pc and line packed; activation; region, instance and
+       iteration packed; op code and read count; access offset), and
+       per access one int key and one unboxed int64 value.  About 10
+       words per event on LULESH (the boxed events it replaces took
+       31);}
+    {- an {!event} record, built on demand by {!get} and
+       {!event_of_cursor} for cold paths (codecs, printing, tests).}}
+
+    The hot readers of a stored trace (alignment, the access index,
+    region instances) use the field accessors and {!keys}/{!values}
+    directly, and build no event. *)
 
 type opclass =
   | OConst
@@ -18,8 +36,36 @@ type opclass =
           analyses can re-render values *)
   | OMark of int
 
+type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type cursor = {
+  mutable seq : int;
+  mutable fidx : int;
+  mutable pc : int;
+  mutable act : int;
+  mutable line : int;
+  mutable region : int;
+  mutable instance : int;
+  mutable iter : int;
+  mutable op : opclass;
+  mutable nreads : int;
+  mutable nwrites : int;
+  mutable rkeys : int array;  (** read [k]'s location key, [k < nreads] *)
+  mutable rvals : ba;  (** read [k]'s value *)
+  mutable wkeys : int array;  (** write [k]'s location key, [k < nwrites] *)
+  mutable wvals : ba;
+}
+(** One event being passed from a producer to a consumer.  The arrays
+    may hold more slots than the counts; only the first [nreads] /
+    [nwrites] mean anything.  A producer reuses one cursor for every
+    event, so a consumer that keeps an event copies it ({!push},
+    {!event_of_cursor}). *)
+
 type event = {
-  seq : int;   (** dynamic instruction index, from 0 *)
+  seq : int;
+      (** dynamic instruction index, from 0.  Not always the event's
+          position: the return-value write of a call is a second event
+          with the call's seq *)
   fidx : int;
   pc : int;
   act : int;   (** activation id of the executing frame *)
@@ -34,15 +80,85 @@ type event = {
   writes : (Loc.t * Value.t) array;
 }
 
+val cursor : unit -> cursor
+(** A fresh cursor with room for a few accesses. *)
+
+val reserve_cursor : cursor -> reads:int -> writes:int -> unit
+(** Grow the cursor's access arrays to hold at least that many. *)
+
+val event_of_cursor : cursor -> event
+
 type t
-(** A growable event sequence. *)
+(** A growable, column-stored event sequence. *)
 
 val create : unit -> t
-val push : t -> event -> unit
+
+val push : t -> cursor -> unit
+(** Append a copy of the cursor's event. *)
+
+val push_event : t -> event -> unit
+
+val trim : t -> unit
+(** Release the spare capacity growth left; call once a trace is
+    complete. *)
+
 val length : t -> int
 
+val footprint_words : t -> int
+(** Words the trace holds: its heap blocks plus its values array. *)
+
 val get : t -> int -> event
-(** @raise Invalid_argument out of bounds. *)
+(** Event [i], built from the columns.
+    @raise Invalid_argument out of bounds. *)
+
+val load : t -> int -> cursor -> unit
+(** Fill the cursor with event [i]. *)
+
+val replay : t -> (cursor -> unit) -> unit
+(** Pass every event in order to the callback through one cursor: a
+    stored trace as a replay producer. *)
+
+(** {2 Field accessors}
+
+    Event [i]'s fields, read from the columns without building the
+    event.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val seq : t -> int -> int
+val fidx : t -> int -> int
+val pc : t -> int -> int
+val act : t -> int -> int
+val line : t -> int -> int
+val region : t -> int -> int
+val instance : t -> int -> int
+val iter_at : t -> int -> int
+val op : t -> int -> opclass
+val nreads : t -> int -> int
+val nwrites : t -> int -> int
+
+val reads_at : t -> int -> int
+(** Position of event [i]'s first read in {!keys} and {!values}; its
+    reads are the [nreads t i] positions from there. *)
+
+val writes_at : t -> int -> int
+(** Position of event [i]'s first write; [nwrites t i] follow. *)
+
+val naccesses : t -> int
+(** Reads plus writes over all events: the used length of {!keys} and
+    {!values}. *)
+
+val keys : t -> int array
+(** The location keys of every access, by position.  Valid until the
+    next {!push}. *)
+
+val values : t -> ba
+(** The values of every access, by position.  Valid until the next
+    {!push}. *)
+
+val same_control_at : t -> int -> cursor -> bool
+(** Does event [i] run the cursor's function and pc? *)
+
+(** {2 Whole-trace traversals (events built on demand)} *)
 
 val iter : (event -> unit) -> t -> unit
 val iteri : (int -> event -> unit) -> t -> unit

@@ -21,6 +21,7 @@ let () =
       Test_stream.suite;
       Test_acl_fixture.suite;
       Test_replay.suite;
+      Test_acl_ref.suite;
       Test_runtime.suite;
       Test_faults.suite;
       Test_patterns.suite;

@@ -70,8 +70,8 @@ let trace_of (stmts : Ast.stmt list) : Trace.t =
   let prog_ast : Ast.program =
     {
       Ast.globals =
-        List.map (fun v -> Ast.DScalar (v, Ty.I64)) Test_differential.ivars
-        @ List.map (fun v -> Ast.DScalar (v, Ty.F64)) Test_differential.fvars
+        List.map (fun v -> Ast.DScalar (v, Ty.I64)) Gen_prog.ivars
+        @ List.map (fun v -> Ast.DScalar (v, Ty.F64)) Gen_prog.fvars
         @ [ Ast.DScalar ("i", Ty.I64) ];
       funs =
         [ { Ast.fname = "main"; params = []; ret = None; locals = []; body = stmts } ];
@@ -84,7 +84,7 @@ let prop_index =
   QCheck.Test.make ~count:100 ~name:"access index = forward scan, build = index"
     (QCheck.make
        ~print:(fun stmts -> Printf.sprintf "<%d statements>" (List.length stmts))
-       Test_differential.gen_program)
+       Gen_prog.gen_program)
     (fun stmts -> index_matches_reference (trace_of stmts))
 
 (* a fixed program with a callee (registers of many activations) and an

@@ -362,7 +362,7 @@ let ev ?(reads = [||]) ?(writes = [||]) k op =
 
 let trace_of events =
   let t = Trace.create () in
-  List.iter (Trace.push t) events;
+  List.iter (Trace.push_event t) events;
   t
 
 let m1 = Loc.Mem 1

@@ -105,7 +105,7 @@ let test_fate_never_used () =
 (* --- alignment ------------------------------------------------------------ *)
 
 (* a stored faulty trace as a replay producer *)
-let replay_of (t : Trace.t) f = Trace.iter f t
+let replay_of = Trace.replay
 
 let test_align_identical_runs () =
   let prog = compile (loop_program ~iters:3) in
@@ -113,9 +113,8 @@ let test_align_identical_runs () =
   let _, t2 = run_traced prog in
   let steps = ref 0 in
   let div =
-    Align.drive (Align.create ~clean:t1 ()) (replay_of t2) (function
-      | Align.Step _ -> incr steps
-      | Align.Diverged _ | Align.End -> ())
+    Align.drive (Align.create ~clean:t1 ()) (replay_of t2) (fun _ ->
+        incr steps)
   in
   Alcotest.(check bool) "no divergence" true (div = None);
   Alcotest.(check int) "all steps" (Trace.length t1) !steps
@@ -143,7 +142,7 @@ let test_align_detects_corruption_and_masking () =
   let fault = flip_write ~seq:!store_seq 5 in
   let _, faulty = run_traced ~fault prog in
   let w = Align.create ~fault ~clean () in
-  let xloc = addr_of prog "x" in
+  let xloc = Loc.key (addr_of prog "x") in
   let saw_corrupted = ref false in
   let div =
     Align.drive w (replay_of faulty) (fun _ ->
@@ -226,14 +225,14 @@ let test_align_misdirected_stores () =
           let name = Fmt.to_to_string Loc.pp loc in
           Alcotest.(check int64) (name ^ " clean")
             (Machine.mem_get clean_r.Machine.mem a)
-            (Align.clean_value w loc);
+            (Align.clean_value w (Loc.key loc));
           Alcotest.(check int64) (name ^ " faulty")
             (Machine.mem_get faulty_r.Machine.mem a)
-            (Align.faulty_value w loc)
+            (Align.faulty_value w (Loc.key loc))
       | Loc.Reg _ -> ())
     written;
   let a0 = Loc.Mem (Prog.addr_of_element prog "a" [ 0 ]) in
-  Alcotest.(check bool) "a[0] corrupted" true (Align.is_corrupted w a0)
+  Alcotest.(check bool) "a[0] corrupted" true (Align.is_corrupted w (Loc.key a0))
 
 (* --- DDDG ----------------------------------------------------------------- *)
 

@@ -253,7 +253,7 @@ let test_binary_mutations () =
   let _, t = App.trace (Registry.find "IS") in
   let head = Trace.create () in
   for k = 0 to min 500 (Trace.length t) - 1 do
-    Trace.push head (Trace.get t k)
+    Trace.push_event head (Trace.get t k)
   done;
   let path = Filename.temp_file "ft_mut" ".trace" in
   Fun.protect
@@ -343,7 +343,7 @@ let prop_codec_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 60) gen_event))
     (fun events ->
       let t = Trace.create () in
-      List.iter (Trace.push t) events;
+      List.iter (Trace.push_event t) events;
       List.for_all
         (fun fmt ->
           let path = Filename.temp_file "ft_prop" ".trace" in

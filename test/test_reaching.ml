@@ -71,9 +71,9 @@ let prop_random_programs =
   QCheck.Test.make ~count:200 ~name:"bitset = reference on random programs"
     (QCheck.make
        ~print:(fun stmts -> Printf.sprintf "<%d statements>" (List.length stmts))
-       Test_differential.gen_program)
+       Gen_prog.gen_program)
     (fun stmts ->
-      match program_disagreement (Test_differential.program_of stmts) with
+      match program_disagreement (Gen_prog.program_of stmts) with
       | Some d -> QCheck.Test.fail_report d
       | None -> true)
 

@@ -67,7 +67,9 @@ let test_run_sink_matches_trace () =
   let _, t = run_traced ~iter_mark:mark prog in
   let sunk = ref [] in
   let _ =
-    Machine.run_sink ~iter_mark:mark ~sink:(fun e -> sunk := e :: !sunk) prog
+    Machine.run_sink ~iter_mark:mark
+      ~sink:(fun c -> sunk := Trace.event_of_cursor c :: !sunk)
+      prog
   in
   let sunk = Array.of_list (List.rev !sunk) in
   Alcotest.(check int) "event count" (Trace.length t) (Array.length sunk);
@@ -76,9 +78,41 @@ let test_run_sink_matches_trace () =
       Alcotest.(check bool) "sunk event equal" true (compare e sunk.(i) = 0))
     t
 
+(* Every app's stored trace gives back, through [Trace.get], exactly the
+   events its run streamed, also once trimmed.
+   A call's return-value write reuses the call's seq, so the seq column
+   is not the index: KMEANS, the one app whose calls return values, must
+   show it. *)
+let test_columns_roundtrip () =
+  let seq_not_index = ref false in
+  List.iter
+    (fun (app : App.t) ->
+      let name = app.App.name in
+      let t = Trace.create () in
+      let mismatches = ref 0 in
+      let same i e = if compare (Trace.get t i) e <> 0 then incr mismatches in
+      let sink (c : Trace.cursor) =
+        Trace.push t c;
+        let i = Trace.length t - 1 in
+        same i (Trace.event_of_cursor c);
+        if c.op = Trace.ORet && c.seq <> i && String.equal name "KMEANS" then
+          seq_not_index := true
+      in
+      ignore
+        (Machine.run_sink ~iter_mark:(App.iter_mark app) ~sink (App.program app));
+      let last = Trace.get t (Trace.length t - 1) in
+      Trace.trim t;
+      same (Trace.length t - 1) last;
+      Alcotest.(check int) (name ^ ": column = streamed") 0 !mismatches)
+    Registry.all;
+  Alcotest.(check bool) "KMEANS: a return reuses its call's seq" true
+    !seq_not_index
+
 let suite =
   ( "stream",
     [
       Alcotest.test_case "stream acl: MG via files" `Slow test_acl_from_files;
       Alcotest.test_case "run_sink = trace" `Quick test_run_sink_matches_trace;
+      Alcotest.test_case "columns = streamed events: every app" `Slow
+        test_columns_roundtrip;
     ] )

@@ -33,7 +33,7 @@ let test_case1_masked () =
   let addr = match x with Loc.Mem a -> a | Loc.Reg _ -> assert false in
   let fault = flip_mem ~seq:entry_seq ~addr 2 in
   let _, faulty = run_traced ~fault prog in
-  let replay f = Trace.iter f faulty in
+  let replay = Trace.replay faulty in
   match
     Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ out ]
       ~lo ~hi ()
@@ -48,7 +48,7 @@ let test_not_affected () =
   let x = addr_of prog "x" and out = addr_of prog "out" in
   (* no fault at all *)
   let _, faulty = run_traced prog in
-  let replay f = Trace.iter f faulty in
+  let replay = Trace.replay faulty in
   match
     Tolerance.classify ~clean ~replay ~inputs:[ x ] ~outputs:[ out ] ~lo ~hi ()
   with
@@ -77,7 +77,7 @@ let test_case2_diminished () =
   (* mantissa corruption: 8.0 -> 8+eps *)
   let fault = flip_mem ~seq:entry_seq ~addr 44 in
   let _, faulty = run_traced ~fault prog in
-  let replay f = Trace.iter f faulty in
+  let replay = Trace.replay faulty in
   match
     Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ x ] ~lo
       ~hi ()
@@ -106,7 +106,7 @@ let test_propagated () =
   let entry_seq = (Trace.get clean lo).Trace.seq in
   let fault = flip_mem ~seq:entry_seq ~addr 40 in
   let _, faulty = run_traced ~fault prog in
-  let replay f = Trace.iter f faulty in
+  let replay = Trace.replay faulty in
   match
     Tolerance.classify ~fault ~clean ~replay ~inputs:[ x ] ~outputs:[ x ] ~lo
       ~hi ()
@@ -144,7 +144,7 @@ let test_magnitude_by_iteration_decreasing () =
   in
   let fault = flip_mem ~seq:10 ~addr 48 in
   let _, faulty = run_traced ~iter_mark ~fault prog in
-  let replay f = Trace.iter f faulty in
+  let replay = Trace.replay faulty in
   let rows = Tolerance.magnitude_by_iteration ~fault ~clean ~replay ~addr () in
   Alcotest.(check bool) "several samples" true (List.length rows >= 3);
   let mags = List.map (fun (_, _, _, m) -> m) rows in
