@@ -19,9 +19,10 @@
    [ft_dev alloc-gate] prints the minor and direct major-heap words a
    cold IS@opt plan allocates, the minor words a compiled IS@opt trial
    allocates, the instructions it executes, the minor and direct
-   major-heap words a mined LULESH injection allocates, the words per
-   event of LULESH's stored clean trace and the minor words per event
-   of a LULESH run into a no-op sink, and exits
+   major-heap words a mined LULESH injection allocates, the minor words
+   per faulty event of its ACL walk alone, the words per event of
+   LULESH's stored clean trace and the minor words per event of a
+   LULESH run into a no-op sink, and exits
    nonzero when any drifts from its checked-in value (see
    [alloc_gate]).
    [ft_dev serve-soak [N]] submits N small campaigns to a forked
@@ -192,7 +193,13 @@ let trial_cost name =
      promoted), which the minor words do not see: a steps-sized array
      or a sort's arrays per injection show up there.  Before the VM
      passed a reused cursor to its sink and [Align] kept unboxed shadow
-     values, an injection allocated 9,764,131 minor words.
+     values, an injection allocated 9,764,131 minor words, and
+     1,290,715 before [Align] and [Acl] indexed flat arrays by the clean
+     trace's slot column and kept records and chains in per-domain
+     column buffers.  The walk's own share, per faulty event, is the
+     minor words of [replay_acl] minus those of the same faulty runs
+     into a no-op sink: 4.8 words per event before that change, now
+     the result lists alone.
    - Cold plan: one [Plan.plan_of_app "IS@opt"] with no cache dir, the
      first thing the gate runs, so it bakes, optimizes, runs the clean
      program and collects the fault sites from scratch: the minor words
@@ -202,18 +209,21 @@ let trial_cost name =
      1,272,426 direct major words when both did; 18,778,792 minor words
      while the sink still received a boxed event per instruction).
    - Trace: the words per event LULESH's stored clean trace holds
-     ([Trace.footprint_words]: its columns and its value array), 31.1
-     when a trace was an array of boxed events, and the minor words
+     ([Trace.footprint_words]: its columns, its value array and, once
+     an analysis has asked for it, its slot numbering), 31.1 when a
+     trace was an array of boxed events and 10.19 before the slot
+     column (half a word per access), and the minor words
      per event a fault-free LULESH run into a no-op sink allocates,
      29.9 when the sink received a fresh event record with tuple
      arrays.  What remains is the interpreter's boxed values. *)
 let alloc_gate_words = 1_634.
 let alloc_gate_executed = 28_718.
-let alloc_gate_mining_words = 1_290_715.
-let alloc_gate_mining_major_words = 71_622.
+let alloc_gate_mining_words = 345_468.
+let alloc_gate_mining_major_words = 70_990.
+let alloc_gate_walk_words = 0.1185
 let alloc_gate_plan_words = 14_532_221.
 let alloc_gate_plan_major_words = 764_514.
-let alloc_gate_trace_words = 10.19
+let alloc_gate_trace_words = 11.24
 let alloc_gate_sink_words = 1.29
 let alloc_gate_tolerance = 0.05
 let alloc_gate_trials = 128
@@ -319,6 +329,20 @@ let alloc_gate () =
       ~measured:(!words /. float_of_int (List.length faults))
       ~pinned:alloc_gate_mining_words
   in
+  (* the same faulty runs into a no-op sink: what is left is the walk's *)
+  let sink_words = ref 0.0 and events = ref 0 in
+  List.iter
+    (fun fault ->
+      let w0 = Gc.minor_words () in
+      ignore (App.replay_with_fault app fault ~budget (fun _ -> incr events));
+      sink_words := !sink_words +. (Gc.minor_words () -. w0))
+    faults;
+  let walk_ok =
+    alloc_reading "analysis.walk_minor_words_per_event"
+      ~what:"the same 8 faults, replay_acl minus a no-op sink, per faulty event"
+      ~measured:((!words -. !sink_words) /. float_of_int !events)
+      ~pinned:alloc_gate_walk_words
+  in
   (* the same faults again, now that the domain's buffers are grown *)
   let m0 = direct_major () in
   List.iter
@@ -335,7 +359,7 @@ let alloc_gate () =
   let trace = c.Experiments.trace in
   let trace_ok =
     alloc_reading "vm.trace_words_per_event"
-      ~what:"LULESH clean trace: its columns and values, per event"
+      ~what:"LULESH clean trace: its columns, values and slots, per event"
       ~measured:
         (float_of_int (Trace.footprint_words trace)
         /. float_of_int (Trace.length trace))
@@ -356,7 +380,7 @@ let alloc_gate () =
   if
     not
       (plan_ok && plan_major_ok && trials_ok && executed_ok && mining_ok
-     && major_ok && trace_ok && sink_ok)
+     && walk_ok && major_ok && trace_ok && sink_ok)
   then begin
     Printf.printf
       "alloc-gate: FAILED (update the checked-in value in bin/ft_dev.ml if \

@@ -10,10 +10,10 @@
     them.  A counting sort over two passes of the trace lays each
     location's accesses out contiguously in [data], in trace order:
     location [id] owns [data.(off.(id)) .. data.(off.(id + 1) - 1)].
-    Location ids come from a dense {!Loc_store}.  Both passes read the
-    trace's key column and build no event, and nothing is allocated per
-    access: the first pass counts each location's accesses, the second
-    fills [data]. *)
+    Location ids are the trace's slots ({!Trace.slots}).  Both passes
+    read the slot column and build no event, and nothing is allocated
+    per access: the first pass counts each location's accesses, the
+    second fills [data]. *)
 
 type kind = Read | Write
 
@@ -23,45 +23,30 @@ type fate =
   | `Never_used ]
 
 type t = {
-  ids : int Loc_store.t;  (** location -> id, -1 for untouched ones *)
+  ids : Trace.slots;  (** location -> id *)
   off : int array;  (** [nlocs + 1] offsets into [data] *)
   data : int array;  (** packed accesses, grouped by location id *)
 }
 
 let build (tr : Trace.t) : t =
-  let ids = Loc_store.create (-1) in
-  let keys = Trace.keys tr and n = Trace.length tr in
-  (* every access, in trace order, is [keys.(p)] for [p] below [nacc] *)
-  let nacc = Trace.naccesses tr in
-  (* [counts.(id + 1)]: the accesses of location [id] *)
-  let counts = ref (Array.make 1024 0) and nlocs = ref 0 in
+  let ids = Trace.slots tr in
+  let col = Trace.slot_column ids and n = Trace.length tr in
+  let id p = Int32.to_int (Bigarray.Array1.unsafe_get col p) in
+  (* every access, in trace order, has its slot at [col.{p}] *)
+  let nacc = Bigarray.Array1.dim col and nlocs = Trace.nslots ids in
+  (* [off.(id + 1)]: the accesses of location [id], then its end *)
+  let off = Array.make (nlocs + 1) 0 in
   for p = 0 to nacc - 1 do
-    let key = Array.unsafe_get keys p in
-    let id =
-      match Loc_store.get_key ids key with
-      | -1 ->
-          let id = !nlocs in
-          Loc_store.set_key ids key id;
-          incr nlocs;
-          if id + 1 = Array.length !counts then begin
-            let c = Array.make (2 * (id + 1)) 0 in
-            Array.blit !counts 0 c 0 (id + 1);
-            counts := c
-          end;
-          id
-      | id -> id
-    in
-    Array.unsafe_set !counts (id + 1) (Array.unsafe_get !counts (id + 1) + 1)
+    let i = id p + 1 in
+    Array.unsafe_set off i (Array.unsafe_get off i + 1)
   done;
-  let nlocs = !nlocs in
-  let off = Array.sub !counts 0 (nlocs + 1) in
   for id = 1 to nlocs do
     off.(id) <- off.(id) + off.(id - 1)
   done;
   let data = Array.make off.(nlocs) 0 in
   let fill = Array.sub off 0 nlocs in
   let put packed p =
-    let id = Loc_store.get_key ids (Array.unsafe_get keys p) in
+    let id = id p in
     let at = Array.unsafe_get fill id in
     Array.unsafe_set data at packed;
     Array.unsafe_set fill id (at + 1)
@@ -79,7 +64,7 @@ let build (tr : Trace.t) : t =
 
 (* [loc]'s accesses are [t.data.(lo t id) .. t.data.(hi t id - 1)], where
    [id = slot t loc]; both bounds are 0 for an untouched location *)
-let slot (t : t) (loc : Loc.t) : int = Loc_store.get t.ids loc
+let slot (t : t) (loc : Loc.t) : int = Trace.slot_of_key t.ids (Loc.key loc)
 let lo (t : t) (id : int) = if id < 0 then 0 else Array.unsafe_get t.off id
 let hi (t : t) (id : int) = if id < 0 then 0 else Array.unsafe_get t.off (id + 1)
 

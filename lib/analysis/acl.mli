@@ -6,9 +6,13 @@
     patterns are recognized.
 
     The walk takes the faulty run as the VM's reused
-    {!Trace.cursor}, aligns it with {!Align} against the clean trace's
-    columns, and keeps each corrupting write's record under its
-    location's {!Loc.key}; keys become {!Loc.t}s only in the result. *)
+    {!Trace.cursor} and aligns it with {!Align} against the clean
+    trace's columns.  Locations are slots of the clean trace's
+    numbering ({!Trace.slots}), read from its slot column wherever the
+    faulty access hits the clean key at the same position; each
+    corrupting write's record goes into per-domain column buffers, so
+    the walk allocates nothing per step or per record.  Keys become
+    {!Loc.t}s only in the result. *)
 
 type mask_kind =
   | Shift_mask   (** corrupted bits shifted out *)

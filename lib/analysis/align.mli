@@ -5,12 +5,15 @@
     taint: a masked value is clean again).  Alignment stops at the
     first control-flow divergence.
 
-    Locations are {!Loc.key}s.  Each location the walk touches gets a
-    dense slot; per slot, the clean and faulty values are unboxed int64s
-    next to a corrupted flag, so a step allocates nothing.  The faulty
-    value is kept only for corrupted locations, since everywhere else it
-    equals the clean one.  The clean run is read from the columns of its
-    stored trace.
+    Locations are {!Loc.key}s, numbered by the clean trace's
+    {!Trace.slots}: a faulty write whose key equals the clean key at the
+    same access position takes the column's slot, any other key is
+    looked up, and a location only the faulty run touches is numbered
+    after the clean ones.  Per slot, the clean and faulty values are
+    unboxed int64s next to a corrupted flag, and a step allocates
+    nothing.  The faulty value is kept only for corrupted locations,
+    since everywhere else it equals the clean one.  The clean run is
+    read from the columns of its stored trace.
 
     Faulty events are pushed one at a time through [feed], as the
     {!Trace.cursor} a running VM fills, so a faulty run can be aligned
@@ -34,11 +37,28 @@ val corrupted_count : t -> int
 val magnitude : t -> int -> float option
 (** Error magnitude (Equation 2) of a corrupted location right now. *)
 
+(** {2 Slots}
+
+    The walk's dense numbering of locations, shared with [Acl]:
+    [0 .. nslots - 1], the clean trace's slots first. *)
+
+val find : t -> int -> int
+(** The slot of a key, or -1 for a location that neither the clean run
+    touches nor the walk has numbered (for an aligned faulty write or a
+    memory fault). *)
+
+val is_corrupted_slot : t -> int -> bool
+
+val magnitude_to : t -> int -> float array -> int -> unit
+(** [magnitude_to w s dst i] stores the error magnitude of slot [s] in
+    [dst.(i)], or 0.0 if it is not corrupted: a float returned across
+    modules would be boxed. *)
+
 val last_write_adds : t -> int -> bool
-(** Was the faulty run's last write to the location, up to and
-    including the latest step, an [OBin Fadd] or [OBin Fsub]?  [Acl]
-    asks it of the register a store reads, which the store itself does
-    not write. *)
+(** Was the faulty run's last write to the slot, up to and including
+    the latest step, an [OBin Fadd] or [OBin Fsub]?  [Acl] asks it of
+    the register a store reads, which the store itself does not
+    write. *)
 
 val apply_pending_fault : t -> next_seq:int -> unit
 (** Force a pending [Machine.Mem] fault whose trigger has been
@@ -63,6 +83,9 @@ val changed : t -> int -> int
 (** [changed w k], [k < nchanged w]: the locations only the faulty run
     wrote, last written first, then the clean run's written locations,
     last first. *)
+
+val changed_slot : t -> int -> int
+(** The slot of [changed w k]. *)
 
 val changed_corrupted : t -> int -> bool
 (** Is [changed w k] corrupted after the step? *)

@@ -11,7 +11,9 @@
 
 let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a array) : 'b array =
   let n = Array.length xs in
-  let jobs = max 1 (min jobs n) in
+  (* more domains than cores only time-slice (and OCaml refuses more
+     than 128) *)
+  let jobs = max 1 (min (min jobs n) (Domain.recommended_domain_count ())) in
   if jobs <= 1 then Array.map f xs
   else begin
     let out : ('b, exn * Printexc.raw_backtrace) result option array =

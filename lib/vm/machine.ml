@@ -480,12 +480,15 @@ let run (prog : Prog.t) (cfg : config) : result =
       else -1
     in
     let[@inline] rkey r = if kbase >= 0 then kbase + (r lsl 1) else Loc.reg_key act r in
+    (* [Loc.mem_key a], its case for addresses in [0, 2^61) local so
+       it inlines *)
+    let[@inline] mkey a = if a lsr 61 = 0 then a lsl 1 else Loc.mem_key a in
     let[@inline] rd k r v =
       cur.rkeys.(k) <- rkey r;
       Bigarray.Array1.set cur.rvals k v
     in
     let[@inline] rd_mem k a v =
-      cur.rkeys.(k) <- Loc.mem_key a;
+      cur.rkeys.(k) <- mkey a;
       Bigarray.Array1.set cur.rvals k v
     in
     let[@inline] wr k r v =
@@ -493,7 +496,7 @@ let run (prog : Prog.t) (cfg : config) : result =
       Bigarray.Array1.set cur.wvals k v
     in
     let[@inline] wr_mem k a v =
-      cur.wkeys.(k) <- Loc.mem_key a;
+      cur.wkeys.(k) <- mkey a;
       Bigarray.Array1.set cur.wvals k v
     in
     let body () =

@@ -147,7 +147,22 @@ type t = {
   extra_codes : (opclass, int) Hashtbl.t;
   mutable extras : opclass array;
   wide : (int, event) Hashtbl.t;
+  numbering : slots option Atomic.t;
+      (** the latest {!slots}, current while it covers every access *)
 }
+
+(* The trace's locations numbered densely in first-touch order: the
+   slot of each access by position ([col]) and the slot of each key.
+   Computed on the first {!slots} call and kept until a push adds an
+   access; published through an [Atomic] so domains sharing a clean
+   trace see it whole. *)
+and slots = {
+  col : slot_col;
+  nslots : int;
+  ids : int Loc_store.t;  (** key -> slot, -1 for keys never touched *)
+}
+
+and slot_col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let ba n : ba = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n
 
@@ -165,6 +180,7 @@ let create () =
     extra_codes = Hashtbl.create 8;
     extras = [||];
     wide = Hashtbl.create 1;
+    numbering = Atomic.make None;
   }
 
 let length (t : t) = t.len
@@ -216,7 +232,12 @@ let trim (t : t) =
   end
 
 let footprint_words (t : t) =
-  Obj.reachable_words (Obj.repr t) + Bigarray.Array1.dim t.vals
+  let col =
+    match Atomic.get t.numbering with
+    | Some s -> (Bigarray.Array1.dim s.col + 1) / 2
+    | None -> 0
+  in
+  Obj.reachable_words (Obj.repr t) + Bigarray.Array1.dim t.vals + col
 
 let opcode (t : t) (op : opclass) =
   let c = fixed_code op in
@@ -392,11 +413,56 @@ let naccesses (t : t) = t.off.(t.len)
 let keys (t : t) = t.keys
 let values (t : t) = t.vals
 
-let same_control_at (t : t) i (c : cursor) =
-  let code = code t i in
-  if code >= 0 && fits c.fidx 18 && fits c.pc 22 then
-    code lsr 22 = (c.fidx lsl 22) lor c.pc
-  else fidx t i = c.fidx && pc t i = c.pc
+(* --- the slot numbering -------------------------------------------------- *)
+
+let number (t : t) : slots =
+  let n = naccesses t in
+  let ids = Loc_store.create (-1) in
+  let col = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+  let ns = ref 0 in
+  for p = 0 to n - 1 do
+    let key = Array.unsafe_get t.keys p in
+    let s = Loc_store.get_key ids key in
+    let s =
+      if s >= 0 then s
+      else begin
+        let s = !ns in
+        ns := s + 1;
+        Loc_store.set_key ids key s;
+        s
+      end
+    in
+    Bigarray.Array1.unsafe_set col p (Int32.of_int s)
+  done;
+  { col; nslots = !ns; ids }
+
+let slots (t : t) : slots =
+  match Atomic.get t.numbering with
+  | Some s when Bigarray.Array1.dim s.col = naccesses t -> s
+  | Some _ | None ->
+      let s = number t in
+      Atomic.set t.numbering (Some s);
+      s
+
+let slot_column (s : slots) = s.col
+let nslots (s : slots) = s.nslots
+let slot_of_key (s : slots) key = Loc_store.get_key s.ids key
+
+let spans (t : t) i (span : int array) =
+  i >= 0 && i < t.len
+  &&
+  let a = Array.unsafe_get t.off i and nr = Array.unsafe_get t.ops i lsr 32 in
+  span.(0) <- a;
+  span.(1) <- nr;
+  span.(2) <- Array.unsafe_get t.off (i + 1) - a - nr;
+  true
+
+let aligned_spans (t : t) i (c : cursor) (span : int array) =
+  spans t i span
+  && (let code = Array.unsafe_get t.code i in
+      if code >= 0 && fits c.fidx 18 && fits c.pc 22 then
+        code lsr 22 = (c.fidx lsl 22) lor c.pc
+      else fidx t i = c.fidx && pc t i = c.pc)
 
 let get (t : t) i : event =
   check t i "Trace.get";

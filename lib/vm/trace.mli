@@ -105,7 +105,8 @@ val trim : t -> unit
 val length : t -> int
 
 val footprint_words : t -> int
-(** Words the trace holds: its heap blocks plus its values array. *)
+(** Words the trace holds: its heap blocks plus its values array, and
+    its {!slots} once computed. *)
 
 val get : t -> int -> event
 (** Event [i], built from the columns.
@@ -155,8 +156,42 @@ val values : t -> ba
 (** The values of every access, by position.  Valid until the next
     {!push}. *)
 
-val same_control_at : t -> int -> cursor -> bool
-(** Does event [i] run the cursor's function and pc? *)
+(** {2 The slot numbering}
+
+    A trace's locations numbered densely, in the order the trace first
+    touches them, with the slot of every access as a compact column
+    beside {!keys}.  Analyses that shadow the clean run index flat
+    arrays by slot: a faulty access whose key equals the clean key at
+    the same position takes the column's slot, with no lookup. *)
+
+type slots
+(** One trace's numbering. *)
+
+type slot_col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val slots : t -> slots
+(** The numbering of the trace's accesses so far: computed on the first
+    call, then kept with the trace until a {!push} adds an access.  Safe
+    to call from several domains at once. *)
+
+val slot_column : slots -> slot_col
+(** The slot of every access, by position in {!keys}. *)
+
+val nslots : slots -> int
+(** The number of distinct locations: slots are [0 .. nslots - 1]. *)
+
+val slot_of_key : slots -> int -> int
+(** The slot of a {!Loc.key}, or -1 for a location the trace never
+    touches. *)
+
+val spans : t -> int -> int array -> bool
+(** [spans t i span]: is [i] an event of [t]?  If so, [span.(0)],
+    [span.(1)] and [span.(2)] receive its {!reads_at}, {!nreads} and
+    {!nwrites}, in one call. *)
+
+val aligned_spans : t -> int -> cursor -> int array -> bool
+(** [spans], and does event [i] run the cursor's function and pc?  One
+    call for a step of alignment. *)
 
 (** {2 Whole-trace traversals (events built on demand)} *)
 

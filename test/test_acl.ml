@@ -466,7 +466,21 @@ let test_buffer_reuse () =
       let fresh = Domain.join (Domain.spawn (fun () -> snd (analyze fault))) in
       Alcotest.(check bool) name true (here = fresh))
     [ ("long", long, l); ("short", short, s);
-      ("long again", long, snd (analyze long)) ]
+      ("long again", long, snd (analyze long)) ];
+  (* an analysis run from inside another's replay gets its own buffers *)
+  let inner = ref None in
+  let outer =
+    Acl.analyze_replay ~fault:long ~clean:trace
+      ~replay:(fun f ->
+        ignore
+          (App.replay_with_fault app long ~budget (fun ev ->
+               if !inner = None && ev.Trace.seq = 1000 then
+                 inner := Some (snd (analyze short));
+               f ev)))
+      ()
+  in
+  Alcotest.(check bool) "outer of a nested pair" true (outer = l);
+  Alcotest.(check bool) "inner of a nested pair" true (!inner = Some s)
 
 (* property: for random faults on a fixed program, the final ACL count
    is between 0 and the peak, and the series is seq-ordered *)

@@ -125,6 +125,30 @@ let test_pool_propagates_exception () =
   | _ -> Alcotest.fail "expected the worker exception to re-raise"
   | exception Failure m -> Alcotest.(check string) "first exception" "boom" m
 
+(* asked for four domains per core, the pool runs at most one per core,
+   and the results are those of one domain *)
+let test_pool_clamps_to_cores () =
+  let cores = Domain.recommended_domain_count () in
+  let seen = ref [] and lock = Mutex.create () in
+  let f x =
+    let id = (Domain.self () :> int) in
+    Mutex.protect lock (fun () ->
+        if not (List.mem id !seen) then seen := id :: !seen);
+    (* long enough that every domain the pool starts takes an element *)
+    let acc = ref x in
+    for k = 1 to 20_000 do
+      acc := Sys.opaque_identity ((!acc * 31) + k) land 0xFFFF
+    done;
+    !acc
+  in
+  let xs = Array.init 2000 Fun.id in
+  let ys = Pool.map ~jobs:(4 * cores) f xs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domain(s) for %d core(s)" (List.length !seen) cores)
+    true
+    (List.length !seen <= cores);
+  Alcotest.(check bool) "results = jobs 1" true (ys = Pool.map ~jobs:1 f xs)
+
 (* --- worker deadlines ---------------------------------------------------- *)
 
 let test_deadline_refresh () =
@@ -377,6 +401,8 @@ let suite =
       Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
       Alcotest.test_case "pool propagates exceptions" `Quick
         test_pool_propagates_exception;
+      Alcotest.test_case "pool clamps to the cores" `Quick
+        test_pool_clamps_to_cores;
       Alcotest.test_case "deadline arm, refresh, expiry" `Quick
         test_deadline_refresh;
       Alcotest.test_case "executor jobs invariance" `Quick
