@@ -740,11 +740,12 @@ let server_scale (effort : Effort.t) =
             Sched.default_config with
             Sched.workers;
             batch = 16;
+            journal_dir = dir;
             chaos_kills = chaos;
             heartbeat_s = 30.0;
           }
         in
-        let job, final = Sched.tenant ~id:name ?journal:dir spec s in
+        let job, final = Sched.tenant ~id:name spec s in
         let completed = ref None in
         let on_event _ = function
           | Sched.Finished { completed = n; _ } -> completed := Some n

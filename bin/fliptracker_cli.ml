@@ -1141,14 +1141,12 @@ let serve_cmd =
     Arg.(value & opt int Server.default_config.Server.batch
          & info [ "batch" ] ~docv:"N" ~doc:"Trials per lease.")
   in
-  let shards =
-    Arg.(value & opt int Server.default_config.Server.shards
-         & info [ "shards" ] ~docv:"N" ~doc:"Journal shards per campaign.")
-  in
   let journal_dir =
     Arg.(value & opt (some string) None & info [ "journal-dir" ] ~docv:"DIR"
-           ~doc:"Root directory for per-campaign sharded journals; an \
-                 interrupted campaign resubmitted later resumes from here.")
+           ~doc:"Root directory for campaign journals, one \
+                 $(i,ID).journal file per campaign in the format of \
+                 $(b,campaign --journal); an interrupted campaign \
+                 resubmitted later resumes from its file.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -1185,7 +1183,7 @@ let serve_cmd =
            ~docv:"PATH"
            ~doc:"Write the bound worker port here (useful with port 0).")
   in
-  let run socket workers batch shards journal_dir cache_dir heartbeat
+  let run socket workers batch journal_dir cache_dir heartbeat
       max_lease_attempts max_active worker_bind worker_port_file metrics =
     let obs = Obs.create () in
     let cfg =
@@ -1193,7 +1191,6 @@ let serve_cmd =
         Server.default_config with
         Server.workers;
         batch;
-        shards;
         journal_dir;
         heartbeat_s = heartbeat;
         max_lease_attempts;
@@ -1215,10 +1212,10 @@ let serve_cmd =
          "Run the campaign server: a long-lived multi-tenant process that \
           queues campaign submissions over a Unix socket and interleaves \
           their trial batches across one shared pool of forked and remote \
-          TCP workers under heartbeat-guarded leases, with per-campaign \
-          sharded journals, fault isolation, and deterministic \
+          TCP workers under heartbeat-guarded leases, with one journal \
+          file per campaign, fault isolation, and deterministic \
           worker-failure recovery.")
-    Term.(const run $ socket_arg $ workers $ batch $ shards $ journal_dir
+    Term.(const run $ socket_arg $ workers $ batch $ journal_dir
           $ cache_dir $ heartbeat $ max_lease_attempts $ max_active
           $ worker_bind $ worker_port_file $ metrics_arg)
 

@@ -413,7 +413,7 @@ let profile name =
       end)
     l
 
-(* --- journal inspect / verify / compact ---------------------------------- *)
+(* --- journal inspect / verify --------------------------------------------- *)
 
 let journal_files (path : string) : string list =
   if Sys.is_directory path then
@@ -423,16 +423,14 @@ let journal_files (path : string) : string list =
     |> List.map (Filename.concat path)
   else [ path ]
 
-let trial_key (r : Csexp.t) : string option =
-  match r with
-  | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-  | _ -> None
-
-(* one journal file's shape: header, record tallies, torn tail *)
+(* one journal file's shape: header, record tallies, torn tail; healthy
+   = a header, no torn tail and no trial journaled twice (neither
+   engine writes a duplicate, so one is a bug) *)
 let inspect_one (path : string) : bool =
   let records, valid_end = Journal.load path in
   let size = (Unix.stat path).Unix.st_size in
   let torn = size - valid_end in
+  let dups = ref 0 in
   Printf.printf "%s\n" path;
   (match records with
   | Csexp.List
@@ -442,7 +440,7 @@ let inspect_one (path : string) : bool =
       Printf.printf "  header: v%s tag %s, %s trials planned\n" version tag
         total;
       let ok = ref 0 and infra = Hashtbl.create 4 and other = ref 0 in
-      let seen = Hashtbl.create 256 and dups = ref 0 in
+      let seen = Hashtbl.create 256 in
       List.iter
         (fun r ->
           match r with
@@ -475,7 +473,7 @@ let inspect_one (path : string) : bool =
     (if torn > 0 then
        Printf.sprintf " — TORN TAIL (%d bytes would be healed)" torn
      else "");
-  torn = 0 && records <> []
+  torn = 0 && records <> [] && !dups = 0
 
 let journal_cmd (action : string) (path : string) =
   let files = journal_files path in
@@ -489,19 +487,13 @@ let journal_cmd (action : string) (path : string) =
       let healthy = List.for_all inspect_one files in
       if healthy then print_endline "journal: OK"
       else begin
-        print_endline "journal: UNHEALTHY (torn tail or missing header)";
+        print_endline
+          "journal: UNHEALTHY (torn tail, missing header or duplicate trial)";
         exit 1
       end
-  | "compact" ->
-      List.iter
-        (fun f ->
-          let before, after = Journal.compact ~key:trial_key f in
-          Printf.printf "%s: %d -> %d bytes (%.0f%%)\n" f before after
-            (100.0 *. float_of_int after /. float_of_int (max 1 before)))
-        files
   | other ->
-      Printf.eprintf
-        "journal: unknown action %s (expected inspect|verify|compact)\n" other;
+      Printf.eprintf "journal: unknown action %s (expected inspect|verify)\n"
+        other;
       exit 2
 
 (* --- chaos-campaign: the worker-failure determinism gate ------------------ *)
@@ -510,11 +502,11 @@ let journal_cmd (action : string) (path : string) =
    scheduler and a pool of forked workers plus [--tcp N] remote-TCP
    workers, with chaos SIGKILLs landing on whoever delivered last.
    Tenants 0 and 1 submit byte-identical specs (same tag — the
-   journal-directory-collision regression: their ids and journal
-   directories must still be distinct); the rest shrink the trial
-   design.  Fails unless a worker was killed and every tenant's counts
-   (csexp encoding compared as strings, infra and recovery fields
-   included) are byte-identical to its own in-process [--jobs 1] run. *)
+   journal-collision regression: their ids and journal files must
+   still be distinct); the rest shrink the trial design.  Fails
+   unless a worker was killed and every tenant's counts (csexp
+   encoding compared as strings, infra and recovery fields included)
+   are byte-identical to its own in-process [--jobs 1] run. *)
 let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
     ~(tenants : int) ~(kills : int list) ~(trials : int) =
   let tmp = Filename.get_temp_dir_name () in
@@ -549,10 +541,7 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
             ~cfg:{ Executor.default_config with Executor.jobs = 1 }
             ex_spec
         in
-        let job, final =
-          Sched.tenant ~id ~journal:(Filename.concat journal_root id) spec
-            ex_spec
-        in
+        let job, final = Sched.tenant ~id spec ex_spec in
         (id, job, final, reference)
   in
   let rows = List.init tenants tenant in
@@ -590,6 +579,7 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
     {
       Sched.default_config with
       Sched.workers;
+      journal_dir = Some journal_root;
       chaos_kills = kills;
       heartbeat_s = 10.0;
       max_active = max 2 (tenants - 1);
@@ -677,8 +667,11 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
                 \  reference %s"
                 id (enc counts) (enc ref_counts)
           end;
-          if not (Sys.file_exists (Filename.concat journal_root id)) then
-            fail "chaos-campaign: %s FAILED (journal directory missing)" id
+          if
+            not
+              (Sys.file_exists
+                 (Filename.concat journal_root (id ^ ".journal")))
+          then fail "chaos-campaign: %s FAILED (journal missing)" id
       | Some (Sched.Poisoned { batch; attempts; cause }) ->
           fail "chaos-campaign: %s FAILED (%s)" id
             (Infra.poison_message ~batch ~attempts cause)
@@ -687,7 +680,7 @@ let chaos_campaign (name : string) ~(workers : int) ~(tcp : int)
       | Some (Sched.Progress _) | None ->
           fail "chaos-campaign: %s FAILED (no terminal event)" id)
     rows;
-  (* the collision regression: identical specs, distinct directories *)
+  (* the collision regression: identical specs, distinct journals *)
   (match rows with
   | (id0, _, _, _) :: (id1, _, _, _) :: _ when tenants >= 2 ->
       if String.equal id0 id1 then
@@ -1133,7 +1126,7 @@ let () =
       Fmt.pr "%a@." Prog.pp prog
   | _ :: "journal" :: action :: path :: _ -> journal_cmd action path
   | _ :: "journal" :: _ ->
-      Printf.eprintf "usage: ft_dev journal inspect|verify|compact PATH\n";
+      Printf.eprintf "usage: ft_dev journal inspect|verify PATH\n";
       exit 2
   | _ :: "chaos-campaign" :: rest ->
       let name = ref "IS" and workers = ref 2 and trials = ref 96 in

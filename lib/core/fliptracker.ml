@@ -28,8 +28,7 @@
     {- analyses: {!Region}, {!Access}, {!Align}, {!Acl}, {!Dddg},
        {!Tolerance}}
     {- fault injection: {!Rng}, {!Stats}, {!Campaign}}
-    {- resilient execution: {!Csexp}, {!Journal}, {!Pool}, {!Executor},
-       and {!Watchdog}'s worker deadlines for the campaign server}
+    {- resilient execution: {!Csexp}, {!Journal}, {!Pool}, {!Executor}}
     {- patterns: {!Pattern}, {!Static_detect}, {!Dynamic_detect},
        {!Rates}}
     {- prediction: {!Linalg}, {!Regression}}

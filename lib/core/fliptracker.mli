@@ -8,8 +8,7 @@
     [Liveness]/[Verify]/[Vuln]; analyses: [Region]/[Access]/[Align]/[Acl]/
     [Dddg]/[Tolerance]/[Trace_io]/[Export]; faults:
     [Rng]/[Stats]/[Campaign]; resilient execution:
-    [Csexp]/[Journal]/[Pool]/[Executor], [Watchdog] (the campaign
-    server's worker deadlines); patterns:
+    [Csexp]/[Journal]/[Pool]/[Executor]; patterns:
     [Pattern]/[Static_detect]/
     [Dynamic_detect]/[Rates]/[Weighted_rates]; prediction:
     [Linalg]/[Regression]; benchmarks: [App]/[Registry]; MPI:

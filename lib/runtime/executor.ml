@@ -123,43 +123,6 @@ let parse_trial (decode : string -> 'a option) (r : Csexp.t) :
       Option.map (fun i -> (i, Infra_error m)) (int_of_string_opt idx)
   | _ -> None
 
-(** Load a resumable journal: validated header + the journaled
-    outcomes + the byte offset of the valid prefix (for healing a torn
-    tail).  @raise Failure when the journal belongs to a different
-    campaign (tag or plan size mismatch) or has no valid header. *)
-let load_journal (spec : 'a spec) (path : string) :
-    (int, 'a outcome) Hashtbl.t * int =
-  let records, valid_end = Journal.load path in
-  let seen = Hashtbl.create 256 in
-  (match records with
-  | [] -> ()
-  | Csexp.List [ Csexp.Atom m; Csexp.Atom _; Csexp.Atom tag; Csexp.Atom total ]
-    :: rest
-    when String.equal m magic ->
-      if not (String.equal tag spec.tag) then
-        failwith
-          (Printf.sprintf
-             "journal %s belongs to a different campaign (journal tag %S, \
-              expected %S); refusing to resume"
-             path tag spec.tag);
-      if int_of_string_opt total <> Some spec.total then
-        failwith
-          (Printf.sprintf
-             "journal %s plans %s trials but this campaign plans %d; refusing \
-              to resume"
-             path total spec.total);
-      List.iter
-        (fun r ->
-          match parse_trial spec.decode r with
-          | Some (i, o) when i >= 0 && i < spec.total -> Hashtbl.replace seen i o
-          | Some _ | None -> ())
-        rest
-  | _ ->
-      failwith
-        (Printf.sprintf "journal %s has no valid header; refusing to resume"
-           path));
-  (seen, valid_end)
-
 (* --- the engine -------------------------------------------------------- *)
 
 (* splitmix64 finalizer over (trial, attempt) -> uniform in [0, 1):
@@ -214,34 +177,29 @@ let run ?(cfg = default_config) (spec : 'a spec) : 'a report =
   in
   let t0 = Unix.gettimeofday () in
   let batch = max 1 cfg.batch in
-  (* checkpoint state: what the journal already knows *)
-  let journaled, writer =
-    match cfg.journal with
-    | None -> (Hashtbl.create 0, None)
-    | Some path ->
-        if cfg.resume && Sys.file_exists path then begin
-          let seen, valid_end =
-            obs_phase "executor/resume" (fun () -> load_journal spec path)
-          in
-          let w = Journal.open_append ~truncate_at:valid_end path in
-          (* a tail torn inside the header heals to an empty journal;
-             re-write the header so the healed file stays resumable *)
-          if valid_end = 0 then begin
-            Journal.write w (header_record spec);
-            Journal.sync w
-          end;
-          (seen, Some w)
-        end
-        else begin
-          let w = Journal.create path in
-          Journal.write w (header_record spec);
-          Journal.sync w;
-          (Hashtbl.create 0, Some w)
-        end
-  in
-  let resumed = Hashtbl.length journaled in
   let outcomes : 'a outcome option array = Array.make spec.total None in
-  Hashtbl.iter (fun i o -> outcomes.(i) <- Some o) journaled;
+  (* checkpoint state: what the journal already knows *)
+  let resumed = ref 0 in
+  let writer =
+    Option.map
+      (fun path ->
+        let w, records =
+          obs_phase "executor/resume" (fun () ->
+              Journal.open_campaign ~resume:cfg.resume
+                ~header:(header_record spec) path)
+        in
+        List.iter
+          (fun r ->
+            match parse_trial spec.decode r with
+            | Some (i, o)
+              when i >= 0 && i < spec.total && Option.is_none outcomes.(i) ->
+                outcomes.(i) <- Some o;
+                incr resumed
+            | Some _ | None -> ())
+          records;
+        w)
+      cfg.journal
+  in
   let completed = ref 0 in
   let fresh = ref 0 in
   let stopped = ref false in
@@ -314,6 +272,6 @@ let run ?(cfg = default_config) (spec : 'a spec) : 'a report =
     completed = !completed;
     infra_errors;
     stopped_early = !stopped;
-    resumed;
+    resumed = !resumed;
     wall_s = Unix.gettimeofday () -. t0;
   }

@@ -80,10 +80,10 @@ val run : ?cfg:config -> 'a spec -> 'a report
 (** {2 Journal record format}
 
     Exposed so other engines over the same trial model — the campaign
-    server's sharded journals, [ft_dev journal] — read and write
-    records interchangeable with this executor's, which is what lets a
-    server-mode campaign resume a single-process journal and vice
-    versa. *)
+    server's scheduler, [ft_dev journal] — read and write records
+    interchangeable with this executor's.  Both engines open the one
+    file through {!Journal.open_campaign}, so a served campaign's
+    journal resumes here and this executor's resumes on the server. *)
 
 val header_record : 'a spec -> Csexp.t
 (** [(magic version tag total)] — the first record of every journal. *)

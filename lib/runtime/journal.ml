@@ -9,7 +9,8 @@
     Crash tolerance on read: [load] decodes the longest valid prefix
     and reports where it ends; [open_append ~truncate_at] drops a
     torn tail before appending, so a journal that died mid-write heals
-    on the next run. *)
+    on the next run.  [open_campaign] is the one open/resume path both
+    campaign engines (the executor and the server's scheduler) use. *)
 
 type writer = {
   fd : Unix.file_descr;
@@ -71,59 +72,33 @@ let close (w : writer) : unit =
     Unix.close w.fd
   end
 
-(** Compact a journal in place: decode the valid prefix (dropping any
-    torn tail), deduplicate the records [key] identifies — the
-    {e last} value written for a key survives, matching what a reader
-    folding the log with replace semantics would see, but it is emitted
-    at the key's {e first} position so record order stays stable —
-    and atomically replace the file (write temp, fsync, rename).
-    Records with no key ([None], e.g. headers) are always kept.
-    Returns [(bytes_before, bytes_after)]. *)
-let compact ?(key : (Csexp.t -> string option) = fun _ -> None)
-    (path : string) : int * int =
-  let records, _valid_end = load path in
-  let before =
-    if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
+let rec show : Csexp.t -> string = function
+  | Csexp.Atom a -> a
+  | Csexp.List l -> "(" ^ String.concat " " (List.map show l) ^ ")"
+
+(** Open the campaign journal at [path], whose first record is
+    [header].  Without [resume], or when the file is missing, the file
+    is created (or truncated) with [header] written and synced.
+    Otherwise the torn tail is healed, the first record checked against
+    [header], and the records after it returned; a file the heal left
+    empty gets its header back, so it stays resumable. *)
+let open_campaign ~(resume : bool) ~(header : Csexp.t) (path : string) :
+    writer * Csexp.t list =
+  let fresh () =
+    let w = create path in
+    write w header;
+    sync w;
+    (w, [])
   in
-  (* last value per key, first position per key *)
-  let latest : (string, Csexp.t) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      match key r with
-      | Some k -> Hashtbl.replace latest k r
-      | None -> ())
-    records;
-  let emitted : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      let keep =
-        match key r with
-        | None -> Some r
-        | Some k ->
-            if Hashtbl.mem emitted k then None
-            else begin
-              Hashtbl.add emitted k ();
-              Some (Hashtbl.find latest k)
-            end
-      in
-      match keep with
-      | Some r ->
-          Csexp.to_buffer buf r;
-          Buffer.add_char buf '\n'
-      | None -> ())
-    records;
-  let tmp = path ^ ".compact.tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let s = Buffer.contents buf in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length s in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write_substring fd s !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  (before, String.length s)
+  if not (resume && Sys.file_exists path) then fresh ()
+  else
+    match load path with
+    | [], _ -> fresh ()
+    | h :: rest, valid_end when h = header ->
+        (open_append ~truncate_at:valid_end path, rest)
+    | h :: _, _ ->
+        failwith
+          (Printf.sprintf
+             "journal %s belongs to a different campaign (journal header %s, \
+              expected %s); refusing to resume"
+             path (show h) (show header))

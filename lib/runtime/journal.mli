@@ -25,9 +25,13 @@ val sync : writer -> unit
 val close : writer -> unit
 (** [sync] then close the descriptor.  Idempotent. *)
 
-val compact : ?key:(Csexp.t -> string option) -> string -> int * int
-(** Compact a journal in place: heal the torn tail and deduplicate the
-    records [key] identifies (the last value written for a key
-    survives, at the key's first position; [None] records — headers —
-    are always kept).  Atomic: temp file + fsync + rename.  Returns
-    [(bytes_before, bytes_after)]. *)
+val open_campaign :
+  resume:bool -> header:Csexp.t -> string -> writer * Csexp.t list
+(** Open a campaign journal whose first record is [header], and return
+    the writer and the records after the header.  Without [resume], or
+    on a missing file, the file is created (truncated) with [header]
+    written and synced.  Otherwise the torn tail is healed and the
+    header checked; a file the heal left empty gets its header
+    rewritten.
+    @raise Failure naming both headers when the file opens with a
+    different one (another campaign's journal). *)

@@ -13,6 +13,9 @@ val key : string -> string
 
 val path : dir:string -> key:string -> string
 
+val ensure_dir : string -> unit
+(** Create a directory and any missing parents ([mkdir -p]). *)
+
 val store : dir:string -> key:string -> 'a -> string
 (** Marshal [v] under [key] (atomic: temp file + fsync + rename);
     returns the entry's path.  Creates [dir] if needed. *)

@@ -213,8 +213,8 @@ type from_worker =
       (** also the answer to a [Lease] for a campaign the worker cannot
           serve — the scheduler steals the batch back *)
   | Trial of { cid : string; record : Csexp.t }
-      (** one {!Executor.trial_record} — appended to [cid]'s shard
-          journal verbatim, which is what keeps server-mode journals
+      (** one {!Executor.trial_record} — appended to [cid]'s journal
+          verbatim, which is what keeps server-mode journals
           interchangeable with [--jobs 1] journals *)
   | Batch_done of { cid : string; batch : int; retries : int }
 

@@ -4,9 +4,9 @@
     onto a shared pool of workers (forked children {e and} remote TCP
     attachments), and the engine interleaves their fixed contiguous
     batches under leases exactly the way the single-campaign server
-    did — a batch is leased to one worker with a refreshable
-    wall-clock deadline ({!Watchdog.deadline}) that every frame from
-    the worker pushes out; a worker that dies or goes quiet is
+    did — a batch is leased to one worker under a deadline on the
+    monotonic clock that every frame from the worker pushes out
+    [heartbeat_s] further; a worker that dies or goes quiet is
     SIGKILLed, its lease {e stolen} back after a jittered exponential
     backoff ({!Executor.backoff_s}); a batch whose lease keeps failing
     poisons {e its own campaign only} — the other tenants keep running
@@ -17,8 +17,10 @@
     outcome array — {!tenant} builds both halves), and workers rebuild
     every campaign from its wire {!Campaign.spec}.  Determinism is
     per-tenant: trials depend only on their index, each tenant's
-    records are accumulated first-write-wins into its own sharded
-    journal, so every tenant's outcome sequence is byte-identical to
+    records are accumulated first-write-wins into its own journal
+    ([<journal_dir>/<id>.journal], the executor's one-file format,
+    opened through {!Journal.open_campaign} and synced once per closed
+    batch), so every tenant's outcome sequence is byte-identical to
     its own [--jobs 1] run no matter how the pool interleaves or dies.
     There is no early stop: a campaign runs to its planned total.
 
@@ -34,12 +36,13 @@
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
   batch : int;  (** trials per lease; fixed boundaries like the executor *)
-  shards : int;  (** journal shards (batch [b] logs to [b mod shards]) *)
+  journal_dir : string option;
+      (** the root: campaign [id] journals to [<root>/<id>.journal],
+          resuming the file when it exists *)
   heartbeat_s : float;  (** per-worker lease deadline between messages *)
   max_lease_attempts : int;
       (** lease failures tolerated per batch before {e that} campaign
           is poisoned *)
-  compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;  (** campaigns scheduled concurrently; rest queue *)
   chaos_kills : int list;
       (** SIGKILL the most recent deliverer when the pool-wide
@@ -54,10 +57,9 @@ let default_config =
   {
     workers = 2;
     batch = Executor.default_config.Executor.batch;
-    shards = 4;
+    journal_dir = None;
     heartbeat_s = 30.0;
     max_lease_attempts = 3;
-    compact_every = 4096;
     max_active = 4;
     chaos_kills = [];
     retry = Executor.default_config;
@@ -74,8 +76,6 @@ type job = {
   jb_app : string;  (** display only *)
   jb_total : int;
   jb_header : Csexp.t;
-  jb_journal : string option;  (** this campaign's own shard directory *)
-  jb_resume : bool;
   jb_spec : Campaign.spec;
   jb_accept : int -> Csexp.t -> bool;
 }
@@ -110,7 +110,7 @@ type run = {
   lease : lease array;
   attempts : int array;
   eligible : float array;
-  mutable journal : Shard.t option;
+  mutable journal : Journal.writer option;
   mutable open_batches : int;
   mutable prefix : int;
   mutable last_served : int;
@@ -146,7 +146,8 @@ type wslot = {
   ws_loaded : (string, unit) Hashtbl.t;
   ws_noload : (string, unit) Hashtbl.t;
       (** campaigns this worker failed to load; never offered again *)
-  ws_dl : Watchdog.deadline;
+  mutable ws_deadline : float;
+      (** [Obs.now] past which a leased worker counts as stalled *)
   mutable ws_dead : bool;
 }
 
@@ -187,11 +188,6 @@ let create ?(cfg = default_config) ?spawn
 
 let obs_count (t : t) name n =
   match t.cfg.metrics with Some m -> Obs.count m name n | None -> ()
-
-let trial_key (r : Csexp.t) : string option =
-  match r with
-  | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-  | _ -> None
 
 let record_index (r : Csexp.t) : int option =
   match r with
@@ -238,11 +234,8 @@ let advance_prefix (r : run) =
 let close_journal (r : run) =
   match r.journal with
   | None -> ()
-  | Some sh ->
-      (try
-         Shard.sync_all sh;
-         Shard.close sh
-       with Sys_error _ | Unix.Unix_error _ -> ());
+  | Some w ->
+      (try Journal.close w with Sys_error _ | Unix.Unix_error _ -> ());
       r.journal <- None
 
 let emit (t : t) (ten : tenant) (e : event) = t.on_event ten.id e
@@ -296,14 +289,7 @@ let poison (t : t) (ten : tenant) (r : run) (b : int) (cause : Infra.cause) =
 let close_batch (t : t) (ten : tenant) (r : run) (b : int) =
   r.lease.(b) <- Done_;
   r.open_batches <- r.open_batches - 1;
-  (match r.journal with
-  | Some sh ->
-      Shard.sync sh ~shard:b;
-      if Shard.appended sh ~shard:b >= t.cfg.compact_every then begin
-        ignore (Shard.compact sh ~key:trial_key ~shard:b);
-        obs_count t "server/compactions" 1
-      end
-  | None -> ());
+  Option.iter Journal.sync r.journal;
   advance_prefix r;
   progress t ten;
   maybe_finish t ten r
@@ -335,8 +321,7 @@ let submit (t : t) (job : job) : (unit, string) result =
     records into a private outcome array, and the finished-prefix
     extraction that reads it back once [Finished { completed }]
     fires. *)
-let tenant ~(id : string) ?(journal : string option) ?(resume = false)
-    (spec : Campaign.spec) (ex : 'a Executor.spec) :
+let tenant ~(id : string) (spec : Campaign.spec) (ex : 'a Executor.spec) :
     job * (int -> 'a Executor.outcome array) =
   let outcomes = Array.make ex.Executor.total None in
   let accept i r =
@@ -351,8 +336,6 @@ let tenant ~(id : string) ?(journal : string option) ?(resume = false)
       jb_app = spec.Campaign.sp_app;
       jb_total = ex.Executor.total;
       jb_header = Executor.header_record ex;
-      jb_journal = journal;
-      jb_resume = resume;
       jb_spec = spec;
       jb_accept = accept;
     },
@@ -383,30 +366,26 @@ let admit (t : t) (ten : tenant) (job : job) =
   in
   ten.state <- Active r;
   match
-    (match job.jb_journal with
+    (match t.cfg.journal_dir with
     | None -> ()
-    | Some dir ->
-        if job.jb_resume && Sys.file_exists dir then begin
-          let sh, records =
-            Shard.open_resume ~dir ~shards:t.cfg.shards ~header:job.jb_header
-          in
-          r.journal <- Some sh;
-          List.iter
-            (fun record ->
-              match record_index record with
-              | Some i
-                when i >= 0 && i < total && (not r.filled.(i))
-                     && job.jb_accept i record ->
-                  r.filled.(i) <- true;
-                  ten.completed_n <- ten.completed_n + 1;
-                  ten.resumed <- ten.resumed + 1
-              | Some _ | None -> ())
-            records
-        end
-        else
-          r.journal <-
-            Some
-              (Shard.create ~dir ~shards:t.cfg.shards ~header:job.jb_header));
+    | Some root ->
+        Cache.ensure_dir root;
+        let w, records =
+          Journal.open_campaign ~resume:true ~header:job.jb_header
+            (Filename.concat root (job.jb_id ^ ".journal"))
+        in
+        r.journal <- Some w;
+        List.iter
+          (fun record ->
+            match record_index record with
+            | Some i
+              when i >= 0 && i < total && (not r.filled.(i))
+                   && job.jb_accept i record ->
+                r.filled.(i) <- true;
+                ten.completed_n <- ten.completed_n + 1;
+                ten.resumed <- ten.resumed + 1
+            | Some _ | None -> ())
+          records);
     for b = 0 to nbatches - 1 do
       match first_unfilled t r b with
       | None -> r.lease.(b) <- Done_
@@ -421,7 +400,10 @@ let admit (t : t) (ten : tenant) (job : job) =
       maybe_finish t ten r
   | exception e ->
       release t ten Failed_t;
-      emit t ten (Failed { reason = Printexc.to_string e })
+      let reason =
+        match e with Failure m -> m | e -> Printexc.to_string e
+      in
+      emit t ten (Failed { reason })
 
 (* --- the worker pool ----------------------------------------------------- *)
 
@@ -434,6 +416,10 @@ let reap ?(force = false) pid =
 let slot_fds (t : t) =
   List.map (fun s -> Wire.fd s.ws_conn) (live_slots t)
 
+(* every frame from a worker, and every lease it is given, pushes its
+   deadline out a full heartbeat *)
+let refresh (t : t) (s : wslot) = s.ws_deadline <- Obs.now () +. t.cfg.heartbeat_s
+
 let add_slot (t : t) (kind : wkind) (pid : int) (conn : Wire.conn) : wslot =
   let s =
     {
@@ -444,7 +430,7 @@ let add_slot (t : t) (kind : wkind) (pid : int) (conn : Wire.conn) : wslot =
       ws_assign = None;
       ws_loaded = Hashtbl.create 4;
       ws_noload = Hashtbl.create 4;
-      ws_dl = Watchdog.arm ~seconds:t.cfg.heartbeat_s;
+      ws_deadline = Obs.now () +. t.cfg.heartbeat_s;
       ws_dead = false;
     }
   in
@@ -517,7 +503,7 @@ let load_failed (t : t) (s : wslot) (cid : string) (reason : string) =
 (** Accept one worker message; [false] = stop draining this worker
     (it was just chaos-killed). *)
 let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
-  Watchdog.refresh s.ws_dl;
+  refresh t s;
   match Proto.from_worker_of_csexp msg with
   | Error _ -> true
   | Ok (Proto.Ready { pid }) ->
@@ -541,9 +527,7 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
               ten.completed_n <- ten.completed_n + 1;
               if record_is_infra record then
                 obs_count t "server/infra-errors" 1;
-              (match r.journal with
-              | Some sh -> Shard.append sh ~shard:(i / batch_size t) record
-              | None -> ());
+              Option.iter (fun w -> Journal.write w record) r.journal;
               t.delivered <- t.delivered + 1;
               (match t.kills with
               | k :: rest when t.delivered >= k ->
@@ -657,7 +641,7 @@ let assign (t : t) =
                         t.served <- t.served + 1;
                         r.last_served <- t.served;
                         Hashtbl.replace leases_held cid (held cid + 1);
-                        Watchdog.refresh s.ws_dl
+                        refresh t s
                       with Wire.Closed ->
                         worker_down t s
                           (Infra.Worker_lost { pid = s.ws_pid; batch = None })
@@ -727,7 +711,7 @@ let step ?(wake : Unix.file_descr list = []) (t : t) ~(idle_s : float) : unit =
   List.iter
     (fun s ->
       if (not s.ws_dead) && s.ws_assign <> None
-         && Watchdog.deadline_expired s.ws_dl
+         && Obs.now () > s.ws_deadline
       then begin
         obs_count t "server/heartbeats-missed" 1;
         worker_down t s

@@ -6,7 +6,11 @@
     typed state ({!tenant} builds both); each tenant's record sequence
     is first-write-wins in index order, so its counts are
     byte-identical to its own [--jobs 1] run regardless of
-    interleaving or worker deaths.  There is no early stop: a served
+    interleaving or worker deaths.  With a [journal_dir], campaign
+    [id] journals to [<journal_dir>/<id>.journal] in the executor's
+    format ({!Journal.open_campaign}): an [Executor.run] journal
+    placed there resumes here, and this one resumes in
+    [Executor.run].  There is no early stop: a served
     campaign runs to its planned total.  A campaign that finishes, is
     poisoned or fails leaves the pool: its job and per-trial state are
     dropped (its {!stats} row stays) and every worker that loaded it
@@ -17,29 +21,38 @@ type config = {
   batch : int;
       (** trials per lease; fixed boundaries like the executor, whose
           default (64) it shares *)
-  shards : int;  (** journal shards per tenant *)
-  heartbeat_s : float;  (** per-worker lease deadline between messages *)
+  journal_dir : string option;
+      (** the root, created when missing: campaign [id] journals to
+          [<root>/<id>.journal], resumed when the file exists, and
+          the server persists finished verdicts under [<root>/results] *)
+  heartbeat_s : float;
+      (** per-worker lease deadline between messages, on the monotonic
+          clock *)
   max_lease_attempts : int;
       (** lease failures tolerated per batch before {e that} campaign
           is poisoned *)
-  compact_every : int;
   max_active : int;  (** campaigns scheduled concurrently; rest queue *)
   chaos_kills : int list;
       (** SIGKILL the most recent deliverer when the pool-wide
           delivered count crosses each threshold *)
   retry : Executor.config;
   metrics : Obs.t option;
+      (** scheduler metrics: [server/workers-forked],
+          [server/workers-attached], [server/leases-stolen],
+          [server/heartbeats-missed], [server/retries],
+          [server/chaos-kills], [server/infra-errors],
+          [server/tenants-*] *)
 }
 
 val default_config : config
+(** 2 workers, batch 64 ([Executor.default_config]'s), no journal, 30 s
+    heartbeats, 3 lease attempts, 4 concurrent campaigns, no chaos. *)
 
 type job = {
   jb_id : string;
   jb_app : string;  (** display only *)
   jb_total : int;
   jb_header : Csexp.t;  (** journal header ({!Executor.header_record}) *)
-  jb_journal : string option;  (** this campaign's own shard directory *)
-  jb_resume : bool;
   jb_spec : Campaign.spec;  (** wire form workers rebuild the campaign from *)
   jb_accept : int -> Csexp.t -> bool;
       (** deliver one fresh record to the owner; [true] = decoded and
@@ -48,24 +61,23 @@ type job = {
 
 val tenant :
   id:string ->
-  ?journal:string ->
-  ?resume:bool ->
   Campaign.spec ->
   'a Executor.spec ->
   job * (int -> 'a Executor.outcome array)
 (** The one way to own a campaign: a job whose [jb_accept] decodes
     [ex]'s records into a private outcome array ([jb_app] = the spec's
-    app, [jb_header] = [ex]'s journal header, [resume] default
-    [false]), and the function that returns the first [completed]
-    outcomes once [Finished { completed }] fires.  [ex] must be the
-    executor spec workers build from [spec]. *)
+    app, [jb_header] = [ex]'s journal header), and the function that
+    returns the first [completed] outcomes once [Finished { completed }]
+    fires.  [ex] must be the executor spec workers build from [spec]. *)
 
 type event =
   | Progress of { completed : int; planned : int; stolen : int }
   | Finished of { completed : int; resumed : int }
       (** every batch closed: [completed] = the planned total *)
   | Poisoned of { batch : int; attempts : int; cause : Infra.cause }
-  | Failed of { reason : string }  (** admission failed *)
+  | Failed of { reason : string }
+      (** admission failed, e.g. the journal belongs to another
+          campaign *)
 
 type tenant_stats = {
   ts_id : string;

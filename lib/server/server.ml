@@ -6,9 +6,10 @@
     children and remote TCP attachments together.  {!serve} is the
     long-running socket service: wire-submitted campaigns are planned
     ({!Plan}), queued, and interleaved across the pool; each runs under
-    a deterministic campaign id, journals under its own id-derived
-    directory, and its finished verdict is persisted so a client can
-    [fetch] it long after the submitting connection died.
+    a deterministic campaign id, journals to [<journal_dir>/<id>.journal]
+    in the executor's one-file format, and its finished verdict is
+    persisted so a client can [fetch] it long after the submitting
+    connection died.
 
     Determinism is per-tenant: trials depend only on their index,
     records are accumulated first-write-wins in index order, so every
@@ -16,60 +17,25 @@
     matter how many tenants interleave or how many workers die.
     [Sched.config]'s [chaos_kills] turns that claim into a test. *)
 
-type config = {
-  workers : int;  (** forked worker processes *)
-  batch : int;  (** trials per lease; fixed boundaries like the executor *)
-  shards : int;  (** journal shards (batch [b] logs to [b mod shards]) *)
+type config = Sched.config = {
+  workers : int;
+  batch : int;
   journal_dir : string option;
-      (** the root: each campaign journals under [<root>/<campaign-id>]
-          and finished verdicts persist under [<root>/results] *)
-  heartbeat_s : float;  (** per-worker lease deadline between messages *)
+  heartbeat_s : float;
   max_lease_attempts : int;
-      (** lease failures tolerated per batch before the campaign is
-          poisoned *)
-  compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;
-      (** campaigns scheduled concurrently; the rest wait in the
-          admission queue *)
+  chaos_kills : int list;
   retry : Executor.config;
-      (** worker-side trial retry and the lease re-assignment backoff
-          share this policy *)
   metrics : Obs.t option;
 }
 
-let default_config =
-  {
-    workers = 2;
-    batch = Executor.default_config.Executor.batch;
-    shards = 4;
-    journal_dir = None;
-    heartbeat_s = 30.0;
-    max_lease_attempts = 3;
-    compact_every = 4096;
-    max_active = 4;
-    retry = Executor.default_config;
-    metrics = None;
-  }
-
-let sched_config (cfg : config) : Sched.config =
-  {
-    Sched.workers = cfg.workers;
-    batch = cfg.batch;
-    shards = cfg.shards;
-    heartbeat_s = cfg.heartbeat_s;
-    max_lease_attempts = cfg.max_lease_attempts;
-    compact_every = cfg.compact_every;
-    max_active = cfg.max_active;
-    chaos_kills = [];
-    retry = cfg.retry;
-    metrics = cfg.metrics;
-  }
+let default_config = Sched.default_config
 
 (* --- the socket front-end ------------------------------------------------ *)
 
 (** Campaign ids are deterministic: the admission ordinal plus a hash
     of the campaign tag.  Two submissions of the same spec get
-    {e distinct} ids (and therefore distinct journal directories) —
+    {e distinct} ids (and therefore distinct journal files) —
     so identical specs never share a journal. *)
 let campaign_id (ordinal : int) (tag : string) : string =
   let h = Cache.key tag in
@@ -83,7 +49,7 @@ let id_ok (id : string) : bool =
        id
 
 (** The next free ordinal in a journal root that already holds
-    [cNNNN-*] directories from a previous server life. *)
+    [cNNNN-*] journals from a previous server life. *)
 let next_ordinal (root : string option) : int =
   match root with
   | None -> 1
@@ -258,7 +224,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
             finish_entry e
               (Proto.Poisoned { id; reason = "admission failed: " ^ reason }))
   in
-  let eng = Sched.create ~cfg:(sched_config cfg) ~spawn ~on_event () in
+  let eng = Sched.create ~cfg ~spawn ~on_event () in
   let tenant_state id =
     List.find_opt (fun s -> s.Sched.ts_id = id) (Sched.stats eng)
   in
@@ -279,7 +245,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
     | None -> Wire.close conn
   in
   (* enqueue one wire submission: plan (cache-warm), mint the id, hand
-     the engine a job whose journal lives under the id's own directory *)
+     the engine a job; it journals to the id's own file *)
   let submit conn (spec : Campaign.spec) (resume_id : string option) =
     let reject reason =
       ignore (safe_send conn (Proto.Rejected { reason }));
@@ -320,11 +286,7 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
                       incr ordinal;
                       id
                 in
-                let job, final =
-                  Sched.tenant ~id
-                    ?journal:(Option.map (fun d -> Filename.concat d id) root)
-                    ~resume:true spec ex_spec
-                in
+                let job, final = Sched.tenant ~id spec ex_spec in
                 match Sched.submit eng job with
                 | Error e -> reject e
                 | Ok () ->

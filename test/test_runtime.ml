@@ -1,7 +1,6 @@
 (* The resilient campaign executor and its parts: csexp wire format,
-   append-only journal with torn-tail healing, domain pool, refreshable
-   worker deadlines, and the engine's determinism / resume / retry /
-   early-stop contracts. *)
+   append-only journal with torn-tail healing, domain pool, and the
+   engine's determinism / resume / retry / early-stop contracts. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -148,25 +147,6 @@ let test_pool_clamps_to_cores () =
     true
     (List.length !seen <= cores);
   Alcotest.(check bool) "results = jobs 1" true (ys = Pool.map ~jobs:1 f xs)
-
-(* --- worker deadlines ---------------------------------------------------- *)
-
-let test_deadline_refresh () =
-  let d = Watchdog.arm ~seconds:0.5 in
-  Alcotest.(check bool) "fresh deadline holds" false
-    (Watchdog.deadline_expired d);
-  Unix.sleepf 0.6;
-  Alcotest.(check bool) "lapses after its period" true
-    (Watchdog.deadline_expired d);
-  Watchdog.refresh d;
-  Alcotest.(check bool) "refresh pushes it out a full period" false
-    (Watchdog.deadline_expired d);
-  let gone = Watchdog.arm ~seconds:(-1.0) in
-  Alcotest.(check bool) "negative period: expired at once" true
-    (Watchdog.deadline_expired gone);
-  Watchdog.refresh gone;
-  Alcotest.(check bool) "and refresh cannot revive it" true
-    (Watchdog.deadline_expired gone)
 
 (* --- executor ------------------------------------------------------------ *)
 
@@ -403,8 +383,6 @@ let suite =
         test_pool_propagates_exception;
       Alcotest.test_case "pool clamps to the cores" `Quick
         test_pool_clamps_to_cores;
-      Alcotest.test_case "deadline arm, refresh, expiry" `Quick
-        test_deadline_refresh;
       Alcotest.test_case "executor jobs invariance" `Quick
         test_executor_jobs_invariance;
       Alcotest.test_case "journal heals at every byte boundary" `Quick

@@ -1,8 +1,9 @@
 (* The campaign server: wire framing (dup suppression, checksum +
    resend, deadlines), the content-addressed cache, the infra
-   taxonomy, protocol codecs, sharded journals, and the core
-   crash-tolerance contract — a campaign whose workers are SIGKILLed
-   mid-flight produces counts byte-identical to --jobs 1. *)
+   taxonomy, protocol codecs, one journal format shared with the
+   executor, and the core crash-tolerance contract — a campaign whose
+   workers are SIGKILLed mid-flight produces counts byte-identical to
+   --jobs 1. *)
 
 let with_temp_dir f =
   let dir =
@@ -377,69 +378,6 @@ let test_proto_roundtrips () =
       Proto.Quit;
     ]
 
-(* --- shard journals ------------------------------------------------------ *)
-
-let header = Csexp.List [ Csexp.Atom "hdr"; Csexp.Atom "campaign-x" ]
-let rec_of i = Executor.trial_record string_of_int i (Executor.Done (i * i))
-
-let test_shard_torn_tails_heal_per_shard () =
-  with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:3 ~header in
-      for i = 0 to 29 do
-        Shard.append sh ~shard:(i / 10) (rec_of i)
-      done;
-      Shard.sync_all sh;
-      Shard.close sh;
-      (* tear the tail of shard 1 only *)
-      let path1 = List.nth (Shard.shard_paths ~dir ~shards:3) 1 in
-      let size = (Unix.stat path1).Unix.st_size in
-      let fd = Unix.openfile path1 [ Unix.O_WRONLY ] 0o644 in
-      Unix.ftruncate fd (size - 3);
-      Unix.close fd;
-      let sh, records = Shard.open_resume ~dir ~shards:3 ~header in
-      Shard.close sh;
-      let parsed = List.filter_map (Executor.parse_trial int_of_string_opt) records in
-      let indices = List.map fst parsed |> List.sort compare in
-      (* exactly one record (shard 1's torn last) was dropped *)
-      Alcotest.(check int) "one record lost to the tear" 29 (List.length parsed);
-      Alcotest.(check bool) "shard 0 and 2 intact" true
-        (List.for_all (fun i -> List.mem i indices)
-           (List.init 10 Fun.id @ List.init 10 (fun i -> 20 + i)));
-      List.iter
-        (fun (i, o) ->
-          Alcotest.(check bool) "payload survives" true
-            (o = Executor.Done (i * i)))
-        parsed)
-
-let test_shard_header_mismatch_refuses () =
-  with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:2 ~header in
-      Shard.close sh;
-      let other = Csexp.List [ Csexp.Atom "hdr"; Csexp.Atom "campaign-y" ] in
-      match Shard.open_resume ~dir ~shards:2 ~header:other with
-      | _ -> Alcotest.fail "expected Header_mismatch"
-      | exception Shard.Header_mismatch _ -> ())
-
-let test_shard_compaction_dedups () =
-  with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:1 ~header in
-      (* the same three trials re-journaled many times (stolen leases) *)
-      for _round = 0 to 9 do
-        for i = 0 to 2 do Shard.append sh ~shard:0 (rec_of i) done
-      done;
-      Shard.sync_all sh;
-      let key r =
-        match r with
-        | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-        | _ -> None
-      in
-      let before, after = Shard.compact sh ~key ~shard:0 in
-      Shard.close sh;
-      Alcotest.(check bool) "compaction shrank the shard" true (after < before);
-      let sh, records = Shard.open_resume ~dir ~shards:1 ~header in
-      Shard.close sh;
-      Alcotest.(check int) "three records survive" 3 (List.length records))
-
 (* --- the campaign scheduler ----------------------------------------------- *)
 
 let pure_trial i = (i * 2654435761) land 0xFFFF
@@ -631,28 +569,23 @@ let test_server_journal_resume () =
           Sched.default_config with
           Sched.workers = 2;
           batch = 5;
-          shards = 2;
+          journal_dir = Some jdir;
           chaos_kills = kills;
           heartbeat_s = 10.0;
         }
       in
       let load = fake_loader kernels in
-      let job, first =
-        Sched.tenant ~id:"job" ~journal:jdir (wire "pure") pure
-      in
+      let job, first = Sched.tenant ~id:"job" (wire "pure") pure in
       let _, events, _ = run_pool ~cfg:(cfg [ 12 ]) ~load [ job ] in
       let completed1, _ = finished events "job" in
       Alcotest.(check int) "first run completed" 40 completed1;
-      (* tear one shard's tail, as a crashed server would leave it *)
-      let path0 = List.nth (Shard.shard_paths ~dir:jdir ~shards:2) 0 in
-      let size = (Unix.stat path0).Unix.st_size in
-      let fd = Unix.openfile path0 [ Unix.O_WRONLY ] 0o644 in
+      (* tear the journal's tail, as a crashed server would leave it *)
+      let path = Filename.concat jdir "job.journal" in
+      let size = (Unix.stat path).Unix.st_size in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd (size - 4);
       Unix.close fd;
-      let job, second =
-        Sched.tenant ~id:"job" ~journal:jdir ~resume:true (wire "counted")
-          recount
-      in
+      let job, second = Sched.tenant ~id:"job" (wire "counted") recount in
       let _, events, _ = run_pool ~cfg:(cfg []) ~load [ job ] in
       let completed2, resumed = finished events "job" in
       let calls =
@@ -666,6 +599,109 @@ let test_server_journal_resume () =
         (calls <= 40 - resumed + 5);
       Alcotest.(check bool) "resumed run agrees with the first" true
         (outcomes_equal (first completed1) (second completed2)))
+
+(* --- one journal format for both engines ---------------------------------- *)
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let test_served_journal_resumes_in_executor () =
+  with_temp_dir (fun dir ->
+      let s = spec ~total:40 pure_trial in
+      let job, served = Sched.tenant ~id:"job" (wire "pure") s in
+      let obs = Obs.create () in
+      let _, events, _ =
+        run_pool
+          ~cfg:
+            {
+              Sched.default_config with
+              Sched.workers = 2;
+              batch = 5;
+              journal_dir = Some dir;
+              chaos_kills = [ 12 ];
+              heartbeat_s = 10.0;
+              metrics = Some obs;
+            }
+          ~load:(fake_loader [ ("pure", s) ]) [ job ]
+      in
+      Alcotest.(check int) "a worker was killed mid-campaign" 1
+        (Option.value ~default:0 (Obs.counter_value obs "server/chaos-kills"));
+      let completed, _ = finished events "job" in
+      let report =
+        Executor.run
+          ~cfg:
+            {
+              Executor.default_config with
+              journal = Some (Filename.concat dir "job.journal");
+              resume = true;
+            }
+          s
+      in
+      Alcotest.(check int) "every trial resumed" 40 report.Executor.resumed;
+      Alcotest.(check bool) "same outcomes as served" true
+        (outcomes_equal (served completed) report.Executor.outcomes))
+
+let test_executor_journal_resumes_on_server () =
+  with_temp_dir (fun dir ->
+      let s = spec ~total:40 pure_trial in
+      let reference =
+        Executor.run
+          ~cfg:
+            {
+              Executor.default_config with
+              journal = Some (Filename.concat dir "job.journal");
+            }
+          s
+      in
+      let obs = Obs.create () in
+      let job, served = Sched.tenant ~id:"job" (wire "pure") s in
+      (* no test kernel: a leased batch could only fail to load, which
+         poisons the campaign at once *)
+      let _, events, _ =
+        run_pool
+          ~cfg:
+            {
+              Sched.default_config with
+              Sched.batch = 5;
+              journal_dir = Some dir;
+              max_lease_attempts = 0;
+              metrics = Some obs;
+            }
+          ~load:(fake_loader []) [ job ]
+      in
+      let completed, resumed = finished events "job" in
+      Alcotest.(check int) "every trial resumed" 40 resumed;
+      Alcotest.(check int) "no worker was needed" 0
+        (Option.value ~default:0
+           (Obs.counter_value obs "server/workers-forked"));
+      Alcotest.(check bool) "same outcomes as the executor" true
+        (outcomes_equal reference.Executor.outcomes (served completed)))
+
+let test_admission_refuses_foreign_journal () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "job.journal" in
+      ignore
+        (Executor.run
+           ~cfg:{ Executor.default_config with journal = Some path }
+           (spec ~total:8 ~tag:"campaign-a" pure_trial));
+      let before = (Unix.stat path).Unix.st_size in
+      let s = spec ~total:8 ~tag:"campaign-b" pure_trial in
+      let job, _ = Sched.tenant ~id:"job" (wire "pure") s in
+      let _, events, _ =
+        run_pool
+          ~cfg:{ Sched.default_config with Sched.journal_dir = Some dir }
+          ~load:(fake_loader [ ("pure", s) ]) [ job ]
+      in
+      (match Hashtbl.find_opt events "job" with
+      | Some (Sched.Failed { reason }) ->
+          Alcotest.(check bool) "the reason names both tags" true
+            (contains ~sub:"campaign-a" reason
+            && contains ~sub:"campaign-b" reason)
+      | _ -> Alcotest.fail "expected an admission failure");
+      Alcotest.(check int) "the foreign journal is untouched" before
+        (Unix.stat path).Unix.st_size)
 
 let test_server_poisons_unrunnable_campaign () =
   (* every worker that leases batch 0 stalls without heartbeating: the
@@ -1059,8 +1095,9 @@ let test_serve_two_tenants_fetch_by_id () =
               | _ -> ());
               List.iter
                 (fun id ->
-                  Alcotest.(check bool) (id ^ " has its own journal dir") true
-                    (Sys.is_directory (Filename.concat jroot id)))
+                  Alcotest.(check bool) (id ^ " has its own journal") true
+                    (Sys.file_exists
+                       (Filename.concat jroot (id ^ ".journal"))))
                 ids;
               (* fetch on fresh connections: the verdicts outlive the
                  submitting connections *)
@@ -1162,12 +1199,6 @@ let suite =
         test_cache_mutated_entries;
       Alcotest.test_case "infra kinds roundtrip" `Quick test_infra_kinds_roundtrip;
       Alcotest.test_case "protocol codecs roundtrip" `Quick test_proto_roundtrips;
-      Alcotest.test_case "shard torn tails heal per shard" `Quick
-        test_shard_torn_tails_heal_per_shard;
-      Alcotest.test_case "shard header mismatch refuses" `Quick
-        test_shard_header_mismatch_refuses;
-      Alcotest.test_case "shard compaction dedups" `Quick
-        test_shard_compaction_dedups;
       Alcotest.test_case "server matches executor" `Quick
         test_server_matches_executor;
       Alcotest.test_case "chaos kills preserve outcomes" `Quick
@@ -1178,6 +1209,12 @@ let suite =
         test_server_kill_at_batch_boundary;
       Alcotest.test_case "journal resume after torn shard" `Quick
         test_server_journal_resume;
+      Alcotest.test_case "served journal resumes in the executor" `Quick
+        test_served_journal_resumes_in_executor;
+      Alcotest.test_case "executor journal resumes on the server" `Quick
+        test_executor_journal_resumes_on_server;
+      Alcotest.test_case "admission refuses a foreign journal" `Quick
+        test_admission_refuses_foreign_journal;
       Alcotest.test_case "unrunnable campaign poisons" `Quick
         test_server_poisons_unrunnable_campaign;
       Alcotest.test_case "worker forgets a finished campaign" `Quick
